@@ -29,6 +29,7 @@ from .htheorem import (
     dH_dt_consistency,
     dissipation_rate,
     h_curve,
+    h_curves,
     h_function,
     solve_invariant,
 )

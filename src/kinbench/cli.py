@@ -10,6 +10,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -26,13 +27,7 @@ from .errors import (
     ShapeError,
     UnknownExample,
 )
-from .htheorem import (
-    HFunctional,
-    boundary_term,
-    dissipation_rate,
-    h_function,
-    solve_invariant,
-)
+from .htheorem import HFunctional, h_curves, solve_invariant
 from .pawula import (
     OrderTooLow,
     maximum_principle_check,
@@ -196,43 +191,6 @@ class CheckSheet:
         return [k for k, c in self.checks.items() if not c["pass"]]
 
 
-def _hcurves_with_rates(Q, spec, grid, sol, nu0, hs, times, tol, rho_analytic):
-    """Evolve once and build H curves, dissipation and boundary series per h."""
-    from .htheorem import HCurve
-
-    result = evolve_series(Q, nu0, times, tol=tol, side="density")
-    w = grid.weights()
-    curves = {}
-    rho_density = sol.pi / w
-    for h in hs:
-        H = []
-        diss = []
-        bnd = []
-        for fld in result.fields:
-            nut = fld.values if hasattr(fld, "values") else fld
-            H.append(h_function(sol.pi, nut, h, weights=np.ones_like(sol.pi)))
-            phi = nut / sol.pi
-            if h.d2fn is not None:
-                diss.append(dissipation_rate(spec, rho_density, phi, h, grid=grid))
-            else:
-                diss.append(float("nan"))
-            if rho_analytic is not None:
-                bnd.append(boundary_term(spec, rho_analytic, phi, h, grid=grid))
-            else:
-                bnd.append(boundary_term(spec, rho_density, phi, h, grid=grid))
-        H = np.asarray(H)
-        inc = np.diff(H)
-        curves[h.kind] = HCurve(
-            times=result.times,
-            H=H,
-            max_increase=float(max(inc.max(), 0.0)) if inc.size else 0.0,
-            dissipation=np.asarray(diss),
-            boundary=np.asarray(bnd),
-            mass=result.mass,
-        )
-    return result, curves
-
-
 def cmd_run(args):
     doc = _load_document(args.scenario)
     tol = _tol_from(doc, args)
@@ -269,7 +227,8 @@ def cmd_run(args):
     hs = _h_list(doc)
 
     if sol is not None:
-        result, curves = _hcurves_with_rates(Q, spec, grid, sol, nu0, hs, times, tol, rho_grid)
+        result, curves = h_curves(Q, nu0, hs, times, tol, reference=sol, spec=spec,
+                                  boundary_density=rho_grid)
         for kind, curve in curves.items():
             sheet.record(f"h_monotone_{kind}", curve.max_increase, tol)
             write_hcurve_csv(os.path.join(out, f"hcurve_{kind}.csv"), curve)
@@ -426,7 +385,8 @@ def cmd_hcurve(args):
     nu0 = _initial_measure(doc, grid, sol.pi)
     hs = _h_list(doc)
     rho_grid = rho.on_grid(grid) if rho is not None else None
-    _, curves = _hcurves_with_rates(Q, spec, grid, sol, nu0, hs, times, tol, rho_grid)
+    _, curves = h_curves(Q, nu0, hs, times, tol, reference=sol, spec=spec,
+                         boundary_density=rho_grid)
     ok = True
     for kind, curve in curves.items():
         write_hcurve_csv(os.path.join(out, f"hcurve_{kind}.csv"), curve)
@@ -510,9 +470,11 @@ def cmd_oracle_compare(args):
     }
     with open(os.path.join(out, "oracle_compare.json"), "w") as fh:
         fh.write(canonical_json(report))
-    ens_final = oracle_mod.simulate(spec, sampler, min(n, 10_000), dt,
-                                    snap_times[-1], seed)
-    write_ensemble_csv(os.path.join(out, "ensemble.csv"), ens_final)
+    # the last snapshot's ensemble; its first m particles are exactly an
+    # m-particle run with the same seed, dt and T
+    m = min(n, 10_000)
+    write_ensemble_csv(os.path.join(out, "ensemble.csv"),
+                       replace(ens, positions=ens.positions[:m], absorbed=ens.absorbed[:m]))
     for row in rows:
         tag = "ok" if row["pass"] else "FAIL"
         print(f"{tag:4s} t={row['t']:g}: L1={row['L1']:.4f} budget={row['budget']:.4f}")

@@ -113,10 +113,6 @@ class Grid:
             w = np.multiply.outer(w, wk)
         return w.ravel()
 
-    def is_uniform(self, axis=0):
-        d = np.diff(self.axes[axis])
-        return bool(np.allclose(d, d[0], rtol=1e-12, atol=0.0))
-
 
 @dataclass
 class DiscreteGenerator:

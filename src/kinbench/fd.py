@@ -54,13 +54,6 @@ def grid_d1(values, x):
     return np.gradient(values, x, edge_order=2)
 
 
-def grid_d2_uniform(values, dx):
-    """Centered second derivative on a uniform grid; ends are invalid."""
-    out = np.full_like(np.asarray(values, dtype=float), np.nan)
-    out[1:-1] = (values[2:] - 2 * values[1:-1] + values[:-2]) / dx**2
-    return out
-
-
 def one_sided_d1(values, x, at_start=True):
     """Second-order one-sided first derivative at a boundary node."""
     if at_start:

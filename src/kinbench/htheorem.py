@@ -277,16 +277,42 @@ def h_curve(Q, nu0, h, times, tol=1e-9, reference=None):
     With the default reference (the solved invariant measure) the curve
     is nonincreasing up to rounding; the worst increase is recorded.
     """
-    m = _reference_measure(Q, reference)
-    result = evolve_series(Q, nu0, times, tol=tol, side="density")
-    values = []
-    for fld in result.fields:
-        vals = fld.values if isinstance(fld, ScalarField) else fld
-        values.append(h_function(m, vals, h, weights=np.ones_like(m)))
-    H = np.array(values)
-    increases = np.diff(H)
-    max_inc = float(increases.max()) if increases.size else 0.0
-    return HCurve(result.times, H, max(max_inc, 0.0), mass=result.mass)
+    return h_curves(Q, nu0, [h], times, tol, reference)[1][h.kind]
+
+
+def h_curves(Q, nu0, hs, times, tol, reference=None, spec=None, boundary_density=None):
+    """Evolve nu0 once and build one HCurve per functional in ``hs``.
+
+    Returns ``(EvolutionResult, {h.kind: HCurve})``.  H is taken against
+    the reference measure m (default: the solved invariant measure).
+    Given the generator ``spec``, each curve also carries the dissipation
+    rate and the boundary term of phi = nu/m at every time, with the
+    density m / weights; ``boundary_density`` (for instance the analytic
+    equilibrium on the grid) replaces that density in the boundary term.
+    """
+    qm = _as_qmatrix(Q)
+    m = _reference_measure(qm, reference)
+    result = evolve_series(qm, nu0, times, tol=tol, side="density")
+    nus = [f.values if isinstance(f, ScalarField) else f for f in result.fields]
+    ones = np.ones_like(m)
+    if spec is not None:
+        phis = [nu / m for nu in nus]
+        rho_density = m / qm.quadrature_weights()
+        rho_boundary = rho_density if boundary_density is None else boundary_density
+    curves = {}
+    for h in hs:
+        H = np.array([h_function(m, nu, h, weights=ones) for nu in nus])
+        increases = np.diff(H)
+        max_inc = float(increases.max()) if increases.size else 0.0
+        curve = HCurve(result.times, H, max(max_inc, 0.0), mass=result.mass)
+        if spec is not None:
+            curve.dissipation = np.array(
+                [dissipation_rate(spec, rho_density, phi, h, grid=qm.grid)
+                 if h.d2fn is not None else float("nan") for phi in phis])
+            curve.boundary = np.array(
+                [boundary_term(spec, rho_boundary, phi, h, grid=qm.grid) for phi in phis])
+        curves[h.kind] = curve
+    return result, curves
 
 
 def _density_inputs(rho0, phi_tilde, grid):
@@ -355,26 +381,17 @@ def dH_dt_consistency(Q, spec, rho0, nu0, h, t, dt, tol=1e-12):
     uses the invariant measure, the rate uses the matching density form,
     so the reported gap isolates discretization error.
     """
-    qm = _as_qmatrix(Q)
     if t - dt < 0:
         raise ParameterOutOfRange("need t - dt >= 0 for the centered slope")
-    m = _reference_measure(qm, rho0)
-    w = qm.quadrature_weights()
-    grid = qm.grid
-
-    result = evolve_series(qm, nu0, [t - dt, t, t + dt], tol=tol, side="density")
-    nus = [f.values if isinstance(f, ScalarField) else f for f in result.fields]
-    ones = np.ones_like(m)
-    H_minus = h_function(m, nus[0], h, weights=ones)
-    H_plus = h_function(m, nus[2], h, weights=ones)
-    slope = (H_plus - H_minus) / (2 * dt)
-
+    if h.d2fn is None:
+        raise NonSmoothH(f"{h.kind} lacks the second derivative the identity needs")
+    m = _reference_measure(Q, rho0)
     if np.any(m <= 0):
         raise NoInvariantDensity("reference measure must be strictly positive")
-    phi = nus[1] / m
-    rho_density = m / w
-    rate = dissipation_rate(spec, rho_density, phi, h, grid=grid)
-    bterm = boundary_term(spec, rho_density, phi, h, grid=grid)
+    _, curves = h_curves(Q, nu0, [h], [t - dt, t, t + dt], tol, reference=m, spec=spec)
+    curve = curves[h.kind]
+    slope = (curve.H[2] - curve.H[0]) / (2 * dt)
+    rate, bterm = curve.dissipation[1], curve.boundary[1]
     denom = max(abs(rate), abs(slope))
     gap = 0.0 if denom < 1e-14 else abs(slope - rate) / denom
     return ConsistencyReport(float(slope), float(rate), float(gap), float(bterm))

@@ -4,8 +4,10 @@ Euler-Maruyama on dX = b dt + sqrt(2 a) dW; the square root carries the
 factor two because the generator convention here is a f'' + b f' with no
 one-half in front of the diffusion term (the classic factor-of-two trap).
 Randomness is counter-based: each (seed, step) pair maps to its own
-Philox stream, so any particle-wise work partition reproduces the same
-draws.
+Philox stream, and particle i takes the i-th draw of every stream.  So an
+m-particle run equals the first m particles of any larger run with the
+same seed, dt and T; other partitions of the particles do not reproduce
+the same draws.
 """
 
 from __future__ import annotations

@@ -3,14 +3,22 @@
 Uniformization writes e^{Qt} as a Poisson mixture of powers of the
 stochastic matrix P = I + Q/lambda, so nonnegativity and row sums survive
 exactly up to the scalar Poisson tail; that is why it is used here instead
-of Pade or Krylov exponentials.  Long horizons are split into repeated
-squaring of a short-time kernel with the defect tracked.
+of Pade or Krylov exponentials.  Long horizons are split into 2^k levels
+of a short-time series: squared k times as a dense kernel, with the
+defect tracked, or applied 2^k times to a vector as a sparse series.
+
+One rule picks between the two for vector evolution.  A chain of more
+than 2048 states always runs the sparse series.  A smaller chain uses a
+dense kernel at every step of ``evolve_series``, which caches one kernel
+per distinct step, and in one-shot ``evolve_observable`` /
+``evolve_density`` only when the Poisson mean lambda*t exceeds 5000.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,6 +40,8 @@ LEVEL_MEAN = 64.0        # max Poisson mean per series level
 MAX_TERMS = 1_000_000
 MAX_SPLITS = 60
 LAMBDA_MARGIN = 1.05     # keeps P's diagonal positive under rounding
+_DENSE_MAX_STATES = 2048  # larger chains never build a dense n x n kernel
+_KERNEL_CUTOFF = 5_000    # one-shot calls go dense above this Poisson mean
 
 
 def _as_qmatrix(Q):
@@ -86,6 +96,19 @@ def _series_matvec(P, v, weights):
     return acc
 
 
+_Plan = namedtuple("_Plan", "lam mu splits tail weights")
+
+
+def _uniformization(qm, t, tol):
+    """Plan for e^{Qt}: rate lam, Poisson mean mu = lam*t, and 2^splits
+    levels, each a Poisson(mu/2^splits) series cut at the per-level tail."""
+    lam = LAMBDA_MARGIN * qm.lambda_max
+    mu = lam * t
+    k = _split_count(mu)
+    tail = max(min(tol, 1e-13) / (2 ** k), 1e-17)
+    return _Plan(lam, mu, k, tail, _poisson_weights(mu / (2 ** k), tail))
+
+
 @dataclass
 class TransitionKernel:
     """Row-substochastic kernel matrix P(t) with its truncation defect."""
@@ -104,26 +127,24 @@ class TransitionKernel:
         return float(np.max(np.abs(self.P.sum(axis=1) - 1.0)))
 
 
-def _kernel_matrix(Q, t, tol):
-    """Dense e^{Qt} by uniformization with scaling and squaring."""
-    qm = _as_qmatrix(Q)
+def _kernel_matrix(qm, t, tol):
+    """Dense e^{Qt} by uniformization with scaling and squaring.
+
+    Rows are renormalized to sum to one, as rows of e^{Qt} do (Q has zero
+    row sums).  The returned defect is the larger of the Poisson tail
+    bound tail*2^k and the row-sum defect measured before that
+    renormalization, which also carries the squaring roundoff.
+    """
     n = qm.size
     if t == 0 or qm.lambda_max == 0.0:
         return np.eye(n), 0.0
-    lam = LAMBDA_MARGIN * qm.lambda_max
-    mu = lam * t
-    k = _split_count(mu)
-    tail = max(min(tol, 1e-13) / (2 ** k), 1e-17)
-    weights = _poisson_weights(mu / (2 ** k), tail)
-    P = sp.identity(n, format="csr") + qm.Q / lam
-    M = _series_matvec(P, np.eye(n), weights)
-    defect = tail
-    for _ in range(k):
+    plan = _uniformization(qm, t, tol)
+    P = sp.identity(n, format="csr") + qm.Q / plan.lam
+    M = _series_matvec(P, np.eye(n), plan.weights)
+    for _ in range(plan.splits):
         M = M @ M
-        defect *= 2
-    # rows of e^{Qt} sum to one exactly (Q has zero row sums); restore that
-    # identity against the Poisson tail and squaring roundoff
     rs = M.sum(axis=1)
+    defect = max(plan.tail * 2 ** plan.splits, float(np.max(np.abs(rs - 1.0))))
     good = rs > 0
     M[good] /= rs[good, None]
     return M, defect
@@ -134,34 +155,31 @@ def transition_kernel(Q, t, tol=1e-9):
     if t < 0:
         raise TimeError(f"t = {t:g} < 0")
     _check_tol(tol)
-    M, defect = _kernel_matrix(Q, t, tol)
+    M, defect = _kernel_matrix(_as_qmatrix(Q), t, tol)
     return TransitionKernel(M, float(t), defect)
 
 
-_KERNEL_CUTOFF = 5_000  # above this Poisson mean a dense kernel is cheaper
-
-
-def _propagate_vector(Q, v, t, tol, transpose):
-    qm = _as_qmatrix(Q)
-    v = np.asarray(v, dtype=float)
+def _propagate(qm, v, t, tol, transpose, kernels=None):
+    """e^{Qt} v, or e^{Q^T t} v when transpose, by the module's dense/sparse
+    rule; ``kernels`` is the step-kernel cache, keyed by round(t, 15)."""
     if v.shape != (qm.size,):
         raise ShapeError(f"vector length {v.shape} does not match chain size {qm.size}")
     if t == 0 or qm.lambda_max == 0.0:
         return v.copy()
-    lam = LAMBDA_MARGIN * qm.lambda_max
-    mu = lam * t
-    if mu > _KERNEL_CUTOFF and qm.size <= 2048:
+    key = round(t, 15)
+    M = kernels.get(key) if kernels is not None else None
+    if M is None:
+        plan = _uniformization(qm, t, tol)
+        if qm.size > _DENSE_MAX_STATES or (kernels is None and plan.mu <= _KERNEL_CUTOFF):
+            mat = qm.Q.T.tocsr() if transpose else qm.Q
+            P = sp.identity(qm.size, format="csr") + mat / plan.lam
+            for _ in range(2 ** plan.splits):
+                v = _series_matvec(P, v, plan.weights)
+            return v
         M, _ = _kernel_matrix(qm, t, tol)
-        return (M.T @ v) if transpose else (M @ v)
-    k = _split_count(mu)
-    tail = max(min(tol, 1e-13) / (2 ** k), 1e-17)
-    weights = _poisson_weights(mu / (2 ** k), tail)
-    mat = qm.Q.T.tocsr() if transpose else qm.Q
-    P = sp.identity(qm.size, format="csr") + mat / lam
-    out = v
-    for _ in range(2 ** k):
-        out = _series_matvec(P, out, weights)
-    return out
+        if kernels is not None:
+            kernels[key] = M
+    return (M.T @ v) if transpose else (M @ v)
 
 
 def _unwrap(f):
@@ -181,7 +199,7 @@ def evolve_observable(Q, f0, t, tol=1e-9):
         raise TimeError(f"t = {t:g} < 0")
     _check_tol(tol)
     vals, grid = _unwrap(f0)
-    out = _propagate_vector(Q, vals, t, tol, transpose=False)
+    out = _propagate(_as_qmatrix(Q), vals, t, tol, transpose=False)
     return ScalarField(out, grid) if grid is not None else out
 
 
@@ -193,7 +211,7 @@ def evolve_density(Q, nu0, t, tol=1e-9):
     vals, grid = _unwrap(nu0)
     if np.any(vals < 0):
         raise ParameterOutOfRange("initial density must be nonnegative")
-    out = _propagate_vector(Q, vals, t, tol, transpose=True)
+    out = _propagate(_as_qmatrix(Q), vals, t, tol, transpose=True)
     return ScalarField(out, grid) if grid is not None else out
 
 
@@ -234,18 +252,10 @@ def evolve_series(Q, nu0, times, tol=1e-9, side="density"):
     fields = []
     current = vals.copy()
     t_now = 0.0
-    small = qm.size <= 2048
     for t in times:
         dt = t - t_now
         if dt > 0:
-            key = round(dt, 15)
-            if small:
-                if key not in kernels:
-                    kernels[key], _ = _kernel_matrix(qm, dt, tol)
-                M = kernels[key]
-                current = (M.T @ current) if transpose else (M @ current)
-            else:
-                current = _propagate_vector(qm, current, dt, tol, transpose)
+            current = _propagate(qm, current, dt, tol, transpose, kernels)
             t_now = t
         fields.append(current.copy())
     arr = np.array(fields)
@@ -264,9 +274,10 @@ def chapman_kolmogorov_defect(Q, t, s, tol=1e-9):
     if t < 0 or s < 0:
         raise TimeError("times must be nonnegative")
     _check_tol(tol)
-    whole, _ = _kernel_matrix(Q, t + s, tol)
-    left, _ = _kernel_matrix(Q, t, tol)
-    right, _ = _kernel_matrix(Q, s, tol)
+    qm = _as_qmatrix(Q)
+    whole, _ = _kernel_matrix(qm, t + s, tol)
+    left, _ = _kernel_matrix(qm, t, tol)
+    right, _ = _kernel_matrix(qm, s, tol)
     diff = whole - left @ right
     return float(np.max(np.abs(diff).sum(axis=1)))
 

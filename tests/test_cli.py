@@ -1,5 +1,8 @@
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -15,7 +18,8 @@ from kinbench.serialize import (
     spec_to_dict,
 )
 
-SCENARIOS = pathlib.Path(__file__).resolve().parent.parent / "scenarios"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SCENARIOS = ROOT / "scenarios"
 
 
 def write_json(path, doc):
@@ -66,6 +70,28 @@ def test_evolution_csv_roundtrips_to_the_bit(run_artifacts):
     res = kb.evolve_series(Q, nu0, np.linspace(0, 10, 201), tol=1e-12)
     assert np.array_equal(cols["mass"], res.mass)
     assert np.array_equal(cols["min_value"], res.min_value)
+
+
+def test_hcurve_csv_matches_library_h_curves(run_artifacts):
+    spec, rho = kb.catalog_example("appendix2a", 1.0)
+    grid = kb.Grid.from_domain(spec.domain, 201)
+    Q = kb.build_qmatrix(spec, grid)
+    sol = kb.solve_invariant(Q)
+    x = grid.x
+    nu0 = np.exp(-((x - 2.0) ** 2) / 2)
+    nu0 /= nu0.sum()
+    hs = [kb.HFunctional.from_name(k) for k in ("xlogx", "square", "square-dev")]
+    times = np.linspace(0, 10, 201)
+    _, curves = kb.h_curves(Q, nu0, hs, times, 1e-12, reference=sol, spec=spec,
+                            boundary_density=rho.on_grid(grid))
+    for h in hs:
+        cols = read_csv_columns(run_artifacts / f"hcurve_{h.kind}.csv")
+        curve = curves[h.kind]
+        assert np.array_equal(cols["H"], curve.H)
+        assert np.array_equal(cols["dissipation_rate"], curve.dissipation)
+        assert np.array_equal(cols["boundary_term"], curve.boundary)
+        single = kb.h_curve(Q, nu0, h, times, tol=1e-12, reference=sol)
+        assert np.array_equal(single.H, curve.H)
 
 
 def test_hcurve_csv_columns(run_artifacts):
@@ -173,3 +199,19 @@ def test_certificate_document_roundtrip():
     cert = kb.pawula_counterexample(op, 0.25)
     again = certificate_from_dict(certificate_to_dict(cert))
     assert again == cert
+
+
+def test_benchmark_tracer_spans_library_layers(tmp_path):
+    # benchmarks/trace.py wraps functions the library looks up through
+    # module globals; a run that bypasses them would trace nothing
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"),
+                                                       str(ROOT / "benchmarks")]))
+    spans = tmp_path / "spans.json"
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "benchmarks" / "trace.py"), str(spans), "cli",
+         "run", str(SCENARIOS / "appendix2a.json"), "--grid-n", "101",
+         "--out", str(tmp_path / "out")],
+        env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    names = {s["name"] for s in json.loads(spans.read_text())["spans"]}
+    assert {"semigroup.evolve_series", "htheorem.h_function"} <= names

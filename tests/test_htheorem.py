@@ -60,6 +60,9 @@ def test_nonsmooth_h_rejected_for_dissipation(ou400):
     with pytest.raises(NonSmoothH):
         dissipation_rate(ou400.spec, np.ones(ou400.grid.size), phi, h,
                          grid=ou400.grid)
+    with pytest.raises(NonSmoothH):
+        dH_dt_consistency(ou400.Q, ou400.spec, None, ou400.w / ou400.w.sum(), h,
+                          t=0.5, dt=1e-3)
 
 
 # ---------------------------------------------------------------------------

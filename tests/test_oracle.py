@@ -64,6 +64,17 @@ def test_absorbing_walls_freeze_particles():
     assert np.all(np.isin(ens.positions[ens.absorbed], [-1.0, 1.0]))
 
 
+@pytest.mark.parametrize("bc, drift", [("no-flux", "0"), ("absorbing", "2")])
+def test_smaller_run_is_a_prefix_of_a_larger_one(bc, drift):
+    spec = GeneratorSpec(1, CE("1"), CE(drift), DomainSpec("box", ((-1.0, 1.0),), bc))
+    small = simulate(spec, uniform_source(-0.5, 0.5), 1000, 1e-2, 1.0, seed=7)
+    large = simulate(spec, uniform_source(-0.5, 0.5), 3000, 1e-2, 1.0, seed=7)
+    assert np.array_equal(small.positions, large.positions[:1000])
+    assert np.array_equal(small.absorbed, large.absorbed[:1000])
+    if bc == "absorbing":
+        assert np.any(small.absorbed) and not np.all(small.absorbed)
+
+
 def test_empirical_density_delta():
     grid = Grid.from_interval(0.0, 1.0, 11)
     spec = GeneratorSpec(1, CE("0"), CE("0"), DomainSpec("box", ((0.0, 1.0),)))

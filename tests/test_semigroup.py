@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg as sla
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -116,6 +117,15 @@ def test_kernel_rows_stochastic(a2a201):
         K = transition_kernel(a2a201.Q, t, tol=1e-10)
         assert K.row_sum_defect() <= 1e-10
         assert K.P.min() >= 0.0
+
+
+@pytest.mark.parametrize("t", [0.3, 1.0, 10.0])
+def test_kernel_truncation_bounds_error_against_expm(a2a201, t):
+    # the reported defect must cover the measured error, which includes
+    # squaring roundoff that row renormalization would otherwise hide
+    K = transition_kernel(a2a201.Q, t, tol=1e-12)
+    exact = sla.expm(a2a201.Q.Q.toarray() * t)
+    assert np.max(np.abs(K.P - exact).sum(axis=1)) <= K.truncation
 
 
 def test_chapman_kolmogorov(two_state, a2a201):
