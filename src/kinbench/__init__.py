@@ -8,7 +8,7 @@ independent particle simulation.  All evaluation paths are pure functions
 over immutable inputs; results are deterministic for fixed seeds.
 """
 
-from .discretize import DiscreteGenerator, Grid, adjoint_qmatrix, build_qmatrix
+from .discretize import DiscreteGenerator, Grid, build_qmatrix
 from .errors import KinbenchError
 from .expressions import CompiledExpression, compile_expression
 from .generator import (

@@ -1,7 +1,12 @@
 """Command-line front door: scenario documents in, CSV/JSON artifacts out.
 
+Every command reads its document through ``_document``; ``_scenario``
+then reads each field through ``_field``, applies the ``--out``,
+``--tol``, ``--seed`` and ``--grid-n`` overrides and builds the chain.
+
 Exit codes: 0 all checks pass, 1 a mathematical invariant failed,
-2 malformed input.  Reports are byte-deterministic for a fixed seed.
+2 malformed input (an unreadable document, or a malformed field, which
+the message names).  Reports are byte-deterministic for a fixed seed.
 """
 
 from __future__ import annotations
@@ -10,6 +15,8 @@ import argparse
 import json
 import os
 import sys
+import warnings
+from collections import namedtuple
 from dataclasses import replace
 
 import numpy as np
@@ -66,225 +73,256 @@ INPUT_ERRORS = (
 )
 
 
-def _load_document(path):
+# closed-form initial densities: parameter -> default
+DENSITY_PARAMS = {
+    "gaussian": {"center": 0.0, "sigma": 1.0},
+    "delta": {"at": 0.0},
+    "bump": {"center": 0.0, "width": 1.0},
+    "equilibrium": {},
+}
+
+
+def _document(args):
+    """The JSON object at ``args.scenario`` and its (created) output directory."""
     try:
-        with open(path) as fh:
-            return json.load(fh)
-    except FileNotFoundError:
-        raise ScenarioError(f"no such file: {path}") from None
+        with open(args.scenario) as fh:
+            doc = json.load(fh)
     except json.JSONDecodeError as exc:
-        raise ScenarioError(
-            f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
-        ) from None
+        raise ScenarioError(f"{args.scenario}: invalid JSON at line {exc.lineno}, "
+                            f"column {exc.colno}: {exc.msg}") from None
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ScenarioError(f"cannot read {args.scenario}: {exc}") from None
+    if not isinstance(doc, dict):
+        raise ScenarioError(f"{args.scenario}: the document must be a JSON object")
+    out = args.out if args.out is not None else _field(doc, "out", str, "kinbench-out")
+    os.makedirs(out, exist_ok=True)
+    return doc, out
 
 
-def _times_from(doc):
-    times = doc.get("times", {"start": 0.0, "stop": 10.0, "num": 201})
+def _field(doc, path, convert, default):
+    """The dotted field ``path`` of ``doc`` (or ``default``) through ``convert``.
+
+    A malformed value raises ScenarioError naming the field.
+    """
+    *parents, leaf = path.split(".")
+    try:
+        for key in parents:
+            doc = doc.get(key, {})
+        value = doc.get(leaf, default)
+    except AttributeError:
+        raise ScenarioError(f"malformed {path}: {'.'.join(parents)} is not an object") from None
+    try:
+        return convert(value)
+    except KeyError as exc:
+        raise ScenarioError(f"{path} needs field {exc}") from None
+    except (TypeError, ValueError, IndexError) as exc:
+        raise ScenarioError(f"malformed {path}: {exc}") from None
+
+
+def _times(times):
     if isinstance(times, dict):
-        try:
-            return np.linspace(float(times["start"]), float(times["stop"]),
-                               int(times["num"]))
-        except KeyError as exc:
-            raise ScenarioError(f"times needs field {exc}") from None
+        return np.linspace(float(times["start"]), float(times["stop"]), int(times["num"]))
     return np.asarray([float(t) for t in times])
 
 
-def _initial_measure(doc, grid, pi=None):
+def _floats(values):
+    return [float(v) for v in values]
+
+
+def _pair(values):
+    s, t = values
+    return float(s), float(t)
+
+
+def _h_functionals(entries):
+    return [HFunctional.from_name(e) if isinstance(e, str)
+            else HFunctional.from_name(e["kind"], e.get("value_at_zero")) for e in entries]
+
+
+def _initial_density(desc):
+    kind = desc["kind"]
+    if kind == "table":
+        return {"kind": kind, "values": np.asarray(desc.get("values", []), dtype=float)}
+    if kind not in DENSITY_PARAMS:
+        raise ScenarioError(f"unknown initial_density kind {kind!r}")
+    return {"kind": kind,
+            **{k: float(desc.get(k, v)) for k, v in DENSITY_PARAMS[kind].items()}}
+
+
+# a scenario document read field by field, overrides applied, chain built
+Scenario = namedtuple("Scenario", "path out tol seed times initial hs checks oracle "
+                                  "spec rho grid Q")
+
+
+def _scenario(args):
+    """Read a scenario document, apply the command-line overrides, build Q."""
+    doc, out = _document(args)
+    tol = args.tol if args.tol is not None else _field(doc, "tol", float, 1e-10)
+    if not (0 < tol <= 1e-6):
+        raise ScenarioError(f"tol must lie in (0, 1e-6], got {tol:g}")
+    checks = {
+        "invariant_measure": _field(doc, "checks.invariant_measure", bool, True),
+        "chapman_kolmogorov": _field(doc, "checks.chapman_kolmogorov", _pair, [0.3, 0.7]),
+        "resolvent_lambdas": _field(doc, "checks.resolvent_lambdas", _floats,
+                                    [0.1, 1.0, 10.0]),
+    }
+    oracle = {
+        "particles": _field(doc, "oracle.particles", int, 100_000),
+        "dt": _field(doc, "oracle.dt", float, 1e-3),
+        "seed": args.seed if args.seed is not None else _field(doc, "oracle.seed", int, 1234),
+        "snapshot_times": _field(doc, "oracle.snapshot_times", _floats, [0.5, 1.0, 2.0]),
+        "moment_points": _field(doc, "oracle.moment_points", _floats, [0.0]),
+        "moment_window": _field(doc, "oracle.moment_window", float, 1e-2),
+    }
+    seed = args.seed if args.seed is not None else _field(doc, "seed", int, 0)
+    times = _field(doc, "times", _times, {"start": 0.0, "stop": 10.0, "num": 201})
+    initial = _field(doc, "initial_density", _initial_density, {"kind": "gaussian"})
+    hs = _field(doc, "h_functionals", _h_functionals, ["xlogx", "square", "square-dev"])
+    scheme = _field(doc, "scheme", str, "exponential-fitting")
+    n = args.grid_n if args.grid_n is not None else _field(doc, "grid.n", int, 401)
+    spec, rho = _field(doc, "generator", load_generator, None)
+    grid = Grid.from_domain(spec.domain, n)
+    spec.check_admissible(grid.nodes_for_eval())
+    Q = build_qmatrix(spec, grid, scheme)
+    return Scenario(args.scenario, out, tol, seed, times, initial, hs, checks, oracle,
+                    spec, rho, grid, Q)
+
+
+def _initial_measure(sc, pi=None):
     """Initial density descriptor -> measure vector (unit total mass)."""
-    desc = doc.get("initial_density", {"kind": "gaussian", "center": 0.0, "sigma": 1.0})
-    kind = desc.get("kind")
-    x = grid.x
+    init = sc.initial
+    kind = init["kind"]
+    x = sc.grid.x
     if kind == "gaussian":
-        c = float(desc.get("center", 0.0))
-        s = float(desc.get("sigma", 1.0))
+        c, s = init["center"], init["sigma"]
         vals = np.exp(-((x - c) ** 2) / (2 * s * s))
     elif kind == "delta":
-        at = float(desc.get("at", 0.0))
         vals = np.zeros(x.size)
-        vals[int(np.argmin(np.abs(x - at)))] = 1.0
+        vals[int(np.argmin(np.abs(x - init["at"])))] = 1.0
     elif kind == "bump":
-        c = float(desc.get("center", 0.0))
-        wdt = float(desc.get("width", 1.0))
-        vals = np.maximum(0.0, 1.0 - ((x - c) / wdt) ** 2) ** 2
+        vals = np.maximum(0.0, 1.0 - ((x - init["center"]) / init["width"]) ** 2) ** 2
     elif kind == "equilibrium":
         if pi is None:
             raise ScenarioError("equilibrium start requested but no invariant available")
         vals = pi.copy()
-    elif kind == "table":
-        vals = np.asarray(desc.get("values", []), dtype=float)
+    else:
+        vals = init["values"]
         if vals.size != x.size:
             raise ScenarioError(
                 f"initial_density table has {vals.size} values, grid has {x.size}")
         if np.any(vals < 0):
             raise ScenarioError("initial_density table must be nonnegative")
-    else:
-        raise ScenarioError(f"unknown initial_density kind {kind!r}")
     total = vals.sum()
     if total <= 0:
         raise ScenarioError("initial density has no mass on the grid")
     return vals / total
 
 
-def _h_list(doc):
-    entries = doc.get("h_functionals", ["xlogx", "square", "square-dev"])
-    out = []
-    for e in entries:
-        if isinstance(e, str):
-            out.append(HFunctional.from_name(e))
-        else:
-            out.append(HFunctional.from_name(e["kind"], e.get("value_at_zero")))
-    return out
+def _write_json(out, name, doc):
+    with open(os.path.join(out, name), "w") as fh:
+        fh.write(canonical_json(doc))
 
 
-def _build_from_scenario(doc, args):
-    gen_doc = doc.get("generator")
-    if gen_doc is None:
-        raise ScenarioError("scenario needs a 'generator' entry")
-    spec, rho = load_generator(gen_doc)
-    n = int(doc.get("grid", {}).get("n", 401))
-    if args.grid_n is not None:
-        n = args.grid_n
-    grid = Grid.from_domain(spec.domain, n)
-    scheme = doc.get("scheme", "exponential-fitting")
-    spec.check_admissible(grid.nodes_for_eval())
-    Q = build_qmatrix(spec, grid, scheme)
-    return spec, rho, grid, Q
+def _record(sheet, name, value, threshold, passed=None):
+    """Add a named pass/fail record destined for summary.json."""
+    sheet[name] = {
+        "pass": bool(value <= threshold if passed is None else passed),
+        "value": float(value),
+        "threshold": float(threshold),
+    }
 
 
-def _tol_from(doc, args):
-    tol = float(doc.get("tol", 1e-10))
-    if args.tol is not None:
-        tol = args.tol
-    if not (0 < tol <= 1e-6):
-        raise ScenarioError(f"tol must lie in (0, 1e-6], got {tol:g}")
-    return tol
-
-
-def _outdir(doc, args):
-    out = doc.get("out", "kinbench-out")
-    if args.out is not None:
-        out = args.out
-    os.makedirs(out, exist_ok=True)
-    return out
-
-
-class CheckSheet:
-    """Named pass/fail records destined for summary.json."""
-
-    def __init__(self):
-        self.checks = {}
-
-    def record(self, name, value, threshold, passed=None):
-        if passed is None:
-            passed = bool(value <= threshold)
-        self.checks[name] = {
-            "pass": bool(passed),
-            "value": float(value),
-            "threshold": float(threshold),
-        }
-        return passed
-
-    def all_pass(self):
-        return all(c["pass"] for c in self.checks.values())
-
-    def failing(self):
-        return [k for k, c in self.checks.items() if not c["pass"]]
+def _solve_invariant(sc, sheet):
+    """solve_invariant, or the NoInvariantDensity report and None."""
+    try:
+        return solve_invariant(sc.Q)
+    except NoInvariantDensity as exc:
+        _record(sheet, "invariant_measure", 1.0, 0.0, passed=False)
+        _write_json(sc.out, "summary.json", {
+            "scenario": os.path.abspath(sc.path),
+            "generator": spec_to_dict(sc.spec, sc.rho),
+            "checks": sheet,
+            "error": f"NoInvariantDensity: {exc}",
+        })
+        print(f"FAIL invariant_measure: NoInvariantDensity: {exc}")
+        return None
 
 
 def cmd_run(args):
-    doc = _load_document(args.scenario)
-    tol = _tol_from(doc, args)
-    out = _outdir(doc, args)
-    spec, rho, grid, Q = _build_from_scenario(doc, args)
-    times = _times_from(doc)
-    sheet = CheckSheet()
+    sc = _scenario(args)
+    Q, grid, tol = sc.Q, sc.grid, sc.tol
+    sheet = {}
 
     rep = maximum_principle_check(Q)
-    sheet.record("maximum_principle_offdiag", -rep.min_offdiag, 1e-12)
-    sheet.record("maximum_principle_rowsums", rep.max_abs_rowsum, 1e-10)
+    _record(sheet, "maximum_principle_offdiag", -rep.min_offdiag, 1e-12)
+    _record(sheet, "maximum_principle_rowsums", rep.max_abs_rowsum, 1e-10)
 
-    want_invariant = doc.get("checks", {}).get("invariant_measure", True)
     sol = None
-    if want_invariant:
-        try:
-            sol = solve_invariant(Q)
-        except NoInvariantDensity as exc:
-            sheet.record("invariant_measure", 1.0, 0.0, passed=False)
-            summary = {
-                "scenario": os.path.abspath(args.scenario),
-                "generator": spec_to_dict(spec, rho),
-                "checks": sheet.checks,
-                "error": f"NoInvariantDensity: {exc}",
-            }
-            with open(os.path.join(out, "summary.json"), "w") as fh:
-                fh.write(canonical_json(summary))
-            print(f"FAIL invariant_measure: NoInvariantDensity: {exc}")
+    if sc.checks["invariant_measure"]:
+        sol = _solve_invariant(sc, sheet)
+        if sol is None:
             return 1
-        sheet.record("invariant_residual", sol.residual, 1e-10 * Q.lambda_max * 2)
+        _record(sheet, "invariant_residual", sol.residual, 1e-10 * Q.lambda_max * 2)
 
-    nu0 = _initial_measure(doc, grid, sol.pi if sol is not None else None)
-    rho_grid = rho.on_grid(grid) if rho is not None else None
-    hs = _h_list(doc)
+    nu0 = _initial_measure(sc, sol.pi if sol is not None else None)
+    rho_grid = sc.rho.on_grid(grid) if sc.rho is not None else None
 
     if sol is not None:
-        result, curves = h_curves(Q, nu0, hs, times, tol, reference=sol, spec=spec,
-                                  boundary_density=rho_grid)
+        result, curves = h_curves(Q, nu0, sc.hs, sc.times, tol, reference=sol,
+                                  spec=sc.spec, boundary_density=rho_grid)
         for kind, curve in curves.items():
-            sheet.record(f"h_monotone_{kind}", curve.max_increase, tol)
-            write_hcurve_csv(os.path.join(out, f"hcurve_{kind}.csv"), curve)
+            _record(sheet, f"h_monotone_{kind}", curve.max_increase, tol)
+            write_hcurve_csv(os.path.join(sc.out, f"hcurve_{kind}.csv"), curve)
     else:
-        result = evolve_series(Q, nu0, times, tol=tol, side="density")
+        result = evolve_series(Q, nu0, sc.times, tol=tol, side="density")
 
-    sheet.record("min_density", -result.min_value.min(), tol * float(np.max(nu0)))
-    sheet.record("mass_drift", float(np.abs(result.mass - result.mass[0]).max()),
-                 max(1e-9, 1e3 * tol))
+    _record(sheet, "min_density", -result.min_value.min(), tol * float(np.max(nu0)))
+    _record(sheet, "mass_drift", float(np.abs(result.mass - result.mass[0]).max()),
+                   max(1e-9, 1e3 * tol))
 
-    ck_pair = doc.get("checks", {}).get("chapman_kolmogorov", [0.3, 0.7])
-    ck = chapman_kolmogorov_defect(Q, float(ck_pair[0]), float(ck_pair[1]), tol=tol)
-    sheet.record("chapman_kolmogorov", ck, 3 * max(tol, 1e-13))
+    s, t = sc.checks["chapman_kolmogorov"]
+    ck = chapman_kolmogorov_defect(Q, s, t, tol=tol)
+    _record(sheet, "chapman_kolmogorov", ck, 3 * max(tol, 1e-13))
 
-    lambdas = doc.get("checks", {}).get("resolvent_lambdas", [0.1, 1.0, 10.0])
-    rng = np.random.default_rng(int(doc.get("seed", 0)) if args.seed is None else args.seed)
+    rng = np.random.default_rng(sc.seed)
     worst = 0.0
-    for lam in lambdas:
+    for lam in sc.checks["resolvent_lambdas"]:
         for _ in range(10):
             g = rng.standard_normal(grid.size)
-            fsol = resolvent(Q, float(lam), g)
-            vals = fsol.values if hasattr(fsol, "values") else fsol
-            worst = max(worst, float(lam) * np.abs(vals).max() / np.abs(g).max())
-    sheet.record("resolvent_bound", worst, 1.0 + 1e-12)
+            fsol = resolvent(Q, lam, g)
+            worst = max(worst, lam * np.abs(fsol).max() / np.abs(g).max())
+    _record(sheet, "resolvent_bound", worst, 1.0 + 1e-12)
 
     worst_dis = -np.inf
     for _ in range(10):
         f = rng.standard_normal(grid.size)
         worst_dis = max(worst_dis, generator_at_max(Q, f))
-    sheet.record("dissipativity_at_max", worst_dis, 1e-12)
+    _record(sheet, "dissipativity_at_max", worst_dis, 1e-12)
 
-    write_evolution_csv(os.path.join(out, "evolution.csv"), result)
-    write_summary_csv(os.path.join(out, "evolution_summary.csv"), result)
-    write_qmatrix(os.path.join(out, "qmatrix.txt"),
-                  os.path.join(out, "qmatrix_meta.json"), Q)
+    write_evolution_csv(os.path.join(sc.out, "evolution.csv"), result)
+    write_summary_csv(os.path.join(sc.out, "evolution_summary.csv"), result)
+    write_qmatrix(os.path.join(sc.out, "qmatrix.txt"),
+                  os.path.join(sc.out, "qmatrix_meta.json"), Q)
 
-    summary = {
-        "scenario": os.path.abspath(args.scenario),
-        "generator": spec_to_dict(spec, rho),
+    _write_json(sc.out, "summary.json", {
+        "scenario": os.path.abspath(sc.path),
+        "generator": spec_to_dict(sc.spec, sc.rho),
         "grid": {"n": grid.shape[0], "bounds": [float(grid.x[0]), float(grid.x[-1])]},
         "scheme": Q.scheme,
         "tol": tol,
         "lambda_max": Q.lambda_max,
-        "truncated_mass_outside": _mass_outside(rho, grid),
-        "checks": sheet.checks,
-    }
-    with open(os.path.join(out, "summary.json"), "w") as fh:
-        fh.write(canonical_json(summary))
+        "truncated_mass_outside": _mass_outside(sc.rho, grid),
+        "checks": sheet,
+    })
 
-    for name, chk in sorted(sheet.checks.items()):
+    for name, chk in sorted(sheet.items()):
         tag = "ok" if chk["pass"] else "FAIL"
         print(f"{tag:4s} {name}: value={chk['value']:.3g} threshold={chk['threshold']:.3g}")
-    if not sheet.all_pass():
-        print(f"FAILED invariants: {', '.join(sheet.failing())}")
+    failing = [name for name, chk in sheet.items() if not chk["pass"]]
+    if failing:
+        print(f"FAILED invariants: {', '.join(failing)}")
         return 1
-    print(f"all checks passed; artifacts in {out}")
+    print(f"all checks passed; artifacts in {sc.out}")
     return 0
 
 
@@ -303,21 +341,17 @@ def _mass_outside(rho, grid):
 
 
 def cmd_pawula(args):
-    doc = _load_document(args.scenario)
-    out = _outdir(doc, args)
+    doc, out = _document(args)
     op, options = operator_from_dict(doc)
     if op.order <= 2:
-        pts = doc.get("points")
-        if pts is None:
-            pts = np.linspace(-10.0, 10.0, 201)
-        passed, worst = second_order_sign_check(op, np.asarray(pts, dtype=float))
-        verdict = {
+        pts = _field(doc, "points", lambda v: np.asarray(v, dtype=float),
+                     np.linspace(-10.0, 10.0, 201))
+        passed, worst = second_order_sign_check(op, pts)
+        _write_json(out, "pawula_verdict.json", {
             "order": op.order,
             "verdict": "pass" if passed else "fail",
             "worst_second_order_coefficient": worst,
-        }
-        with open(os.path.join(out, "pawula_verdict.json"), "w") as fh:
-            fh.write(canonical_json(verdict))
+        })
         if passed:
             print(f"pass: order {op.order} operator with second-order "
                   f"coefficient >= {fmt(worst)} everywhere sampled")
@@ -326,9 +360,7 @@ def cmd_pawula(args):
         return 1
     cert = pawula_counterexample(op, options["x0"], options["epsilon"],
                                  options["amplitude"])
-    cert_doc = certificate_to_dict(cert)
-    with open(os.path.join(out, "pawula_certificate.json"), "w") as fh:
-        fh.write(canonical_json(cert_doc))
+    _write_json(out, "pawula_certificate.json", certificate_to_dict(cert))
     print(f"violation: order {op.order} term breaks the maximum principle at "
           f"x0 = {fmt(cert.x0)}")
     print(f"  witness {cert.describe()}")
@@ -338,19 +370,14 @@ def cmd_pawula(args):
 
 
 def cmd_invariant(args):
-    doc = _load_document(args.scenario)
-    out = _outdir(doc, args)
-    spec, rho, grid, Q = _build_from_scenario(doc, args)
-    try:
-        sol = solve_invariant(Q)
-    except NoInvariantDensity as exc:
-        print(f"FAIL invariant_measure: NoInvariantDensity: {exc}")
-        with open(os.path.join(out, "summary.json"), "w") as fh:
-            fh.write(canonical_json({"error": f"NoInvariantDensity: {exc}"}))
+    sc = _scenario(args)
+    grid = sc.grid
+    sol = _solve_invariant(sc, {})
+    if sol is None:
         return 1
     w = grid.weights()
     x = grid.x
-    with open(os.path.join(out, "invariant.csv"), "w") as fh:
+    with open(os.path.join(sc.out, "invariant.csv"), "w") as fh:
         fh.write("node_index,x,pi,density\n")
         for i in range(grid.size):
             fh.write(f"{i},{fmt(x[i])},{fmt(sol.pi[i])},{fmt(sol.pi[i] / w[i])}\n")
@@ -359,12 +386,10 @@ def cmd_invariant(args):
         "residual": sol.residual,
         "n_basis": len(sol.basis),
     }
-    if rho is not None:
-        rg = rho.on_grid(grid, normalize=True)
-        L1 = float(np.dot(np.abs(sol.pi / w - rg.values), w))
-        summary["L1_vs_analytic"] = L1
-    with open(os.path.join(out, "summary.json"), "w") as fh:
-        fh.write(canonical_json(summary))
+    if sc.rho is not None:
+        rg = sc.rho.on_grid(grid, normalize=True)
+        summary["L1_vs_analytic"] = float(np.dot(np.abs(sol.pi / w - rg.values), w))
+    _write_json(sc.out, "summary.json", summary)
     print(f"invariant solved: unique={sol.unique} residual={sol.residual:.3g}")
     if "L1_vs_analytic" in summary:
         print(f"L1 distance to analytic equilibrium: {summary['L1_vs_analytic']:.3g}")
@@ -372,25 +397,17 @@ def cmd_invariant(args):
 
 
 def cmd_hcurve(args):
-    doc = _load_document(args.scenario)
-    tol = _tol_from(doc, args)
-    out = _outdir(doc, args)
-    spec, rho, grid, Q = _build_from_scenario(doc, args)
-    times = _times_from(doc)
-    try:
-        sol = solve_invariant(Q)
-    except NoInvariantDensity as exc:
-        print(f"FAIL invariant_measure: NoInvariantDensity: {exc}")
+    sc = _scenario(args)
+    sol = _solve_invariant(sc, {})
+    if sol is None:
         return 1
-    nu0 = _initial_measure(doc, grid, sol.pi)
-    hs = _h_list(doc)
-    rho_grid = rho.on_grid(grid) if rho is not None else None
-    _, curves = h_curves(Q, nu0, hs, times, tol, reference=sol, spec=spec,
-                         boundary_density=rho_grid)
+    rho_grid = sc.rho.on_grid(sc.grid) if sc.rho is not None else None
+    _, curves = h_curves(sc.Q, _initial_measure(sc, sol.pi), sc.hs, sc.times, sc.tol,
+                         reference=sol, spec=sc.spec, boundary_density=rho_grid)
     ok = True
     for kind, curve in curves.items():
-        write_hcurve_csv(os.path.join(out, f"hcurve_{kind}.csv"), curve)
-        monotone = curve.max_increase <= tol
+        write_hcurve_csv(os.path.join(sc.out, f"hcurve_{kind}.csv"), curve)
+        monotone = curve.max_increase <= sc.tol
         ok = ok and monotone
         tag = "ok" if monotone else "FAIL"
         print(f"{tag:4s} {kind}: H {curve.H[0]:.6g} -> {curve.H[-1]:.6g}, "
@@ -399,39 +416,28 @@ def cmd_hcurve(args):
 
 
 def cmd_oracle_compare(args):
-    doc = _load_document(args.scenario)
-    tol = _tol_from(doc, args)
-    out = _outdir(doc, args)
-    spec, rho, grid, Q = _build_from_scenario(doc, args)
-    osettings = doc.get("oracle", {})
-    n = int(osettings.get("particles", 100_000))
-    dt = float(osettings.get("dt", 1e-3))
-    seed = int(osettings.get("seed", 1234))
-    if args.seed is not None:
-        seed = args.seed
-    snap_times = [float(t) for t in osettings.get("snapshot_times", [0.5, 1.0, 2.0])]
-
-    desc = doc.get("initial_density", {"kind": "gaussian", "center": 0.0, "sigma": 1.0})
-    if desc.get("kind") == "gaussian":
-        sampler = oracle_mod.gaussian_source(float(desc.get("center", 0.0)),
-                                             float(desc.get("sigma", 1.0)))
-    elif desc.get("kind") == "delta":
-        sampler = oracle_mod.point_source(float(desc.get("at", 0.0)))
+    sc = _scenario(args)
+    spec, grid, init = sc.spec, sc.grid, sc.initial
+    n, dt, seed = sc.oracle["particles"], sc.oracle["dt"], sc.oracle["seed"]
+    snap_times = sc.oracle["snapshot_times"]
+    if init["kind"] == "gaussian":
+        sampler = oracle_mod.gaussian_source(init["center"], init["sigma"])
+    elif init["kind"] == "delta":
+        sampler = oracle_mod.point_source(init["at"])
     else:
         raise ScenarioError(
             "oracle comparison supports gaussian or delta initial densities")
-    nu0 = _initial_measure(doc, grid)
+    nu0 = _initial_measure(sc)
 
     w = grid.weights()
     dx = float(np.max(np.diff(grid.x)))
     rows = []
     all_ok = True
-    evo = evolve_series(Q, nu0, snap_times, tol=min(tol, 1e-9))
+    evo = evolve_series(sc.Q, nu0, snap_times, tol=min(sc.tol, 1e-9))
     for t, fld in zip(snap_times, evo.fields):
         ens = oracle_mod.simulate(spec, sampler, n, dt, t, seed)
         emp = oracle_mod.empirical_density(ens, grid)
-        vals = fld.values if hasattr(fld, "values") else fld
-        pde_density = vals / w
+        pde_density = fld / w
         L1 = float(np.dot(np.abs(emp - pde_density), w))
         occupied = int(np.sum((emp > 0) | (pde_density > 1e-12)))
         budget = 3.0 * (np.sqrt(occupied / n) + dx + dt)
@@ -440,15 +446,11 @@ def cmd_oracle_compare(args):
         rows.append({"t": t, "L1": L1, "budget": budget, "bins_occupied": occupied,
                      "pass": bool(ok)})
 
-    import warnings as _w
-
     moment_rows = []
-    x0_list = [float(v) for v in osettings.get("moment_points", [0.0])]
-    t_small = float(osettings.get("moment_window", 1e-2))
-    with _w.catch_warnings():
-        _w.simplefilter("ignore")
-        for x0 in x0_list:
-            est = oracle_mod.moment_estimates(spec, x0, t_small, n, seed)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for x0 in sc.oracle["moment_points"]:
+            est = oracle_mod.moment_estimates(spec, x0, sc.oracle["moment_window"], n, seed)
             moment_rows.append({
                 "x0": x0,
                 "drift_true": float(spec.b(x0)),
@@ -460,20 +462,18 @@ def cmd_oracle_compare(args):
                 "third_abs_over_t": est.third_abs_over_t,
             })
 
-    report = {
+    _write_json(sc.out, "oracle_compare.json", {
         "particles": n,
         "dt": dt,
         "seed": seed,
         "snapshots": rows,
         "moments": moment_rows,
         "budget_formula": "3*(sqrt(bins_occupied/particles) + dx + dt)",
-    }
-    with open(os.path.join(out, "oracle_compare.json"), "w") as fh:
-        fh.write(canonical_json(report))
+    })
     # the last snapshot's ensemble; its first m particles are exactly an
     # m-particle run with the same seed, dt and T
     m = min(n, 10_000)
-    write_ensemble_csv(os.path.join(out, "ensemble.csv"),
+    write_ensemble_csv(os.path.join(sc.out, "ensemble.csv"),
                        replace(ens, positions=ens.positions[:m], absorbed=ens.absorbed[:m]))
     for row in rows:
         tag = "ok" if row["pass"] else "FAIL"
@@ -512,9 +512,6 @@ def main(argv=None):
     except INPUT_ERRORS as exc:
         print(f"input error ({type(exc).__name__}): {exc}", file=sys.stderr)
         return 2
-    except NoInvariantDensity as exc:
-        print(f"FAIL: NoInvariantDensity: {exc}", file=sys.stderr)
-        return 1
     except KinbenchError as exc:
         print(f"FAIL ({type(exc).__name__}): {exc}", file=sys.stderr)
         return 1

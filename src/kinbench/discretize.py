@@ -3,8 +3,10 @@
 The exponential-fitting stencil keeps every off-diagonal nonnegative for
 any drift/diffusion ratio, so the discrete maximum principle holds by
 construction; central differencing is excluded because it violates it on
-coarse grids.  Zero row sums are enforced exactly in 1-D (see
-``_exact_row_pair``).
+coarse grids.  ``build_qmatrix`` is the one assembler for every
+dimension: a loop over the axes whose only dimension branches are the
+coefficient sampling and the diagonal, which in 1-D keeps row sums
+exactly zero (see ``_exact_row_pair``).
 """
 
 from __future__ import annotations
@@ -243,56 +245,49 @@ def _axis_rates(a, b, h_minus, h_plus, scheme, wall="half-cell"):
 
 
 def build_qmatrix(spec, grid, scheme="exponential-fitting", wall="half-cell"):
-    """Assemble the discrete generator on a grid.
+    """Assemble the discrete generator on a grid of any dimension.
 
-    1-D: exponential-fitting (default) or upwind rates as documented in
-    ``_axis_rates``; no-flux walls couple inward only, absorbing walls
-    get zero rows.  n-D: dimension-by-dimension splitting for diagonal
-    diffusion tensors; off-diagonal entries raise UnsupportedTensor.
+    Each axis adds exponential-fitting (default) or upwind neighbor rates
+    (``_axis_rates``) at its node stride; no-flux walls couple inward
+    only, absorbing walls get zero rows.  Diffusion tensors must be
+    diagonal (dimension-by-dimension splitting), else UnsupportedTensor.
+    Two steps depend on the dimension: ``_sample_coefficients``, and the
+    diagonal, which is ``_exact_row_pair`` in 1-D and minus the summed
+    rates otherwise.
     """
     if scheme not in ("exponential-fitting", "upwind"):
         raise DomainError(f"unknown scheme {scheme!r}")
     if grid.ndim != spec.dimension:
         raise ShapeError("grid dimension does not match spec dimension")
-    if grid.ndim == 1:
-        return _build_1d(spec, grid, scheme, wall)
-    return _build_nd(spec, grid, scheme, wall)
-
-
-def _build_1d(spec, grid, scheme, wall="half-cell"):
-    x = grid.x
-    n = x.size
-    a = np.broadcast_to(np.asarray(spec.a(x), dtype=float), x.shape).copy()
-    b = np.broadcast_to(np.asarray(spec.b(x), dtype=float), x.shape).copy()
-    if a.min() < -1e-12:
-        i = int(np.argmin(a))
-        raise NonEllipticCoefficient(f"a({x[i]:g}) = {a[i]:g} < 0")
-    a = np.maximum(a, 0.0)
-
-    h = np.diff(x)
-    hm = np.concatenate(([np.nan], h))
-    hp = np.concatenate((h, [np.nan]))
-    q_m, q_p = _axis_rates(a, b, hm, hp, scheme, wall)
-
-    absorbing = grid.boundary_condition == "absorbing"
-    if absorbing:
-        q_m[0] = q_p[0] = 0.0
-        q_m[-1] = q_p[-1] = 0.0
-
-    q_m, q_p, diag = _exact_row_pair(q_m, q_p)
+    a, b = _sample_coefficients(spec, grid)
+    shape = grid.shape
+    n = grid.size
+    idx = np.arange(n)
+    multi = np.unravel_index(idx, shape)
+    on_wall = np.any([(k == 0) | (k == size - 1) for k, size in zip(multi, shape)], axis=0)
 
     rows = []
     cols = []
     vals = []
-    idx = np.arange(n)
-    mask = q_m > 0
-    rows.append(idx[1:][mask[1:]])
-    cols.append(idx[:-1][mask[1:]])
-    vals.append(q_m[1:][mask[1:]])
-    mask = q_p > 0
-    rows.append(idx[:-1][mask[:-1]])
-    cols.append(idx[1:][mask[:-1]])
-    vals.append(q_p[:-1][mask[:-1]])
+    diag = np.zeros(n)
+    for ax, k in enumerate(multi):
+        dxs = np.diff(grid.axes[ax])
+        hm = np.where(k > 0, dxs[np.maximum(k - 1, 0)], np.nan)
+        hp = np.where(k < shape[ax] - 1, dxs[np.minimum(k, dxs.size - 1)], np.nan)
+        q_m, q_p = _axis_rates(a[:, ax], b[:, ax], hm, hp, scheme, wall)
+        if grid.boundary_condition == "absorbing":
+            q_m[on_wall] = 0.0
+            q_p[on_wall] = 0.0
+        if grid.ndim == 1:
+            q_m, q_p, diag = _exact_row_pair(q_m, q_p)
+        else:
+            diag -= q_m + q_p
+        stride = int(np.prod(shape[ax + 1:]))
+        for q, step in ((q_m, -stride), (q_p, stride)):
+            sel = q > 0
+            rows.append(idx[sel])
+            cols.append(idx[sel] + step)
+            vals.append(q[sel])
     rows.append(idx)
     cols.append(idx)
     vals.append(diag)
@@ -303,69 +298,31 @@ def _build_1d(spec, grid, scheme, wall="half-cell"):
     return DiscreteGenerator(Q, grid, scheme)
 
 
-def _build_nd(spec, grid, scheme, wall="half-cell"):
-    shape = grid.shape
-    n = grid.size
-    pts = grid.nodes()
-    dim = grid.ndim
+def _sample_coefficients(spec, grid):
+    """Diffusion diagonal and drift at every node, each of shape (size, ndim).
 
-    a_diag = np.empty((n, dim))
-    b_vec = np.empty((n, dim))
-    for i, p in enumerate(pts):
-        amat = np.asarray(spec.a(p), dtype=float)
-        amat = 0.5 * (amat + amat.T)
-        off = amat - np.diag(np.diag(amat))
-        scale = max(1.0, float(np.max(np.abs(amat))))
-        if np.max(np.abs(off)) > 1e-12 * scale:
-            raise UnsupportedTensor(
-                "off-diagonal diffusion entries are not supported in v1")
-        d = np.diag(amat)
-        if d.min() < -1e-12:
-            raise NonEllipticCoefficient(f"a({p}) has negative diagonal {d.min():g}")
-        a_diag[i] = np.maximum(d, 0.0)
-        b_vec[i] = np.asarray(spec.b(p), dtype=float).reshape(dim)
-
-    multi = np.unravel_index(np.arange(n), shape)
-    absorbing = grid.boundary_condition == "absorbing"
-    on_wall = np.zeros(n, dtype=bool)
-    for ax in range(dim):
-        on_wall |= (multi[ax] == 0) | (multi[ax] == shape[ax] - 1)
-
-    rows = []
-    cols = []
-    vals = []
-    diag = np.zeros(n)
-    strides = np.array([int(np.prod(shape[ax + 1:])) for ax in range(dim)])
-    for ax in range(dim):
-        axis_nodes = grid.axes[ax]
-        dxs = np.diff(axis_nodes)
-        k = multi[ax]
-        hm = np.where(k > 0, dxs[np.maximum(k - 1, 0)], np.nan)
-        hp = np.where(k < shape[ax] - 1, dxs[np.minimum(k, dxs.size - 1)], np.nan)
-        q_m, q_p = _axis_rates(a_diag[:, ax], b_vec[:, ax], hm, hp, scheme, wall)
-        if absorbing:
-            q_m[on_wall] = 0.0
-            q_p[on_wall] = 0.0
-        sel = q_m > 0
-        rows.append(np.arange(n)[sel])
-        cols.append(np.arange(n)[sel] - strides[ax])
-        vals.append(q_m[sel])
-        sel = q_p > 0
-        rows.append(np.arange(n)[sel])
-        cols.append(np.arange(n)[sel] + strides[ax])
-        vals.append(q_p[sel])
-        diag -= q_m + q_p
-    rows.append(np.arange(n))
-    cols.append(np.arange(n))
-    vals.append(diag)
-    Q = sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(n, n),
-    ).tocsr()
-    return DiscreteGenerator(Q, grid, scheme)
-
-
-def adjoint_qmatrix(Q):
-    """Transpose of the Q-matrix: the density-side evolution operator."""
-    mat = Q.Q if isinstance(Q, DiscreteGenerator) else sp.csr_matrix(Q)
-    return mat.transpose().tocsr()
+    In 1-D the coefficients take the whole node array in one call; an
+    n-D ``a`` maps one point to a matrix, so it is called once per node.
+    """
+    if grid.ndim == 1:
+        x = grid.x
+        a = np.broadcast_to(np.asarray(spec.a(x), dtype=float), x.shape)[:, None]
+        b = np.broadcast_to(np.asarray(spec.b(x), dtype=float), x.shape)[:, None]
+    else:
+        pts = grid.nodes()
+        a = np.empty(pts.shape)
+        b = np.empty(pts.shape)
+        for i, p in enumerate(pts):
+            amat = spec.a_matrix(p)
+            off = amat - np.diag(np.diag(amat))
+            scale = max(1.0, float(np.max(np.abs(amat))))
+            if np.max(np.abs(off)) > 1e-12 * scale:
+                raise UnsupportedTensor(
+                    "off-diagonal diffusion entries are not supported in v1")
+            a[i] = np.diag(amat)
+            b[i] = np.asarray(spec.b(p), dtype=float).reshape(grid.ndim)
+    if a.min() < -1e-12:
+        i, ax = np.unravel_index(int(np.argmin(a)), a.shape)
+        raise NonEllipticCoefficient(
+            f"a has negative diagonal entry {a[i, ax]:g} on axis {ax} at node {i}")
+    return np.maximum(a, 0.0), b

@@ -352,39 +352,20 @@ def apply_formal_adjoint(spec, rho, x, drho=None, d2rho=None, step=None):
 
 
 def _formal_adjoint_nd(spec, rho, x, step=None):
-    """n-D adjoint via second differences of the product fields."""
+    """n-D adjoint: ``_fd_grad_hess`` of the product fields a_ij rho and b_i rho."""
     pt = _as_point(x, spec.dimension)
     if not spec.domain.contains(pt, interior=True):
         raise DomainError(f"{pt} is not in the domain interior")
     n = spec.dimension
-    h = step or 1e-4 * max(1.0, float(np.max(np.abs(pt))))
-
-    def a_rho(i, j):
-        return lambda y: spec.a_matrix(y)[i, j] * float(rho(y))
-
-    def b_rho(i):
-        return lambda y: np.asarray(spec.b(y), dtype=float)[i] * float(rho(y))
-
     total = 0.0
     for i in range(n):
         for j in range(n):
-            g = a_rho(i, j)
-            if i == j:
-                ei = np.zeros(n)
-                ei[i] = h
-                total += (g(pt + ei) - 2 * g(pt) + g(pt - ei)) / h**2
-            else:
-                ei = np.zeros(n)
-                ej = np.zeros(n)
-                ei[i] = h
-                ej[j] = h
-                total += (g(pt + ei + ej) - g(pt + ei - ej)
-                          - g(pt - ei + ej) + g(pt - ei - ej)) / (4 * h**2)
+            _, hess = _fd_grad_hess(lambda y: spec.a_matrix(y)[i, j] * float(rho(y)), pt, step)
+            total += hess[i, j]
     for i in range(n):
-        gi = b_rho(i)
-        ei = np.zeros(n)
-        ei[i] = h
-        total -= (gi(pt + ei) - gi(pt - ei)) / (2 * h)
+        grad, _ = _fd_grad_hess(lambda y: np.asarray(spec.b(y), dtype=float)[i] * float(rho(y)),
+                                pt, step)
+        total -= grad[i]
     return float(total)
 
 

@@ -104,6 +104,8 @@ def spec_from_dict(d):
 
 def load_generator(doc):
     """Generator from a scenario entry: catalog reference or inline spec."""
+    if not isinstance(doc, dict):
+        raise ScenarioError("a generator entry is a catalog reference or an inline spec")
     if "catalog" in doc:
         name = doc["catalog"]
         alpha = doc.get("alpha", 1.0)

@@ -114,12 +114,16 @@ def test_nonelliptic_scenario_is_input_error(tmp_path):
                  "--out", str(tmp_path / "out")]) == 2
 
 
-def test_absorbing_with_invariant_request_fails_named(tmp_path, capsys):
-    code = main(["run", str(SCENARIOS / "absorbing.json"),
+@pytest.mark.parametrize("command", ["run", "invariant", "hcurve"])
+def test_absorbing_with_invariant_request_fails_named(command, tmp_path, capsys):
+    code = main([command, str(SCENARIOS / "absorbing.json"),
                  "--out", str(tmp_path / "out")])
     out = capsys.readouterr().out
     assert code == 1
-    assert "NoInvariantDensity" in out
+    assert "FAIL invariant_measure: NoInvariantDensity" in out
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    assert summary["error"].startswith("NoInvariantDensity")
+    assert not summary["checks"]["invariant_measure"]["pass"]
 
 
 def test_malformed_json_is_input_error(tmp_path):
@@ -127,6 +131,38 @@ def test_malformed_json_is_input_error(tmp_path):
     p.write_text("{not json")
     assert main(["run", str(p)]) == 2
     assert main(["run", str(tmp_path / "missing.json")]) == 2
+
+
+SMALL_SCENARIO = {
+    "generator": {"catalog": "ornstein-uhlenbeck"},
+    "grid": {"n": 21},
+    "times": {"start": 0.0, "stop": 1.0, "num": 3},
+}
+
+
+@pytest.mark.parametrize("field, value, named", [
+    ("grid", {"n": "abc"}, "grid.n"),
+    ("tol", "x", "tol"),
+    ("times", {"start": 0, "stop": 1, "num": -1}, "times"),
+    ("times", ["a"], "times"),
+    ("checks", {"chapman_kolmogorov": [0.3]}, "checks.chapman_kolmogorov"),
+    ("initial_density", {"kind": "gaussian", "center": "x"}, "initial_density"),
+    ("h_functionals", ["square", {"value_at_zero": 0.0}], "h_functionals"),
+    ("generator", "appendix2a", "generator"),
+    (None, "top-level list", "JSON object"),
+    (None, "directory", "cannot read"),
+], ids=["grid.n", "tol", "times.num", "times.list", "checks.chapman_kolmogorov",
+        "initial_density.center", "h_functionals.kind", "generator", "list", "directory"])
+def test_malformed_scenario_field_is_named_input_error(tmp_path, capsys, field, value,
+                                                       named):
+    if field is not None:
+        path = write_json(tmp_path / "bad.json", {**SMALL_SCENARIO, field: value})
+    elif value == "top-level list":
+        path = write_json(tmp_path / "bad.json", [SMALL_SCENARIO])
+    else:
+        path = str(tmp_path)
+    assert main(["run", path, "--out", str(tmp_path / "out")]) == 2
+    assert named in capsys.readouterr().err
 
 
 def test_pawula_certificate_value(tmp_path, capsys):

@@ -177,6 +177,25 @@ def test_sympy_oracle_confirms_stationarity():
         assert residual2 == 0
 
 
+def test_nd_formal_adjoint_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    x, y = sympy.symbols("x y")
+    c = sympy.Rational(3, 10)
+    a = [[1 + x**2, c], [c, 2]]
+    b = [-x, x - 2 * y]
+    rho = sympy.exp(-(x**2 + y**2) / 2)
+    xs = (x, y)
+    exact = sympy.lambdify(xs, sum(sympy.diff(a[i][j] * rho, xs[i], xs[j])
+                                   for i in range(2) for j in range(2))
+                           - sum(sympy.diff(b[i] * rho, xs[i]) for i in range(2)))
+    spec = GeneratorSpec(2, lambda p: np.array([[1 + p[0] ** 2, 0.3], [0.3, 2.0]]),
+                         lambda p: np.array([-p[0], p[0] - 2 * p[1]]),
+                         DomainSpec("box", ((-3.0, 3.0), (-3.0, 3.0))))
+    for pt in [(0.3, 0.1), (-1.1, 0.7), (0.0, 0.0)]:
+        value = apply_formal_adjoint(spec, lambda p: np.exp(-(p[0] ** 2 + p[1] ** 2) / 2), pt)
+        assert value == pytest.approx(float(exact(*pt)), abs=1e-6)
+
+
 # ---------------------------------------------------------------------------
 # gradient-structure field
 # ---------------------------------------------------------------------------
