@@ -10,12 +10,11 @@ over immutable inputs; results are deterministic for fixed seeds.
 
 from .discretize import DiscreteGenerator, Grid, build_qmatrix
 from .errors import KinbenchError
-from .expressions import CompiledExpression, compile_expression
+from .expressions import CompiledExpression
 from .generator import (
     DomainSpec,
     EquilibriumDensity,
     GeneratorSpec,
-    ScalarField,
     apply_formal_adjoint,
     apply_generator,
     catalog_example,

@@ -274,7 +274,7 @@ def cmd_run(args):
             _record(sheet, f"h_monotone_{kind}", curve.max_increase, tol)
             write_hcurve_csv(os.path.join(sc.out, f"hcurve_{kind}.csv"), curve)
     else:
-        result = evolve_series(Q, nu0, sc.times, tol=tol, side="density")
+        result = evolve_series(Q, nu0, sc.times, tol=tol)
 
     _record(sheet, "min_density", -result.min_value.min(), tol * float(np.max(nu0)))
     _record(sheet, "mass_drift", float(np.abs(result.mass - result.mass[0]).max()),
@@ -299,7 +299,7 @@ def cmd_run(args):
         worst_dis = max(worst_dis, generator_at_max(Q, f))
     _record(sheet, "dissipativity_at_max", worst_dis, 1e-12)
 
-    write_evolution_csv(os.path.join(sc.out, "evolution.csv"), result)
+    write_evolution_csv(os.path.join(sc.out, "evolution.csv"), result, Q.node_coordinates())
     write_summary_csv(os.path.join(sc.out, "evolution_summary.csv"), result)
     write_qmatrix(os.path.join(sc.out, "qmatrix.txt"),
                   os.path.join(sc.out, "qmatrix_meta.json"), Q)
@@ -327,8 +327,13 @@ def cmd_run(args):
 
 
 def _mass_outside(rho, grid):
-    """Analytic-density mass outside the truncation box (documented in output)."""
-    if rho is None or rho.rho_fn is None or not rho.normalizable:
+    """Analytic-density mass outside the truncation box (documented in output).
+
+    None without an analytic density or a finite total mass (inline Gibbs
+    forms carry none).
+    """
+    if rho is None or rho.rho_fn is None or not rho.normalizable \
+            or not np.isfinite(rho.total_mass):
         return None
     try:
         from scipy.integrate import quad

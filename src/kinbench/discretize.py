@@ -176,12 +176,16 @@ def _exact_row_pair(q_left, q_right):
     """Adjust the smaller neighbor rate so the row sums to zero exactly.
 
     With p = max, q = min, s = fl(p + q): q' = s - p is exact (Sterbenz)
-    and {p, q', -s} sums to zero in every accumulation order.  The
-    perturbation is below one ulp of the diagonal and q' stays >= 0.
+    and {p, q', -s} sums to zero in every accumulation order.  A positive
+    q below half an ulp of p would round to q' = 0 and cut the chain (cell
+    Peclet numbers above about 37), so s steps up to the next double and
+    q' is one ulp of p.  The perturbation is at most one ulp of the
+    diagonal, and q' > 0 exactly when q > 0.
     """
     p = np.maximum(q_left, q_right)
     q = np.minimum(q_left, q_right)
     s = p + q
+    s = np.where((q > 0) & (s == p), np.nextafter(p, np.inf), s)
     q_adj = s - p
     left_is_big = q_left >= q_right
     new_left = np.where(left_is_big, p, q_adj)

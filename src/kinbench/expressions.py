@@ -332,7 +332,3 @@ class CompiledExpression:
 
     def __repr__(self):
         return f"CompiledExpression({self.text!r})"
-
-
-def compile_expression(text, dimension=1):
-    return CompiledExpression(text, dimension)

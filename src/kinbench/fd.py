@@ -1,4 +1,10 @@
-"""Finite-difference helpers used by several modules."""
+"""Finite-difference helpers used by several modules.
+
+Point derivatives of a callable without exact derivatives follow one
+rule, applied by :func:`kinbench.generator.derivatives`: ``central_d1``
+and ``central_d2`` (5-point stencils) at h = 1e-3 max(1, |x|) for orders
+1-2, and ``richardson_dm`` for orders 3 and up.
+"""
 
 from __future__ import annotations
 
@@ -19,12 +25,10 @@ def central_d2(f, x, h):
 
 
 def central_dm(f, x, h, m):
-    """Order-m central difference (2nd-order accurate), m <= 6.
+    """Order-m central difference (2nd-order accurate), 1 <= m <= 6.
 
     Coefficients are binomial; odd m uses the half-offset average form.
     """
-    if m == 0:
-        return f(x)
     k = np.arange(m + 1)
     signs = (-1.0) ** k
     binom = np.array([float(math.comb(m, int(j))) for j in k])
@@ -40,10 +44,12 @@ def central_dm(f, x, h, m):
     return 0.5 * (d_plus + d_minus)
 
 
-def richardson_dm(f, x, m, h=None):
-    """Richardson-extrapolated order-m derivative, roughly 4th-order accurate."""
-    if h is None:
-        h = 5e-2 * max(1.0, abs(float(np.max(np.abs(x)))))
+def richardson_dm(f, x, m):
+    """Richardson-extrapolated order-m derivative at a point (about 4th order).
+
+    Combines central differences at h = 5e-2 max(1, |x|) and h/2.
+    """
+    h = 5e-2 * max(1.0, abs(x))
     d_h = central_dm(f, x, h, m)
     d_h2 = central_dm(f, x, h / 2, m)
     return (4.0 * d_h2 - d_h) / 3.0

@@ -2,8 +2,14 @@
 
 A generator acts on observables as ``a(x) f'' + b(x) f'`` (sums over axes in
 higher dimension); the formal adjoint drives densities.  Coefficients may be
-plain callables or compiled expressions (see :mod:`kinbench.expressions`),
-the latter carrying analytic derivatives.
+plain callables, numpy polynomials or compiled expressions (see
+:mod:`kinbench.expressions`).
+
+One derivative rule serves this module and :mod:`kinbench.pawula`:
+``derivatives(f, x, m)`` is exact for compiled expressions and polynomials
+(``_derivative_of``); for any other callable it takes the 5-point central
+stencil at h = 1e-3 max(1, |x|) for orders 1-2 and Richardson-extrapolated
+central differences (``fd.richardson_dm``) for orders 3 and up.
 """
 
 from __future__ import annotations
@@ -13,6 +19,7 @@ from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
+from numpy.polynomial import Polynomial
 
 from . import fd
 from .errors import (
@@ -58,14 +65,14 @@ class DomainSpec:
     def dimension(self):
         return len(self.bounds)
 
-    def contains(self, x, interior=False, margin=0.0):
+    def contains(self, x, interior=False):
         pt = np.atleast_1d(np.asarray(x, dtype=float))
         if pt.shape[-1] != self.dimension:
             return False
         for k, (lo, hi) in enumerate(self.bounds):
             v = pt[..., k]
             if interior:
-                if np.any(v <= lo + margin) or np.any(v >= hi - margin):
+                if np.any(v <= lo) or np.any(v >= hi):
                     return False
             else:
                 if np.any(v < lo) or np.any(v > hi):
@@ -80,11 +87,37 @@ def _as_point(x, dimension):
     return pt
 
 
-def _derivative_of(coeff, var=0):
-    """Analytic derivative callable if the coefficient carries one."""
-    if isinstance(coeff, CompiledExpression):
-        return coeff.derivative(var)
+def _derivative_of(f):
+    """Exact derivative of a compiled expression or polynomial, else None."""
+    if isinstance(f, CompiledExpression):
+        return f.derivative()
+    if isinstance(f, Polynomial):
+        return f.deriv()
     return None
+
+
+def _fd_step(x):
+    """Step of the 5-point stencils at a point."""
+    return 1e-3 * max(1.0, abs(x))
+
+
+def derivatives(f, x, m):
+    """[f, f', ..., f^(m)] at the point x (1-D), by the module's derivative rule."""
+    out = [float(f(x))]
+    if _derivative_of(f) is not None:
+        for _ in range(m):
+            f = _derivative_of(f)
+            out.append(float(f(x)))
+        return out
+    h = _fd_step(x)
+    for k in range(1, m + 1):
+        if k == 1:
+            out.append(fd.central_d1(f, x, h))
+        elif k == 2:
+            out.append(fd.central_d2(f, x, h))
+        else:
+            out.append(fd.richardson_dm(f, x, k))
+    return out
 
 
 @dataclass(frozen=True)
@@ -92,18 +125,13 @@ class GeneratorSpec:
     """Second-order generator: diffusion field a, drift field b, domain.
 
     In 1-D, ``a`` and ``b`` map x to scalars.  In n-D, ``a`` maps a point
-    to a symmetric (n, n) matrix and ``b`` to an (n,) vector.  Optional
-    derivative callables (``da``, ``d2a``, ``db``) are used by the formal
-    adjoint; compiled-expression coefficients provide them automatically.
+    to a symmetric (n, n) matrix and ``b`` to an (n,) vector.
     """
 
     dimension: int
     a: Callable
     b: Callable
     domain: DomainSpec
-    da: Callable | None = None
-    d2a: Callable | None = None
-    db: Callable | None = None
     label: str = ""
 
     def __post_init__(self):
@@ -111,19 +139,6 @@ class GeneratorSpec:
             raise DomainError("dimension must be a positive integer")
         if self.domain.dimension != self.dimension:
             raise DomainError("domain dimension does not match spec dimension")
-        if self.dimension == 1:
-            if self.da is None:
-                d = _derivative_of(self.a)
-                if d is not None:
-                    object.__setattr__(self, "da", d)
-            if self.d2a is None and self.da is not None:
-                d = _derivative_of(self.da)
-                if d is not None:
-                    object.__setattr__(self, "d2a", d)
-            if self.db is None:
-                d = _derivative_of(self.b)
-                if d is not None:
-                    object.__setattr__(self, "db", d)
 
     def a_matrix(self, x):
         """Symmetrized diffusion matrix at a point (n-D) or scalar (1-D)."""
@@ -211,7 +226,7 @@ class EquilibriumDensity:
         bh = -np.log(vals / vals.max())
         return 1.0, bh, fd.grid_d1(bh, self.grid.x)
 
-    def validate(self, rel_tol=1e-10):
+    def validate(self):
         """Check nonnegativity and gibbs consistency of the samples."""
         if self.values is None:
             return
@@ -229,77 +244,29 @@ class EquilibriumDensity:
             err = np.abs(vals - c * model)
             scale = np.maximum(np.abs(vals), np.abs(c * model))
             mask = scale > 0
-            if np.any(err[mask] / scale[mask] > rel_tol):
+            if np.any(err[mask] / scale[mask] > 1e-10):
                 raise ParameterOutOfRange(
                     "samples are not proportional to exp(-beta H) within tolerance")
 
 
-@dataclass
-class ScalarField:
-    """Node values bound to a grid."""
-
-    values: np.ndarray
-    grid: object | None = None
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-        if self.grid is not None and self.values.shape != (self.grid.size,):
-            raise DomainError("field length does not match grid node count")
-
-
-def _call_derivs(f, x, df=None, d2f=None, step=None):
-    """Value, first and second derivative of f at x (1-D).
-
-    Order of preference: explicit callables, compiled-expression
-    derivatives, then 4th-order central differences.
-    """
-    fx = float(f(x))
-    if df is None:
-        d = _derivative_of(f)
-        if d is not None:
-            df = d
-            d2f = d2f or _derivative_of(d)
-    if df is not None:
-        d1 = float(df(x))
-        if d2f is not None:
-            d2 = float(d2f(x))
-        else:
-            h = step or 1e-3 * max(1.0, abs(x))
-            d2 = fd.central_d2(f, x, h)
-        return fx, d1, d2
-    h = step or 1e-3 * max(1.0, abs(x))
-    return fx, fd.central_d1(f, x, h), fd.central_d2(f, x, h)
-
-
-def _coefficient_derivs_1d(spec, x, step=None):
-    """a, a', a'', b, b' at a point, analytic when the spec carries them."""
-    a = float(spec.a(x))
-    b = float(spec.b(x))
-    h = step or 1e-3 * max(1.0, abs(x))
-    da = float(spec.da(x)) if spec.da is not None else fd.central_d1(spec.a, x, h)
-    d2a = float(spec.d2a(x)) if spec.d2a is not None else fd.central_d2(spec.a, x, h)
-    db = float(spec.db(x)) if spec.db is not None else fd.central_d1(spec.b, x, h)
-    return a, da, d2a, b, db
-
-
-def apply_generator(spec, f, x, df=None, d2f=None, step=None):
+def apply_generator(spec, f, x):
     """Evaluate (a f'' + b f') at a point.
 
-    ``f`` may carry analytic derivatives (compiled expression or the
-    ``df``/``d2f`` arguments); otherwise 4th-order central differences
-    are used, which requires room around x inside the domain.
+    In 1-D, f is differentiated by the module's derivative rule; a
+    callable without exact derivatives needs room for the difference
+    stencil around x inside the domain.
     """
     if spec.dimension == 1:
         x = _as_point(x, 1)
         if not spec.domain.contains(x, interior=True):
             raise DomainError(f"x = {x:g} is not in the domain interior")
-        if df is None and _derivative_of(f) is None:
-            h = step or 1e-3 * max(1.0, abs(x))
+        if _derivative_of(f) is None:
+            h = _fd_step(x)
             lo, hi = spec.domain.bounds[0]
             if x - 2 * h < lo or x + 2 * h > hi:
                 raise InsufficientSmoothness(
-                    "no analytic derivatives and the difference stencil leaves the domain")
-        fx, d1, d2 = _call_derivs(f, x, df, d2f, step)
+                    "no exact derivatives and the difference stencil leaves the domain")
+        _, d1, d2 = derivatives(f, x, 2)
         return float(spec.a(x)) * d2 + float(spec.b(x)) * d1
     # n-D path: quadratic form with the Hessian
     pt = _as_point(x, spec.dimension)
@@ -307,17 +274,13 @@ def apply_generator(spec, f, x, df=None, d2f=None, step=None):
         raise DomainError(f"{pt} is not in the domain interior")
     amat = spec.a_matrix(pt)
     bvec = np.asarray(spec.b(pt), dtype=float).reshape(spec.dimension)
-    if d2f is not None and df is not None:
-        hess = np.asarray(d2f(pt), dtype=float)
-        grad = np.asarray(df(pt), dtype=float)
-    else:
-        grad, hess = _fd_grad_hess(f, pt, step)
+    grad, hess = _fd_grad_hess(f, pt)
     return float(np.sum(amat * hess) + np.dot(bvec, grad))
 
 
-def _fd_grad_hess(f, pt, step=None):
+def _fd_grad_hess(f, pt):
     n = pt.size
-    h = step or 1e-4 * max(1.0, float(np.max(np.abs(pt))))
+    h = 1e-4 * max(1.0, float(np.max(np.abs(pt))))
     grad = np.empty(n)
     hess = np.empty((n, n))
     f0 = float(f(pt))
@@ -339,19 +302,20 @@ def _fd_grad_hess(f, pt, step=None):
     return grad, hess
 
 
-def apply_formal_adjoint(spec, rho, x, drho=None, d2rho=None, step=None):
+def apply_formal_adjoint(spec, rho, x):
     """Evaluate the density-side operator (a rho)'' - (b rho)' at a point."""
     if spec.dimension != 1:
-        return _formal_adjoint_nd(spec, rho, x, step)
+        return _formal_adjoint_nd(spec, rho, x)
     x = _as_point(x, 1)
     if not spec.domain.contains(x, interior=True):
         raise DomainError(f"x = {x:g} is not in the domain interior")
-    a, da, d2a, b, db = _coefficient_derivs_1d(spec, x, step)
-    r, dr, d2r = _call_derivs(rho, x, drho, d2rho, step)
+    a, da, d2a = derivatives(spec.a, x, 2)
+    b, db = derivatives(spec.b, x, 1)
+    r, dr, d2r = derivatives(rho, x, 2)
     return a * d2r + (2 * da - b) * dr + (d2a - db) * r
 
 
-def _formal_adjoint_nd(spec, rho, x, step=None):
+def _formal_adjoint_nd(spec, rho, x):
     """n-D adjoint: ``_fd_grad_hess`` of the product fields a_ij rho and b_i rho."""
     pt = _as_point(x, spec.dimension)
     if not spec.domain.contains(pt, interior=True):
@@ -360,11 +324,11 @@ def _formal_adjoint_nd(spec, rho, x, step=None):
     total = 0.0
     for i in range(n):
         for j in range(n):
-            _, hess = _fd_grad_hess(lambda y: spec.a_matrix(y)[i, j] * float(rho(y)), pt, step)
+            _, hess = _fd_grad_hess(lambda y: spec.a_matrix(y)[i, j] * float(rho(y)), pt)
             total += hess[i, j]
     for i in range(n):
         grad, _ = _fd_grad_hess(lambda y: np.asarray(spec.b(y), dtype=float)[i] * float(rho(y)),
-                                pt, step)
+                                pt)
         total -= grad[i]
     return float(total)
 
@@ -383,21 +347,18 @@ def residual_invariant(spec, rho0, grid=None, method="auto"):
     if method not in ("auto", "analytic", "fd"):
         raise ParameterOutOfRange(f"unknown method {method!r}")
 
+    da, db = _derivative_of(spec.a), _derivative_of(spec.b)
     analytic_ok = False
     if method in ("auto", "analytic"):
-        analytic_ok = _has_analytic_rho(rho0) and spec.da is not None \
-            and spec.d2a is not None and spec.db is not None
+        analytic_ok = _has_analytic_rho(rho0) and da is not None and db is not None
         if method == "analytic" and not analytic_ok:
             raise InsufficientSmoothness("analytic residual needs derivative data")
 
     if analytic_ok:
         r, dr, d2r = _rho_derivs_on(rho0, x)
-        a = np.asarray(spec.a(x), dtype=float)
-        da = np.asarray(spec.da(x), dtype=float)
-        d2a = np.asarray(spec.d2a(x), dtype=float)
-        b = np.asarray(spec.b(x), dtype=float)
-        db = np.asarray(spec.db(x), dtype=float)
-        res = a * d2r + (2 * da - b) * dr + (d2a - db) * r
+        a, a1, a2 = (np.asarray(g(x), dtype=float) for g in (spec.a, da, _derivative_of(da)))
+        b, b1 = (np.asarray(g(x), dtype=float) for g in (spec.b, db))
+        res = a * d2r + (2 * a1 - b) * dr + (a2 - b1) * r
         return float(np.max(np.abs(res[1:-1])))
 
     vals = rho0.values
@@ -441,13 +402,9 @@ def _rho_derivs_on(rho0, x):
         beta, H = rho0.gibbs
         beta = float(beta)
         dH = _derivative_of(H)
-        d2H = _derivative_of(dH)
         hv = np.asarray(H(x), dtype=float)
         dhv = np.asarray(dH(x), dtype=float)
-        if d2H is not None:
-            d2hv = np.asarray(d2H(x), dtype=float)
-        else:
-            d2hv = fd.grid_d1(dhv, x)
+        d2hv = np.asarray(_derivative_of(dH)(x), dtype=float)
         if rho0.values is not None:
             r = np.asarray(rho0.values, dtype=float)
         elif rho0.rho_fn is not None:
@@ -462,7 +419,7 @@ def _rho_derivs_on(rho0, x):
     d2 = _derivative_of(d1)
     r = np.asarray(f(x), dtype=float)
     dr = np.asarray(d1(x), dtype=float)
-    d2r = np.asarray(d2(x), dtype=float) if d2 is not None else fd.grid_d1(dr, x)
+    d2r = np.asarray(d2(x), dtype=float)
     return r, dr, d2r
 
 
@@ -484,8 +441,9 @@ def compute_Hi(spec, rho0, grid=None):
     x = grid.x
     a = np.broadcast_to(np.asarray(spec.a(x), dtype=float), x.shape)
     b = np.broadcast_to(np.asarray(spec.b(x), dtype=float), x.shape)
-    if spec.da is not None:
-        da = np.broadcast_to(np.asarray(spec.da(x), dtype=float), x.shape)
+    da = _derivative_of(spec.a)
+    if da is not None:
+        da = np.broadcast_to(np.asarray(da(x), dtype=float), x.shape)
     else:
         da = fd.grid_d1(a, x)
     return 2.0 * (beta * a * dh - da + b)

@@ -22,7 +22,7 @@ from .errors import (
     ParameterOutOfRange,
     SupportViolation,
 )
-from .generator import EquilibriumDensity, ScalarField, compute_Hi
+from .generator import EquilibriumDensity, compute_Hi
 from .semigroup import _as_qmatrix, evolve_series
 
 _CONVEXITY_PROBE = np.linspace(1e-6, 10.0, 1000)
@@ -225,23 +225,20 @@ def _reference_measure(Q, reference):
     return np.asarray(reference, dtype=float)
 
 
-def h_function(reference, state, h, weights=None):
+def h_function(reference, state, h):
     """Convex functional sum_i h(state_i / ref_i) ref_i w_i.
 
-    ``reference`` may be an EquilibriumDensity (grid quadrature weights
-    are used by default) or a plain vector (unit weights: the
+    ``reference`` may be an EquilibriumDensity (w: its grid's quadrature
+    weights, if it has a grid) or a plain vector (unit weights: the
     stochastic-matrix form).  Mass where the reference vanishes raises
     SupportViolation.
     """
-    if isinstance(reference, EquilibriumDensity):
-        ref = np.asarray(reference.values, dtype=float)
-        if weights is None and reference.grid is not None:
-            weights = reference.grid.weights()
-    else:
-        ref = np.asarray(reference, dtype=float)
-    state_vals = state.values if isinstance(state, ScalarField) else np.asarray(state, dtype=float)
-    if weights is None:
-        weights = np.ones_like(ref)
+    is_density = isinstance(reference, EquilibriumDensity)
+    ref = np.asarray(reference.values if is_density else reference, dtype=float)
+    weights = np.ones_like(ref)
+    if is_density and reference.grid is not None:
+        weights = reference.grid.weights()
+    state_vals = np.asarray(state, dtype=float)
     if ref.shape != state_vals.shape:
         raise ParameterOutOfRange("reference and state lengths differ")
     dead = ref <= 0
@@ -253,7 +250,7 @@ def h_function(reference, state, h, weights=None):
     ratio = np.zeros_like(ref)
     ratio[alive] = state_vals[alive] / ref[alive]
     hvals = h(ratio[alive])
-    return float(np.dot(hvals * ref[alive], np.asarray(weights)[alive]))
+    return float(np.dot(hvals * ref[alive], weights[alive]))
 
 
 @dataclass
@@ -292,16 +289,15 @@ def h_curves(Q, nu0, hs, times, tol, reference=None, spec=None, boundary_density
     """
     qm = _as_qmatrix(Q)
     m = _reference_measure(qm, reference)
-    result = evolve_series(qm, nu0, times, tol=tol, side="density")
-    nus = [f.values if isinstance(f, ScalarField) else f for f in result.fields]
-    ones = np.ones_like(m)
+    result = evolve_series(qm, nu0, times, tol=tol)
+    nus = result.fields
     if spec is not None:
         phis = [nu / m for nu in nus]
         rho_density = m / qm.quadrature_weights()
         rho_boundary = rho_density if boundary_density is None else boundary_density
     curves = {}
     for h in hs:
-        H = np.array([h_function(m, nu, h, weights=ones) for nu in nus])
+        H = np.array([h_function(m, nu, h) for nu in nus])
         increases = np.diff(H)
         max_inc = float(increases.max()) if increases.size else 0.0
         curve = HCurve(result.times, H, max(max_inc, 0.0), mass=result.mass)
@@ -323,8 +319,7 @@ def _density_inputs(rho0, phi_tilde, grid):
         rho = np.asarray(rho0, dtype=float)
     if grid is None:
         raise ParameterOutOfRange("need a grid for quadrature")
-    phi = phi_tilde.values if isinstance(phi_tilde, ScalarField) else np.asarray(phi_tilde, dtype=float)
-    return rho, phi, grid
+    return rho, np.asarray(phi_tilde, dtype=float), grid
 
 
 def dissipation_rate(spec, rho0, phi_tilde, h, grid=None):

@@ -74,10 +74,10 @@ def _reflect(x, lo, hi):
     return lo + np.minimum(y, 2.0 * span - y)
 
 
-def simulate(spec, sampler, n, dt, T, seed, boundary=None):
+def simulate(spec, sampler, n, dt, T, seed):
     """Run Euler-Maruyama particles under a 1-D generator spec.
 
-    boundary defaults to the domain's condition: 'no-flux' reflects,
+    Walls follow the domain's boundary condition: 'no-flux' reflects,
     'absorbing' freezes particles at the wall they crossed.  Identical
     (seed, n, dt) runs are bitwise reproducible.
     """
@@ -86,10 +86,7 @@ def simulate(spec, sampler, n, dt, T, seed, boundary=None):
     if dt <= 0 or T < 0:
         raise ParameterOutOfRange("need dt > 0 and T >= 0")
     lo, hi = spec.domain.bounds[0]
-    if boundary is None:
-        boundary = "reflect" if spec.domain.boundary_condition == "no-flux" else "absorb"
-    if boundary not in ("reflect", "absorb"):
-        raise ParameterOutOfRange(f"unknown boundary handling {boundary!r}")
+    boundary = "reflect" if spec.domain.boundary_condition == "no-flux" else "absorb"
 
     rng0 = _stream(seed, _INIT_STREAM)
     x = np.asarray(sampler(rng0, int(n)), dtype=float)
@@ -156,16 +153,13 @@ class MomentEstimate:
     n: int
 
 
-def moment_estimates(spec, x0, t_small, n, seed, substeps=1):
-    """Kernel moments from particles all started at x0.
+def moment_estimates(spec, x0, t_small, n, seed):
+    """Kernel moments from particles all started at x0, one step of length t_small.
 
     Returns E[dX]/t, E[dX^2]/(2t), and E[|dX|^3]/t with standard errors;
     the third moment must shrink with t for a true diffusion.
     """
-    if substeps < 1:
-        raise ParameterOutOfRange("substeps must be >= 1")
-    dt = t_small / substeps
-    ens = simulate(spec, point_source(x0), n, dt, t_small, seed)
+    ens = simulate(spec, point_source(x0), n, t_small, t_small, seed)
     if np.any(ens.absorbed):
         warnings.warn("some particles were absorbed during the moment window")
     delta = ens.positions - float(x0)

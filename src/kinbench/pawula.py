@@ -5,6 +5,10 @@ most two with nonnegative leading coefficient.  For any higher-order term
 a local-maximum polynomial witnesses the violation: the certificate built
 here is that computable witness (point, neighborhood radius, and the
 strictly positive operator value at the maximum).
+
+Derivatives of test functions follow the one rule of
+:func:`kinbench.generator.derivatives`: exact for polynomials and compiled
+expressions, finite differences for other callables.
 """
 
 from __future__ import annotations
@@ -16,13 +20,13 @@ import numpy as np
 import scipy.sparse as sp
 from numpy.polynomial import Polynomial
 
-from . import fd
 from .errors import (
     NoViolationAtPoint,
     OrderTooLow,
     PreconditionViolated,
     ShapeError,
 )
+from .generator import derivatives
 
 DEFAULT_EPSILON = 0.1
 
@@ -68,35 +72,21 @@ class TruncatedOperator:
         return out
 
 
-def apply_operator(op, f, x, step=None):
-    """Evaluate the truncated operator on a function at a point (1-D).
-
-    Polynomials are differentiated exactly; compiled expressions use
-    their analytic derivatives; bare callables fall back to
-    Richardson-extrapolated central differences.
-    """
+def apply_operator(op, f, x):
+    """Evaluate the truncated operator on a function at a point (1-D)."""
     if op.dimension != 1:
         raise ShapeError("apply_operator handles 1-D operators; n-D certificates "
                          "are evaluated through their exact monomial derivatives")
     x = float(x)
+    keys = sorted(k for k in op.coefficients if isinstance(k, int))
+    ds = derivatives(f, x, keys[-1]) if keys else []
     total = 0.0
-    for key in sorted(k for k in op.coefficients if isinstance(k, int)):
+    for key in keys:
         c = float(op.coefficient(key)(x))
         if c == 0.0:
             continue
-        total += c * _derivative_m(f, x, key, step)
+        total += c * ds[key]
     return total
-
-
-def _derivative_m(f, x, m, step=None):
-    if isinstance(f, Polynomial):
-        return float(f.deriv(m)(x))
-    d = f
-    if hasattr(f, "derivative"):
-        for _ in range(m):
-            d = d.derivative()
-        return float(d(x))
-    return fd.richardson_dm(f, x, m, step)
 
 
 @dataclass(frozen=True)
@@ -324,35 +314,22 @@ def second_order_sign_check(op, points):
     return worst >= -1e-12, worst
 
 
-def cube_test(op, A, x0, dA=None, d2A=None, step=None):
+def cube_test(op, A, x0):
     """Value of the operator on A^3 at a zero of A.
 
     Pure second-order generators return 0 (within rounding) for every
     admissible A; a nonzero value flags higher-order structure.
     """
-    if hasattr(op, "a_matrix"):  # GeneratorSpec
-        if op.dimension != 1:
-            raise ShapeError("cube_test supports 1-D generators in v1")
-        x0 = float(x0)
-        from .generator import _call_derivs
-
-        A0, dA0, d2A0 = _call_derivs(A, x0, dA, d2A, step)
-        if abs(A0) > 1e-12:
-            raise PreconditionViolated(f"A(x0) = {A0:g} is not zero")
-        d1_cube = 3 * A0**2 * dA0
-        d2_cube = 6 * A0 * dA0**2 + 3 * A0**2 * d2A0
-        return float(op.a(x0)) * d2_cube + float(op.b(x0)) * d1_cube
-    # TruncatedOperator path
     if op.dimension != 1:
-        raise ShapeError("cube_test supports 1-D operators in v1")
+        raise ShapeError("cube_test supports 1-D operators and generators in v1")
     x0 = float(x0)
-    if isinstance(A, Polynomial):
-        A0 = float(A(x0))
-        if abs(A0) > 1e-12:
-            raise PreconditionViolated(f"A(x0) = {A0:g} is not zero")
-        return apply_operator(op, A**3, x0, step)
     A0 = float(A(x0))
     if abs(A0) > 1e-12:
         raise PreconditionViolated(f"A(x0) = {A0:g} is not zero")
-    cube = lambda x: float(A(x)) ** 3  # noqa: E731
-    return apply_operator(op, cube, x0, step)
+    if hasattr(op, "a_matrix"):  # GeneratorSpec
+        A0, dA0, d2A0 = derivatives(A, x0, 2)
+        d1_cube = 3 * A0**2 * dA0
+        d2_cube = 6 * A0 * dA0**2 + 3 * A0**2 * d2A0
+        return float(op.a(x0)) * d2_cube + float(op.b(x0)) * d1_cube
+    cube = A**3 if isinstance(A, Polynomial) else lambda x: float(A(x)) ** 3
+    return apply_operator(op, cube, x0)

@@ -34,7 +34,6 @@ from .errors import (
     TimeError,
     TruncationBudgetExceeded,
 )
-from .generator import ScalarField
 
 LEVEL_MEAN = 64.0        # max Poisson mean per series level
 MAX_TERMS = 1_000_000
@@ -182,12 +181,6 @@ def _propagate(qm, v, t, tol, transpose, kernels=None):
     return (M.T @ v) if transpose else (M @ v)
 
 
-def _unwrap(f):
-    if isinstance(f, ScalarField):
-        return np.asarray(f.values, dtype=float), f.grid
-    return np.asarray(f, dtype=float), None
-
-
 def evolve_observable(Q, f0, t, tol=1e-9):
     """Observable-side evolution e^{Qt} f0.
 
@@ -198,9 +191,7 @@ def evolve_observable(Q, f0, t, tol=1e-9):
     if t < 0:
         raise TimeError(f"t = {t:g} < 0")
     _check_tol(tol)
-    vals, grid = _unwrap(f0)
-    out = _propagate(_as_qmatrix(Q), vals, t, tol, transpose=False)
-    return ScalarField(out, grid) if grid is not None else out
+    return _propagate(_as_qmatrix(Q), np.asarray(f0, dtype=float), t, tol, transpose=False)
 
 
 def evolve_density(Q, nu0, t, tol=1e-9):
@@ -208,11 +199,10 @@ def evolve_density(Q, nu0, t, tol=1e-9):
     if t < 0:
         raise TimeError(f"t = {t:g} < 0")
     _check_tol(tol)
-    vals, grid = _unwrap(nu0)
+    vals = np.asarray(nu0, dtype=float)
     if np.any(vals < 0):
         raise ParameterOutOfRange("initial density must be nonnegative")
-    out = _propagate(_as_qmatrix(Q), vals, t, tol, transpose=True)
-    return ScalarField(out, grid) if grid is not None else out
+    return _propagate(_as_qmatrix(Q), vals, t, tol, transpose=True)
 
 
 @dataclass
@@ -224,11 +214,10 @@ class EvolutionResult:
     mass: np.ndarray
     min_value: np.ndarray
     sup_norm: np.ndarray
-    grid: object = None
 
 
-def evolve_series(Q, nu0, times, tol=1e-9, side="density"):
-    """Evolve through an increasing time schedule, reusing step kernels.
+def evolve_series(Q, nu0, times, tol=1e-9):
+    """Evolve a density through an increasing time schedule, reusing step kernels.
 
     Steps with equal spacing share one uniformized kernel, so a long
     schedule costs a handful of kernel builds plus one dense matvec per
@@ -243,29 +232,24 @@ def evolve_series(Q, nu0, times, tol=1e-9, side="density"):
     if np.any(np.diff(times) < 0):
         raise TimeError("time schedule must be nondecreasing")
     _check_tol(tol)
-    vals, grid = _unwrap(nu0)
-    transpose = side == "density"
-    if side not in ("density", "observable"):
-        raise ParameterOutOfRange(f"unknown side {side!r}")
 
     kernels = {}
     fields = []
-    current = vals.copy()
+    current = np.array(nu0, dtype=float)
     t_now = 0.0
     for t in times:
         dt = t - t_now
         if dt > 0:
-            current = _propagate(qm, current, dt, tol, transpose, kernels)
+            current = _propagate(qm, current, dt, tol, transpose=True, kernels=kernels)
             t_now = t
         fields.append(current.copy())
     arr = np.array(fields)
     return EvolutionResult(
         times=times,
-        fields=[ScalarField(f, grid) if grid is not None else f for f in fields],
+        fields=fields,
         mass=arr.sum(axis=1),
         min_value=arr.min(axis=1),
         sup_norm=np.abs(arr).max(axis=1),
-        grid=grid,
     )
 
 
@@ -287,16 +271,14 @@ def resolvent(Q, lam, g):
     if lam <= 0:
         raise SpectrumError(f"resolvent parameter must be positive, got {lam:g}")
     qm = _as_qmatrix(Q)
-    vals, grid = _unwrap(g)
     A = (lam * sp.identity(qm.size, format="csc") - qm.Q.tocsc())
-    f = spla.spsolve(A, vals)
-    return ScalarField(f, grid) if grid is not None else f
+    return spla.spsolve(A, np.asarray(g, dtype=float))
 
 
 def generator_at_max(Q, f):
     """Value of Qf at the argmax of f (ties broken to the lowest index)."""
     qm = _as_qmatrix(Q)
-    vals, _ = _unwrap(f)
+    vals = np.asarray(f, dtype=float)
     return float((qm.Q @ vals)[int(np.argmax(vals))])
 
 
@@ -311,7 +293,7 @@ class MomentRecovery:
     t: float
 
 
-def recover_coefficients(Q, t_small, tol=1e-12, kernel=None):
+def recover_coefficients(Q, t_small, tol=1e-12):
     """First two kernel moments over t: drift and diffusion estimates.
 
     Also returns the third absolute moment over t, which must vanish as
@@ -330,10 +312,7 @@ def recover_coefficients(Q, t_small, tol=1e-12, kernel=None):
     x = qm.node_coordinates()
     if x.ndim != 1:
         raise ShapeError("moment recovery supports 1-D grids in v1")
-    if kernel is None:
-        P, _ = _kernel_matrix(qm, t_small, tol)
-    else:
-        P = kernel.P
+    P, _ = _kernel_matrix(qm, t_small, tol)
     rs = P.sum(axis=1)
     px = P @ x
     px2 = P @ (x * x)

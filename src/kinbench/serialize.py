@@ -31,11 +31,9 @@ def canonical_json(obj):
 # Generator specs
 # --------------------------------------------------------------------------
 
-def _coefficient_to_json(coeff, text_hint=None):
+def _coefficient_to_json(coeff):
     if isinstance(coeff, CompiledExpression):
         return coeff.text
-    if text_hint is not None:
-        return text_hint
     raise ScenarioError(
         "coefficient is a bare callable; only expression or table "
         "coefficients are serializable")
@@ -175,16 +173,15 @@ def certificate_from_dict(d):
 # CSV artifacts
 # --------------------------------------------------------------------------
 
-def write_evolution_csv(path, result):
-    grid = result.grid
-    x = grid.x if grid is not None and getattr(grid, "ndim", 1) == 1 else None
+def write_evolution_csv(path, result, x):
+    """One row per snapshot and node; ``x`` holds the node coordinates."""
+    nodes = [f"{i},{fmt(xi)}," for i, xi in enumerate(x)]
     with open(path, "w") as fh:
         fh.write("time,node_index,x,value\n")
-        for t, fld in zip(result.times, result.fields):
-            vals = fld.values if hasattr(fld, "values") else np.asarray(fld)
-            for i, v in enumerate(vals):
-                xi = x[i] if x is not None else float(i)
-                fh.write(f"{fmt(t)},{i},{fmt(xi)},{fmt(v)}\n")
+        for t, vals in zip(result.times, result.fields):
+            ft = fmt(t)
+            for node, v in zip(nodes, vals):
+                fh.write(f"{ft},{node}{fmt(v)}\n")
 
 
 def write_summary_csv(path, result):

@@ -72,6 +72,34 @@ def test_evolution_csv_roundtrips_to_the_bit(run_artifacts):
     assert np.array_equal(cols["min_value"], res.min_value)
 
 
+def test_evolution_csv_x_column_is_the_node_coordinate(run_artifacts):
+    cols = read_csv_columns(run_artifacts / "evolution.csv")
+    spec, _ = kb.catalog_example("appendix2a", 1.0)
+    x = kb.Grid.from_domain(spec.domain, 201).x
+    snapshots = cols["x"].size // x.size
+    assert snapshots == 201
+    assert np.array_equal(cols["x"], np.tile(x, snapshots))
+    assert np.array_equal(cols["node_index"], np.tile(np.arange(x.size), snapshots))
+
+
+def test_inline_gibbs_truncated_mass_is_null(tmp_path):
+    # appendix2a at alpha = 1 written inline: the Gibbs form carries no total mass
+    doc = {
+        "generator": {
+            "dimension": 1, "a": "1 + x^2", "b": "-x",
+            "domain": {"kind": "full-line", "bounds": [[-10.0, 10.0]]},
+            "gibbs": {"beta": 1.0, "H": "1.5*ln(1 + x^2)"},
+        },
+        "grid": {"n": 101},
+        "times": {"start": 0.0, "stop": 1.0, "num": 5},
+    }
+    out = tmp_path / "out"
+    assert main(["run", write_json(tmp_path / "inline.json", doc), "--out", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["generator"]["gibbs"] == {"beta": 1.0, "H": "1.5*ln(1 + x^2)"}
+    assert summary["truncated_mass_outside"] is None
+
+
 def test_hcurve_csv_matches_library_h_curves(run_artifacts):
     spec, rho = kb.catalog_example("appendix2a", 1.0)
     grid = kb.Grid.from_domain(spec.domain, 201)

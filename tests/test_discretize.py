@@ -217,3 +217,31 @@ def test_assembly_always_markov(params):
     Q = build_qmatrix(spec, Grid.from_interval(-2, 3, n), scheme)
     rep = maximum_principle_check(Q)
     assert rep.passed, (rep.min_offdiag, rep.max_abs_rowsum)
+
+
+@st.composite
+def quadratic_generators(draw):
+    """a = a0 + a1 x^2 with a0 > 0, a1 >= 0; b = b0 + b1 x; n <= 41 nodes."""
+    a0 = draw(st.floats(0.05, 2.0))
+    a1 = draw(st.floats(0.0, 2.0))
+    b0 = draw(st.floats(-3.0, 3.0))
+    b1 = draw(st.floats(-3.0, 3.0))
+    n = draw(st.integers(5, 41))
+    scheme = draw(st.sampled_from(["exponential-fitting", "upwind"]))
+    return a0, a1, b0, b1, n, scheme
+
+
+@given(quadratic_generators())
+def test_random_admissible_chain_is_markov_and_dissipates_entropy(params):
+    a0, a1, b0, b1, n, scheme = params
+    spec = GeneratorSpec(1, lambda x: a0 + a1 * np.asarray(x, dtype=float) ** 2,
+                         lambda x: b0 + b1 * np.asarray(x, dtype=float),
+                         DomainSpec("box", ((-3.0, 3.0),)))
+    Q = build_qmatrix(spec, Grid.from_interval(-3.0, 3.0, n), scheme)
+    off = Q.Q - sp.diags(Q.Q.diagonal())
+    assert off.min() >= 0.0
+    assert np.all(np.asarray(Q.Q.sum(axis=1)).ravel() == 0.0)
+    nu0 = np.exp(-(Q.grid.x - 1.0) ** 2)
+    curve = kb.h_curve(Q, nu0 / nu0.sum(), kb.HFunctional.from_name("xlogx"),
+                       np.linspace(0.0, 2.0, 9), tol=1e-12, reference=kb.solve_invariant(Q))
+    assert curve.max_increase <= 1e-12, curve.H

@@ -130,5 +130,3 @@ def test_bad_parameters_rejected():
     spec, _ = kb.catalog_example("ornstein-uhlenbeck")
     with pytest.raises(ParameterOutOfRange):
         simulate(spec, point_source(0.0), 10, -1e-3, 1.0, seed=1)
-    with pytest.raises(ParameterOutOfRange):
-        moment_estimates(spec, 0.0, 1e-2, 100, seed=1, substeps=0)

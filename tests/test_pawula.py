@@ -226,5 +226,5 @@ def test_cube_identity_random_battery(x0, a0, b0, slope):
         DomainSpec("full-line", ((-5.0, 5.0),)),
     )
     A = Polynomial([-x0, 1.0]) * Polynomial([1.0, slope, 0.25])
-    val = cube_test(spec, A, x0, dA=A.deriv(1), d2A=A.deriv(2))
+    val = cube_test(spec, A, x0)
     assert abs(val) <= 1e-10
