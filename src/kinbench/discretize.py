@@ -234,6 +234,10 @@ def _axis_rates(a, b, h_minus, h_plus, scheme, wall="half-cell"):
             zm = bn * hm_eff[nd] / an
             q_p[nd] = (2 * an / (hp_eff[nd] * span[nd])) * bernoulli_ratio(-zp)
             q_m[nd] = (2 * an / (hm_eff[nd] * span[nd])) * bernoulli_ratio(zm)
+            # B(z) underflows to 0 past a cell Peclet number of about 710; a
+            # floor of one ulp of the opposite rate keeps both neighbours reachable
+            q_p[nd], q_m[nd] = (np.maximum(q_p[nd], np.spacing(q_m[nd])),
+                                np.maximum(q_m[nd], np.spacing(q_p[nd])))
         elif scheme == "upwind":
             q_p[nd] = 2 * an / (hp_eff[nd] * span[nd]) + np.maximum(bn, 0.0) / hp_eff[nd]
             q_m[nd] = 2 * an / (hm_eff[nd] * span[nd]) + np.maximum(-bn, 0.0) / hm_eff[nd]

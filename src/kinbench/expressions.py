@@ -32,6 +32,7 @@ _FUNCS = ("exp", "ln")
 
 
 def _tokenize(text):
+    text = text.rstrip()  # each token consumes the whitespace before it
     pos = 0
     tokens = []
     while pos < len(text):

@@ -55,11 +55,6 @@ def richardson_dm(f, x, m):
     return (4.0 * d_h2 - d_h) / 3.0
 
 
-def grid_d1(values, x):
-    """Second-order first derivative of sampled values (one-sided at ends)."""
-    return np.gradient(values, x, edge_order=2)
-
-
 def one_sided_d1(values, x, at_start=True):
     """Second-order one-sided first derivative at a boundary node."""
     if at_start:

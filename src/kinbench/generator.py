@@ -180,9 +180,7 @@ class EquilibriumDensity:
     values: np.ndarray | None = None
     grid: object | None = None
     normalizable: bool = True
-    normalized: bool = False
     total_mass: float = math.nan
-    label: str = ""
 
     def on_grid(self, grid, normalize=False):
         """Materialize node values on a grid (optionally quadrature-normalized)."""
@@ -193,11 +191,9 @@ class EquilibriumDensity:
         vals = np.broadcast_to(vals, (grid.size,)).copy()
         if np.any(vals < 0):
             raise ParameterOutOfRange("equilibrium density has negative samples")
-        normalized = self.normalized
         if normalize:
             vals /= float(np.dot(vals, grid.weights()))
-            normalized = True
-        return replace(self, values=vals, grid=grid, normalized=normalized)
+        return replace(self, values=vals, grid=grid)
 
     def gibbs_or_recovered(self):
         """Return (beta, H values on grid, dH values on grid).
@@ -216,7 +212,7 @@ class EquilibriumDensity:
             if dH is not None:
                 dhvals = np.broadcast_to(np.asarray(dH(x), dtype=float), (self.grid.size,))
             else:
-                dhvals = fd.grid_d1(hvals, self.grid.x)
+                dhvals = np.gradient(hvals, self.grid.x, edge_order=2)
             return float(beta), np.asarray(hvals), np.asarray(dhvals)
         if self.values is None or self.grid is None:
             raise MissingGibbsForm("no gibbs data and no samples to recover it from")
@@ -224,7 +220,7 @@ class EquilibriumDensity:
         if np.any(vals <= 0):
             raise MissingGibbsForm("recovery needs strictly positive samples")
         bh = -np.log(vals / vals.max())
-        return 1.0, bh, fd.grid_d1(bh, self.grid.x)
+        return 1.0, bh, np.gradient(bh, self.grid.x, edge_order=2)
 
     def validate(self):
         """Check nonnegativity and gibbs consistency of the samples."""
@@ -445,7 +441,7 @@ def compute_Hi(spec, rho0, grid=None):
     if da is not None:
         da = np.broadcast_to(np.asarray(da(x), dtype=float), x.shape)
     else:
-        da = fd.grid_d1(a, x)
+        da = np.gradient(a, x, edge_order=2)
     return 2.0 * (beta * a * dh - da + b)
 
 
@@ -482,7 +478,6 @@ def catalog_example(name, alpha=1.0):
             gibbs=(1.0, CompiledExpression("x^2/2")),
             normalizable=True,
             total_mass=math.sqrt(2 * math.pi),
-            label="ornstein-uhlenbeck",
         )
         return spec, rho
 
@@ -500,7 +495,6 @@ def catalog_example(name, alpha=1.0):
             gibbs=(1.0, CompiledExpression("0")),
             normalizable=False,
             total_mass=math.inf,
-            label="pure-diffusion",
         )
         return spec, rho
 
@@ -526,7 +520,6 @@ def catalog_example(name, alpha=1.0):
             gibbs=(1.0, CompiledExpression(f"({p!r})*ln(1 + x^2)")),
             normalizable=normalizable,
             total_mass=mass,
-            label=f"appendix2a(alpha={alpha:g})",
         )
         return spec, rho
 
@@ -546,6 +539,5 @@ def catalog_example(name, alpha=1.0):
         gibbs=(1.0, CompiledExpression(f"({q!r})*ln(x) + 1/x")),
         normalizable=normalizable,
         total_mass=mass,
-        label=f"appendix2b(alpha={alpha:g})",
     )
     return spec, rho

@@ -6,6 +6,10 @@ a local-maximum polynomial witnesses the violation: the certificate built
 here is that computable witness (point, neighborhood radius, and the
 strictly positive operator value at the maximum).
 
+Coefficients are keyed by multi-indices (1-D operators may use integer
+orders), so one construction serves every dimension: the witness
+``A (x - x0)^a - eps |x - x0|^2`` and its closed-form validity radius.
+
 Derivatives of test functions follow the one rule of
 :func:`kinbench.generator.derivatives`: exact for polynomials and compiled
 expressions, finite differences for other callables.
@@ -33,11 +37,11 @@ DEFAULT_EPSILON = 0.1
 
 @dataclass(frozen=True)
 class TruncatedOperator:
-    """Differential operator sum_m c_m(x) d^m/dx^m with no zeroth-order term.
+    """Differential operator sum_a c_a(x) d^a with no zeroth-order term.
 
-    1-D coefficients are keyed by integer order; n-D coefficients by
-    multi-index tuples (one entry per axis, orders summing to the term
-    order).
+    Coefficients are keyed by multi-indices: tuples with one derivative
+    order per axis, whose sum is the order of the term.  A 1-D operator
+    may key by integer order k, stored as (k,).
     """
 
     order: int
@@ -47,29 +51,38 @@ class TruncatedOperator:
     def __post_init__(self):
         if self.order < 1:
             raise OrderTooLow("operator order must be >= 1")
-        for key in self.coefficients:
-            m = key if isinstance(key, int) else sum(key)
-            if m < 1:
+        coefficients = {self._key(key): c for key, c in self.coefficients.items()}
+        object.__setattr__(self, "coefficients", coefficients)
+        for key in coefficients:
+            if sum(key) < 1:
                 raise PreconditionViolated("zeroth-order terms are not allowed")
-            if m > self.order:
+            if sum(key) > self.order:
                 raise PreconditionViolated(f"coefficient {key} exceeds declared order")
 
-    def coefficient(self, key):
-        c = self.coefficients.get(key)
-        if c is None:
-            return lambda x: 0.0
-        if callable(c):
-            return c
-        return lambda x, _v=float(c): _v
+    def _key(self, key):
+        """A coefficient key as a multi-index of length ``dimension``."""
+        key = (key,) if isinstance(key, int) else tuple(key)
+        if len(key) != self.dimension:
+            raise PreconditionViolated(f"key {key} needs {self.dimension} entries")
+        return key
 
-    def leading_keys(self):
-        """Coefficient keys of maximal order."""
-        out = []
-        for key in self.coefficients:
-            m = key if isinstance(key, int) else sum(key)
-            if m == self.order:
-                out.append(key)
-        return out
+    def coefficient(self, key):
+        c = self.coefficients.get(self._key(key), 0.0)
+        return c if callable(c) else lambda x, _v=float(c): _v
+
+
+def _point(op, x):
+    """A point as coefficients take it: a float in 1-D, a vector in n-D."""
+    x = np.asarray(x, dtype=float)
+    if x.size != op.dimension:
+        raise ShapeError(f"point has {x.size} coordinates, expected {op.dimension}")
+    return x.item() if op.dimension == 1 else x.reshape(op.dimension)
+
+
+def _pure_second_order(op, x):
+    """The coefficients of d^2/dx_i^2 at x, one per axis."""
+    n = op.dimension
+    return [float(op.coefficient(tuple(2 * (j == i) for j in range(n)))(x)) for i in range(n)]
 
 
 def apply_operator(op, f, x):
@@ -78,14 +91,14 @@ def apply_operator(op, f, x):
         raise ShapeError("apply_operator handles 1-D operators; n-D certificates "
                          "are evaluated through their exact monomial derivatives")
     x = float(x)
-    keys = sorted(k for k in op.coefficients if isinstance(k, int))
-    ds = derivatives(f, x, keys[-1]) if keys else []
+    orders = sorted(m for m, in op.coefficients)
+    ds = derivatives(f, x, orders[-1]) if orders else []
     total = 0.0
-    for key in keys:
-        c = float(op.coefficient(key)(x))
+    for m in orders:
+        c = float(op.coefficient(m)(x))
         if c == 0.0:
             continue
-        total += c * ds[key]
+        total += c * ds[m]
     return total
 
 
@@ -119,9 +132,8 @@ class PawulaCertificate:
             u = np.asarray(x, dtype=float) - self.x0
             return -self.epsilon * u**2 + self.amplitude * u**self.order
         pt = np.asarray(x, dtype=float) - np.asarray(self.x0, dtype=float)
-        mono = self.amplitude * np.prod(
-            pt[..., [i for i, _ in self.multi_index]]
-            ** np.array([a for _, a in self.multi_index]), axis=-1)
+        axes, powers = zip(*self.multi_index)
+        mono = self.amplitude * np.prod(pt[..., list(axes)] ** np.array(powers), axis=-1)
         return mono - self.epsilon * np.sum(pt**2, axis=-1)
 
     def describe(self):
@@ -171,102 +183,53 @@ def maximum_principle_check(Q):
 def pawula_counterexample(op, x0, epsilon=DEFAULT_EPSILON, amplitude=None):
     """Construct the local-maximum witness for an operator of order >= 3.
 
-    The default amplitude sign(c_k(x0)) * (2 eps |c2(x0)| + 1) /
-    (k! |c_k(x0)|) makes the witness value at least 1; any amplitude with
-    the right sign works and may be supplied explicitly.
+    For the first order-k multi-index a whose coefficient c_a is nonzero
+    at x0, the operator maps g(u) = A u^a - eps |u|^2 at x0 to
+    a! A c_a - 2 eps c2, with a! the product of factorials and c2 the
+    summed pure second-order coefficients.  The default amplitude
+    sign(c_a) (2 eps |c2| + 1) / (a! |c_a|) makes that value at least 1;
+    any amplitude with the right sign works and may be supplied explicitly.
     """
     k = op.order
     if k <= 2:
         raise OrderTooLow(f"order {k} operator satisfies the order bound; nothing to violate")
     if epsilon <= 0:
         raise PreconditionViolated("epsilon must be positive")
-    if op.dimension == 1:
-        return _counterexample_1d(op, float(x0), epsilon, amplitude)
-    return _counterexample_nd(op, np.asarray(x0, dtype=float), epsilon, amplitude)
-
-
-def _counterexample_1d(op, x0, epsilon, amplitude):
-    k = op.order
-    ck = float(op.coefficient(k)(x0))
-    if ck == 0.0:
+    x0 = _point(op, x0)
+    for multi in (key for key in op.coefficients if sum(key) == k):
+        ck = float(op.coefficient(multi)(x0))
+        if ck != 0.0:
+            break
+    else:
         raise NoViolationAtPoint(
-            f"leading coefficient vanishes at x0 = {x0:g}; scan other points")
-    c2 = float(op.coefficient(2)(x0))
+            f"every order-{k} coefficient vanishes at x0 = {x0}; scan other points")
+    fact = math.prod(math.factorial(a) for a in multi)
+    c2 = sum(_pure_second_order(op, x0))
     if amplitude is None:
-        amplitude = math.copysign(1.0, ck) * (2 * epsilon * abs(c2) + 1.0) \
-            / (math.factorial(k) * abs(ck))
-    value = -2 * epsilon * c2 + math.factorial(k) * amplitude * ck
+        amplitude = math.copysign(1.0, ck) * (2 * epsilon * abs(c2) + 1.0) / (fact * abs(ck))
+    value = -2 * epsilon * c2 + fact * amplitude * ck
     if value <= 0:
         raise PreconditionViolated(
             f"supplied amplitude {amplitude:g} does not produce a positive value")
-    radius = _validity_radius_1d(epsilon, amplitude, k)
-    return PawulaCertificate(x0, epsilon, amplitude, k, value, radius)
+    radius = _validity_radius(epsilon, amplitude, multi)
+    if op.dimension == 1:
+        return PawulaCertificate(x0, epsilon, amplitude, k, value, radius)
+    pairs = tuple((i, a) for i, a in enumerate(multi) if a > 0)
+    return PawulaCertificate(tuple(x0), epsilon, amplitude, k, value, radius, op.dimension, pairs)
 
 
-def _validity_radius_1d(epsilon, amplitude, k):
-    # g <= 0 iff a*u^(k-2) <= eps on both signs of u: for even k-2 and
-    # a < 0 this holds everywhere, otherwise the binding root is at
-    # (eps/|a|)^(1/(k-2))
-    if (k - 2) % 2 == 0 and amplitude < 0:
+def _validity_radius(epsilon, amplitude, multi):
+    """Largest r with A u^a - eps |u|^2 <= 0 for |u| <= r.
+
+    Along a unit direction d the witness is r^2 (A d^a r^(k-2) - eps), and
+    |d^a| peaks at prod (a_i/k)^(a_i/2) where d_i^2 = a_i/k.  With every
+    a_i even d^a >= 0, so A < 0 keeps the witness nonpositive everywhere.
+    """
+    if amplitude < 0 and all(a % 2 == 0 for a in multi):
         return math.inf
-    return (epsilon / abs(amplitude)) ** (1.0 / (k - 2))
-
-
-def _counterexample_nd(op, x0, epsilon, amplitude):
-    k = op.order
-    keys = [key for key in op.leading_keys() if not isinstance(key, int)]
-    target = None
-    ck = 0.0
-    for key in keys:
-        v = float(op.coefficient(key)(x0))
-        if v != 0.0:
-            target = key
-            ck = v
-            break
-    if target is None:
-        raise NoViolationAtPoint(f"no order-{k} coefficient is nonzero at {x0}")
-    fact = 1.0
-    for a in target:
-        fact *= math.factorial(a)
-    # second-order diagonal terms feed the -eps |u|^2 part
-    c2_sum = 0.0
-    n = x0.size
-    for i in range(n):
-        key = tuple(2 if j == i else 0 for j in range(n))
-        c2_sum += float(op.coefficient(key)(x0))
-    if amplitude is None:
-        amplitude = math.copysign(1.0, ck) * (2 * epsilon * abs(c2_sum) + 1.0) / (fact * abs(ck))
-    value = -2 * epsilon * c2_sum + fact * amplitude * ck
-    if value <= 0:
-        raise PreconditionViolated("supplied amplitude does not produce a positive value")
-    multi = tuple((i, a) for i, a in enumerate(target) if a > 0)
-    radius = _validity_radius_nd(epsilon, amplitude, multi, n)
-    return PawulaCertificate(tuple(x0), epsilon, amplitude, k, value, radius,
-                             dimension=n, multi_index=multi)
-
-
-def _validity_radius_nd(epsilon, amplitude, multi, n, samples=2**14, seed=1234):
-    """Sampled validity radius: min over quasi-random directions of the
-    first positive root of g along the ray."""
-    from scipy.stats import qmc
-
-    k = sum(a for _, a in multi)
-    sampler = qmc.Sobol(d=n, scramble=True, seed=seed)
-    raw = sampler.random(samples)
-    # map to directions on the unit sphere via inverse-gauss trick
-    from scipy.special import erfinv
-
-    z = math.sqrt(2.0) * erfinv(2 * raw - 1)
-    norms = np.linalg.norm(z, axis=1)
-    norms[norms == 0] = 1.0
-    dirs = z / norms[:, None]
-    mono = np.prod(
-        dirs[:, [i for i, _ in multi]] ** np.array([a for _, a in multi]), axis=1)
-    coef = amplitude * mono
-    radius = np.full(samples, np.inf)
-    pos = coef > 0
-    radius[pos] = (epsilon / coef[pos]) ** (1.0 / (k - 2))
-    return float(np.min(radius))
+    k = sum(multi)
+    peak = math.prod((a / k) ** (a / 2) for a in multi)
+    return (epsilon / (abs(amplitude) * peak)) ** (1.0 / (k - 2))
 
 
 def scan_certificate(op, points, epsilon=DEFAULT_EPSILON):
@@ -276,7 +239,7 @@ def scan_certificate(op, points, epsilon=DEFAULT_EPSILON):
     """
     if op.order <= 2:
         raise OrderTooLow(f"order {op.order} operator; nothing to violate")
-    for x0 in np.atleast_1d(points):
+    for x0 in np.reshape(points, (-1, op.dimension)):
         try:
             return pawula_counterexample(op, x0, epsilon)
         except NoViolationAtPoint:
@@ -287,30 +250,20 @@ def scan_certificate(op, points, epsilon=DEFAULT_EPSILON):
 def second_order_sign_check(op, points):
     """Nonnegativity of the second-order coefficient over sample points.
 
-    For GeneratorSpec input the n-D quadratic form is tested by its
-    smallest eigenvalue.  Returns (passed, worst_value).
+    A TruncatedOperator is judged by its pure second-order coefficients,
+    a GeneratorSpec by the smallest eigenvalue of its diffusion matrix.
+    Returns (passed, worst_value); no points give (True, inf).
     """
+    if isinstance(op, TruncatedOperator) and op.order > 2:
+        raise PreconditionViolated("sign check applies to operators of order <= 2")
     worst = math.inf
-    if isinstance(op, TruncatedOperator):
-        if op.order > 2:
-            raise PreconditionViolated("sign check applies to operators of order <= 2")
-        if op.dimension == 1:
-            c2 = op.coefficient(2)
-            for x in np.atleast_1d(points):
-                worst = min(worst, float(c2(float(x))))
+    for p in np.reshape(points, (-1, op.dimension)):
+        p = _point(op, p)
+        if isinstance(op, TruncatedOperator):
+            values = _pure_second_order(op, p)
         else:
-            for p in np.atleast_2d(points):
-                for i in range(op.dimension):
-                    key = tuple(2 if j == i else 0 for j in range(op.dimension))
-                    worst = min(worst, float(op.coefficient(key)(p)))
-    else:
-        # GeneratorSpec-like: use the diffusion matrix
-        for p in np.atleast_1d(points) if op.dimension == 1 else np.atleast_2d(points):
-            amat = op.a_matrix(p)
-            if op.dimension == 1:
-                worst = min(worst, float(amat))
-            else:
-                worst = min(worst, float(np.linalg.eigvalsh(amat).min()))
+            values = np.linalg.eigvalsh(np.atleast_2d(op.a_matrix(p)))
+        worst = min(worst, float(min(values)))
     return worst >= -1e-12, worst
 
 

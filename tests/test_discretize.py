@@ -117,6 +117,23 @@ def test_2d_diagonal_tensor_assembles():
         2 / dx**2, rel=1e-3)
 
 
+def test_underflowing_exponential_fitting_rates_keep_the_chain_irreducible():
+    # at x = +-1.5 the cell Peclet number |b| h / a is 2250, so B(z) underflows
+    # to 0 and, unfloored, no rate would lead to the walls
+    Q = build_qmatrix(uniform_spec("0.001", "-x", -3.0, 3.0), Grid.from_interval(-3.0, 3.0, 5))
+    dense = Q.Q.toarray()
+    assert np.all(np.diag(dense, 1) > 0) and np.all(np.diag(dense, -1) > 0)
+    assert np.all(dense.sum(axis=1) == 0.0)
+    sol = kb.solve_invariant(Q)
+    assert sol.unique and np.all(sol.pi > 0)
+    # the same x-axis in 2-D goes through dense GTH, which a subnormal rate
+    # would turn into an overflowing division
+    domain = DomainSpec("box", ((-3.0, 3.0), (-3.0, 3.0)))
+    spec = GeneratorSpec(2, lambda p: np.diag([1e-3, 1.0]), lambda p: -np.asarray(p), domain)
+    sol = kb.solve_invariant(build_qmatrix(spec, Grid.from_domain(domain, 5)))
+    assert sol.unique and np.all(np.isfinite(sol.pi)) and np.all(sol.pi > 0)
+
+
 def test_absorbing_boundary_rows_are_zero():
     spec = uniform_spec("1", "0", 0.0, 1.0, bc="absorbing")
     Q = build_qmatrix(spec, Grid.from_interval(0, 1, 9, "absorbing")).Q.toarray()

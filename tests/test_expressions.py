@@ -24,6 +24,8 @@ from kinbench.expressions import (
     ("x^(-1.5)", 4.0, 0.125),
     ("(1 + x)*(1 - x)", 0.5, 0.75),
     ("1 - 2 - 3", 0.0, -4.0),
+    ("x ", 2.0, 2.0),
+    ("1 + x^2\n", 3.0, 10.0),
 ])
 def test_evaluate_known_values(text, x, expected):
     assert CompiledExpression(text)(x) == pytest.approx(expected, rel=1e-14)

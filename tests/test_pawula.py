@@ -1,4 +1,8 @@
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -133,6 +137,61 @@ def test_nd_mixed_certificate():
     dirs /= np.linalg.norm(dirs, axis=1)[:, None]
     pts = 0.9 * cert.validity_radius * dirs
     assert np.all(cert.g(pts) <= 1e-12)
+
+
+@pytest.mark.parametrize("multi, coeff", [
+    ((2, 1), 1.0),
+    ((1, 1, 1), 1.0),
+    ((3, 1), -1.0),
+    ((1, 2), 1.0),
+    ((1, 1, 1, 1, 1), 1.0),
+])
+def test_nd_validity_radius_is_exact_along_the_peak_direction(multi, coeff):
+    n, k = len(multi), sum(multi)
+    x0 = 0.25 * np.arange(1, n + 1)
+    cert = pawula_counterexample(TruncatedOperator(k, {multi: coeff}, dimension=n), x0)
+    r = cert.validity_radius
+    # |d^a| peaks on the unit sphere at d_i^2 = a_i/k; flip one odd axis
+    # if needed so that A d^a > 0 there
+    d = np.sqrt(np.array(multi) / k)
+    if cert.amplitude * np.prod(d ** np.array(multi)) < 0:
+        d[next(i for i, a in enumerate(multi) if a % 2)] *= -1
+    assert cert.g(x0 + 0.9999 * r * d) <= 0
+    assert cert.g(x0 + 1.0001 * r * d) > 0
+
+
+def test_nd_even_multi_index_with_negative_amplitude_has_infinite_radius():
+    cert = pawula_counterexample(TruncatedOperator(4, {(2, 2): -1.0}, dimension=2),
+                                 np.zeros(2))
+    assert cert.amplitude < 0
+    assert math.isinf(cert.validity_radius)
+    pts = np.random.default_rng(1).uniform(-50.0, 50.0, (500, 2))
+    assert np.all(cert.g(pts) <= 0)
+
+
+def test_coefficient_keys_are_multi_indices():
+    op = TruncatedOperator(3, {2: 1.0, (3,): 2.0})
+    assert set(op.coefficients) == {(2,), (3,)}
+    assert op.coefficient(3)(0.0) == op.coefficient((3,))(0.0) == 2.0
+    for bad in ({3: 1.0}, {(1, 1, 1): 1.0}):
+        with pytest.raises(PreconditionViolated):
+            TruncatedOperator(3, bad, dimension=2)
+
+
+def test_pawula_scan_script_output():
+    root = pathlib.Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    proc = subprocess.run([sys.executable, str(root / "scripts" / "pawula_scan.py")],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "third-order truncation:",
+        "  witness g(x) = -0.1*(x - 0)^2 + 0.1*(x - 0)^3",
+        "  operator value at the local maximum: 0.4 > 0",
+        "  validity radius: 1",
+        "  re-evaluated through the generic apply path: 0.4",
+        "second-order operator with c2 = 1 + x^2: pass (min c2 sampled = 1)",
+    ]
 
 
 # ---------------------------------------------------------------------------
