@@ -439,8 +439,9 @@ def cmd_oracle_compare(args):
     rows = []
     all_ok = True
     evo = evolve_series(sc.Q, nu0, snap_times, tol=min(sc.tol, 1e-9))
-    for t, fld in zip(snap_times, evo.fields):
-        ens = oracle_mod.simulate(spec, sampler, n, dt, t, seed)
+    ensembles = oracle_mod.simulate(spec, sampler, n, dt, snap_times[-1], seed,
+                                    snapshots=snap_times)
+    for t, fld, ens in zip(snap_times, evo.fields, ensembles):
         emp = oracle_mod.empirical_density(ens, grid)
         pde_density = fld / w
         L1 = float(np.dot(np.abs(emp - pde_density), w))

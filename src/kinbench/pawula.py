@@ -64,6 +64,8 @@ class TruncatedOperator:
         key = (key,) if isinstance(key, int) else tuple(key)
         if len(key) != self.dimension:
             raise PreconditionViolated(f"key {key} needs {self.dimension} entries")
+        if any(k < 0 for k in key):
+            raise PreconditionViolated(f"key {key} has a negative entry")
         return key
 
     def coefficient(self, key):

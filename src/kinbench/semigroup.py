@@ -113,7 +113,6 @@ class TransitionKernel:
     """Row-substochastic kernel matrix P(t) with its truncation defect."""
 
     P: np.ndarray
-    t: float
     truncation: float
 
     def __post_init__(self):
@@ -155,7 +154,7 @@ def transition_kernel(Q, t, tol=1e-9):
         raise TimeError(f"t = {t:g} < 0")
     _check_tol(tol)
     M, defect = _kernel_matrix(_as_qmatrix(Q), t, tol)
-    return TransitionKernel(M, float(t), defect)
+    return TransitionKernel(M, defect)
 
 
 def _propagate(qm, v, t, tol, transpose, kernels=None):
@@ -290,7 +289,6 @@ class MomentRecovery:
     drift: np.ndarray
     diffusion: np.ndarray
     third_abs_over_t: np.ndarray
-    t: float
 
 
 def recover_coefficients(Q, t_small, tol=1e-12):
@@ -320,7 +318,7 @@ def recover_coefficients(Q, t_small, tol=1e-12):
     diffusion = (px2 - 2 * x * px + x * x * rs) / (2 * t_small)
     third = np.abs(x[None, :] - x[:, None]) ** 3
     third_abs = np.einsum("ij,ij->i", P, third) / t_small
-    return MomentRecovery(x, drift, diffusion, third_abs, t_small)
+    return MomentRecovery(x, drift, diffusion, third_abs)
 
 
 @dataclass
@@ -331,7 +329,6 @@ class ContinuityDefect:
     at_node: np.ndarray
     max_interior: np.ndarray
     node: int
-    radius: float
 
 
 def stochastic_continuity_defect(Q, node, radius, times, tol=1e-12):
@@ -351,4 +348,4 @@ def stochastic_continuity_defect(Q, node, radius, times, tol=1e-12):
         defect = 1.0 - ball_mass
         at_node[k] = defect[node]
         max_interior[k] = float(defect[interior].max())
-    return ContinuityDefect(times, at_node, max_interior, int(node), float(radius))
+    return ContinuityDefect(times, at_node, max_interior, int(node))

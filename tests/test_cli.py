@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import kinbench as kb
+from kinbench import oracle
 from kinbench.cli import main
 from kinbench.serialize import (
     certificate_from_dict,
@@ -245,6 +246,25 @@ def test_oracle_compare_deterministic_reports(tmp_path):
     assert (out1 / "oracle_compare.json").read_bytes() == \
         (out2 / "oracle_compare.json").read_bytes()
     assert (out1 / "ensemble.csv").read_bytes() == (out2 / "ensemble.csv").read_bytes()
+
+
+def test_oracle_compare_simulates_all_snapshots_in_one_call(tmp_path, monkeypatch):
+    calls = []
+    simulate = oracle.simulate
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs.get("snapshots"))
+        return simulate(*args, **kwargs)
+
+    monkeypatch.setattr(oracle, "simulate", counting)
+    doc = json.loads((SCENARIOS / "ou_oracle.json").read_text())
+    doc["oracle"]["particles"] = 2000
+    doc["oracle"]["snapshot_times"] = [0.1, 0.2, 0.3]
+    doc["oracle"]["moment_points"] = [0.0, 1.0]
+    path = write_json(tmp_path / "small.json", doc)
+    assert main(["oracle-compare", path, "--out", str(tmp_path / "o"), "--grid-n", "200"]) == 0
+    # one pass for the snapshots, one one-step run per moment point
+    assert calls == [[0.1, 0.2, 0.3], None, None]
 
 
 def test_spec_document_roundtrip():

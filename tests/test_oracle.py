@@ -3,7 +3,12 @@ import pytest
 
 import kinbench as kb
 from kinbench.discretize import Grid
-from kinbench.errors import EmptyEnsemble, NonEllipticCoefficient, ParameterOutOfRange
+from kinbench.errors import (
+    EmptyEnsemble,
+    NonEllipticCoefficient,
+    ParameterOutOfRange,
+    TimeError,
+)
 from kinbench.expressions import CompiledExpression as CE
 from kinbench.generator import DomainSpec, GeneratorSpec
 from kinbench.oracle import (
@@ -75,6 +80,32 @@ def test_smaller_run_is_a_prefix_of_a_larger_one(bc, drift):
         assert np.any(small.absorbed) and not np.all(small.absorbed)
 
 
+@pytest.mark.parametrize("bc, drift, x0, T", [
+    ("no-flux", "3*x", 0.5, 1.0),
+    ("absorbing", "2", 0.5, 1.0),
+    ("absorbing", "5", 0.9, 5.0),  # every particle absorbed before T
+])
+def test_snapshots_of_one_pass_equal_separate_runs(bc, drift, x0, T):
+    spec = GeneratorSpec(1, CE("1 + x^2"), CE(drift), DomainSpec("box", ((-1.0, 1.0),), bc))
+    snaps = [0.0, 0.25, 0.25, 0.6, T]
+    ensembles = simulate(spec, point_source(x0), 400, 1e-2, T, seed=11, snapshots=snaps)
+    assert len(ensembles) == len(snaps)
+    for t, ens in zip(snaps, ensembles):
+        alone = simulate(spec, point_source(x0), 400, 1e-2, t, seed=11)
+        assert np.array_equal(ens.positions, alone.positions)
+        assert np.array_equal(ens.absorbed, alone.absorbed)
+        assert ens.time == alone.time == round(t / 1e-2) * 1e-2
+    if T == 5.0:
+        assert np.all(ensembles[-2].absorbed) and not np.all(ensembles[1].absorbed)
+
+
+@pytest.mark.parametrize("snaps", [[0.5, 0.2], [-0.1, 0.5], [0.5, 1.5]])
+def test_bad_snapshot_schedule_rejected(snaps):
+    spec, _ = kb.catalog_example("ornstein-uhlenbeck")
+    with pytest.raises(TimeError):
+        simulate(spec, point_source(0.0), 10, 1e-2, 1.0, seed=1, snapshots=snaps)
+
+
 def test_empirical_density_delta():
     grid = Grid.from_interval(0.0, 1.0, 11)
     spec = GeneratorSpec(1, CE("0"), CE("0"), DomainSpec("box", ((0.0, 1.0),)))
@@ -130,3 +161,5 @@ def test_bad_parameters_rejected():
     spec, _ = kb.catalog_example("ornstein-uhlenbeck")
     with pytest.raises(ParameterOutOfRange):
         simulate(spec, point_source(0.0), 10, -1e-3, 1.0, seed=1)
+    with pytest.raises(ParameterOutOfRange):
+        simulate(spec, point_source(0.0), 10, 1e-3, 1.0, seed=1, snapshots=[])

@@ -178,6 +178,12 @@ def test_coefficient_keys_are_multi_indices():
             TruncatedOperator(3, bad, dimension=2)
 
 
+@pytest.mark.parametrize("key, dimension", [((-1, 4), 2), (-1, 1), ((3, -2, 1), 3)])
+def test_negative_multi_index_entry_is_rejected(key, dimension):
+    with pytest.raises(PreconditionViolated, match="negative entry"):
+        TruncatedOperator(3, {key: 1.0}, dimension=dimension)
+
+
 def test_pawula_scan_script_output():
     root = pathlib.Path(__file__).resolve().parent.parent
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
