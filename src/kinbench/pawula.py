@@ -163,23 +163,32 @@ def maximum_principle_check(Q):
 
     Passes iff all off-diagonal entries are >= -1e-12 and every row sums
     to zero within 1e-10.  Accepts DiscreteGenerator, sparse, or dense
-    input; non-square input raises ShapeError.
+    input; non-square input raises ShapeError.  Works on the CSR arrays
+    and densifies only the worst row.  Implicit zeros count as 0.0
+    off-diagonals, and ``worst_entry`` is the first row-major position of
+    the smallest off-diagonal (``(0, 0)`` with value 0.0 when n = 1).
     """
     mat = getattr(Q, "Q", Q)
-    if sp.issparse(mat):
-        dense = mat.toarray()
-    else:
-        dense = np.asarray(mat, dtype=float)
-    if dense.ndim != 2 or dense.shape[0] != dense.shape[1]:
-        raise ShapeError(f"expected a square matrix, got shape {dense.shape}")
-    off = dense.copy()
-    np.fill_diagonal(off, np.inf)
-    i, j = np.unravel_index(np.argmin(off), off.shape)
-    min_off = float(off[i, j]) if dense.shape[0] > 1 else 0.0
-    rowsums = dense.sum(axis=1)
-    max_rs = float(np.max(np.abs(rowsums))) if rowsums.size else 0.0
+    shape = mat.shape if sp.issparse(mat) else np.shape(mat)
+    if len(shape) != 2 or shape[0] != shape[1]:
+        raise ShapeError(f"expected a square matrix, got shape {shape}")
+    n = shape[0]
+    mat = sp.csr_matrix(mat, dtype=float, copy=True)
+    mat.sum_duplicates()
+    rows = np.repeat(np.arange(n), np.diff(mat.indptr))
+    off = rows != mat.indices
+    row_min = np.full(n, np.inf)
+    np.minimum.at(row_min, rows[off], mat.data[off])
+    implicit_zero = np.bincount(rows[off], minlength=n) < n - 1
+    row_min[implicit_zero] = np.minimum(row_min[implicit_zero], 0.0)
+    i = int(np.argmin(row_min))
+    row = mat.getrow(i).toarray().ravel()
+    row[i] = np.inf
+    j = int(np.argmin(row))
+    min_off = float(row[j]) if n > 1 else 0.0
+    max_rs = float(np.max(np.abs(mat @ np.ones(n))))
     passed = min_off >= -1e-12 and max_rs <= 1e-10
-    return MaxPrincipleReport(passed, min_off, max_rs, (int(i), int(j), min_off))
+    return MaxPrincipleReport(passed, min_off, max_rs, (i, j, min_off))
 
 
 def pawula_counterexample(op, x0, epsilon=DEFAULT_EPSILON, amplitude=None):

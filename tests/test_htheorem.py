@@ -1,3 +1,6 @@
+import logging
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -12,9 +15,10 @@ from kinbench.errors import (
     SupportViolation,
 )
 from kinbench.expressions import CompiledExpression as CE
-from kinbench.generator import DomainSpec, GeneratorSpec
+from kinbench.generator import CATALOG_NAMES, DomainSpec, GeneratorSpec
 from kinbench.htheorem import (
     HFunctional,
+    _gth,
     boundary_term,
     dH_dt_consistency,
     dissipation_rate,
@@ -22,6 +26,7 @@ from kinbench.htheorem import (
     h_function,
     solve_invariant,
 )
+from kinbench.pawula import maximum_principle_check
 from kinbench.semigroup import evolve_density
 
 from conftest import gaussian_measure
@@ -120,6 +125,120 @@ def test_gth_matches_nullspace_on_random_chain():
     ref = np.real(v[:, k])
     ref = np.abs(ref) / np.abs(ref).sum()
     assert np.allclose(sol.pi, ref, atol=1e-10)
+
+
+def _logged_paths(caplog):
+    return [r.getMessage().split()[1] for r in caplog.records
+            if r.name == "kinbench.htheorem" and r.getMessage().startswith("invariant:")]
+
+
+def _rotational_chain(n):
+    """Box chain with a = I and drift -x + J x: no detailed balance."""
+    domain = DomainSpec("box", ((-3.0, 3.0), (-3.0, 3.0)))
+    spec = GeneratorSpec(2, lambda p: np.eye(2),
+                         lambda p: np.array([-p[0] - p[1], -p[1] + p[0]]), domain)
+    return build_qmatrix(spec, Grid.from_domain(domain, n))
+
+
+@pytest.mark.parametrize("seed,shape", [(0, (9, 7)), (1, (12, 5)), (2, (6, 6)),
+                                        (3, (4, 5, 3)), (4, (3, 6, 4))])
+def test_lattice_balance_matches_gth_on_reversible_boxes(seed, shape, caplog):
+    rng = np.random.default_rng(seed)
+    dim = len(shape)
+    scale = rng.uniform(0.3, 2.0, size=dim)
+    curve = rng.uniform(0.0, 0.5, size=dim)
+    stiff = rng.uniform(0.2, 3.0, size=dim)
+    quart = rng.uniform(0.0, 0.3, size=dim)
+
+    # diagonal a_k(x_k) and the gradient drift b_k = -V_k'(x_k)
+    def a(p):
+        return np.diag(scale * (1.0 + curve * p**2))
+
+    def b(p):
+        return -(stiff * p + quart * p**3)
+
+    domain = DomainSpec("box", tuple((-2.0, 2.0 + k) for k in range(dim)))
+    Q = build_qmatrix(GeneratorSpec(dim, a, b, domain), Grid.from_domain(domain, shape))
+    caplog.set_level(logging.DEBUG, logger="kinbench.htheorem")
+    sol = solve_invariant(Q)
+    assert _logged_paths(caplog) == ["lattice"]
+    assert np.max(np.abs(sol.pi - _gth(Q.Q.toarray()))) <= 1e-14
+
+
+@pytest.mark.parametrize("n", [5, 21])
+def test_rotational_chain_takes_gth_fallback(n, caplog):
+    Q = _rotational_chain(n)
+    caplog.set_level(logging.DEBUG, logger="kinbench.htheorem")
+    sol = solve_invariant(Q)
+    assert _logged_paths(caplog) == ["gth"]
+    assert np.array_equal(sol.pi, _gth(Q.Q.toarray()))
+
+
+@pytest.mark.parametrize("name", CATALOG_NAMES)
+def test_1d_lattice_balance_is_bitwise_the_cumsum_formula(name):
+    for n in (5, 401, 1001):
+        for scheme in ("exponential-fitting", "upwind"):
+            for wall in ("half-cell", "mirrored"):
+                spec, _ = kb.catalog_example(name, 1.0)
+                Q = build_qmatrix(spec, Grid.from_domain(spec.domain, n), scheme, wall)
+                up, down = Q.Q.diagonal(1), Q.Q.diagonal(-1)
+                log_pi = np.concatenate(([0.0], np.cumsum(np.log(up) - np.log(down))))
+                log_pi -= log_pi.max()
+                pi = np.exp(log_pi)
+                assert np.array_equal(solve_invariant(Q).pi, pi / pi.sum()), (n, scheme, wall)
+
+
+def test_1d_strongly_confining_chain_takes_lattice_path(caplog):
+    # pi spans e^-16000, so most of it underflows to 0, and the rounding of
+    # the cumsum alone exceeds BALANCE_TOL: every edge is a tree edge
+    spec = GeneratorSpec(1, CE("1"), CE("-500*x"), DomainSpec("box", ((-8.0, 8.0),)))
+    Q = build_qmatrix(spec, Grid.from_domain(spec.domain, 2001))
+    caplog.set_level(logging.DEBUG, logger="kinbench.htheorem")
+    sol = solve_invariant(Q)
+    assert _logged_paths(caplog) == ["lattice"]
+    up, down = Q.Q.diagonal(1), Q.Q.diagonal(-1)
+    log_pi = np.concatenate(([0.0], np.cumsum(np.log(up) - np.log(down))))
+    log_pi -= log_pi.max()
+    pi = np.exp(log_pi)
+    assert np.sum(pi == 0.0) > 1500
+    assert np.array_equal(sol.pi, pi / pi.sum())
+
+
+def test_2d_strongly_confining_chain_takes_lattice_path(caplog):
+    domain = DomainSpec("box", ((-8.0, 8.0), (-8.0, 8.0)))
+    spec = GeneratorSpec(2, lambda p: np.eye(2), lambda p: -50.0 * p, domain)
+    Q = build_qmatrix(spec, Grid.from_domain(domain, 41))
+    caplog.set_level(logging.DEBUG, logger="kinbench.htheorem")
+    sol = solve_invariant(Q)
+    assert _logged_paths(caplog) == ["lattice"]
+    assert np.sum(sol.pi == 0.0) > 400
+    assert sol.residual <= 1e-12 * Q.lambda_max
+
+
+def test_2d_absorbing_box_names_transient_states():
+    domain = DomainSpec("box", ((-2.0, 2.0), (-2.0, 2.0)), "absorbing")
+    spec = GeneratorSpec(2, lambda p: np.eye(2), lambda p: -p, domain)
+    Q = build_qmatrix(spec, Grid.from_domain(domain, 9))
+    with pytest.raises(NoInvariantDensity, match=r"^49 transient state\(s\)"):
+        solve_invariant(Q)
+
+
+def test_161x161_chain_never_allocates_dense():
+    domain = DomainSpec("box", ((-4.0, 4.0), (-4.0, 4.0)))
+    spec = GeneratorSpec(2, lambda p: np.diag([1.0 + p[0] ** 2 / 4.0, 1.0]),
+                         lambda p: np.array([-p[0], -2.0 * p[1]]), domain)
+    Q = build_qmatrix(spec, Grid.from_domain(domain, 161))
+    assert Q.size == 25921
+    tracemalloc.start()
+    try:
+        sol = solve_invariant(Q)
+        rep = maximum_principle_check(Q)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 200e6
+    assert sol.residual <= 1e-10 * Q.lambda_max
+    assert rep.passed
 
 
 # ---------------------------------------------------------------------------

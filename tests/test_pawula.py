@@ -6,6 +6,7 @@ import sys
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given
 from hypothesis import strategies as st
 from numpy.polynomial import Polynomial
@@ -60,6 +61,48 @@ def test_max_principle_shape_error():
 
 def test_max_principle_holds_for_assembled_chains(a2a201):
     assert maximum_principle_check(a2a201.Q).passed
+
+
+def _dense_max_principle(dense):
+    """Dense reference: first row-major off-diagonal argmin, dense row sums."""
+    off = dense.copy()
+    np.fill_diagonal(off, np.inf)
+    i, j = np.unravel_index(np.argmin(off), off.shape)
+    min_off = float(off[i, j]) if dense.shape[0] > 1 else 0.0
+    max_rs = float(np.max(np.abs(dense.sum(axis=1))))
+    return (min_off >= -1e-12 and max_rs <= 1e-10, min_off, max_rs,
+            (int(i), int(j), min_off))
+
+
+_FULL = np.random.default_rng(5).uniform(0.1, 1.0, size=(5, 5))
+np.fill_diagonal(_FULL, 0.0)
+np.fill_diagonal(_FULL, -_FULL.sum(axis=1))
+
+
+# Rows stay shorter than numpy's 8-wide pairwise block, so dense and CSR
+# row sums add the same numbers in the same order.
+@pytest.mark.parametrize("dense", [
+    np.array([[-1.0, 0.5, 0.5], [0.5, -1.0, 0.5], [0.25, 0.25, -0.5]]),  # tied minima
+    np.array([[-1.0, 0.5, 0.5], [0.0, -1.0, 1.0], [0.0, 2.0, -2.0]]),  # tied implicit zeros
+    np.array([[0.0, 0.0, 0.0], [-0.5, 0.0, 0.5], [0.0, -0.5, 0.5]]),  # negative entries
+    np.array([[0.0]]),
+    np.array([[3.0]]),
+    _FULL,  # no implicit zeros
+], ids=["ties", "zero-ties", "negative", "n1", "n1-rowsum", "full"])
+def test_max_principle_csr_matches_dense_reference(dense):
+    ref = _dense_max_principle(dense)
+    for form in (dense, sp.csr_matrix(dense), sp.coo_matrix(dense).tocsc()):
+        rep = maximum_principle_check(form)
+        assert (rep.passed, rep.min_offdiag, rep.max_abs_rowsum, rep.worst_entry) == ref
+
+
+def test_max_principle_sums_duplicates_and_reads_explicit_zeros():
+    # (1, 0) is stored twice, summing to -0.25; (0, 2) is an explicit zero
+    Q = sp.coo_matrix(([-1.0, 1.0, 0.0, 0.25, -0.5, 0.25], ([0, 0, 0, 1, 1, 1], [0, 1, 2, 0, 0, 2])),
+                      shape=(3, 3))
+    rep = maximum_principle_check(Q)
+    assert rep.worst_entry == (1, 0, -0.25) and not rep.passed
+    assert rep == maximum_principle_check(Q.toarray())
 
 
 # ---------------------------------------------------------------------------
