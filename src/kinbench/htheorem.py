@@ -34,6 +34,7 @@ _CONVEXITY_PROBE = np.linspace(1e-6, 10.0, 1000)
 # (drift -200x, pi spanning e^-12800); a chain with rotational drift shows
 # 3e-3 already at rotation rate 1e-3.
 BALANCE_TOL = 1e-12
+_GTH_RESCALE = 2.0 ** 512  # GTH back-substitution rescales above this
 
 _log = logging.getLogger("kinbench.htheorem")
 
@@ -134,7 +135,12 @@ class InvariantSolution:
 
 
 def _gth(A):
-    """GTH elimination on a dense irreducible rate matrix (no subtractions)."""
+    """GTH elimination on a dense irreducible rate matrix (no subtractions).
+
+    Back-substitution starts from pi_0 = 1, possibly far out in the tail.
+    Dividing by the power of two _GTH_RESCALE whenever an entry exceeds it
+    keeps pi finite, and changes no bit of a chain that never reaches it.
+    """
     A = np.array(A, dtype=float)
     m = A.shape[0]
     if m == 1:
@@ -149,6 +155,8 @@ def _gth(A):
     pi[0] = 1.0
     for n in range(1, m):
         pi[n] = float(pi[:n] @ A[:n, n]) / s[n]
+        if pi[n] > _GTH_RESCALE:
+            pi[:n + 1] /= _GTH_RESCALE
     return pi / pi.sum()
 
 

@@ -78,14 +78,21 @@ def _reflect(x, lo, hi):
     return lo + np.minimum(y, 2.0 * span - y)
 
 
-def _em_proposal(spec, x, xi, dt, sqrt_dt):
-    """One Euler-Maruyama step from positions x with standard normals xi."""
+def _em_step(spec, x, xi, work, dt, sqrt_dt):
+    """One Euler-Maruyama step, in place in x; xi and work are overwritten.
+
+    Bitwise equal to x + b dt + sqrt(2 a) sqrt_dt xi.  Fresh particle-sized
+    temporaries every step can make glibc trim the heap and page it back
+    in at each step, so only spec.a and spec.b allocate.
+    """
     a_vals = np.asarray(spec.a(x), dtype=float)
     if a_vals.min() < -1e-12:
         raise NonEllipticCoefficient(
             f"a = {a_vals.min():g} < 0 encountered during simulation")
-    b_vals = np.asarray(spec.b(x), dtype=float)
-    return x + b_vals * dt + np.sqrt(2.0 * np.maximum(a_vals, 0.0)) * sqrt_dt * xi
+    np.multiply(np.sqrt(2.0 * np.maximum(a_vals, 0.0)) * sqrt_dt, xi, out=xi)
+    np.multiply(np.asarray(spec.b(x), dtype=float), dt, out=work)
+    x += work
+    x += xi
 
 
 def simulate(spec, sampler, n, dt, T, seed, snapshots=None):
@@ -120,20 +127,22 @@ def simulate(spec, sampler, n, dt, T, seed, snapshots=None):
     absorbed = np.zeros(x.size, dtype=bool)
 
     sqrt_dt = np.sqrt(dt)
+    xi, work = np.empty(x.size), np.empty(x.size)
     ensembles = []
     k = 0
     frozen = x.size == 0
     for steps in (int(round(t / dt)) for t in times):
         while k < steps and not frozen:
-            xi = _stream(seed, _STEP_STREAM_BASE + k).standard_normal(x.size)
+            _stream(seed, _STEP_STREAM_BASE + k).standard_normal(out=xi)
             k += 1
             if boundary == "reflect":
-                x = _em_proposal(spec, x, xi, dt, sqrt_dt)
+                _em_step(spec, x, xi, work, dt, sqrt_dt)
                 out = np.flatnonzero((x < lo) | (x > hi))
                 x[out] = _reflect(x[out], lo, hi)
             else:
                 active = ~absorbed
-                prop = _em_proposal(spec, x[active], xi[active], dt, sqrt_dt)
+                prop = x[active]
+                _em_step(spec, prop, xi[active], work[:prop.size], dt, sqrt_dt)
                 out_lo = prop <= lo
                 out_hi = prop >= hi
                 x[active] = np.where(out_lo, lo, np.where(out_hi, hi, prop))

@@ -7,18 +7,24 @@ of Pade or Krylov exponentials.  Long horizons are split into 2^k levels
 of a short-time series: squared k times as a dense kernel, with the
 defect tracked, or applied 2^k times to a vector as a sparse series.
 
-One rule picks between the two for vector evolution.  A chain of more
-than 2048 states always runs the sparse series.  A smaller chain uses a
-dense kernel at every step of ``evolve_series``, which caches one kernel
-per distinct step, and in one-shot ``evolve_observable`` /
-``evolve_density`` only when the Poisson mean lambda*t exceeds 5000.
+One cost rule picks between the two for vector evolution, once per step
+length ``round(t, 15)``.  ``evolve_series`` counts the steps of each length
+up front; a one-shot ``evolve_observable`` / ``evolve_density`` call is one
+step.  Per series term, the dense kernel costs at least n*(nnz + n)
+element updates: its series on the identity, with the squarings left out
+so that the rule leans toward dense.  The vector series costs
+steps*2^splits*(nnz + C), where C (``_MATVEC_COST``) is the fixed cost of
+one sparse matvec plus two vector updates.  A step length goes dense iff
+n <= 2048 and n*(nnz + n) <= steps*2^splits*(nnz + C).  The chosen
+operator is cached per step length.
 """
 
 from __future__ import annotations
 
+import logging
 import math
 import warnings
-from collections import namedtuple
+from collections import Counter, namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,7 +46,13 @@ MAX_TERMS = 1_000_000
 MAX_SPLITS = 60
 LAMBDA_MARGIN = 1.05     # keeps P's diagonal positive under rounding
 _DENSE_MAX_STATES = 2048  # larger chains never build a dense n x n kernel
-_KERNEL_CUTOFF = 5_000    # one-shot calls go dense above this Poisson mean
+# C of the cost rule, in dense element updates.  Measured on a 2-vCPU host
+# (numpy 2.4, scipy 1.17): one series term on a vector has a fixed cost of
+# about 10 us, and a dense element update costs 1.6-2 ns, so C is 5,000-6,000;
+# the power of two below leans toward the dense route.
+_MATVEC_COST = 4096
+
+_log = logging.getLogger("kinbench.semigroup")
 
 
 def _as_qmatrix(Q):
@@ -157,27 +169,45 @@ def transition_kernel(Q, t, tol=1e-9):
     return TransitionKernel(M, defect)
 
 
-def _propagate(qm, v, t, tol, transpose, kernels=None):
-    """e^{Qt} v, or e^{Q^T t} v when transpose, by the module's dense/sparse
-    rule; ``kernels`` is the step-kernel cache, keyed by round(t, 15)."""
+def _step_operator(qm, t, tol, transpose, steps):
+    """v -> e^{Qt} v (e^{Q^T t} v when transpose) for a step length applied
+    ``steps`` times: a dense kernel or a sparse series, by the module's cost
+    rule."""
+    plan = _uniformization(qm, t, tol)
+    n, nnz, terms = qm.size, qm.Q.nnz, plan.weights.size
+    dense_cost = terms * n * (nnz + n)
+    series_cost = steps * 2 ** plan.splits * terms * (nnz + _MATVEC_COST)
+    dense = n <= _DENSE_MAX_STATES and dense_cost <= series_cost
+    _log.debug("step %.15g: n=%d nnz=%d lam=%.6g mu=%.6g splits=%d terms=%d steps=%d "
+               "dense_cost=%d series_cost=%d route=%s", t, n, nnz, plan.lam, plan.mu,
+               plan.splits, terms, steps, dense_cost, series_cost,
+               "dense" if dense else "series")
+    if dense:
+        M, _ = _kernel_matrix(qm, t, tol)
+        return (lambda v: M.T @ v) if transpose else (lambda v: M @ v)
+    mat = qm.Q.T.tocsr() if transpose else qm.Q
+    P = sp.identity(n, format="csr") + mat / plan.lam
+
+    def series(v):
+        for _ in range(2 ** plan.splits):
+            v = _series_matvec(P, v, plan.weights)
+        return v
+
+    return series
+
+
+def _propagate(qm, v, t, tol, transpose, steps=1, ops=None):
+    """e^{Qt} v, or e^{Q^T t} v when transpose; ``ops`` caches the step
+    operator per round(t, 15), chosen for ``steps`` applications."""
     if v.shape != (qm.size,):
         raise ShapeError(f"vector length {v.shape} does not match chain size {qm.size}")
     if t == 0 or qm.lambda_max == 0.0:
         return v.copy()
+    ops = {} if ops is None else ops
     key = round(t, 15)
-    M = kernels.get(key) if kernels is not None else None
-    if M is None:
-        plan = _uniformization(qm, t, tol)
-        if qm.size > _DENSE_MAX_STATES or (kernels is None and plan.mu <= _KERNEL_CUTOFF):
-            mat = qm.Q.T.tocsr() if transpose else qm.Q
-            P = sp.identity(qm.size, format="csr") + mat / plan.lam
-            for _ in range(2 ** plan.splits):
-                v = _series_matvec(P, v, plan.weights)
-            return v
-        M, _ = _kernel_matrix(qm, t, tol)
-        if kernels is not None:
-            kernels[key] = M
-    return (M.T @ v) if transpose else (M @ v)
+    if key not in ops:
+        ops[key] = _step_operator(qm, t, tol, transpose, steps)
+    return ops[key](v)
 
 
 def evolve_observable(Q, f0, t, tol=1e-9):
@@ -216,11 +246,13 @@ class EvolutionResult:
 
 
 def evolve_series(Q, nu0, times, tol=1e-9):
-    """Evolve a density through an increasing time schedule, reusing step kernels.
+    """Evolve a density through an increasing time schedule, reusing step operators.
 
-    Steps with equal spacing share one uniformized kernel, so a long
-    schedule costs a handful of kernel builds plus one dense matvec per
-    sample.
+    Steps of equal length (to 15 decimals) share one step operator, chosen
+    by the module's cost rule from how many steps share it: a dense kernel,
+    built once and then one dense matvec per sample, or a sparse series of
+    2^splits*terms matvecs per sample, whose matrix and Poisson weights are
+    built once.
     """
     qm = _as_qmatrix(Q)
     times = np.asarray(list(times), dtype=float)
@@ -232,15 +264,14 @@ def evolve_series(Q, nu0, times, tol=1e-9):
         raise TimeError("time schedule must be nondecreasing")
     _check_tol(tol)
 
-    kernels = {}
+    dts = np.diff(times, prepend=0.0)
+    steps = Counter(round(dt, 15) for dt in dts if dt > 0)
+    ops = {}
     fields = []
     current = np.array(nu0, dtype=float)
-    t_now = 0.0
-    for t in times:
-        dt = t - t_now
+    for dt in dts:
         if dt > 0:
-            current = _propagate(qm, current, dt, tol, transpose=True, kernels=kernels)
-            t_now = t
+            current = _propagate(qm, current, dt, tol, True, steps[round(dt, 15)], ops)
         fields.append(current.copy())
     arr = np.array(fields)
     return EvolutionResult(
@@ -338,13 +369,13 @@ def stochastic_continuity_defect(Q, node, radius, times, tol=1e-12):
     times = np.asarray(list(times), dtype=float)
     if np.any(times < 0):
         raise TimeError("times must be nonnegative")
-    inside = np.abs(x[None, :] - x[:, None]) <= radius
+    inside = (np.abs(x[None, :] - x[:, None]) <= radius).astype(float)
     at_node = np.empty(times.size)
     max_interior = np.empty(times.size)
     interior = slice(1, -1) if qm.size > 2 else slice(None)
     for k, t in enumerate(times):
         P, _ = _kernel_matrix(qm, t, tol)
-        ball_mass = np.einsum("ij,ij->i", P, inside.astype(float))
+        ball_mass = np.einsum("ij,ij->i", P, inside)
         defect = 1.0 - ball_mass
         at_node[k] = defect[node]
         max_interior[k] = float(defect[interior].max())

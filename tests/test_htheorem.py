@@ -1,5 +1,6 @@
 import logging
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -213,6 +214,24 @@ def test_2d_strongly_confining_chain_takes_lattice_path(caplog):
     assert _logged_paths(caplog) == ["lattice"]
     assert np.sum(sol.pi == 0.0) > 400
     assert sol.residual <= 1e-12 * Q.lambda_max
+
+
+def test_gth_rescales_when_pi_spans_more_than_the_float_range(caplog):
+    # rotational drift sends this box to GTH, whose back-substitution starts
+    # from pi_0 = 1 at a corner where pi is far below the float range
+    domain = DomainSpec("box", ((-8.0, 8.0), (-8.0, 8.0)))
+    spec = GeneratorSpec(2, lambda p: np.eye(2),
+                         lambda p: np.array([-50.0 * p[0] - 5.0 * p[1],
+                                             -50.0 * p[1] + 5.0 * p[0]]), domain)
+    Q = build_qmatrix(spec, Grid.from_domain(domain, 25))
+    caplog.set_level(logging.DEBUG, logger="kinbench.htheorem")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sol = solve_invariant(Q)
+    assert _logged_paths(caplog) == ["gth"]
+    assert np.all(np.isfinite(sol.pi)) and np.all(sol.pi >= 0.0)
+    assert sol.pi.sum() == pytest.approx(1.0, abs=1e-15)
+    assert np.isfinite(sol.residual) and sol.residual <= 1e-12 * Q.lambda_max
 
 
 def test_2d_absorbing_box_names_transient_states():

@@ -99,6 +99,31 @@ def test_snapshots_of_one_pass_equal_separate_runs(bc, drift, x0, T):
         assert np.all(ensembles[-2].absorbed) and not np.all(ensembles[1].absorbed)
 
 
+@pytest.mark.parametrize("bc", ["no-flux", "absorbing"])
+def test_simulate_is_bitwise_the_plain_euler_maruyama_formula(bc):
+    # the reference recomputes every step from fresh arrays, as written in
+    # the module docstring: step k draws from Philox stream 1 + k
+    spec = GeneratorSpec(1, CE("1 + x^2/4"), CE("-3*x"), DomainSpec("box", ((-1.0, 2.0),), bc))
+    n, dt, steps, seed = 500, 1e-2, 60, 5
+    ens = simulate(spec, uniform_source(-1.0, 2.0), n, dt, steps * dt, seed)
+    x = np.clip(np.random.Generator(np.random.Philox(key=seed, counter=[0, 0, 0, 0]))
+                .uniform(-1.0, 2.0, size=n), -1.0, 2.0)
+    absorbed = np.zeros(n, dtype=bool)
+    for k in range(steps):
+        rng = np.random.Generator(np.random.Philox(key=seed, counter=[0, 0, 1 + k, 0]))
+        xi = rng.standard_normal(n)
+        prop = x + spec.b(x) * dt + np.sqrt(2.0 * np.maximum(spec.a(x), 0.0)) * np.sqrt(dt) * xi
+        if bc == "no-flux":
+            y = np.mod(prop + 1.0, 6.0)
+            x = np.where((prop < -1.0) | (prop > 2.0), -1.0 + np.minimum(y, 6.0 - y), prop)
+        else:
+            x = np.where(absorbed, x, np.clip(prop, -1.0, 2.0))
+            absorbed |= (prop <= -1.0) | (prop >= 2.0)
+    assert np.array_equal(ens.positions, x)
+    assert np.array_equal(ens.absorbed, absorbed)
+    assert (bc == "absorbing") == bool(absorbed.any())
+
+
 @pytest.mark.parametrize("snaps", [[0.5, 0.2], [-0.1, 0.5], [0.5, 1.5]])
 def test_bad_snapshot_schedule_rejected(snaps):
     spec, _ = kb.catalog_example("ornstein-uhlenbeck")

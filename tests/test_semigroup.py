@@ -1,3 +1,5 @@
+import logging
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -14,6 +16,7 @@ from kinbench.errors import (
 )
 from kinbench.expressions import CompiledExpression as CE
 from kinbench.generator import DomainSpec, GeneratorSpec
+import kinbench.semigroup as sg
 from kinbench.semigroup import (
     chapman_kolmogorov_defect,
     evolve_density,
@@ -94,6 +97,93 @@ def test_absorbing_chain_interior_mass_decreases():
 def test_evolution_budget_cap(two_state):
     with pytest.raises(TruncationBudgetExceeded):
         evolve_observable(two_state, np.array([1.0, 0.0]), 1e21, tol=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# dense kernel vs. vector series: the cost rule
+# ---------------------------------------------------------------------------
+
+def _box_chain(n):
+    """chain-2d's generator on an n x n box: a = diag(1 + x^2/4, 1), b = (-x, -2y)."""
+    domain = DomainSpec("box", ((-4.0, 4.0), (-4.0, 4.0)))
+    spec = GeneratorSpec(2, lambda p: np.diag([1.0 + p[0] ** 2 / 4.0, 1.0]),
+                         lambda p: np.array([-p[0], -2.0 * p[1]]), domain)
+    grid = Grid.from_domain(domain, n)
+    nu0 = np.exp(-np.sum((grid.nodes() - [1.0, -0.5]) ** 2, axis=1) / (2 * 0.7**2))
+    return build_qmatrix(spec, grid), nu0 / nu0.sum()
+
+
+def _count_kernel_builds(monkeypatch):
+    calls = []
+    build = sg._kernel_matrix
+    monkeypatch.setattr(sg, "_kernel_matrix", lambda *a: calls.append(a) or build(*a))
+    return calls
+
+
+def _logged_steps(caplog):
+    """key=value fields of each step line logged under kinbench.semigroup."""
+    out = []
+    for r in caplog.records:
+        if r.name == "kinbench.semigroup" and r.getMessage().startswith("step "):
+            fields = dict(f.split("=") for f in r.getMessage().split()[2:])
+            out.append({k: v if k == "route" else float(v) for k, v in fields.items()})
+    return out
+
+
+def test_2d_chain_with_few_steps_builds_no_dense_kernel(monkeypatch):
+    Q, nu0 = _box_chain(15)
+    times = np.linspace(0.0, 2.0, 21)
+    tol = 1e-14
+    assert sg._uniformization(Q, 0.1, tol).splits == 0
+    calls = _count_kernel_builds(monkeypatch)
+    res = evolve_series(Q, nu0, times, tol=tol)
+    assert calls == []
+    ref, t_now = nu0, 0.0
+    for t, field in zip(times, res.fields):
+        if t > t_now:
+            ref, t_now = transition_kernel(Q, t - t_now, tol=tol).P.T @ ref, t
+        assert np.abs(field - ref).sum() <= 1e-12
+    tail = sg._uniformization(Q, 0.1, tol).tail
+    assert np.max(np.abs(res.mass - 1.0)) <= (times.size - 1) * tail
+
+
+def test_appendix2a_series_builds_one_dense_kernel_per_step_key(a2a201, monkeypatch):
+    nu0 = gaussian_measure(a2a201.x, 2.0, 1.0)
+    calls = _count_kernel_builds(monkeypatch)
+    evolve_series(a2a201.Q, nu0, np.linspace(0.0, 10.0, 201), tol=1e-12)
+    assert len(calls) == 3
+
+
+def test_one_shot_density_agrees_across_routes(a2a201, monkeypatch):
+    nu0 = gaussian_measure(a2a201.x, 2.0, 1.0)
+    calls = _count_kernel_builds(monkeypatch)
+    out = {}
+    for route, patch in [("dense", ("_MATVEC_COST", 10**12)),
+                         ("series", ("_DENSE_MAX_STATES", 0))]:
+        with monkeypatch.context() as m:
+            m.setattr(sg, *patch)
+            before = len(calls)
+            out[route] = evolve_density(a2a201.Q, nu0, 1.0, tol=1e-12)
+            assert len(calls) - before == (route == "dense")
+    assert np.abs(out["dense"] - out["series"]).sum() <= 1e-12
+
+
+def test_route_is_logged_once_per_step_key(a2a201, caplog):
+    caplog.set_level(logging.DEBUG, logger="kinbench.semigroup")
+    nu0 = gaussian_measure(a2a201.x, 2.0, 1.0)
+    evolve_series(a2a201.Q, nu0, np.linspace(0.0, 10.0, 201), tol=1e-12)
+    Q, nu0 = _box_chain(15)
+    evolve_series(Q, nu0, np.linspace(0.0, 2.0, 21), tol=1e-12)
+    lines = _logged_steps(caplog)
+    assert [line["n"] for line in lines] == [201.0] * 3 + [225.0] * (len(lines) - 3)
+    assert sorted(line["steps"] for line in lines[:3]) == [16, 40, 144]
+    assert sum(line["steps"] for line in lines[3:]) == 20
+    for line in lines:
+        assert set(line) == {"n", "nnz", "lam", "mu", "splits", "terms", "steps",
+                             "dense_cost", "series_cost", "route"}
+        assert line["route"] == ("dense" if line["dense_cost"] <= line["series_cost"]
+                                 else "series")
+    assert [line["route"] for line in lines] == ["dense"] * 3 + ["series"] * (len(lines) - 3)
 
 
 # ---------------------------------------------------------------------------
