@@ -7,16 +7,28 @@ of Pade or Krylov exponentials.  Long horizons are split into 2^k levels
 of a short-time series: squared k times as a dense kernel, with the
 defect tracked, or applied 2^k times to a vector as a sparse series.
 
+The dense kernel is built in one way only (``_kernel_matrix``).  Its series
+on the identity is band-limited: with b the bandwidth of Q (1 in 1-D, the
+last-axis stride in n-D), term k of a block of columns touches only the
+rows within k*b of the block, and the result is bitwise that of the full
+n x n series.  Before each squaring, entries below sqrt(tiny) ~ 1.5e-154
+in magnitude are flushed to zero, so the squarings never multiply
+subnormals.  That drops at most n*1.5e-154 of mass per row per squaring,
+and the reported defect, the row-sum defect taken before renormalization,
+includes it.
+
 One cost rule picks between the two for vector evolution, once per step
 length ``round(t, 15)``.  ``evolve_series`` counts the steps of each length
 up front; a one-shot ``evolve_observable`` / ``evolve_density`` call is one
-step.  Per series term, the dense kernel costs at least n*(nnz + n)
-element updates: its series on the identity, with the squarings left out
-so that the rule leans toward dense.  The vector series costs
-steps*2^splits*(nnz + C), where C (``_MATVEC_COST``) is the fixed cost of
-one sparse matvec plus two vector updates.  A step length goes dense iff
-n <= 2048 and n*(nnz + n) <= steps*2^splits*(nnz + C).  The chosen
-operator is cached per step length.
+step.  Per series term, the dense kernel is charged n*(nnz + n) element
+updates: its series on the identity, with the squarings left out so that
+the rule leans toward dense.  Since the identity series is band-limited,
+that estimate overstates it; the rule is kept as it is because the routes
+of the shipped workloads, and so their artifact bytes, depend on it.  The
+vector series costs steps*2^splits*(nnz + C), where C (``_MATVEC_COST``)
+is the fixed cost of one sparse matvec plus two vector updates.  A step
+length goes dense iff n <= 2048 and n*(nnz + n) <= steps*2^splits*(nnz + C).
+The chosen operator is cached per step length.
 """
 
 from __future__ import annotations
@@ -51,6 +63,11 @@ _DENSE_MAX_STATES = 2048  # larger chains never build a dense n x n kernel
 # about 10 us, and a dense element update costs 1.6-2 ns, so C is 5,000-6,000;
 # the power of two below leans toward the dense route.
 _MATVEC_COST = 4096
+# Columns per block of the dense kernel's identity series.  Chains of up to
+# 256 states are one block and use P unsliced.  Each slice of P costs 50-70 us,
+# which the band repays from about 400 states on.
+_BLOCK = 256
+_FLUSH = math.sqrt(np.finfo(float).tiny)  # ~1.5e-154: products of kept entries stay normal
 
 _log = logging.getLogger("kinbench.semigroup")
 
@@ -137,24 +154,65 @@ class TransitionKernel:
         return float(np.max(np.abs(self.P.sum(axis=1) - 1.0)))
 
 
+def _identity_series(P, weights):
+    """sum_k w_k P^k, bitwise equal to _series_matvec(P, np.eye(n), weights).
+
+    With b the largest |i - j| over P's stored entries, P^k e_j vanishes
+    outside |i - j| <= k*b.  So for each block of columns [c0, c1), term k
+    touches only rows [c0 - k*b, c1 + k*b).  The skipped products are exact
+    zeros, and scipy's CSR kernel adds the kept ones in the same order.
+    Once a block's rows span the whole chain, P is used unsliced.
+    """
+    n = P.shape[0]
+    rows = np.repeat(np.arange(n), np.diff(P.indptr))
+    b = int(np.max(np.abs(rows - P.indices)))
+    M = np.zeros((n, n))
+    np.fill_diagonal(M, weights[0])
+    for c0 in range(0, n, _BLOCK):
+        c1 = min(c0 + _BLOCK, n)
+        lo, hi, pv = c0, c1, np.eye(c1 - c0)
+        for k, w in enumerate(weights[1:], 1):
+            r0, r1 = max(c0 - k * b, 0), min(c1 + k * b, n)
+            pv = (P if r1 - r0 == hi - lo == n else P[r0:r1, lo:hi]) @ pv
+            lo, hi = r0, r1
+            M[lo:hi, c0:c1] += w * pv
+    return M, b
+
+
 def _kernel_matrix(qm, t, tol):
     """Dense e^{Qt} by uniformization with scaling and squaring.
+
+    The series on the identity is band-limited (``_identity_series``).
+    Before each squaring, entries below _FLUSH = sqrt(tiny) in magnitude are
+    set to zero, so no product of two kept entries is subnormal (OpenBLAS
+    runs several times slower on those).  This drops at most n*_FLUSH of
+    mass per row per squaring.
 
     Rows are renormalized to sum to one, as rows of e^{Qt} do (Q has zero
     row sums).  The returned defect is the larger of the Poisson tail
     bound tail*2^k and the row-sum defect measured before that
-    renormalization, which also carries the squaring roundoff.
+    renormalization, which also carries the squaring roundoff and the
+    flushed mass.  One DEBUG line per build logs that row-sum defect and the
+    number of flushed entries.
     """
     n = qm.size
     if t == 0 or qm.lambda_max == 0.0:
         return np.eye(n), 0.0
     plan = _uniformization(qm, t, tol)
     P = sp.identity(n, format="csr") + qm.Q / plan.lam
-    M = _series_matvec(P, np.eye(n), plan.weights)
+    M, b = _identity_series(P, plan.weights)
+    flushed = 0
     for _ in range(plan.splits):
+        small = np.abs(M) < _FLUSH
+        small &= M != 0.0
+        flushed += int(np.count_nonzero(small))
+        M[small] = 0.0
         M = M @ M
     rs = M.sum(axis=1)
-    defect = max(plan.tail * 2 ** plan.splits, float(np.max(np.abs(rs - 1.0))))
+    row_defect = float(np.max(np.abs(rs - 1.0)))
+    _log.debug("kernel %.15g: n=%d b=%d terms=%d splits=%d flushed=%d row_sum_defect=%.17g",
+               t, n, b, plan.weights.size, plan.splits, flushed, row_defect)
+    defect = max(plan.tail * 2 ** plan.splits, row_defect)
     good = rs > 0
     M[good] /= rs[good, None]
     return M, defect
@@ -366,6 +424,8 @@ def stochastic_continuity_defect(Q, node, radius, times, tol=1e-12):
     """Kernel mass escaping a ball around each node, as t decreases to 0."""
     qm = _as_qmatrix(Q)
     x = qm.node_coordinates()
+    if x.ndim != 1:
+        raise ShapeError("stochastic continuity supports 1-D grids in v1")
     times = np.asarray(list(times), dtype=float)
     if np.any(times < 0):
         raise TimeError("times must be nonnegative")

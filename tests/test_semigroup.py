@@ -3,6 +3,7 @@ import logging
 import numpy as np
 import pytest
 import scipy.linalg as sla
+import scipy.sparse as sp
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -10,12 +11,13 @@ from kinbench.discretize import DiscreteGenerator, Grid, build_qmatrix
 from kinbench.errors import (
     MomentBiasWarning,
     ParameterOutOfRange,
+    ShapeError,
     SpectrumError,
     TimeError,
     TruncationBudgetExceeded,
 )
 from kinbench.expressions import CompiledExpression as CE
-from kinbench.generator import DomainSpec, GeneratorSpec
+from kinbench.generator import CATALOG_NAMES, DomainSpec, GeneratorSpec, catalog_example
 import kinbench.semigroup as sg
 from kinbench.semigroup import (
     chapman_kolmogorov_defect,
@@ -80,12 +82,15 @@ def test_two_state_density_limit(two_state):
     assert np.allclose(nu, [0.5, 0.5], atol=1e-10)
 
 
-def test_absorbing_chain_interior_mass_decreases():
+def _absorbing_chain(n):
     spec = GeneratorSpec(1, CE("1"), CE("-x"),
                          DomainSpec("full-line", ((-4.0, 4.0),), "absorbing"))
-    grid = Grid.from_domain(spec.domain, 81)
-    Q = build_qmatrix(spec, grid)
-    nu0 = gaussian_measure(grid.x, 0.0, 1.0)
+    return build_qmatrix(spec, Grid.from_domain(spec.domain, n))
+
+
+def test_absorbing_chain_interior_mass_decreases():
+    Q = _absorbing_chain(81)
+    nu0 = gaussian_measure(Q.grid.x, 0.0, 1.0)
     res = evolve_series(Q, nu0, [0.0, 1.0, 2.0, 4.0], tol=1e-10)
     interior = [float(np.sum((f.values if hasattr(f, "values") else f)[1:-1]))
                 for f in res.fields]
@@ -120,11 +125,12 @@ def _count_kernel_builds(monkeypatch):
     return calls
 
 
-def _logged_steps(caplog):
-    """key=value fields of each step line logged under kinbench.semigroup."""
+def _logged_lines(caplog, prefix):
+    """key=value fields of each line logged under kinbench.semigroup that
+    starts with ``prefix``."""
     out = []
     for r in caplog.records:
-        if r.name == "kinbench.semigroup" and r.getMessage().startswith("step "):
+        if r.name == "kinbench.semigroup" and r.getMessage().startswith(prefix):
             fields = dict(f.split("=") for f in r.getMessage().split()[2:])
             out.append({k: v if k == "route" else float(v) for k, v in fields.items()})
     return out
@@ -174,7 +180,7 @@ def test_route_is_logged_once_per_step_key(a2a201, caplog):
     evolve_series(a2a201.Q, nu0, np.linspace(0.0, 10.0, 201), tol=1e-12)
     Q, nu0 = _box_chain(15)
     evolve_series(Q, nu0, np.linspace(0.0, 2.0, 21), tol=1e-12)
-    lines = _logged_steps(caplog)
+    lines = _logged_lines(caplog, "step ")
     assert [line["n"] for line in lines] == [201.0] * 3 + [225.0] * (len(lines) - 3)
     assert sorted(line["steps"] for line in lines[:3]) == [16, 40, 144]
     assert sum(line["steps"] for line in lines[3:]) == 20
@@ -222,6 +228,92 @@ def test_chapman_kolmogorov(two_state, a2a201):
     assert chapman_kolmogorov_defect(two_state, 0.5, 0.5, tol=1e-12) <= 1e-10
     assert chapman_kolmogorov_defect(two_state, 0.0, 0.8, tol=1e-12) <= 1e-12
     assert chapman_kolmogorov_defect(a2a201.Q, 0.3, 0.7, tol=1e-12) <= 3e-10
+
+
+def _series_inputs(qm, t, tol=1e-9):
+    plan = sg._uniformization(qm, t, tol)
+    return sp.identity(qm.size, format="csr") + qm.Q / plan.lam, plan
+
+
+def _1d_chain(name, n, scheme):
+    spec, _ = catalog_example(name)
+    return build_qmatrix(spec, Grid.from_domain(spec.domain, n), scheme)
+
+
+def _assert_identity_series_is_dense_series(qm, t, bandwidth):
+    P, plan = _series_inputs(qm, t)
+    M, b = sg._identity_series(P, plan.weights)
+    ref = sg._series_matvec(P, np.eye(qm.size), plan.weights)
+    assert b == bandwidth
+    assert np.array_equal(M.view(np.int64), ref.view(np.int64))
+
+
+@pytest.mark.parametrize("name", CATALOG_NAMES)
+@pytest.mark.parametrize("scheme", ["exponential-fitting", "upwind"])
+def test_identity_series_is_bitwise_the_dense_series(name, scheme):
+    # one block up to _BLOCK = 256 columns, several above it
+    for n in [5, 127, 128, 129, 255, 256, 257, 401]:
+        _assert_identity_series_is_dense_series(_1d_chain(name, n, scheme), 0.3, 1)
+
+
+def test_identity_series_is_bitwise_the_dense_series_off_1d_catalog():
+    Q, _ = _box_chain(17)
+    _assert_identity_series_is_dense_series(Q, 0.3, 17)
+    _assert_identity_series_is_dense_series(_absorbing_chain(301), 0.3, 1)
+
+
+def _box_50x(n):
+    spec = GeneratorSpec(1, CE("1"), CE("-50*x"), DomainSpec("box", ((-8.0, 8.0),)))
+    return build_qmatrix(spec, Grid.from_domain(spec.domain, n))
+
+
+def _unflushed_kernel(qm, t, tol):
+    """_kernel_matrix with the dense identity series and no flush."""
+    P, plan = _series_inputs(qm, t, tol)
+    M = sg._series_matvec(P, np.eye(qm.size), plan.weights)
+    for _ in range(plan.splits):
+        M = M @ M
+    rs = M.sum(axis=1)
+    defect = max(plan.tail * 2 ** plan.splits, float(np.max(np.abs(rs - 1.0))))
+    good = rs > 0
+    M[good] /= rs[good, None]
+    return M, defect
+
+
+@pytest.mark.parametrize("t", [0.01, 1.0])
+def test_flushed_squarings_match_unflushed_kernel(t):
+    Q = _box_50x(401)
+    assert sg._uniformization(Q, t, 1e-9).splits > 0
+    M, defect = sg._kernel_matrix(Q, t, 1e-9)
+    ref, ref_defect = _unflushed_kernel(Q, t, 1e-9)
+    assert np.float64(defect).view(np.int64) == np.float64(ref_defect).view(np.int64)
+    big = np.maximum(np.abs(M), np.abs(ref)) >= 1e-130
+    assert np.array_equal(M[big].view(np.int64), ref[big].view(np.int64))
+    assert np.max(np.abs(M - ref)) <= 1e-150
+    # the squarings never multiply subnormals, so none reach the kernel
+    tiny = np.finfo(float).tiny
+    subnormal = lambda A: np.count_nonzero((A != 0) & (np.abs(A) < tiny))
+    assert subnormal(ref) > 0
+    assert subnormal(M) == 0
+
+
+def test_kernel_build_is_logged_with_its_row_sum_defect(a2a201, caplog):
+    caplog.set_level(logging.DEBUG, logger="kinbench.semigroup")
+    nu0 = gaussian_measure(a2a201.x, 2.0, 1.0)
+    evolve_series(a2a201.Q, nu0, np.linspace(0.0, 10.0, 201), tol=1e-12)
+    lines = _logged_lines(caplog, "kernel ")
+    assert len(lines) == 3
+    for line in lines:
+        assert set(line) == {"n", "b", "terms", "splits", "flushed", "row_sum_defect"}
+        assert (line["n"], line["b"]) == (201, 1)
+    caplog.clear()
+    for t in [0.05, 1.0]:
+        K = transition_kernel(a2a201.Q, t, tol=1e-12)
+        (line,) = _logged_lines(caplog, f"kernel {t:.15g}: ")
+        plan = sg._uniformization(a2a201.Q, t, 1e-12)
+        assert (line["terms"], line["splits"]) == (plan.weights.size, plan.splits)
+        assert K.truncation == max(plan.tail * 2 ** plan.splits, line["row_sum_defect"])
+        caplog.clear()
 
 
 # ---------------------------------------------------------------------------
@@ -366,3 +458,11 @@ def test_continuity_decreases_to_zero(a2a201):
     assert np.all(np.diff(out.max_interior) < 0)
     lam = a2a201.Q.lambda_max
     assert np.all(out.max_interior <= 1.1 * lam * np.asarray(ts) + 1e-15)
+
+
+def test_continuity_on_nd_grid_is_a_named_error(monkeypatch):
+    Q, _ = _box_chain(7)
+    calls = _count_kernel_builds(monkeypatch)
+    with pytest.raises(ShapeError, match="1-D grids"):
+        stochastic_continuity_defect(Q, 0, 0.5, [0.1, 0.01])
+    assert calls == []
