@@ -1,7 +1,12 @@
+import logging
+import sys
+import threading
+
 import numpy as np
 import pytest
 
 import kinbench as kb
+from kinbench import oracle
 from kinbench.discretize import Grid
 from kinbench.errors import (
     EmptyEnsemble,
@@ -12,6 +17,8 @@ from kinbench.errors import (
 from kinbench.expressions import CompiledExpression as CE
 from kinbench.generator import DomainSpec, GeneratorSpec
 from kinbench.oracle import (
+    _em_step,
+    _reflect,
     empirical_density,
     gaussian_source,
     moment_estimates,
@@ -188,3 +195,175 @@ def test_bad_parameters_rejected():
         simulate(spec, point_source(0.0), 10, -1e-3, 1.0, seed=1)
     with pytest.raises(ParameterOutOfRange):
         simulate(spec, point_source(0.0), 10, 1e-3, 1.0, seed=1, snapshots=[])
+
+
+def _philox(seed, stream):
+    return np.random.Generator(np.random.Philox(key=seed, counter=[0, 0, stream, 0]))
+
+
+def _serial_simulate(spec, sampler, n, dt, seed, snapshots):
+    """Reference for the step-parallel draws: the single-pass time loop with
+    every draw made serially on the calling thread, step k filling one
+    reused buffer from Philox stream 1 + k.  Returns (positions, absorbed,
+    time) per snapshot."""
+    lo, hi = spec.domain.bounds[0]
+    x = np.clip(np.asarray(sampler(_philox(seed, 0), n), dtype=float), lo, hi)
+    absorbed = np.zeros(x.size, dtype=bool)
+    sqrt_dt = np.sqrt(dt)
+    xi, work = np.empty(x.size), np.empty(x.size)
+    out = []
+    k = 0
+    frozen = x.size == 0
+    for steps in (int(round(t / dt)) for t in snapshots):
+        while k < steps and not frozen:
+            _philox(seed, 1 + k).standard_normal(out=xi)
+            k += 1
+            if spec.domain.boundary_condition == "no-flux":
+                _em_step(spec, x, xi, work, dt, sqrt_dt)
+                esc = np.flatnonzero((x < lo) | (x > hi))
+                x[esc] = _reflect(x[esc], lo, hi)
+            else:
+                active = ~absorbed
+                prop = x[active]
+                _em_step(spec, prop, xi[active], work[:prop.size], dt, sqrt_dt)
+                out_lo = prop <= lo
+                out_hi = prop >= hi
+                x[active] = np.where(out_lo, lo, np.where(out_hi, hi, prop))
+                absorbed[np.flatnonzero(active)[out_lo | out_hi]] = True
+                frozen = absorbed.all()
+        out.append((x.copy(), absorbed.copy(), steps * dt))
+    return out
+
+
+def _logged(caplog):
+    """key=value fields of each line logged under kinbench.oracle."""
+    return [{k: float(v) for k, v in (f.split("=") for f in r.getMessage().split()[1:])}
+            for r in caplog.records if r.name == "kinbench.oracle"]
+
+
+def _assert_bitwise_serial(spec, sampler, n, dt, seed, snaps):
+    ensembles = simulate(spec, sampler, n, dt, snaps[-1], seed, snapshots=snaps)
+    reference = _serial_simulate(spec, sampler, n, dt, seed, snaps)
+    assert len(ensembles) == len(reference) == len(snaps)
+    for ens, (x, absorbed, t) in zip(ensembles, reference):
+        assert np.array_equal(ens.positions.view(np.int64), x.view(np.int64))
+        assert np.array_equal(ens.absorbed, absorbed)
+        assert ens.time == t
+
+
+# (n, steps, patched constants, logged threads and steps per task).  Runs
+# with a pool and several steps per task end on a partial task (397 is
+# prime) and wrap the ring; below _POOL_MIN_N the calling thread draws,
+# unless the patch lowers it to put small ensembles through the pool.
+_SMALL_POOL = {"_POOL_MIN_N": 1}
+_PIPELINE_CASES = [
+    (1, 397, {}, 0, 1),
+    (7, 397, {}, 0, 1),
+    (1000, 397, {}, 0, 1),
+    (5000, 397, {}, 2, 14),
+    (70_000, 13, {}, 2, 1),
+    (1, 397, {**_SMALL_POOL, "_TASK_DRAWS": 20}, 2, 20),
+    (7, 397, {**_SMALL_POOL, "_TASK_DRAWS": 20}, 2, 3),
+    (1000, 397, _SMALL_POOL, 2, 66),
+]
+
+
+@pytest.mark.parametrize("bc, drift", [("no-flux", "3*x"), ("absorbing", "2")])
+@pytest.mark.parametrize("n, steps, patch, threads, per_task", _PIPELINE_CASES)
+def test_step_parallel_draws_are_bitwise_the_serial_loop(monkeypatch, caplog, bc, drift,
+                                                         n, steps, patch, threads, per_task):
+    for name, value in patch.items():
+        monkeypatch.setattr(oracle, name, value)
+    caplog.set_level(logging.DEBUG, logger="kinbench.oracle")
+    spec = GeneratorSpec(1, CE("1 + x^2"), CE(drift), DomainSpec("box", ((-1.0, 1.0),), bc))
+    dt = 1e-2
+    snaps = [0.0, 5 * dt, 5 * dt, (steps // 2) * dt, steps * dt]
+    _assert_bitwise_serial(spec, uniform_source(-0.5, 0.5), n, dt, 13, snaps)
+    [line] = _logged(caplog)
+    assert (line["threads"], line["steps_per_task"]) == (threads, per_task)
+
+
+def test_step_parallel_draws_under_thread_contention(monkeypatch):
+    # more draw threads than cores, one-step tasks through the ring, and
+    # frequent GIL switches: a buffer handed out early would show here
+    monkeypatch.setattr(oracle, "_DRAW_THREADS", 4)
+    monkeypatch.setattr(oracle, "_TASK_DRAWS", 1)
+    monkeypatch.setattr(oracle, "_POOL_MIN_N", 1)
+    spec = GeneratorSpec(1, CE("1 + x^2"), CE("3*x"), DomainSpec("box", ((-1.0, 1.0),)))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        _assert_bitwise_serial(spec, uniform_source(-0.5, 0.5), 2000, 1e-2, 4,
+                               [0.0, 0.5, 0.5, 2.0])
+    finally:
+        sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("n", [1000, 70_000])
+def test_moment_estimates_are_bitwise_the_serial_loop(n):
+    spec, _ = kb.catalog_example("ornstein-uhlenbeck")
+    est = moment_estimates(spec, 1.0, 1e-2, n, seed=8)
+    [(x, _, t)] = _serial_simulate(spec, point_source(1.0), n, 1e-2, 8, [1e-2])
+    delta = x - 1.0
+    assert est.drift == delta.mean() / t
+    assert est.diffusion == (delta**2).mean() / (2 * t)
+    assert est.third_abs_over_t == (np.abs(delta) ** 3).mean() / t
+
+
+def test_simulate_logs_its_throughput(caplog):
+    caplog.set_level(logging.DEBUG, logger="kinbench.oracle")
+    spec, _ = kb.catalog_example("ornstein-uhlenbeck")
+    simulate(spec, point_source(0.0), 1000, 1e-2, 1.0, seed=1, snapshots=[0.5, 1.0])
+    moment_estimates(spec, 0.0, 1e-2, 70_000, seed=1)
+    lines = _logged(caplog)
+    assert len(lines) == 2
+    for line, (n, steps, snaps, threads) in zip(lines, [(1000, 100, 2, 0), (70_000, 1, 1, 2)]):
+        assert set(line) == {"n", "steps", "snapshots", "threads", "steps_per_task",
+                             "elapsed_s", "particle_steps_per_s", "draw_wait_s"}
+        assert (line["n"], line["steps"], line["snapshots"]) == (n, steps, snaps)
+        assert (line["threads"], line["steps_per_task"]) == (threads, 1)
+        assert 0 < line["draw_wait_s"] < line["elapsed_s"]
+        assert line["particle_steps_per_s"] == pytest.approx(n * steps / line["elapsed_s"],
+                                                             rel=1e-5)
+
+
+def test_draw_threads_joined_when_a_turns_negative(monkeypatch, caplog):
+    # a < 0 only beyond x = 2, which the drift reaches after several steps
+    monkeypatch.setattr(oracle, "_POOL_MIN_N", 1)
+    caplog.set_level(logging.DEBUG, logger="kinbench.oracle")
+    spec = GeneratorSpec(1, CE("2 - x"), CE("4"), DomainSpec("box", ((-1.0, 3.0),)))
+    baseline = threading.active_count()
+    simulate(spec, point_source(-1.0), 1000, 1e-2, 0.1, seed=1)
+    assert threading.active_count() == baseline
+    with pytest.raises(NonEllipticCoefficient):
+        simulate(spec, point_source(-1.0), 1000, 1e-2, 2.0, seed=1)
+    assert threading.active_count() == baseline
+    [line] = _logged(caplog)
+    assert line["threads"] == 2
+
+
+def test_draw_threads_joined_after_all_absorbed(monkeypatch, caplog):
+    monkeypatch.setattr(oracle, "_POOL_MIN_N", 1)
+    caplog.set_level(logging.DEBUG, logger="kinbench.oracle")
+    spec = GeneratorSpec(1, CE("1"), CE("5"), DomainSpec("box", ((-1.0, 1.0),), "absorbing"))
+    baseline = threading.active_count()
+    ens = simulate(spec, point_source(0.9), 50, 1e-2, 50.0, seed=9)
+    assert np.all(ens.absorbed)
+    assert threading.active_count() == baseline
+    [line] = _logged(caplog)
+    assert line["steps"] < 5000
+    assert (line["threads"], line["steps_per_task"]) == (2, 1311)
+
+
+@pytest.mark.parametrize("n, ring_bytes, depth", [(70_000, 32 << 20, 4),
+                                                  (70_000, 3 * 8 * 70_000, 3),
+                                                  (70_000, 1, 2),
+                                                  (5000, 1, 2),
+                                                  (1000, 32 << 20, 1)])
+def test_draw_ring_stays_in_its_byte_budget(monkeypatch, n, ring_bytes, depth):
+    monkeypatch.setattr(oracle, "_RING_BYTES", ring_bytes)
+    with oracle._StepDraws(3, n, 40) as draws:
+        assert len(draws._ring) == depth
+        assert sum(1 for _ in draws) == 40
+    spec = GeneratorSpec(1, CE("1 + x^2"), CE("3*x"), DomainSpec("box", ((-1.0, 1.0),)))
+    _assert_bitwise_serial(spec, uniform_source(-0.5, 0.5), n, 1e-2, 3, [0.0, 0.05, 0.4])
