@@ -3,15 +3,16 @@
 The exponential-fitting stencil keeps every off-diagonal nonnegative for
 any drift/diffusion ratio, so the discrete maximum principle holds by
 construction; central differencing is excluded because it violates it on
-coarse grids.  ``build_qmatrix`` is the one assembler for every
-dimension: a loop over the axes whose only dimension branches are the
-coefficient sampling and the diagonal, which in 1-D keeps row sums
-exactly zero (see ``_exact_row_pair``).
+coarse grids; every ``DiscreteGenerator`` confirms it at construction
+with ``pawula.maximum_principle_check``.  ``build_qmatrix`` is the one
+assembler for every dimension: a loop over the axes whose only dimension
+branches are the coefficient sampling and the diagonal, which in 1-D
+keeps row sums exactly zero (see ``_exact_row_pair``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
@@ -23,6 +24,8 @@ from .errors import (
     ShapeError,
     UnsupportedTensor,
 )
+from .generator import EIG_FLOOR
+from .pawula import OFFDIAG_TOL, ROWSUM_TOL, MaxPrincipleReport, maximum_principle_check
 
 DEGENERACY_THRESHOLD = 1e-14
 
@@ -94,10 +97,6 @@ class Grid:
             raise ShapeError("x is only defined for 1-D grids")
         return self.axes[0]
 
-    def spacing(self, axis=0):
-        """Gaps between consecutive nodes along one axis."""
-        return np.diff(self.axes[axis])
-
     def nodes(self):
         """All node coordinates, shape (size, ndim), C-order."""
         mesh = np.meshgrid(*self.axes, indexing="ij")
@@ -120,14 +119,16 @@ class Grid:
 class DiscreteGenerator:
     """Sparse Q-matrix (observable side) with assembly metadata.
 
-    Invariants: off-diagonals >= -1e-12 and row sums within 1e-10 of
-    zero; both are checked at construction.
+    Construction runs ``maximum_principle_check`` once and keeps its report
+    in ``maximum_principle``; a failing report raises NonEllipticCoefficient
+    (an off-diagonal) or ShapeError (row sums, as does a non-square Q).
     """
 
     Q: sp.csr_matrix
     grid: Grid | None = None
     scheme: str = "raw"
     lambda_max: float = 0.0
+    maximum_principle: MaxPrincipleReport = field(init=False, repr=False)
 
     def __post_init__(self):
         if not sp.issparse(self.Q):
@@ -137,19 +138,13 @@ class DiscreteGenerator:
         n, m = self.Q.shape
         if n != m:
             raise ShapeError(f"Q must be square, got {self.Q.shape}")
-        self.lambda_max = float(np.max(np.abs(self.Q.diagonal()))) if n else 0.0
-        self._check_invariants()
-
-    def _check_invariants(self):
-        off = self.Q.copy().tolil()
-        off.setdiag(0.0)
-        data = off.tocsr().data
-        if data.size and data.min() < -1e-12:
-            raise NonEllipticCoefficient(
-                f"negative off-diagonal {data.min():g} breaks the discrete maximum principle")
-        rs = np.abs(np.asarray(self.Q.sum(axis=1)).ravel())
-        if rs.size and rs.max() > 1e-10:
-            raise ShapeError(f"row sums deviate from zero by {rs.max():g}")
+        self.lambda_max = float(np.max(np.abs(self.Q.diagonal()), initial=0.0))
+        rep = self.maximum_principle = maximum_principle_check(self.Q)
+        if not rep.min_offdiag >= -OFFDIAG_TOL:
+            raise NonEllipticCoefficient(f"negative off-diagonal {rep.min_offdiag:g} "
+                                         "breaks the discrete maximum principle")
+        if not rep.max_abs_rowsum <= ROWSUM_TOL:
+            raise ShapeError(f"row sums deviate from zero by {rep.max_abs_rowsum:g}")
 
     @classmethod
     def from_matrix(cls, Q, grid=None, scheme="raw"):
@@ -329,7 +324,7 @@ def _sample_coefficients(spec, grid):
                     "off-diagonal diffusion entries are not supported in v1")
             a[i] = np.diag(amat)
             b[i] = np.asarray(spec.b(p), dtype=float).reshape(grid.ndim)
-    if a.min() < -1e-12:
+    if a.min() < EIG_FLOOR:
         i, ax = np.unravel_index(int(np.argmin(a)), a.shape)
         raise NonEllipticCoefficient(
             f"a has negative diagonal entry {a[i, ax]:g} on axis {ax} at node {i}")

@@ -333,7 +333,7 @@ def residual_invariant(spec, rho0, grid=None, method="auto"):
     """Max |adjoint applied to rho0| over interior grid nodes.
 
     method 'analytic' differentiates Gibbs data or the analytic density;
-    'fd' uses centered second differences of the sampled products
+    'fd' applies three-point formulas on the nodes to the sampled products
     a*rho and b*rho; 'auto' prefers analytic whenever available.
     """
     grid = grid if grid is not None else rho0.grid
@@ -364,20 +364,9 @@ def residual_invariant(spec, rho0, grid=None, method="auto"):
         vals = np.asarray(rho0.rho_fn(x), dtype=float)
     a = np.broadcast_to(np.asarray(spec.a(x), dtype=float), x.shape)
     b = np.broadcast_to(np.asarray(spec.b(x), dtype=float), x.shape)
-    arho = a * vals
-    brho = b * vals
-    dx = np.diff(x)
-    if not np.allclose(dx, dx[0], rtol=1e-12, atol=0):
-        # nonuniform fallback: three-point formulas
-        d2 = _nonuniform_d2(arho, x)
-        d1 = np.gradient(brho, x, edge_order=2)[1:-1]
-        res = d2 - d1
-    else:
-        h = dx[0]
-        d2 = (arho[2:] - 2 * arho[1:-1] + arho[:-2]) / h**2
-        d1 = (brho[2:] - brho[:-2]) / (2 * h)
-        res = d2 - d1
-    return float(np.max(np.abs(res)))
+    d2 = _nonuniform_d2(a * vals, x)
+    d1 = np.gradient(b * vals, x, edge_order=2)[1:-1]
+    return float(np.max(np.abs(d2 - d1)))
 
 
 def _nonuniform_d2(vals, x):

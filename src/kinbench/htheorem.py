@@ -121,9 +121,6 @@ class HFunctional:
         return HFunctional("custom-table", fn, None, None, vz, probe=probe)
 
 
-BUILTIN_H = ("xlogx", "square", "abs-dev", "square-dev")
-
-
 @dataclass
 class InvariantSolution:
     """Invariant measure(s) of a chain: pi solves Q^T pi = 0."""

@@ -58,6 +58,7 @@ from .errors import (
     ParameterOutOfRange,
     TimeError,
 )
+from .generator import EIG_FLOOR
 
 _INIT_STREAM = 0
 _STEP_STREAM_BASE = 1
@@ -150,10 +151,6 @@ class ParticleEnsemble:
     def live(self):
         return self.positions[~self.absorbed]
 
-    @property
-    def count(self):
-        return self.positions.size
-
 
 def point_source(x0):
     """Initial sampler: all particles at one point."""
@@ -184,7 +181,7 @@ def _em_step(spec, x, xi, work, dt, sqrt_dt):
     in at each step, so only spec.a and spec.b allocate.
     """
     a_vals = np.asarray(spec.a(x), dtype=float)
-    if a_vals.min() < -1e-12:
+    if a_vals.min() < EIG_FLOOR:
         raise NonEllipticCoefficient(
             f"a = {a_vals.min():g} < 0 encountered during simulation")
     np.multiply(np.sqrt(2.0 * np.maximum(a_vals, 0.0)) * sqrt_dt, xi, out=xi)

@@ -30,9 +30,11 @@ from .errors import (
     PreconditionViolated,
     ShapeError,
 )
-from .generator import derivatives
+from .generator import EIG_FLOOR, derivatives
 
 DEFAULT_EPSILON = 0.1
+OFFDIAG_TOL = 1e-12
+ROWSUM_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -161,18 +163,21 @@ class MaxPrincipleReport:
 def maximum_principle_check(Q):
     """Discrete maximum-principle check on a rate matrix.
 
-    Passes iff all off-diagonal entries are >= -1e-12 and every row sums
-    to zero within 1e-10.  Accepts DiscreteGenerator, sparse, or dense
-    input; non-square input raises ShapeError.  Works on the CSR arrays
-    and densifies only the worst row.  Implicit zeros count as 0.0
-    off-diagonals, and ``worst_entry`` is the first row-major position of
-    the smallest off-diagonal (``(0, 0)`` with value 0.0 when n = 1).
+    Passes iff all off-diagonal entries are >= -OFFDIAG_TOL and every
+    row sums to zero within ROWSUM_TOL.  Accepts DiscreteGenerator,
+    sparse, or dense input; non-square input raises ShapeError.  Works on
+    the CSR arrays and densifies only the worst row.  Implicit zeros count
+    as 0.0 off-diagonals, and ``worst_entry`` is the first row-major
+    position of the smallest off-diagonal (``(0, 0)`` with value 0.0 when
+    n <= 1; an empty matrix passes).
     """
     mat = getattr(Q, "Q", Q)
     shape = mat.shape if sp.issparse(mat) else np.shape(mat)
     if len(shape) != 2 or shape[0] != shape[1]:
         raise ShapeError(f"expected a square matrix, got shape {shape}")
     n = shape[0]
+    if n == 0:
+        return MaxPrincipleReport(True, 0.0, 0.0, (0, 0, 0.0))
     mat = sp.csr_matrix(mat, dtype=float, copy=True)
     mat.sum_duplicates()
     rows = np.repeat(np.arange(n), np.diff(mat.indptr))
@@ -187,7 +192,7 @@ def maximum_principle_check(Q):
     j = int(np.argmin(row))
     min_off = float(row[j]) if n > 1 else 0.0
     max_rs = float(np.max(np.abs(mat @ np.ones(n))))
-    passed = min_off >= -1e-12 and max_rs <= 1e-10
+    passed = min_off >= -OFFDIAG_TOL and max_rs <= ROWSUM_TOL
     return MaxPrincipleReport(passed, min_off, max_rs, (i, j, min_off))
 
 
@@ -275,7 +280,7 @@ def second_order_sign_check(op, points):
         else:
             values = np.linalg.eigvalsh(np.atleast_2d(op.a_matrix(p)))
         worst = min(worst, float(min(values)))
-    return worst >= -1e-12, worst
+    return worst >= EIG_FLOOR, worst
 
 
 def cube_test(op, A, x0):

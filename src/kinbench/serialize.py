@@ -192,19 +192,16 @@ def write_summary_csv(path, result):
 
 
 def write_hcurve_csv(path, curve):
+    """One row per time; the last column is the running max of H's increases, floored at 0."""
     n = curve.times.size
     diss = curve.dissipation if curve.dissipation is not None else [float("nan")] * n
     bnd = curve.boundary if curve.boundary is not None else [float("nan")] * n
-    running = -float("inf")
+    so_far = np.maximum(np.maximum.accumulate(np.diff(curve.H)), 0.0)
+    so_far = np.concatenate(([0.0], so_far))
     with open(path, "w") as fh:
         fh.write("time,H,dissipation_rate,boundary_term,max_increase_so_far\n")
-        prev = None
-        for t, Hv, dv, bv in zip(curve.times, curve.H, diss, bnd):
-            if prev is not None:
-                running = max(running, Hv - prev)
-            prev = Hv
-            shown = max(running, 0.0) if running != -float("inf") else 0.0
-            fh.write(f"{fmt(t)},{fmt(Hv)},{fmt(dv)},{fmt(bv)},{fmt(shown)}\n")
+        for t, Hv, dv, bv, sv in zip(curve.times, curve.H, diss, bnd, so_far):
+            fh.write(f"{fmt(t)},{fmt(Hv)},{fmt(dv)},{fmt(bv)},{fmt(sv)}\n")
 
 
 def write_ensemble_csv(path, ensemble):

@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 
 import kinbench as kb
-from kinbench import oracle
-from kinbench.cli import main
+from kinbench import htheorem, oracle
+from kinbench.cli import _mass_outside, build_parser, main
+from kinbench.generator import CATALOG_NAMES
 from kinbench.serialize import (
     certificate_from_dict,
     certificate_to_dict,
@@ -17,6 +18,7 @@ from kinbench.serialize import (
     read_qmatrix,
     spec_from_dict,
     spec_to_dict,
+    write_hcurve_csv,
 )
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -101,6 +103,32 @@ def test_inline_gibbs_truncated_mass_is_null(tmp_path):
     assert summary["truncated_mass_outside"] is None
 
 
+@pytest.mark.parametrize("alpha", [0.1, 0.3, 1.0, 2.5, 5.0, 10.0])
+def test_truncated_mass_matches_adaptive_quadrature(alpha):
+    from scipy.integrate import quad
+
+    for name in CATALOG_NAMES:
+        spec, rho = kb.catalog_example(name, alpha)
+        mass = _mass_outside(rho, kb.Grid.from_domain(spec.domain, 11))
+        if not rho.normalizable:
+            assert mass is None
+            continue
+        lo, hi = spec.domain.bounds[0]
+        inside, _ = quad(lambda t: float(rho.rho_fn(t)), lo, hi, limit=200)
+        assert abs(mass - max(0.0, 1.0 - inside / rho.total_mass)) <= 1e-15, name
+
+
+def test_truncated_mass_lets_density_errors_raise():
+    spec, rho = kb.catalog_example("ornstein-uhlenbeck")
+
+    def broken(x):
+        raise ValueError("density cannot be evaluated")
+
+    rho.rho_fn = broken
+    with pytest.raises(ValueError, match="cannot be evaluated"):
+        _mass_outside(rho, kb.Grid.from_domain(spec.domain, 11))
+
+
 def test_hcurve_csv_matches_library_h_curves(run_artifacts):
     spec, rho = kb.catalog_example("appendix2a", 1.0)
     grid = kb.Grid.from_domain(spec.domain, 201)
@@ -121,6 +149,7 @@ def test_hcurve_csv_matches_library_h_curves(run_artifacts):
         assert np.array_equal(cols["boundary_term"], curve.boundary)
         single = kb.h_curve(Q, nu0, h, times, tol=1e-12, reference=sol)
         assert np.array_equal(single.H, curve.H)
+        assert cols["max_increase_so_far"][-1] == curve.max_increase
 
 
 def test_hcurve_csv_columns(run_artifacts):
@@ -215,6 +244,42 @@ def test_pawula_second_order_pass(tmp_path, capsys):
 def test_pawula_empty_coefficients(tmp_path):
     path = write_json(tmp_path / "empty.json", {"coefficients": {}})
     assert main(["pawula", path, "--out", str(tmp_path)]) == 2
+
+
+def test_hcurve_csv_running_increase_carries_nan(tmp_path, monkeypatch, two_state):
+    values = iter([1.0, 0.5, 0.75, np.nan, 0.25, 2.0])
+    monkeypatch.setattr(htheorem, "h_function", lambda m, nu, h: next(values))
+    _, curves = kb.h_curves(two_state, np.array([1.0, 0.0]), [kb.HFunctional.from_name("square")],
+                            np.linspace(0.0, 1.0, 6), 1e-12)
+    curve = curves["square"]
+    write_hcurve_csv(tmp_path / "h.csv", curve)
+    col = read_csv_columns(tmp_path / "h.csv")["max_increase_so_far"]
+    assert col[:3].tolist() == [0.0, 0.0, 0.25]
+    assert np.all(np.isnan(col[3:]))
+    assert np.array_equal(col[-1:], [curve.max_increase], equal_nan=True)
+
+
+# the command-line overrides each command reads
+OVERRIDES_READ = {
+    "run": {"--seed", "--tol", "--grid-n"},
+    "pawula": set(),
+    "invariant": {"--grid-n"},
+    "hcurve": {"--tol", "--grid-n"},
+    "oracle-compare": {"--seed", "--tol", "--grid-n"},
+}
+
+
+@pytest.mark.parametrize("flag", ["--seed", "--tol", "--grid-n"])
+@pytest.mark.parametrize("command", sorted(OVERRIDES_READ))
+def test_commands_accept_only_the_overrides_they_read(command, flag, capsys):
+    argv = [command, "scenario.json", flag, "7"]
+    if flag in OVERRIDES_READ[command]:
+        assert getattr(build_parser().parse_args(argv), flag[2:].replace("-", "_")) == 7
+        return
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag} 7" in capsys.readouterr().err
 
 
 def test_invariant_command(tmp_path, capsys):

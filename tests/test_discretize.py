@@ -150,6 +150,55 @@ def test_grid_validation():
         DiscreteGenerator.from_matrix(np.zeros((2, 3)))
 
 
+def _csr_with_duplicates(dense):
+    """``dense`` as CSR with every nonzero off-diagonal v stored twice, as v + 1
+    and -1, so only the summed duplicates give the matrix."""
+    data, indices, indptr = [], [], [0]
+    for i, row in enumerate(dense):
+        for j, v in enumerate(row):
+            if i != j and v != 0.0:
+                data += [v + 1.0, -1.0]
+                indices += [j, j]
+            elif v != 0.0:
+                data.append(v)
+                indices.append(j)
+        indptr.append(len(data))
+    Q = sp.csr_matrix((data, indices, indptr), shape=np.shape(dense))
+    assert not Q.has_canonical_format
+    return Q
+
+
+_NEGATIVE_OFFDIAG = np.array([[-1.0, 1.0, 0.0], [-0.5, 0.0, 0.5], [0.0, 1.0, -1.0]])
+_ROWSUM_DEFECT = np.array([[-1.0, 1.0 + 1e-9, 0.0], [0.5, -1.0, 0.5], [0.0, 1.0, -1.0]])
+
+
+@pytest.mark.parametrize("form", [np.asarray, _csr_with_duplicates], ids=["dense", "csr-dup"])
+def test_discrete_generator_rejects_negative_offdiagonal(form):
+    message = r"^negative off-diagonal -0\.5 breaks the discrete maximum principle$"
+    with pytest.raises(NonEllipticCoefficient, match=message):
+        DiscreteGenerator(form(_NEGATIVE_OFFDIAG))
+
+
+@pytest.mark.parametrize("form", [np.asarray, _csr_with_duplicates], ids=["dense", "csr-dup"])
+def test_discrete_generator_rejects_rowsum_defect(form):
+    with pytest.raises(ShapeError, match=r"^row sums deviate from zero by 1e-09$"):
+        DiscreteGenerator(form(_ROWSUM_DEFECT))
+
+
+@pytest.mark.parametrize("form", [np.asarray, _csr_with_duplicates], ids=["dense", "csr-dup"])
+def test_discrete_generator_keeps_its_maximum_principle_report(form):
+    dense = np.array([[-1.0, 1.0, 0.0], [0.25, -0.5, 0.25], [0.0, 2.0, -2.0]])
+    Q = DiscreteGenerator(form(dense))
+    assert Q.maximum_principle == maximum_principle_check(dense)
+    assert Q.maximum_principle.passed and Q.lambda_max == 2.0
+
+
+@pytest.mark.parametrize("empty", [np.zeros((0, 0)), sp.csr_matrix((0, 0))], ids=["dense", "csr"])
+def test_discrete_generator_accepts_empty_matrix(empty):
+    Q = DiscreteGenerator(empty)
+    assert Q.size == 0 and Q.lambda_max == 0.0 and Q.maximum_principle.passed
+
+
 def test_trapezoid_weights_sum_to_length():
     g = Grid.from_interval(-3.0, 5.0, 33)
     assert g.weights().sum() == pytest.approx(8.0, rel=1e-14)
