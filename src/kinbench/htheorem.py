@@ -277,26 +277,17 @@ def _reference_measure(Q, reference):
         return sol.pi
     if isinstance(reference, InvariantSolution):
         return reference.pi
-    if isinstance(reference, EquilibriumDensity):
-        if reference.values is None or reference.grid is None:
-            raise ParameterOutOfRange("reference density has no grid samples")
-        return np.asarray(reference.values, dtype=float) * reference.grid.weights()
     return np.asarray(reference, dtype=float)
 
 
 def h_function(reference, state, h):
-    """Convex functional sum_i h(state_i / ref_i) ref_i w_i.
+    """Convex functional sum_i h(state_i / ref_i) ref_i of a measure vector.
 
-    ``reference`` may be an EquilibriumDensity (w: its grid's quadrature
-    weights, if it has a grid) or a plain vector (unit weights: the
+    ``reference`` is a measure on the chain nodes (plain sums: the
     stochastic-matrix form).  Mass where the reference vanishes raises
     SupportViolation.
     """
-    is_density = isinstance(reference, EquilibriumDensity)
-    ref = np.asarray(reference.values if is_density else reference, dtype=float)
-    weights = np.ones_like(ref)
-    if is_density and reference.grid is not None:
-        weights = reference.grid.weights()
+    ref = np.asarray(reference, dtype=float)
     state_vals = np.asarray(state, dtype=float)
     if ref.shape != state_vals.shape:
         raise ParameterOutOfRange("reference and state lengths differ")
@@ -309,7 +300,7 @@ def h_function(reference, state, h):
     ratio = np.zeros_like(ref)
     ratio[alive] = state_vals[alive] / ref[alive]
     hvals = h(ratio[alive])
-    return float(np.dot(hvals * ref[alive], weights[alive]))
+    return float(np.dot(hvals * ref[alive], np.ones(hvals.size)))
 
 
 @dataclass
@@ -370,27 +361,18 @@ def h_curves(Q, nu0, hs, times, tol, reference=None, spec=None, boundary_density
     return result, curves
 
 
-def _density_inputs(rho0, phi_tilde, grid):
-    if isinstance(rho0, EquilibriumDensity):
-        grid = grid if grid is not None else rho0.grid
-        rho = np.asarray(rho0.values, dtype=float)
-    else:
-        rho = np.asarray(rho0, dtype=float)
-    if grid is None:
-        raise ParameterOutOfRange("need a grid for quadrature")
-    return rho, np.asarray(phi_tilde, dtype=float), grid
+def dissipation_rate(spec, rho0, phi_tilde, h, grid):
+    """Quadrature of -rho0 h''(phi) a (phi')^2 on ``grid``: the dissipation integral.
 
-
-def dissipation_rate(spec, rho0, phi_tilde, h, grid=None):
-    """Quadrature of -rho0 h''(phi) a (phi')^2: the dissipation integral.
-
-    Nonpositive whenever the diffusion coefficient is nonnegative and h
+    ``rho0`` holds the density's values at the grid nodes.  The rate is
+    nonpositive whenever the diffusion coefficient is nonnegative and h
     is convex; this is the discrete face of the positivity/H-decay
     equivalence.
     """
-    rho, phi, grid = _density_inputs(rho0, phi_tilde, grid)
     if h.d2fn is None:
         raise NonSmoothH(f"{h.kind} lacks the second derivative the identity needs")
+    rho = np.asarray(rho0, dtype=float)
+    phi = np.asarray(phi_tilde, dtype=float)
     x = grid.x
     w = grid.weights()
     a = np.broadcast_to(np.asarray(spec.a(x), dtype=float), x.shape)
@@ -400,17 +382,22 @@ def dissipation_rate(spec, rho0, phi_tilde, h, grid=None):
 
 
 def boundary_term(spec, rho0, phi_tilde, h, grid=None):
-    """Max magnitude of the boundary flux rho0 a d/dx h(phi) + h(phi) H_i."""
-    rho, phi, grid = _density_inputs(rho0, phi_tilde, grid)
-    x = grid.x
-    hvals = h(np.maximum(phi, 0.0))
+    """Max magnitude of the boundary flux rho0 a d/dx h(phi) + h(phi) H_i.
+
+    ``rho0`` is an EquilibriumDensity or its values at the nodes of
+    ``grid``, which defaults to the density's own grid.
+    """
     if isinstance(rho0, EquilibriumDensity):
-        eq = rho0 if rho0.grid is not None else None
+        grid = grid if grid is not None else rho0.grid
+        rho = np.asarray(rho0.values, dtype=float)
     else:
-        eq = None
-    if eq is None:
-        eq = EquilibriumDensity(values=rho, grid=grid)
-    Hi = compute_Hi(spec, eq, grid)
+        rho = np.asarray(rho0, dtype=float)
+    if grid is None:
+        raise ParameterOutOfRange("need a grid for quadrature")
+    x = grid.x
+    hvals = h(np.maximum(np.asarray(phi_tilde, dtype=float), 0.0))
+    sampled = isinstance(rho0, EquilibriumDensity) and rho0.grid is not None
+    Hi = compute_Hi(spec, rho0 if sampled else EquilibriumDensity(values=rho, grid=grid), grid)
     a_lo = float(np.asarray(spec.a(x[0]), dtype=float))
     a_hi = float(np.asarray(spec.a(x[-1]), dtype=float))
     dh_lo = fd.one_sided_d1(hvals, x, at_start=True)

@@ -18,8 +18,10 @@ and the reported defect, the row-sum defect taken before renormalization,
 includes it.
 
 One cost rule picks between the two for vector evolution, once per step
-length ``round(t, 15)``.  ``evolve_series`` counts the steps of each length
-up front; a one-shot ``evolve_observable`` / ``evolve_density`` call is one
+length.  ``evolve_series`` groups the steps of its schedule up front,
+merging steps that differ only by the schedule's rounding (within 4 ulps
+of its last time), and counts the steps of each group; a one-shot
+``evolve_observable`` / ``evolve_density`` call is one
 step.  Per series term, the dense kernel is charged n*(nnz + n) element
 updates: its series on the identity, with the squarings left out so that
 the rule leans toward dense.  Since the identity series is band-limited,
@@ -28,7 +30,6 @@ of the shipped workloads, and so their artifact bytes, depend on it.  The
 vector series costs steps*2^splits*(nnz + C), where C (``_MATVEC_COST``)
 is the fixed cost of one sparse matvec plus two vector updates.  A step
 length goes dense iff n <= 2048 and n*(nnz + n) <= steps*2^splits*(nnz + C).
-The chosen operator is cached per step length.
 """
 
 from __future__ import annotations
@@ -229,8 +230,10 @@ def transition_kernel(Q, t, tol=1e-9):
 
 def _step_operator(qm, t, tol, transpose, steps):
     """v -> e^{Qt} v (e^{Q^T t} v when transpose) for a step length applied
-    ``steps`` times: a dense kernel or a sparse series, by the module's cost
-    rule."""
+    ``steps`` times: a copy of v when t = 0 or Q = 0, else a dense kernel or
+    a sparse series, by the module's cost rule."""
+    if t == 0 or qm.lambda_max == 0.0:
+        return np.copy
     plan = _uniformization(qm, t, tol)
     n, nnz, terms = qm.size, qm.Q.nnz, plan.weights.size
     dense_cost = terms * n * (nnz + n)
@@ -254,18 +257,11 @@ def _step_operator(qm, t, tol, transpose, steps):
     return series
 
 
-def _propagate(qm, v, t, tol, transpose, steps=1, ops=None):
-    """e^{Qt} v, or e^{Q^T t} v when transpose; ``ops`` caches the step
-    operator per round(t, 15), chosen for ``steps`` applications."""
+def _chain_vector(qm, v):
+    v = np.asarray(v, dtype=float)
     if v.shape != (qm.size,):
         raise ShapeError(f"vector length {v.shape} does not match chain size {qm.size}")
-    if t == 0 or qm.lambda_max == 0.0:
-        return v.copy()
-    ops = {} if ops is None else ops
-    key = round(t, 15)
-    if key not in ops:
-        ops[key] = _step_operator(qm, t, tol, transpose, steps)
-    return ops[key](v)
+    return v
 
 
 def evolve_observable(Q, f0, t, tol=1e-9):
@@ -278,7 +274,9 @@ def evolve_observable(Q, f0, t, tol=1e-9):
     if t < 0:
         raise TimeError(f"t = {t:g} < 0")
     _check_tol(tol)
-    return _propagate(_as_qmatrix(Q), np.asarray(f0, dtype=float), t, tol, transpose=False)
+    qm = _as_qmatrix(Q)
+    f0 = _chain_vector(qm, f0)
+    return _step_operator(qm, t, tol, False, 1)(f0)
 
 
 def evolve_density(Q, nu0, t, tol=1e-9):
@@ -286,10 +284,11 @@ def evolve_density(Q, nu0, t, tol=1e-9):
     if t < 0:
         raise TimeError(f"t = {t:g} < 0")
     _check_tol(tol)
-    vals = np.asarray(nu0, dtype=float)
+    qm = _as_qmatrix(Q)
+    vals = _chain_vector(qm, nu0)
     if np.any(vals < 0):
         raise ParameterOutOfRange("initial density must be nonnegative")
-    return _propagate(_as_qmatrix(Q), vals, t, tol, transpose=True)
+    return _step_operator(qm, t, tol, True, 1)(vals)
 
 
 @dataclass
@@ -306,9 +305,14 @@ class EvolutionResult:
 def evolve_series(Q, nu0, times, tol=1e-9):
     """Evolve a density through an increasing time schedule, reusing step operators.
 
-    Steps of equal length (to 15 decimals) share one step operator, chosen
-    by the module's cost rule from how many steps share it: a dense kernel,
-    built once and then one dense matvec per sample, or a sparse series of
+    Steps of the same nominal length share one step operator.  Each
+    difference of two schedule values is off by at most one ulp of
+    ``times[-1]``, so two nominally equal steps differ by at most two; a
+    positive step joins the first group whose first step it matches within
+    4 ulps of ``times[-1]``, and otherwise starts a new group.  Each group's
+    operator is built at the length of its first step and chosen by the
+    module's cost rule from the group's step count: a dense kernel, built
+    once and then one dense matvec per sample, or a sparse series of
     2^splits*terms matvecs per sample, whose matrix and Poisson weights are
     built once.
     """
@@ -322,14 +326,22 @@ def evolve_series(Q, nu0, times, tol=1e-9):
         raise TimeError("time schedule must be nondecreasing")
     _check_tol(tol)
 
+    current = _chain_vector(qm, nu0)
     dts = np.diff(times, prepend=0.0)
-    steps = Counter(round(dt, 15) for dt in dts if dt > 0)
-    ops = {}
+    same = 4 * np.spacing(times[-1])
+    firsts, group = [], []
+    for dt in dts[dts > 0]:
+        g = next((g for g, first in enumerate(firsts) if abs(dt - first) <= same), len(firsts))
+        if g == len(firsts):
+            firsts.append(dt)
+        group.append(g)
+    counts = Counter(group)
+    ops = [_step_operator(qm, dt, tol, True, counts[g]) for g, dt in enumerate(firsts)]
+    step_groups = iter(group)
     fields = []
-    current = np.array(nu0, dtype=float)
     for dt in dts:
         if dt > 0:
-            current = _propagate(qm, current, dt, tol, True, steps[round(dt, 15)], ops)
+            current = ops[next(step_groups)](current)
         fields.append(current.copy())
     arr = np.array(fields)
     return EvolutionResult(

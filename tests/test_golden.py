@@ -5,6 +5,9 @@ builds they were recorded with, so the test skips when those versions
 differ.  Re-record (only when an artifact is meant to change) with
 
     PYTHONPATH=src python tests/test_golden.py
+
+which prints the name of every digest it changes and how many it leaves
+unchanged.
 """
 
 import hashlib
@@ -96,7 +99,13 @@ if __name__ == "__main__":
 
     with tempfile.TemporaryDirectory() as tmp:
         codes, digests = artifact_digests(tmp)
+    old = json.loads(GOLDEN.read_text())["digests"] if GOLDEN.exists() else {}
+    changed = sorted(name for name in digests.keys() | old.keys()
+                     if digests.get(name) != old.get(name))
+    for name in changed:
+        print(f"changed: {name}")
     doc = {"versions": {"numpy": np.__version__, "scipy": scipy.__version__},
            "exit_codes": codes, "digests": digests}
     GOLDEN.write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
-    print(f"wrote {len(digests)} digests to {GOLDEN}")
+    print(f"wrote {len(digests)} digests to {GOLDEN}; "
+          f"{len(changed)} changed, {len(digests) - len(changed)} unchanged")

@@ -157,7 +157,8 @@ def test_appendix2a_series_builds_one_dense_kernel_per_step_key(a2a201, monkeypa
     nu0 = gaussian_measure(a2a201.x, 2.0, 1.0)
     calls = _count_kernel_builds(monkeypatch)
     evolve_series(a2a201.Q, nu0, np.linspace(0.0, 10.0, 201), tol=1e-12)
-    assert len(calls) == 3
+    # the 200 steps round to 0.05 and 0.05 +- 1 ulp of 10; one kernel, at 0.05
+    assert [t for _, t, _ in calls] == [0.05]
 
 
 def test_one_shot_density_agrees_across_routes(a2a201, monkeypatch):
@@ -181,15 +182,50 @@ def test_route_is_logged_once_per_step_key(a2a201, caplog):
     Q, nu0 = _box_chain(15)
     evolve_series(Q, nu0, np.linspace(0.0, 2.0, 21), tol=1e-12)
     lines = _logged_lines(caplog, "step ")
-    assert [line["n"] for line in lines] == [201.0] * 3 + [225.0] * (len(lines) - 3)
-    assert sorted(line["steps"] for line in lines[:3]) == [16, 40, 144]
-    assert sum(line["steps"] for line in lines[3:]) == 20
+    assert [(line["n"], line["steps"]) for line in lines] == [(201, 200), (225, 20)]
     for line in lines:
         assert set(line) == {"n", "nnz", "lam", "mu", "splits", "terms", "steps",
                              "dense_cost", "series_cost", "route"}
         assert line["route"] == ("dense" if line["dense_cost"] <= line["series_cost"]
                                  else "series")
-    assert [line["route"] for line in lines] == ["dense"] * 3 + ["series"] * (len(lines) - 3)
+    assert [line["route"] for line in lines] == ["dense", "series"]
+
+
+def _logged_steps(caplog, Q, times):
+    caplog.clear()
+    evolve_series(Q, np.full(Q.size, 1.0 / Q.size), times, tol=1e-12)
+    messages = [r.getMessage() for r in caplog.records if r.getMessage().startswith("step ")]
+    return [(float(m.split()[1].rstrip(":")), int(m.split("steps=")[1].split()[0]))
+            for m in messages]
+
+
+def test_steps_equal_up_to_rounding_share_one_operator(caplog):
+    caplog.set_level(logging.DEBUG, logger="kinbench.semigroup")
+    spec, _ = catalog_example("ornstein-uhlenbeck")
+    Q = build_qmatrix(spec, Grid.from_domain(spec.domain, 41))
+    times = np.linspace(0.0, 10.0, 201)
+    assert len({round(dt, 15) for dt in np.diff(times)}) == 3
+    assert _logged_steps(caplog, Q, times) == [(0.05, 200)]
+    # genuinely different steps keep their own operators
+    assert _logged_steps(caplog, Q, [0.0, 0.05, 0.1, 0.3]) == [(0.05, 2), (0.2, 1)]
+
+
+def test_tiny_steps_of_different_length_are_not_merged():
+    rate = 1e14
+    Q = DiscreteGenerator.from_matrix([[-rate, rate], [rate, -rate]])
+    times = [0.0, 1e-16, 3e-16]
+    res = evolve_series(Q, np.array([1.0, 0.0]), times, tol=1e-12)
+    for t, field in zip(times, res.fields):
+        assert field[0] == pytest.approx(0.5 * (1 + np.exp(-2 * rate * t)), abs=1e-12)
+    assert res.fields[2][0] == pytest.approx(evolve_density(Q, [1.0, 0.0], 3e-16)[0], abs=1e-12)
+
+
+def test_wrong_length_vector_is_rejected_before_any_step(two_state):
+    with pytest.raises(ShapeError):
+        evolve_series(two_state, [1.0, 0.0, 0.0], [0.0])
+    for evolve in [evolve_observable, evolve_density]:
+        with pytest.raises(ShapeError):
+            evolve(two_state, [1.0, 0.0, 0.0], 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -302,7 +338,7 @@ def test_kernel_build_is_logged_with_its_row_sum_defect(a2a201, caplog):
     nu0 = gaussian_measure(a2a201.x, 2.0, 1.0)
     evolve_series(a2a201.Q, nu0, np.linspace(0.0, 10.0, 201), tol=1e-12)
     lines = _logged_lines(caplog, "kernel ")
-    assert len(lines) == 3
+    assert len(lines) == 1
     for line in lines:
         assert set(line) == {"n", "b", "terms", "splits", "flushed", "row_sum_defect"}
         assert (line["n"], line["b"]) == (201, 1)
