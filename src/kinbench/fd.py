@@ -56,7 +56,7 @@ def richardson_dm(f, x, m):
 
 
 def one_sided_d1(values, x, at_start=True):
-    """Second-order one-sided first derivative at a boundary node."""
+    """Second-order one-sided first derivative at a boundary node, per row of a stack."""
     if at_start:
         h1 = x[1] - x[0]
         h2 = x[2] - x[1]
@@ -64,13 +64,13 @@ def one_sided_d1(values, x, at_start=True):
         c0 = -(2 * h1 + h2) / (h1 * (h1 + h2))
         c1 = (h1 + h2) / (h1 * h2)
         c2 = -h1 / (h2 * (h1 + h2))
-        return c0 * values[0] + c1 * values[1] + c2 * values[2]
+        return c0 * values[..., 0] + c1 * values[..., 1] + c2 * values[..., 2]
     h1 = x[-1] - x[-2]
     h2 = x[-2] - x[-3]
     c0 = (2 * h1 + h2) / (h1 * (h1 + h2))
     c1 = -(h1 + h2) / (h1 * h2)
     c2 = h1 / (h2 * (h1 + h2))
-    return c0 * values[-1] + c1 * values[-2] + c2 * values[-3]
+    return c0 * values[..., -1] + c1 * values[..., -2] + c2 * values[..., -3]
 
 
 def trapezoid_weights(x):

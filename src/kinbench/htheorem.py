@@ -340,23 +340,18 @@ def h_curves(Q, nu0, hs, times, tol, reference=None, spec=None, boundary_density
     qm = _as_qmatrix(Q)
     m = _reference_measure(qm, reference)
     result = evolve_series(qm, nu0, times, tol=tol)
-    nus = result.fields
     if spec is not None:
-        phis = [nu / m for nu in nus]
+        phis = result.fields / m
         rho_density = m / qm.quadrature_weights()
         rho_boundary = rho_density if boundary_density is None else boundary_density
     curves = {}
     for h in hs:
-        H = np.array([h_function(m, nu, h) for nu in nus])
-        increases = np.diff(H)
-        max_inc = float(increases.max()) if increases.size else 0.0
-        curve = HCurve(result.times, H, max(max_inc, 0.0), mass=result.mass)
+        H = np.array([h_function(m, nu, h) for nu in result.fields])
+        curve = HCurve(result.times, H, float(np.diff(H).max(initial=0.0)), mass=result.mass)
         if spec is not None:
-            curve.dissipation = np.array(
-                [dissipation_rate(spec, rho_density, phi, h, grid=qm.grid)
-                 if h.d2fn is not None else float("nan") for phi in phis])
-            curve.boundary = np.array(
-                [boundary_term(spec, rho_boundary, phi, h, grid=qm.grid) for phi in phis])
+            curve.dissipation = (dissipation_rate(spec, rho_density, phis, h, grid=qm.grid)
+                                 if h.d2fn is not None else np.full(len(phis), np.nan))
+            curve.boundary = boundary_term(spec, rho_boundary, phis, h, grid=qm.grid)
         curves[h.kind] = curve
     return result, curves
 
@@ -364,10 +359,10 @@ def h_curves(Q, nu0, hs, times, tol, reference=None, spec=None, boundary_density
 def dissipation_rate(spec, rho0, phi_tilde, h, grid):
     """Quadrature of -rho0 h''(phi) a (phi')^2 on ``grid``: the dissipation integral.
 
-    ``rho0`` holds the density's values at the grid nodes.  The rate is
-    nonpositive whenever the diffusion coefficient is nonnegative and h
-    is convex; this is the discrete face of the positivity/H-decay
-    equivalence.
+    ``rho0`` holds the density's values at the grid nodes.  One state
+    ``phi_tilde`` (n,) gives a float, a stack (k, n) one rate per row.  The
+    rate is nonpositive whenever a >= 0 and h is convex; this is the
+    discrete face of the positivity/H-decay equivalence.
     """
     if h.d2fn is None:
         raise NonSmoothH(f"{h.kind} lacks the second derivative the identity needs")
@@ -376,35 +371,36 @@ def dissipation_rate(spec, rho0, phi_tilde, h, grid):
     x = grid.x
     w = grid.weights()
     a = np.broadcast_to(np.asarray(spec.a(x), dtype=float), x.shape)
-    grad = np.gradient(phi, x, edge_order=2)
+    grad = np.gradient(phi, x, axis=-1, edge_order=2)
     integrand = rho * h.d2(phi) * a * grad * grad
-    return -float(np.dot(integrand, w))
+    rates = -np.array([np.dot(row, w) for row in integrand.reshape(-1, x.size)])
+    return rates if phi.ndim > 1 else float(rates[0])
 
 
 def boundary_term(spec, rho0, phi_tilde, h, grid=None):
     """Max magnitude of the boundary flux rho0 a d/dx h(phi) + h(phi) H_i.
 
     ``rho0`` is an EquilibriumDensity or its values at the nodes of
-    ``grid``, which defaults to the density's own grid.
+    ``grid``, which defaults to the density's own grid.  One state
+    ``phi_tilde`` (n,) gives a float, a stack (k, n) one flux per row.
     """
-    if isinstance(rho0, EquilibriumDensity):
-        grid = grid if grid is not None else rho0.grid
-        rho = np.asarray(rho0.values, dtype=float)
-    else:
-        rho = np.asarray(rho0, dtype=float)
+    if not isinstance(rho0, EquilibriumDensity):
+        rho0 = EquilibriumDensity(values=np.asarray(rho0, dtype=float), grid=grid)
+    grid = grid if grid is not None else rho0.grid
     if grid is None:
         raise ParameterOutOfRange("need a grid for quadrature")
+    rho = np.asarray(rho0.values, dtype=float)
     x = grid.x
     hvals = h(np.maximum(np.asarray(phi_tilde, dtype=float), 0.0))
-    sampled = isinstance(rho0, EquilibriumDensity) and rho0.grid is not None
-    Hi = compute_Hi(spec, rho0 if sampled else EquilibriumDensity(values=rho, grid=grid), grid)
+    Hi = compute_Hi(spec, rho0, grid)
     a_lo = float(np.asarray(spec.a(x[0]), dtype=float))
     a_hi = float(np.asarray(spec.a(x[-1]), dtype=float))
     dh_lo = fd.one_sided_d1(hvals, x, at_start=True)
     dh_hi = fd.one_sided_d1(hvals, x, at_start=False)
-    flux_lo = rho[0] * a_lo * dh_lo + hvals[0] * Hi[0]
-    flux_hi = rho[-1] * a_hi * dh_hi + hvals[-1] * Hi[-1]
-    return float(max(abs(flux_lo), abs(flux_hi)))
+    lo = np.abs(rho[0] * a_lo * dh_lo + hvals[..., 0] * Hi[0])
+    hi = np.abs(rho[-1] * a_hi * dh_hi + hvals[..., -1] * Hi[-1])
+    flux = np.where(hi > lo, hi, lo)  # max(lo, hi) as Python takes it, NaN included
+    return flux if flux.ndim else float(flux)
 
 
 @dataclass

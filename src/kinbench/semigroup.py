@@ -293,10 +293,10 @@ def evolve_density(Q, nu0, t, tol=1e-9):
 
 @dataclass
 class EvolutionResult:
-    """Density snapshots with conserved-mass and minimum-value series."""
+    """Density snapshots, one ``(len(times), n)`` array, and its per-row mass/min/sup series."""
 
     times: np.ndarray
-    fields: list
+    fields: np.ndarray
     mass: np.ndarray
     min_value: np.ndarray
     sup_norm: np.ndarray
@@ -338,18 +338,17 @@ def evolve_series(Q, nu0, times, tol=1e-9):
     counts = Counter(group)
     ops = [_step_operator(qm, dt, tol, True, counts[g]) for g, dt in enumerate(firsts)]
     step_groups = iter(group)
-    fields = []
-    for dt in dts:
+    fields = np.empty((times.size, qm.size))
+    for row, dt in zip(fields, dts):
         if dt > 0:
             current = ops[next(step_groups)](current)
-        fields.append(current.copy())
-    arr = np.array(fields)
+        row[:] = current
     return EvolutionResult(
         times=times,
         fields=fields,
-        mass=arr.sum(axis=1),
-        min_value=arr.min(axis=1),
-        sup_norm=np.abs(arr).max(axis=1),
+        mass=fields.sum(axis=1),
+        min_value=fields.min(axis=1),
+        sup_norm=np.abs(fields).max(axis=1),
     )
 
 
@@ -372,13 +371,13 @@ def resolvent(Q, lam, g):
         raise SpectrumError(f"resolvent parameter must be positive, got {lam:g}")
     qm = _as_qmatrix(Q)
     A = (lam * sp.identity(qm.size, format="csc") - qm.Q.tocsc())
-    return spla.spsolve(A, np.asarray(g, dtype=float))
+    return spla.spsolve(A, _chain_vector(qm, g))
 
 
 def generator_at_max(Q, f):
     """Value of Qf at the argmax of f (ties broken to the lowest index)."""
     qm = _as_qmatrix(Q)
-    vals = np.asarray(f, dtype=float)
+    vals = _chain_vector(qm, f)
     return float((qm.Q @ vals)[int(np.argmax(vals))])
 
 
@@ -402,6 +401,7 @@ def recover_coefficients(Q, t_small, tol=1e-12):
     qm = _as_qmatrix(Q)
     if t_small <= 0:
         raise TimeError("t_small must be positive")
+    _check_tol(tol)
     if qm.lambda_max * t_small > 0.1:
         warnings.warn(
             f"lambda_max*t = {qm.lambda_max * t_small:.3g} > 0.1; "
@@ -435,6 +435,9 @@ class ContinuityDefect:
 def stochastic_continuity_defect(Q, node, radius, times, tol=1e-12):
     """Kernel mass escaping a ball around each node, as t decreases to 0."""
     qm = _as_qmatrix(Q)
+    if not 0 <= node < qm.size:
+        raise ParameterOutOfRange(f"node {node} outside [0, {qm.size})")
+    _check_tol(tol)
     x = qm.node_coordinates()
     if x.ndim != 1:
         raise ShapeError("stochastic continuity supports 1-D grids in v1")

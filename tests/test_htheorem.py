@@ -430,6 +430,61 @@ def test_boundary_term_flags_wall_gradient(a2a401):
     assert boundary_term(a2a401.spec, req, phi, h, grid=a2a401.grid) > 1e-3
 
 
+def _phi_stack(setup):
+    """Snapshots of phi = nu/pi, plus copies with NaN or inf at one wall."""
+    sol = solve_invariant(setup.Q)
+    nu0 = gaussian_measure(setup.x, 2.0, 1.0)
+    res = kb.evolve_series(setup.Q, nu0, np.linspace(0.0, 1.0, 6), tol=1e-12)
+    phis = res.fields / sol.pi
+    bad = []
+    for value in (np.nan, np.inf):
+        for wall in (0, -1):
+            row = phis[2].copy()
+            row[wall] = value
+            bad.append(row)
+    return sol, np.vstack([phis, bad])
+
+
+def test_stacked_identity_terms_equal_row_by_row(a2a401):
+    sol, phis = _phi_stack(a2a401)
+    grid, spec = a2a401.grid, a2a401.spec
+    rho = sol.pi / a2a401.Q.quadrature_weights()
+    req = a2a401.rho.on_grid(grid)
+    with np.errstate(all="ignore"):
+        for kind in ("xlogx", "square", "square-dev"):
+            h = HFunctional.from_name(kind)
+            for density in (rho, req.values):
+                rates = dissipation_rate(spec, density, phis, h, grid=grid)
+                rows = [dissipation_rate(spec, density, phi, h, grid=grid) for phi in phis]
+                assert rates.shape == (len(phis),)
+                assert np.array_equal(rates, rows, equal_nan=True)
+            for density in (rho, req):
+                flux = boundary_term(spec, density, phis, h, grid=grid)
+                rows = [boundary_term(spec, density, phi, h, grid=grid) for phi in phis]
+                assert flux.shape == (len(phis),)
+                assert np.array_equal(flux, rows, equal_nan=True)
+    # a NaN state has a NaN rate; inf at the upper wall makes the upper flux
+    # NaN, and the lower one is kept, as Python's max(lo, hi) keeps it
+    square = HFunctional.from_name("square")
+    with np.errstate(all="ignore"):
+        assert np.isnan(dissipation_rate(spec, rho, phis, square, grid=grid)[-4])
+        assert np.isfinite(boundary_term(spec, rho, phis, square, grid=grid)[-1])
+
+
+def test_h_curves_computes_hi_once_per_functional(a2a401, monkeypatch):
+    import kinbench.htheorem as ht
+    calls = []
+    compute = ht.compute_Hi
+    monkeypatch.setattr(ht, "compute_Hi", lambda *a: calls.append(a) or compute(*a))
+    hs = [HFunctional.from_name(k) for k in ("xlogx", "square", "square-dev")]
+    times = np.linspace(0.0, 1.0, 11)
+    nu0 = gaussian_measure(a2a401.x, 2.0, 1.0)
+    _, curves = ht.h_curves(a2a401.Q, nu0, hs, times, 1e-12, spec=a2a401.spec)
+    assert len(calls) == len(hs)
+    for curve in curves.values():
+        assert curve.dissipation.shape == curve.boundary.shape == times.shape
+
+
 # ---------------------------------------------------------------------------
 # dH/dt consistency
 # ---------------------------------------------------------------------------

@@ -228,6 +228,14 @@ def test_wrong_length_vector_is_rejected_before_any_step(two_state):
             evolve(two_state, [1.0, 0.0, 0.0], 0.0)
 
 
+def test_evolve_series_fields_is_one_array(a2a201):
+    times = np.linspace(0.0, 1.0, 11)
+    res = evolve_series(a2a201.Q, gaussian_measure(a2a201.x, 2.0, 1.0), times)
+    assert isinstance(res.fields, np.ndarray)
+    assert res.fields.shape == (times.size, a2a201.grid.size)
+    assert np.array_equal(res.mass, res.fields.sum(axis=1))
+
+
 # ---------------------------------------------------------------------------
 # transition kernels
 # ---------------------------------------------------------------------------
@@ -494,6 +502,22 @@ def test_continuity_decreases_to_zero(a2a201):
     assert np.all(np.diff(out.max_interior) < 0)
     lam = a2a201.Q.lambda_max
     assert np.all(out.max_interior <= 1.1 * lam * np.asarray(ts) + 1e-15)
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda Q: stochastic_continuity_defect(Q, -1, 0.5, [0.1]), ParameterOutOfRange),
+    (lambda Q: stochastic_continuity_defect(Q, 2, 0.5, [0.1]), ParameterOutOfRange),
+    (lambda Q: stochastic_continuity_defect(Q, 0, 0.5, [0.1], tol=0.5), ParameterOutOfRange),
+    (lambda Q: recover_coefficients(Q, 1e-3, tol=0.5), ParameterOutOfRange),
+    (lambda Q: resolvent(Q, 1.0, [1.0, 0.0, 0.0]), ShapeError),
+    (lambda Q: generator_at_max(Q, [1.0, 0.0, 0.0]), ShapeError),
+], ids=["continuity-node-negative", "continuity-node-past-end", "continuity-tol",
+        "recover-tol", "resolvent-length", "generator-at-max-length"])
+def test_bad_arguments_are_named_errors_before_any_kernel(two_state, monkeypatch, call, error):
+    calls = _count_kernel_builds(monkeypatch)
+    with pytest.raises(error):
+        call(two_state)
+    assert calls == []
 
 
 def test_continuity_on_nd_grid_is_a_named_error(monkeypatch):
