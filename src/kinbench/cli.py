@@ -1,12 +1,13 @@
 """Command-line front door: scenario documents in, CSV/JSON artifacts out.
 
-Every command reads its document through ``_document``; ``_scenario``
-then reads each field through ``_field``, applies the overrides the
-command takes (``--out``, ``--tol``, ``--seed``, ``--grid-n``) and builds the chain.
+Every command reads its document through ``_document`` and each field
+through ``_field``; ``_scenario`` applies the overrides the command takes
+(``--out``, ``--tol``, ``--seed``, ``--grid-n``) and builds the chain.
 
-Exit codes: 0 all checks pass, 1 a mathematical invariant failed,
-2 malformed input (an unreadable document, or a malformed field, which
-the message names).  Reports are byte-deterministic for a fixed seed.
+Exit codes: 0 all checks pass, 1 a mathematical invariant failed, 2 an
+``InputError``: an unreadable document, or a malformed field, which the
+message names by its dotted path.  Reports are byte-deterministic for a
+fixed seed.
 """
 
 from __future__ import annotations
@@ -22,23 +23,21 @@ from dataclasses import replace
 import numpy as np
 
 from . import oracle as oracle_mod
-from .discretize import Grid, build_qmatrix
+from .discretize import Grid, build_qmatrix, check_scheme
 from .errors import (
-    DomainError,
-    ExpressionError,
+    InputError,
     KinbenchError,
     NoInvariantDensity,
-    NonEllipticCoefficient,
-    ParameterOutOfRange,
     ScenarioError,
-    ShapeError,
-    UnknownExample,
+    SpectrumError,
+    TimeError,
 )
 from .htheorem import HFunctional, h_curves, solve_invariant
 from .pawula import (
+    DEFAULT_EPSILON,
     OFFDIAG_TOL,
     ROWSUM_TOL,
-    OrderTooLow,
+    TruncatedOperator,
     pawula_counterexample,
     second_order_sign_check,
 )
@@ -47,13 +46,14 @@ from .semigroup import (
     evolve_series,
     generator_at_max,
     resolvent,
+    time_schedule,
 )
 from .serialize import (
     canonical_json,
     certificate_to_dict,
+    coefficient_from_json,
     fmt,
     load_generator,
-    operator_from_dict,
     spec_to_dict,
     write_ensemble_csv,
     write_evolution_csv,
@@ -61,18 +61,6 @@ from .serialize import (
     write_qmatrix,
     write_summary_csv,
 )
-
-INPUT_ERRORS = (
-    ScenarioError,
-    ExpressionError,
-    UnknownExample,
-    ParameterOutOfRange,
-    NonEllipticCoefficient,
-    DomainError,
-    ShapeError,
-    OrderTooLow,
-)
-
 
 # closed-form initial densities: parameter -> default
 DENSITY_PARAMS = {
@@ -101,10 +89,7 @@ def _document(args):
 
 
 def _field(doc, path, convert, default):
-    """The dotted field ``path`` of ``doc`` (or ``default``) through ``convert``.
-
-    A malformed value raises ScenarioError naming the field.
-    """
+    """The dotted field ``path`` of ``doc`` (or ``default``) through ``convert``."""
     *parents, leaf = path.split(".")
     try:
         for key in parents:
@@ -112,27 +97,48 @@ def _field(doc, path, convert, default):
         value = doc.get(leaf, default)
     except AttributeError:
         raise ScenarioError(f"malformed {path}: {'.'.join(parents)} is not an object") from None
+    return _named(path, convert, value)
+
+
+def _named(path, convert, value):
+    """``convert(value)``; a malformed value raises ScenarioError naming ``path``."""
     try:
         return convert(value)
     except KeyError as exc:
         raise ScenarioError(f"{path} needs field {exc}") from None
-    except (TypeError, ValueError, IndexError) as exc:
+    except (TypeError, ValueError, IndexError, OverflowError, AttributeError, InputError) as exc:
         raise ScenarioError(f"malformed {path}: {exc}") from None
+
+
+def _natural(value):
+    """A nonnegative integer: 41 and 1e5 pass, 41.7, -1 and true do not."""
+    if isinstance(value, bool) or int(value) != float(value) or int(value) < 0:
+        raise ValueError(f"{value!r} is not a nonnegative integer")
+    return int(value)
 
 
 def _times(times):
     if isinstance(times, dict):
-        return np.linspace(float(times["start"]), float(times["stop"]), int(times["num"]))
-    return np.asarray([float(t) for t in times])
+        times = np.linspace(float(times["start"]), float(times["stop"]), _natural(times["num"]))
+    return time_schedule(float(t) for t in times)
 
 
 def _floats(values):
     return [float(v) for v in values]
 
 
-def _pair(values):
-    s, t = values
-    return float(s), float(t)
+def _lags(values):
+    s, t = (float(v) for v in values)
+    if not (s >= 0 and t >= 0):
+        raise TimeError("both times must be nonnegative")
+    return s, t
+
+
+def _rates(values):
+    rates = _floats(values)
+    if not all(lam > 0 for lam in rates):
+        raise SpectrumError("resolvent parameters must be positive")
+    return rates
 
 
 def _h_functionals(entries):
@@ -140,14 +146,21 @@ def _h_functionals(entries):
             else HFunctional.from_name(e["kind"], e.get("value_at_zero")) for e in entries]
 
 
+def _operator(terms):
+    """An operator document's ``coefficients`` map as a TruncatedOperator of its top order."""
+    coeffs = {_natural(k): coefficient_from_json(v, 1) for k, v in terms.items()}
+    if not coeffs:
+        raise ValueError("an operator needs at least one term")
+    return TruncatedOperator(max(coeffs), coeffs)
+
+
 def _initial_density(desc):
     kind = desc["kind"]
     if kind == "table":
         return {"kind": kind, "values": np.asarray(desc.get("values", []), dtype=float)}
     if kind not in DENSITY_PARAMS:
-        raise ScenarioError(f"unknown initial_density kind {kind!r}")
-    return {"kind": kind,
-            **{k: float(desc.get(k, v)) for k, v in DENSITY_PARAMS[kind].items()}}
+        raise ValueError(f"unknown kind {kind!r}")
+    return {"kind": kind, **{k: float(desc.get(k, v)) for k, v in DENSITY_PARAMS[kind].items()}}
 
 
 # a scenario document read field by field, overrides applied, chain built
@@ -163,27 +176,29 @@ def _scenario(args):
         raise ScenarioError(f"tol must lie in (0, 1e-6], got {tol:g}")
     checks = {
         "invariant_measure": _field(doc, "checks.invariant_measure", bool, True),
-        "chapman_kolmogorov": _field(doc, "checks.chapman_kolmogorov", _pair, [0.3, 0.7]),
-        "resolvent_lambdas": _field(doc, "checks.resolvent_lambdas", _floats,
-                                    [0.1, 1.0, 10.0]),
+        "chapman_kolmogorov": _field(doc, "checks.chapman_kolmogorov", _lags, [0.3, 0.7]),
+        "resolvent_lambdas": _field(doc, "checks.resolvent_lambdas", _rates, [0.1, 1.0, 10.0]),
     }
     oracle = {
-        "particles": _field(doc, "oracle.particles", int, 100_000),
+        "particles": _field(doc, "oracle.particles", _natural, 100_000),
         "dt": _field(doc, "oracle.dt", float, 1e-3),
-        "seed": args.seed if args.seed is not None else _field(doc, "oracle.seed", int, 1234),
-        "snapshot_times": _field(doc, "oracle.snapshot_times", _floats, [0.5, 1.0, 2.0]),
+        "seed": args.seed if args.seed is not None else _field(doc, "oracle.seed", _natural, 1234),
+        "snapshot_times": _field(doc, "oracle.snapshot_times",
+                                 lambda v: time_schedule(_floats(v)).tolist(), [0.5, 1.0, 2.0]),
         "moment_points": _field(doc, "oracle.moment_points", _floats, [0.0]),
         "moment_window": _field(doc, "oracle.moment_window", float, 1e-2),
     }
-    seed = args.seed if args.seed is not None else _field(doc, "seed", int, 0)
+    seed = args.seed if args.seed is not None else _field(doc, "seed", _natural, 0)
     times = _field(doc, "times", _times, {"start": 0.0, "stop": 10.0, "num": 201})
     initial = _field(doc, "initial_density", _initial_density, {"kind": "gaussian"})
     hs = _field(doc, "h_functionals", _h_functionals, ["xlogx", "square", "square-dev"])
-    scheme = _field(doc, "scheme", str, "exponential-fitting")
-    n = args.grid_n if args.grid_n is not None else _field(doc, "grid.n", int, 401)
+    scheme = _field(doc, "scheme", check_scheme, "exponential-fitting")
+    n = args.grid_n if args.grid_n is not None else _field(doc, "grid.n", _natural, 401)
     spec, rho = _field(doc, "generator", load_generator, None)
-    grid = Grid.from_domain(spec.domain, n)
-    Q = build_qmatrix(spec, grid, scheme)
+    if spec.dimension != 1:  # n-D chains are library-only for now
+        raise ScenarioError(f"generator.dimension is {spec.dimension}; the CLI runs 1-D chains")
+    grid = _named("grid.n", lambda n: Grid.from_domain(spec.domain, n), n)
+    Q = _named("generator", lambda spec: build_qmatrix(spec, grid, scheme), spec)
     return Scenario(args.scenario, out, tol, seed, times, initial, hs, checks, oracle,
                     spec, rho, grid, Q)
 
@@ -233,7 +248,7 @@ def _record(sheet, name, value, threshold, passed=None):
 
 
 def _solve_invariant(sc, sheet):
-    """solve_invariant, or the NoInvariantDensity report and None."""
+    """solve_invariant; NoInvariantDensity is reported in summary.json and re-raised."""
     try:
         return solve_invariant(sc.Q)
     except NoInvariantDensity as exc:
@@ -245,7 +260,7 @@ def _solve_invariant(sc, sheet):
             "error": f"NoInvariantDensity: {exc}",
         })
         print(f"FAIL invariant_measure: NoInvariantDensity: {exc}")
-        return None
+        raise
 
 
 def cmd_run(args):
@@ -260,16 +275,12 @@ def cmd_run(args):
     sol = None
     if sc.checks["invariant_measure"]:
         sol = _solve_invariant(sc, sheet)
-        if sol is None:
-            return 1
         _record(sheet, "invariant_residual", sol.residual, 1e-10 * Q.lambda_max * 2)
 
     nu0 = _initial_measure(sc, sol.pi if sol is not None else None)
-    rho_grid = sc.rho.on_grid(grid) if sc.rho is not None else None
-
     if sol is not None:
         result, curves = h_curves(Q, nu0, sc.hs, sc.times, tol, reference=sol,
-                                  spec=sc.spec, boundary_density=rho_grid)
+                                  spec=sc.spec, boundary_density=sc.rho)
         for kind, curve in curves.items():
             _record(sheet, f"h_monotone_{kind}", curve.max_increase, tol)
             write_hcurve_csv(os.path.join(sc.out, f"hcurve_{kind}.csv"), curve)
@@ -352,11 +363,14 @@ def _mass_outside(rho, grid):
 
 def cmd_pawula(args):
     doc, out = _document(args)
-    op, options = operator_from_dict(doc)
+    op = _field(doc, "coefficients", _operator, {})
+    op = _field(doc, "order", lambda k: replace(op, order=_natural(k)), op.order)
+    x0 = _field(doc, "x0", float, 0.0)
+    epsilon = _field(doc, "epsilon", float, DEFAULT_EPSILON)
+    amplitude = _field(doc, "amplitude", lambda v: v if v is None else float(v), None)
+    points = _field(doc, "points", _floats, np.linspace(-10.0, 10.0, 201))
     if op.order <= 2:
-        pts = _field(doc, "points", lambda v: np.asarray(v, dtype=float),
-                     np.linspace(-10.0, 10.0, 201))
-        passed, worst = second_order_sign_check(op, pts)
+        passed, worst = second_order_sign_check(op, points)
         _write_json(out, "pawula_verdict.json", {
             "order": op.order,
             "verdict": "pass" if passed else "fail",
@@ -368,8 +382,7 @@ def cmd_pawula(args):
             return 0
         print(f"FAIL: second-order coefficient dips to {fmt(worst)}")
         return 1
-    cert = pawula_counterexample(op, options["x0"], options["epsilon"],
-                                 options["amplitude"])
+    cert = pawula_counterexample(op, x0, epsilon, amplitude)
     _write_json(out, "pawula_certificate.json", certificate_to_dict(cert))
     print(f"violation: order {op.order} term breaks the maximum principle at "
           f"x0 = {fmt(cert.x0)}")
@@ -383,8 +396,6 @@ def cmd_invariant(args):
     sc = _scenario(args)
     grid = sc.grid
     sol = _solve_invariant(sc, {})
-    if sol is None:
-        return 1
     w = grid.weights()
     x = grid.x
     with open(os.path.join(sc.out, "invariant.csv"), "w") as fh:
@@ -409,11 +420,8 @@ def cmd_invariant(args):
 def cmd_hcurve(args):
     sc = _scenario(args)
     sol = _solve_invariant(sc, {})
-    if sol is None:
-        return 1
-    rho_grid = sc.rho.on_grid(sc.grid) if sc.rho is not None else None
     _, curves = h_curves(sc.Q, _initial_measure(sc, sol.pi), sc.hs, sc.times, sc.tol,
-                         reference=sol, spec=sc.spec, boundary_density=rho_grid)
+                         reference=sol, spec=sc.spec, boundary_density=sc.rho)
     ok = True
     for kind, curve in curves.items():
         write_hcurve_csv(os.path.join(sc.out, f"hcurve_{kind}.csv"), curve)
@@ -498,7 +506,7 @@ def build_parser():
         description="Markov-semigroup workbench for kinetic equations",
     )
     sub = p.add_subparsers(dest="command", required=True)
-    overrides = {"--seed": int, "--tol": float, "--grid-n": int}
+    overrides = {"--seed": _natural, "--tol": float, "--grid-n": int}
     for name, fn, flags in [
         ("run", cmd_run, ("--seed", "--tol", "--grid-n")),
         ("pawula", cmd_pawula, ()),
@@ -521,7 +529,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except INPUT_ERRORS as exc:
+    except InputError as exc:
         print(f"input error ({type(exc).__name__}): {exc}", file=sys.stderr)
         return 2
     except KinbenchError as exc:

@@ -233,11 +233,9 @@ def _axis_rates(a, b, h_minus, h_plus, scheme, wall="half-cell"):
             # floor of one ulp of the opposite rate keeps both neighbours reachable
             q_p[nd], q_m[nd] = (np.maximum(q_p[nd], np.spacing(q_m[nd])),
                                 np.maximum(q_m[nd], np.spacing(q_p[nd])))
-        elif scheme == "upwind":
+        else:  # upwind, the one other scheme check_scheme admits
             q_p[nd] = 2 * an / (hp_eff[nd] * span[nd]) + np.maximum(bn, 0.0) / hp_eff[nd]
             q_m[nd] = 2 * an / (hm_eff[nd] * span[nd]) + np.maximum(-bn, 0.0) / hm_eff[nd]
-        else:
-            raise DomainError(f"unknown scheme {scheme!r}")
     if np.any(degenerate):
         bd = b[degenerate]
         q_p[degenerate] = np.maximum(bd, 0.0) / hp_eff[degenerate]
@@ -245,6 +243,13 @@ def _axis_rates(a, b, h_minus, h_plus, scheme, wall="half-cell"):
     q_m[~has_m] = 0.0
     q_p[~has_p] = 0.0
     return q_m, q_p
+
+
+def check_scheme(name):
+    """``name`` when it names a stencil ``build_qmatrix`` assembles, else DomainError."""
+    if name not in ("exponential-fitting", "upwind"):
+        raise DomainError(f"unknown scheme {name!r}; choose exponential-fitting or upwind")
+    return name
 
 
 def build_qmatrix(spec, grid, scheme="exponential-fitting", wall="half-cell"):
@@ -258,8 +263,7 @@ def build_qmatrix(spec, grid, scheme="exponential-fitting", wall="half-cell"):
     diagonal, which is ``_exact_row_pair`` in 1-D and minus the summed
     rates otherwise.
     """
-    if scheme not in ("exponential-fitting", "upwind"):
-        raise DomainError(f"unknown scheme {scheme!r}")
+    check_scheme(scheme)
     if grid.ndim != spec.dimension:
         raise ShapeError("grid dimension does not match spec dimension")
     a, b = _sample_coefficients(spec, grid)

@@ -1,11 +1,15 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package: the CLI exits 2 on an InputError, else 1."""
 
 
 class KinbenchError(Exception):
     """Base class for all package errors."""
 
 
-class DomainError(KinbenchError):
+class InputError(KinbenchError):
+    """Caller-supplied input is malformed or out of range (CLI exit code 2)."""
+
+
+class DomainError(InputError):
     """Point lies outside the declared domain."""
 
 
@@ -17,15 +21,15 @@ class MissingGibbsForm(KinbenchError):
     """Operation needs (beta, H) data and none can be recovered."""
 
 
-class UnknownExample(KinbenchError):
+class UnknownExample(InputError):
     """Catalog name not recognized."""
 
 
-class ParameterOutOfRange(KinbenchError):
+class ParameterOutOfRange(InputError):
     """Parameter outside the admissible range."""
 
 
-class ShapeError(KinbenchError):
+class ShapeError(InputError):
     """Matrix or vector has the wrong shape."""
 
 
@@ -33,15 +37,15 @@ class NoViolationAtPoint(KinbenchError):
     """Leading coefficient vanishes here; no counterexample at this point."""
 
 
-class OrderTooLow(KinbenchError):
+class OrderTooLow(InputError):
     """Operator order is <= 2; nothing to violate."""
 
 
-class PreconditionViolated(KinbenchError):
+class PreconditionViolated(InputError):
     """Caller-supplied data breaks a stated precondition."""
 
 
-class NonEllipticCoefficient(KinbenchError):
+class NonEllipticCoefficient(InputError):
     """Diffusion coefficient has a negative eigenvalue."""
 
 
@@ -49,7 +53,7 @@ class UnsupportedTensor(KinbenchError):
     """Off-diagonal diffusion tensors are not supported in v1."""
 
 
-class TimeError(KinbenchError):
+class TimeError(InputError):
     """Negative evolution time."""
 
 
@@ -57,7 +61,7 @@ class TruncationBudgetExceeded(KinbenchError):
     """Series length cap exceeded; split the horizon into shorter steps."""
 
 
-class SpectrumError(KinbenchError):
+class SpectrumError(InputError):
     """Resolvent parameter outside the guaranteed resolvent set."""
 
 
@@ -77,12 +81,12 @@ class EmptyEnsemble(KinbenchError):
     """No live particles to histogram."""
 
 
-class ExpressionError(KinbenchError):
+class ExpressionError(InputError):
     """Coefficient expression failed to parse."""
 
 
-class ScenarioError(KinbenchError):
-    """Scenario document is malformed (maps to CLI exit code 2)."""
+class ScenarioError(InputError):
+    """Scenario or operator document is malformed; a bad field is named by its dotted path."""
 
 
 class MomentBiasWarning(UserWarning):

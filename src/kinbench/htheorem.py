@@ -38,6 +38,15 @@ _GTH_RESCALE = 2.0 ** 512  # GTH back-substitution rescales above this
 
 _log = logging.getLogger("kinbench.htheorem")
 
+# the built-in h functionals: name -> (h, h', h'', h(0))
+_BUILTIN_H = {
+    "xlogx": (lambda u: u * np.log(u), lambda u: np.log(u) + 1.0, lambda u: 1.0 / u, 0.0),
+    "square": (lambda u: u * u, lambda u: 2 * u, lambda u: 2.0 * np.ones_like(u), 0.0),
+    "abs-dev": (lambda u: np.abs(u - 1.0), None, None, 1.0),
+    "square-dev": (lambda u: (u - 1.0) ** 2, lambda u: 2 * (u - 1.0),
+                   lambda u: 2.0 * np.ones_like(u), 1.0),
+}
+
 
 @dataclass(frozen=True)
 class HFunctional:
@@ -68,7 +77,7 @@ class HFunctional:
         if np.any(u < 0):
             raise ParameterOutOfRange("h is defined on nonnegative arguments")
         with np.errstate(divide="ignore", invalid="ignore"):
-            vals = np.where(u > 0, self.fn(np.maximum(u, 1e-300)), self.value_at_zero)
+            vals = np.where(u == 0, self.value_at_zero, self.fn(np.maximum(u, 1e-300)))
         return vals if vals.ndim else float(vals)
 
     def d1(self, u):
@@ -83,27 +92,13 @@ class HFunctional:
 
     @staticmethod
     def from_name(name, value_at_zero=None):
-        if name == "xlogx":
-            h = HFunctional("xlogx", lambda u: u * np.log(u),
-                            lambda u: np.log(u) + 1.0, lambda u: 1.0 / u,
-                            0.0 if value_at_zero is None else value_at_zero)
-        elif name == "square":
-            h = HFunctional("square", lambda u: u * u, lambda u: 2 * u,
-                            lambda u: 2.0 * np.ones_like(u),
-                            0.0 if value_at_zero is None else value_at_zero)
-        elif name == "abs-dev":
-            h = HFunctional("abs-dev", lambda u: np.abs(u - 1.0), None, None,
-                            1.0 if value_at_zero is None else value_at_zero)
-        elif name == "square-dev":
-            h = HFunctional("square-dev", lambda u: (u - 1.0) ** 2,
-                            lambda u: 2 * (u - 1.0),
-                            lambda u: 2.0 * np.ones_like(u),
-                            1.0 if value_at_zero is None else value_at_zero)
-        else:
+        if name not in _BUILTIN_H:
             raise ParameterOutOfRange(
                 f"unknown h functional {name!r}; "
                 "choose xlogx, square, abs-dev, square-dev, or build from_table")
-        return h
+        fn, dfn, d2fn, h0 = _BUILTIN_H[name]
+        return HFunctional(name, fn, dfn, d2fn,
+                           h0 if value_at_zero is None else float(value_at_zero))
 
     @staticmethod
     def from_table(points, values, value_at_zero=None):
@@ -335,7 +330,7 @@ def h_curves(Q, nu0, hs, times, tol, reference=None, spec=None, boundary_density
     Given the generator ``spec``, each curve also carries the dissipation
     rate and the boundary term of phi = nu/m at every time, with the
     density m / weights; ``boundary_density`` (for instance the analytic
-    equilibrium on the grid) replaces that density in the boundary term.
+    equilibrium) replaces that density in the boundary term.
     """
     qm = _as_qmatrix(Q)
     m = _reference_measure(qm, reference)
@@ -380,15 +375,18 @@ def dissipation_rate(spec, rho0, phi_tilde, h, grid):
 def boundary_term(spec, rho0, phi_tilde, h, grid=None):
     """Max magnitude of the boundary flux rho0 a d/dx h(phi) + h(phi) H_i.
 
-    ``rho0`` is an EquilibriumDensity or its values at the nodes of
-    ``grid``, which defaults to the density's own grid.  One state
-    ``phi_tilde`` (n,) gives a float, a stack (k, n) one flux per row.
+    ``rho0`` is an EquilibriumDensity, sampled on ``grid`` when it has no
+    samples, or its values at the nodes of ``grid``, which defaults to the
+    density's own grid.  One state ``phi_tilde`` (n,) gives a float, a
+    stack (k, n) one flux per row.
     """
     if not isinstance(rho0, EquilibriumDensity):
         rho0 = EquilibriumDensity(values=np.asarray(rho0, dtype=float), grid=grid)
     grid = grid if grid is not None else rho0.grid
     if grid is None:
         raise ParameterOutOfRange("need a grid for quadrature")
+    if rho0.values is None:
+        rho0 = rho0.on_grid(grid)
     rho = np.asarray(rho0.values, dtype=float)
     x = grid.x
     hvals = h(np.maximum(np.asarray(phi_tilde, dtype=float), 0.0))

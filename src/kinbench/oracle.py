@@ -59,6 +59,7 @@ from .errors import (
     TimeError,
 )
 from .generator import EIG_FLOOR
+from .semigroup import time_schedule
 
 _INIT_STREAM = 0
 _STEP_STREAM_BASE = 1
@@ -206,13 +207,9 @@ def simulate(spec, sampler, n, dt, T, seed, snapshots=None):
         raise ParameterOutOfRange("particle oracle supports dimension 1 in v1")
     if dt <= 0 or T < 0:
         raise ParameterOutOfRange("need dt > 0 and T >= 0")
-    times = np.asarray([T] if snapshots is None else list(snapshots), dtype=float)
-    if times.size == 0:
-        raise ParameterOutOfRange("empty snapshot schedule")
-    if np.any(times < 0) or np.any(times > T):
+    times = time_schedule([T] if snapshots is None else snapshots)
+    if times[-1] > T:
         raise TimeError(f"snapshot times must lie in [0, T = {T:g}]")
-    if np.any(np.diff(times) < 0):
-        raise TimeError("snapshot times must be nondecreasing")
     lo, hi = spec.domain.bounds[0]
     boundary = "reflect" if spec.domain.boundary_condition == "no-flux" else "absorb"
     step_counts = [int(round(t / dt)) for t in times]

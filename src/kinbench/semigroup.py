@@ -116,6 +116,16 @@ def _check_tol(tol):
         raise ParameterOutOfRange(f"tol must lie in (0, 1e-6], got {tol:g}")
 
 
+def time_schedule(times):
+    """``times`` as a float array; raises unless nonempty, nonnegative and nondecreasing."""
+    times = np.asarray(list(times), dtype=float)
+    if times.size == 0:
+        raise ParameterOutOfRange("empty time schedule")
+    if not (np.all(times >= 0) and np.all(np.diff(times) >= 0)):
+        raise TimeError("a time schedule is nonnegative and nondecreasing")
+    return times
+
+
 def _series_matvec(P, v, weights):
     acc = weights[0] * v
     pv = v
@@ -317,13 +327,7 @@ def evolve_series(Q, nu0, times, tol=1e-9):
     built once.
     """
     qm = _as_qmatrix(Q)
-    times = np.asarray(list(times), dtype=float)
-    if times.size == 0:
-        raise ParameterOutOfRange("empty time schedule")
-    if np.any(times < 0):
-        raise TimeError("negative time in schedule")
-    if np.any(np.diff(times) < 0):
-        raise TimeError("time schedule must be nondecreasing")
+    times = time_schedule(times)
     _check_tol(tol)
 
     current = _chain_vector(qm, nu0)

@@ -13,7 +13,7 @@ import numpy as np
 from .errors import ScenarioError
 from .expressions import CompiledExpression
 from .generator import DomainSpec, EquilibriumDensity, GeneratorSpec, catalog_example
-from .pawula import PawulaCertificate, TruncatedOperator
+from .pawula import PawulaCertificate
 
 FLOAT_FMT = "{:.17g}"
 
@@ -31,9 +31,23 @@ def canonical_json(obj):
 # Generator specs
 # --------------------------------------------------------------------------
 
+class TableCoefficient:
+    """Piecewise-linear coefficient through ``{"points": [...], "values": [...]}``."""
+
+    def __init__(self, points, values):
+        self.points, self.values = np.asarray(points, float), np.asarray(values, float)
+        if self.points.shape != self.values.shape or not np.all(np.diff(self.points) > 0):
+            raise ScenarioError("a table coefficient needs increasing points, one value each")
+
+    def __call__(self, x):
+        return np.interp(x, self.points, self.values)
+
+
 def _coefficient_to_json(coeff):
     if isinstance(coeff, CompiledExpression):
         return coeff.text
+    if isinstance(coeff, TableCoefficient):
+        return {"points": coeff.points.tolist(), "values": coeff.values.tolist()}
     raise ScenarioError(
         "coefficient is a bare callable; only expression or table "
         "coefficients are serializable")
@@ -58,15 +72,12 @@ def spec_to_dict(spec, equilibrium=None):
     return d
 
 
-def _coefficient_from_json(obj, dimension):
+def coefficient_from_json(obj, dimension):
+    """A coefficient from its document: an expression, a number or a table."""
     if isinstance(obj, str):
         return CompiledExpression(obj, dimension)
     if isinstance(obj, dict) and "points" in obj and "values" in obj:
-        pts = np.asarray(obj["points"], dtype=float)
-        vals = np.asarray(obj["values"], dtype=float)
-        if pts.size != vals.size:
-            raise ScenarioError("table coefficient arrays differ in length")
-        return lambda x: np.interp(x, pts, vals)
+        return TableCoefficient(obj["points"], obj["values"])
     if isinstance(obj, (int, float)):
         return CompiledExpression(repr(float(obj)), dimension)
     raise ScenarioError(f"cannot interpret coefficient {obj!r}")
@@ -76,14 +87,10 @@ def spec_from_dict(d):
     """Rebuild (GeneratorSpec, EquilibriumDensity | None) from a document."""
     try:
         dim = int(d.get("dimension", 1))
-        domain_d = d["domain"]
-        domain = DomainSpec(
-            domain_d["kind"],
-            tuple(tuple(ax) for ax in domain_d["bounds"]),
-            domain_d.get("bc", "no-flux"),
-        )
-        a = _coefficient_from_json(d["a"], dim)
-        b = _coefficient_from_json(d["b"], dim)
+        dom = d["domain"]
+        domain = DomainSpec(dom["kind"], dom["bounds"], dom.get("bc", "no-flux"))
+        a = coefficient_from_json(d["a"], dim)
+        b = coefficient_from_json(d["b"], dim)
     except KeyError as exc:
         raise ScenarioError(f"generator document missing field {exc}") from None
     spec = GeneratorSpec(dim, a, b, domain, label=d.get("label", ""))
@@ -91,7 +98,7 @@ def spec_from_dict(d):
     if "gibbs" in d:
         g = d["gibbs"]
         beta = float(g["beta"])
-        H = _coefficient_from_json(g["H"], dim)
+        H = coefficient_from_json(g["H"], dim)
         if isinstance(H, CompiledExpression):
             rho_fn = CompiledExpression(f"exp(-({beta!r})*({H.text}))", dim)
         else:
@@ -112,32 +119,8 @@ def load_generator(doc):
 
 
 # --------------------------------------------------------------------------
-# Pawula documents
+# Pawula certificates
 # --------------------------------------------------------------------------
-
-def operator_from_dict(d):
-    """TruncatedOperator plus options from an operator document."""
-    try:
-        coeffs_doc = d["coefficients"]
-    except KeyError:
-        raise ScenarioError("operator document needs a 'coefficients' map") from None
-    if not coeffs_doc:
-        raise ScenarioError("operator document has an empty coefficient list")
-    coeffs = {}
-    for key, val in coeffs_doc.items():
-        order = int(key)
-        coeffs[order] = _coefficient_from_json(val, 1)
-    order = d.get("order", max(coeffs))
-    op = TruncatedOperator(int(order), coeffs)
-    options = {
-        "x0": float(d.get("x0", 0.0)),
-        "epsilon": float(d.get("epsilon", 0.1)),
-        "amplitude": d.get("amplitude"),
-    }
-    if options["amplitude"] is not None:
-        options["amplitude"] = float(options["amplitude"])
-    return op, options
-
 
 def certificate_to_dict(cert):
     d = {

@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 import kinbench as kb
-from kinbench import htheorem, oracle
-from kinbench.cli import _mass_outside, build_parser, main
+from kinbench import cli, errors, htheorem, oracle
+from kinbench.cli import _mass_outside, _natural, build_parser, main
 from kinbench.generator import CATALOG_NAMES
 from kinbench.serialize import (
     certificate_from_dict,
@@ -198,19 +198,52 @@ SMALL_SCENARIO = {
 }
 
 
-@pytest.mark.parametrize("field, value, named", [
-    ("grid", {"n": "abc"}, "grid.n"),
-    ("tol", "x", "tol"),
-    ("times", {"start": 0, "stop": 1, "num": -1}, "times"),
-    ("times", ["a"], "times"),
-    ("checks", {"chapman_kolmogorov": [0.3]}, "checks.chapman_kolmogorov"),
-    ("initial_density", {"kind": "gaussian", "center": "x"}, "initial_density"),
-    ("h_functionals", ["square", {"value_at_zero": 0.0}], "h_functionals"),
-    ("generator", "appendix2a", "generator"),
-    (None, "top-level list", "JSON object"),
-    (None, "directory", "cannot read"),
-], ids=["grid.n", "tol", "times.num", "times.list", "checks.chapman_kolmogorov",
-        "initial_density.center", "h_functionals.kind", "generator", "list", "directory"])
+INLINE_2D = {"dimension": 2, "a": "1", "b": "0",
+             "domain": {"kind": "box", "bounds": [[-1, 1], [-1, 1]], "bc": "no-flux"}}
+
+# (field, value, named): each value makes `run` exit 2 with `named` in stderr
+MALFORMED_SCENARIO_FIELDS = {
+    "grid.n": ("grid", {"n": "abc"}, "grid.n"),
+    "tol": ("tol", "x", "tol"),
+    "times.num": ("times", {"start": 0, "stop": 1, "num": -1}, "times"),
+    "times.list": ("times", ["a"], "times"),
+    "checks.chapman_kolmogorov": ("checks", {"chapman_kolmogorov": [0.3]},
+                                  "checks.chapman_kolmogorov"),
+    "initial_density.center": ("initial_density", {"kind": "gaussian", "center": "x"},
+                               "initial_density"),
+    "h_functionals.kind": ("h_functionals", ["square", {"value_at_zero": 0.0}],
+                           "h_functionals"),
+    "generator": ("generator", "appendix2a", "generator"),
+    "list": (None, "top-level list", "JSON object"),
+    "directory": (None, "directory", "cannot read"),
+    # values that convert but lie out of range are rejected when read, too
+    "h_functionals.value_at_zero": ("h_functionals", [{"kind": "xlogx", "value_at_zero": "abc"}],
+                                    "h_functionals"),
+    "generator.dimension": ("generator", INLINE_2D, "generator.dimension"),
+    "times.decreasing": ("times", [0.0, 1.0, 0.5], "times"),
+    "times.nan": ("times", [0.0, float("nan")], "times"),
+    "checks.chapman_kolmogorov.negative": ("checks", {"chapman_kolmogorov": [-0.3, 0.7]},
+                                           "checks.chapman_kolmogorov"),
+    "checks.resolvent_lambdas": ("checks", {"resolvent_lambdas": [-1]},
+                                 "checks.resolvent_lambdas"),
+    "grid.n.fraction": ("grid", {"n": 41.7}, "grid.n"),
+    "grid.n.too_few": ("grid", {"n": 2}, "grid.n"),
+    "seed.fraction": ("seed", 1.5, "seed"),
+    "seed.bool": ("seed", True, "seed"),
+    "seed.negative": ("seed", -1, "seed"),
+    "oracle.seed": ("oracle", {"seed": 2.5}, "oracle.seed"),
+    "oracle.particles": ("oracle", {"particles": 1e3 + 0.5}, "oracle.particles"),
+    "oracle.snapshot_times": ("oracle", {"snapshot_times": [1.0, 0.5]},
+                              "oracle.snapshot_times"),
+    "scheme": ("scheme", "central", "scheme"),
+    "generator.table": ("generator", {"dimension": 1, "a": {"points": [1, 0], "values": [1, 1]},
+                                      "b": "0", "domain": {"kind": "box", "bounds": [[-1, 1]]}},
+                        "generator"),
+}
+
+
+@pytest.mark.parametrize("field, value, named", MALFORMED_SCENARIO_FIELDS.values(),
+                         ids=MALFORMED_SCENARIO_FIELDS.keys())
 def test_malformed_scenario_field_is_named_input_error(tmp_path, capsys, field, value,
                                                        named):
     if field is not None:
@@ -220,7 +253,79 @@ def test_malformed_scenario_field_is_named_input_error(tmp_path, capsys, field, 
     else:
         path = str(tmp_path)
     assert main(["run", path, "--out", str(tmp_path / "out")]) == 2
-    assert named in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("input error (") and err.count("\n") == 1
+    assert named in err
+
+
+PAWULA_K3 = json.loads((SCENARIOS / "pawula_k3.json").read_text())
+
+# (field, value, named): each value makes `pawula` exit 2 with `named` in stderr
+MALFORMED_OPERATOR_FIELDS = {
+    "coefficients.key": ("coefficients", {"x": "1"}, "coefficients"),
+    "coefficients.list": ("coefficients", [1], "coefficients"),
+    "coefficients.expression": ("coefficients", {"3": "x +"}, "coefficients"),
+    "coefficients.zeroth": ("coefficients", {"0": "1", "3": "1"}, "coefficients"),
+    "coefficients.missing": ("coefficients", None, "coefficients"),
+    "x0": ("x0", "abc", "x0"),
+    "epsilon": ("epsilon", None, "epsilon"),
+    "amplitude": ("amplitude", "big", "amplitude"),
+    "order.below_key": ("order", 2, "order"),
+    "order.fraction": ("order", 3.5, "order"),
+    "order.bool": ("order", True, "order"),
+    "points": ("points", ["a"], "points"),
+}
+
+
+@pytest.mark.parametrize("field, value, named", MALFORMED_OPERATOR_FIELDS.values(),
+                         ids=MALFORMED_OPERATOR_FIELDS.keys())
+def test_malformed_operator_field_is_named_input_error(tmp_path, capsys, field, value, named):
+    doc = {**PAWULA_K3, field: value}
+    if value is None and field == "coefficients":
+        del doc["coefficients"]
+    path = write_json(tmp_path / "bad.json", doc)
+    assert main(["pawula", path, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error (") and err.count("\n") == 1
+    assert named in err
+
+
+def test_natural_takes_exact_integers():
+    assert _natural(41) == 41 and _natural(1e5) == 100_000 and _natural("7") == 7
+    for bad in (41.7, -1, True, "x", None, float("inf")):
+        with pytest.raises((TypeError, ValueError, OverflowError)):
+            _natural(bad)
+
+
+def test_negative_seed_override_is_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "scenario.json", "--seed", "-1"])
+    assert exc.value.code == 2
+    assert "--seed" in capsys.readouterr().err
+
+
+# computation failures: the CLI exits 1 on these, and 2 on every InputError
+FAILURE_TYPES = {"EmptyEnsemble", "InsufficientSmoothness", "MissingGibbsForm",
+                 "NoInvariantDensity", "NonSmoothH", "NoViolationAtPoint", "SupportViolation",
+                 "TruncationBudgetExceeded", "UnsupportedTensor"}
+ERROR_TYPES = [t for t in vars(errors).values()
+               if isinstance(t, type) and issubclass(t, errors.KinbenchError)]
+
+
+def test_every_error_type_is_input_or_listed_failure():
+    failures = {t.__name__ for t in ERROR_TYPES if not issubclass(t, errors.InputError)}
+    assert failures - {"KinbenchError"} == FAILURE_TYPES
+
+
+@pytest.mark.parametrize("error", ERROR_TYPES, ids=lambda t: t.__name__)
+def test_exit_code_follows_the_error_class(error, monkeypatch, capsys):
+    def fail(args):
+        raise error("boom")
+
+    monkeypatch.setattr(cli, "cmd_run", fail)
+    expected = 2 if issubclass(error, errors.InputError) else 1
+    assert main(["run", "scenario.json"]) == expected
+    assert f"({error.__name__}): boom" in capsys.readouterr().err
 
 
 def test_pawula_certificate_value(tmp_path, capsys):
@@ -341,6 +446,34 @@ def test_spec_document_roundtrip():
     assert np.allclose(spec2.b(xs), spec.b(xs), rtol=0, atol=0)
     assert spec2.domain == spec.domain
     assert np.allclose(rho2.rho_fn(xs), rho.rho_fn(xs), rtol=1e-15)
+
+
+TABLE_GENERATOR = {
+    "dimension": 1,
+    "a": {"points": [-1.0, 0.0, 1.0], "values": [1.0, 2.0, 1.0]},
+    "b": "-x",
+    "domain": {"kind": "box", "bounds": [[-1.0, 1.0]], "bc": "no-flux"},
+}
+
+
+def test_table_coefficient_run_writes_its_document(tmp_path):
+    doc = {**SMALL_SCENARIO, "generator": TABLE_GENERATOR}
+    assert main(["run", write_json(tmp_path / "table.json", doc), "--out", str(tmp_path)]) == 0
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert summary["generator"] == TABLE_GENERATOR
+    assert all(c["pass"] for c in summary["checks"].values())
+
+
+def test_table_coefficient_document_roundtrip():
+    doc = {**TABLE_GENERATOR, "gibbs": {"beta": 2.0, "H": {"points": [-1, 1], "values": [0, 3]}}}
+    spec, rho = spec_from_dict(doc)
+    assert spec_to_dict(spec, rho) == {**doc, "gibbs": {"beta": 2.0, "H": {
+        "points": [-1.0, 1.0], "values": [0.0, 3.0]}}}
+    spec2, rho2 = spec_from_dict(spec_to_dict(spec, rho))
+    xs = np.linspace(-1.0, 1.0, 37)
+    assert np.array_equal(spec2.a(xs), spec.a(xs))
+    assert np.array_equal(spec2.a(xs), np.interp(xs, [-1, 0, 1], [1, 2, 1]))
+    assert np.array_equal(rho2.rho_fn(xs), rho.rho_fn(xs))
 
 
 def test_certificate_document_roundtrip():

@@ -47,6 +47,24 @@ def test_builtin_family_values():
     assert HFunctional.from_name("square-dev", value_at_zero=0.0)(0.0) == 0.0
 
 
+def test_nan_argument_stays_nan():
+    u = np.array([0.0, 1e-310, 1e-300, 0.5, 1.0, 7.0, np.inf])
+    for kind in ("xlogx", "square", "abs-dev", "square-dev"):
+        h = HFunctional.from_name(kind)
+        assert np.isnan(h(np.nan))
+        with np.errstate(all="ignore"):
+            old = np.where(u > 0, h.fn(np.maximum(u, 1e-300)), h.value_at_zero)
+        assert np.array_equal(h(u), old)  # the convention at 0 and every u > 0 unchanged
+    xlogx = HFunctional.from_name("xlogx")
+    assert np.isnan(h_function(np.ones(3), [1.0, np.nan, 1.0], xlogx))
+
+
+def test_value_at_zero_is_a_float():
+    assert HFunctional.from_name("xlogx", "0.5")(0.0) == 0.5
+    with pytest.raises(ValueError):
+        HFunctional.from_name("xlogx", "abc")
+
+
 def test_convexity_certificate_rejects_concave_table():
     ys = np.linspace(0.0, 4.0, 21)
     with pytest.raises(ParameterOutOfRange):
@@ -428,6 +446,34 @@ def test_boundary_term_flags_wall_gradient(a2a401):
     req = a2a401.rho.on_grid(a2a401.grid)
     phi = 1.0 + 0.1 * a2a401.x
     assert boundary_term(a2a401.spec, req, phi, h, grid=a2a401.grid) > 1e-3
+
+
+def test_boundary_term_samples_an_analytic_density():
+    spec, rho = kb.catalog_example("appendix2a", 1.0)
+    grid = Grid.from_domain(spec.domain, 101)
+    phi = 1.0 + 0.1 * grid.x
+    for kind in ("xlogx", "square"):
+        h = HFunctional.from_name(kind)
+        assert rho.values is None
+        assert boundary_term(spec, rho, phi, h, grid=grid) == \
+            boundary_term(spec, rho.on_grid(grid), phi, h, grid=grid)
+    assert boundary_term(spec, rho, np.ones(101), HFunctional.from_name("xlogx"),
+                         grid=grid) >= 0.0
+
+
+def test_nan_state_has_nan_h_and_lower_wall_flux(a2a401):
+    # the larger wall flux is taken as Python's max(lo, hi) takes it, so
+    # only a NaN at the lower wall reaches the flux; H sees every NaN
+    req = a2a401.rho.on_grid(a2a401.grid)
+    square = HFunctional.from_name("square")
+    phi = np.ones(a2a401.grid.size)
+    phi[0] = np.nan
+    with np.errstate(all="ignore"):
+        assert np.isnan(boundary_term(a2a401.spec, req, phi, square, grid=a2a401.grid))
+    for node in (0, 200, -1):
+        nu = np.array(a2a401.w)
+        nu[node] = np.nan
+        assert np.isnan(h_function(a2a401.w, nu, square))
 
 
 def _phi_stack(setup):
