@@ -117,6 +117,19 @@ def _natural(value):
     return int(value)
 
 
+def _particles(value):
+    n = _natural(value)
+    if n < 1:
+        raise ValueError("at least one particle is needed")
+    return n
+
+
+def _boolean(value):
+    if not isinstance(value, bool):
+        raise TypeError(f"{value!r} is not a JSON boolean")
+    return value
+
+
 def _times(times):
     if isinstance(times, dict):
         times = np.linspace(float(times["start"]), float(times["stop"]), _natural(times["num"]))
@@ -160,7 +173,11 @@ def _initial_density(desc):
         return {"kind": kind, "values": np.asarray(desc.get("values", []), dtype=float)}
     if kind not in DENSITY_PARAMS:
         raise ValueError(f"unknown kind {kind!r}")
-    return {"kind": kind, **{k: float(desc.get(k, v)) for k, v in DENSITY_PARAMS[kind].items()}}
+    params = {k: float(desc.get(k, v)) for k, v in DENSITY_PARAMS[kind].items()}
+    for k in ("sigma", "width"):  # scales: zero divides by zero
+        if k in params and not params[k] > 0:
+            raise ValueError(f"initial_density.{k} must be positive, got {params[k]:g}")
+    return {"kind": kind, **params}
 
 
 # a scenario document read field by field, overrides applied, chain built
@@ -175,12 +192,12 @@ def _scenario(args):
     if not (0 < tol <= 1e-6):
         raise ScenarioError(f"tol must lie in (0, 1e-6], got {tol:g}")
     checks = {
-        "invariant_measure": _field(doc, "checks.invariant_measure", bool, True),
+        "invariant_measure": _field(doc, "checks.invariant_measure", _boolean, True),
         "chapman_kolmogorov": _field(doc, "checks.chapman_kolmogorov", _lags, [0.3, 0.7]),
         "resolvent_lambdas": _field(doc, "checks.resolvent_lambdas", _rates, [0.1, 1.0, 10.0]),
     }
     oracle = {
-        "particles": _field(doc, "oracle.particles", _natural, 100_000),
+        "particles": _field(doc, "oracle.particles", _particles, 100_000),
         "dt": _field(doc, "oracle.dt", float, 1e-3),
         "seed": args.seed if args.seed is not None else _field(doc, "oracle.seed", _natural, 1234),
         "snapshot_times": _field(doc, "oracle.snapshot_times",

@@ -7,15 +7,19 @@ of Pade or Krylov exponentials.  Long horizons are split into 2^k levels
 of a short-time series: squared k times as a dense kernel, with the
 defect tracked, or applied 2^k times to a vector as a sparse series.
 
-The dense kernel is built in one way only (``_kernel_matrix``).  Its series
-on the identity is band-limited: with b the bandwidth of Q (1 in 1-D, the
+The dense kernels are built in one way only (``_kernel_matrices``), any
+number per call.  P = I + Q/lambda does not depend on t, so one pass over
+the powers of P gives the series on the identity of every t in the call:
+the Chapman-Kolmogorov check builds P(t+s), P(t) and P(s) from one pass.
+The pass is band-limited: with b the bandwidth of Q (1 in 1-D, the
 last-axis stride in n-D), term k of a block of columns touches only the
-rows within k*b of the block, and the result is bitwise that of the full
-n x n series.  Before each squaring, entries below sqrt(tiny) ~ 1.5e-154
-in magnitude are flushed to zero, so the squarings never multiply
-subnormals.  That drops at most n*1.5e-154 of mass per row per squaring,
-and the reported defect, the row-sum defect taken before renormalization,
-includes it.
+rows within k*b of the block.  Until those rows span the chain, the term
+is computed from P's diagonals, added in the order its rows store their
+columns, so each kernel is bitwise the full n x n series.  Before each
+squaring, entries below sqrt(tiny) ~ 1.5e-154 in magnitude are flushed to
+zero, so the squarings never multiply subnormals.  That drops at most
+n*1.5e-154 of mass per row per squaring, and the reported defect, the
+row-sum defect taken before renormalization, includes it.
 
 One cost rule picks between the two for vector evolution, once per step
 length.  ``evolve_series`` groups the steps of its schedule up front,
@@ -64,10 +68,10 @@ _DENSE_MAX_STATES = 2048  # larger chains never build a dense n x n kernel
 # about 10 us, and a dense element update costs 1.6-2 ns, so C is 5,000-6,000;
 # the power of two below leans toward the dense route.
 _MATVEC_COST = 4096
-# Columns per block of the dense kernel's identity series.  Chains of up to
-# 256 states are one block and use P unsliced.  Each slice of P costs 50-70 us,
-# which the band repays from about 400 states on.
-_BLOCK = 256
+# Columns per block of the identity series.  Term k of a block spans its width
+# plus 2*k*b rows, so narrow blocks waste less of the band, while each term
+# costs a few numpy calls per diagonal and per kernel whatever the width.
+_BLOCK = 64
 _FLUSH = math.sqrt(np.finfo(float).tiny)  # ~1.5e-154: products of kept entries stay normal
 
 _log = logging.getLogger("kinbench.semigroup")
@@ -165,35 +169,78 @@ class TransitionKernel:
         return float(np.max(np.abs(self.P.sum(axis=1) - 1.0)))
 
 
-def _identity_series(P, weights):
-    """sum_k w_k P^k, bitwise equal to _series_matvec(P, np.eye(n), weights).
+def _identity_series(P, weight_sets):
+    """[sum_k w_k P^k for w in weight_sets] from one pass over the powers of P.
 
     With b the largest |i - j| over P's stored entries, P^k e_j vanishes
-    outside |i - j| <= k*b.  So for each block of columns [c0, c1), term k
-    touches only rows [c0 - k*b, c1 + k*b).  The skipped products are exact
-    zeros, and scipy's CSR kernel adds the kept ones in the same order.
-    Once a block's rows span the whole chain, P is used unsliced.
+    outside |i - j| <= k*b.  So for each block of columns [c0, c1), power k
+    is computed once, on rows [c0 - k*b, c1 + k*b) only, and added into
+    every set that has a term k.  While those rows do not span the chain,
+    the product is taken by diagonals, D_d[i] = P[i, i + d] padded with
+    zeros where nothing is stored; once they do, it is P's own CSR product,
+    whose cost follows nnz rather than the number of diagonals (up to
+    2n - 1 for a dense chain).
+
+    When each row of P stores its columns in increasing order, as in every
+    P this module builds, adding the diagonals in increasing d adds each
+    row's products in its stored order, starting from +0, as scipy's CSR
+    kernel does.  The padding and the rows outside the band add signed
+    zeros to sums that are never -0, so each result is bitwise equal to
+    _series_matvec(P, np.eye(n), w).
     """
     n = P.shape[0]
     rows = np.repeat(np.arange(n), np.diff(P.indptr))
-    b = int(np.max(np.abs(rows - P.indices)))
-    M = np.zeros((n, n))
-    np.fill_diagonal(M, weights[0])
+    offsets, where = np.unique(P.indices - rows, return_inverse=True)
+    b = int(np.max(np.abs(offsets)))
+    diagonals = None  # built for the first product whose rows do not span the chain
+    terms = max(len(w) for w in weight_sets)
+    out = [np.empty((n, n)) for _ in weight_sets]
     for c0 in range(0, n, _BLOCK):
         c1 = min(c0 + _BLOCK, n)
         lo, hi, pv = c0, c1, np.eye(c1 - c0)
-        for k, w in enumerate(weights[1:], 1):
+        sums = np.zeros((len(weight_sets), n, c1 - c0))  # the block's columns of each set
+        for acc, w in zip(sums, weight_sets):
+            acc[c0:c1] = w[0] * pv
+        for k in range(1, terms):
             r0, r1 = max(c0 - k * b, 0), min(c1 + k * b, n)
-            pv = (P if r1 - r0 == hi - lo == n else P[r0:r1, lo:hi]) @ pv
-            lo, hi = r0, r1
-            M[lo:hi, c0:c1] += w * pv
-    return M, b
+            if r1 - r0 == n:
+                nxt = P @ (pv if hi - lo == n else np.pad(pv, ((lo, n - hi), (0, 0))))
+            else:
+                if diagonals is None:
+                    diagonals = np.zeros((offsets.size, n, 1))
+                    diagonals[where, rows, 0] = P.data
+                nxt = np.zeros((r1 - r0, c1 - c0))
+                for d, D in zip(offsets.tolist(), diagonals):
+                    i0, i1 = max(r0, lo - d), min(r1, hi - d)
+                    if i0 < i1:
+                        nxt[i0 - r0:i1 - r0] += D[i0:i1] * pv[i0 + d - lo:i1 + d - lo]
+            pv, lo, hi = nxt, r0, r1
+            for acc, w in zip(sums, weight_sets):
+                if k < len(w):
+                    acc[lo:hi] += w[k] * pv
+        for M, acc in zip(out, sums):
+            M[:, c0:c1] = acc
+    return out, b
 
 
-def _kernel_matrix(qm, t, tol):
-    """Dense e^{Qt} by uniformization with scaling and squaring.
+def _flush(M):
+    """Zero M's nonzero entries below _FLUSH in magnitude, in place and with
+    no n x n float temporary; returns their count."""
+    small = M < _FLUSH
+    small &= M > -_FLUSH
+    small &= M != 0.0
+    M[small] = 0.0
+    return int(np.count_nonzero(small))
 
-    The series on the identity is band-limited (``_identity_series``).
+
+def _kernel_matrices(qm, ts, tol):
+    """Dense e^{Qt} for each t in ``ts``, as (kernel, defect) pairs, by
+    uniformization with scaling and squaring.
+
+    P = I + Q/lam does not depend on t, so the series on the identity of
+    every t > 0 comes from one pass over P's powers (``_identity_series``),
+    logged as one DEBUG ``series`` line.  The kernels are then finished one
+    by one, each dropping its series accumulator as its squarings begin.
     Before each squaring, entries below _FLUSH = sqrt(tiny) in magnitude are
     set to zero, so no product of two kept entries is subnormal (OpenBLAS
     runs several times slower on those).  This drops at most n*_FLUSH of
@@ -203,30 +250,37 @@ def _kernel_matrix(qm, t, tol):
     row sums).  The returned defect is the larger of the Poisson tail
     bound tail*2^k and the row-sum defect measured before that
     renormalization, which also carries the squaring roundoff and the
-    flushed mass.  One DEBUG line per build logs that row-sum defect and the
-    number of flushed entries.
+    flushed mass.  One DEBUG ``kernel`` line per kernel logs that row-sum
+    defect and the number of flushed entries.
     """
     n = qm.size
-    if t == 0 or qm.lambda_max == 0.0:
-        return np.eye(n), 0.0
-    plan = _uniformization(qm, t, tol)
-    P = sp.identity(n, format="csr") + qm.Q / plan.lam
-    M, b = _identity_series(P, plan.weights)
-    flushed = 0
-    for _ in range(plan.splits):
-        small = np.abs(M) < _FLUSH
-        small &= M != 0.0
-        flushed += int(np.count_nonzero(small))
-        M[small] = 0.0
-        M = M @ M
-    rs = M.sum(axis=1)
-    row_defect = float(np.max(np.abs(rs - 1.0)))
-    _log.debug("kernel %.15g: n=%d b=%d terms=%d splits=%d flushed=%d row_sum_defect=%.17g",
-               t, n, b, plan.weights.size, plan.splits, flushed, row_defect)
-    defect = max(plan.tail * 2 ** plan.splits, row_defect)
-    good = rs > 0
-    M[good] /= rs[good, None]
-    return M, defect
+    plans = [None if t == 0 or qm.lambda_max == 0.0 else _uniformization(qm, t, tol)
+             for t in ts]
+    live = [plan for plan in plans if plan is not None]
+    if live:
+        P = sp.identity(n, format="csr") + qm.Q / live[0].lam
+        series, b = _identity_series(P, [plan.weights for plan in live])
+        _log.debug("series pass: n=%d b=%d block=%d kernels=%d terms=%d",
+                   n, b, min(_BLOCK, n), len(live), max(p.weights.size for p in live))
+        series.reverse()  # popped in order, so each accumulator is freed as it squares
+    out = []
+    for t, plan in zip(ts, plans):
+        if plan is None:
+            out.append((np.eye(n), 0.0))
+            continue
+        M = series.pop()
+        flushed = 0
+        for _ in range(plan.splits):
+            flushed += _flush(M)
+            M = M @ M
+        rs = M.sum(axis=1)
+        row_defect = float(np.max(np.abs(rs - 1.0)))
+        _log.debug("kernel %.15g: n=%d b=%d terms=%d splits=%d flushed=%d "
+                   "row_sum_defect=%.17g", t, n, b, plan.weights.size, plan.splits,
+                   flushed, row_defect)
+        np.divide(M, rs[:, None], out=M, where=(rs > 0)[:, None])
+        out.append((M, max(plan.tail * 2 ** plan.splits, row_defect)))
+    return out
 
 
 def transition_kernel(Q, t, tol=1e-9):
@@ -234,7 +288,7 @@ def transition_kernel(Q, t, tol=1e-9):
     if t < 0:
         raise TimeError(f"t = {t:g} < 0")
     _check_tol(tol)
-    M, defect = _kernel_matrix(_as_qmatrix(Q), t, tol)
+    (M, defect), = _kernel_matrices(_as_qmatrix(Q), [t], tol)
     return TransitionKernel(M, defect)
 
 
@@ -254,7 +308,7 @@ def _step_operator(qm, t, tol, transpose, steps):
                plan.splits, terms, steps, dense_cost, series_cost,
                "dense" if dense else "series")
     if dense:
-        M, _ = _kernel_matrix(qm, t, tol)
+        (M, _), = _kernel_matrices(qm, [t], tol)
         return (lambda v: M.T @ v) if transpose else (lambda v: M @ v)
     mat = qm.Q.T.tocsr() if transpose else qm.Q
     P = sp.identity(n, format="csr") + mat / plan.lam
@@ -357,16 +411,16 @@ def evolve_series(Q, nu0, times, tol=1e-9):
 
 
 def chapman_kolmogorov_defect(Q, t, s, tol=1e-9):
-    """Sup-norm defect between P(t+s) and P(t) P(s)."""
+    """Sup-norm defect between P(t+s) and P(t) P(s), all three kernels built
+    from one series pass."""
     if t < 0 or s < 0:
         raise TimeError("times must be nonnegative")
     _check_tol(tol)
     qm = _as_qmatrix(Q)
-    whole, _ = _kernel_matrix(qm, t + s, tol)
-    left, _ = _kernel_matrix(qm, t, tol)
-    right, _ = _kernel_matrix(qm, s, tol)
-    diff = whole - left @ right
-    return float(np.max(np.abs(diff).sum(axis=1)))
+    (whole, _), (left, _), (right, _) = _kernel_matrices(qm, [t + s, t, s], tol)
+    diff = left @ right
+    np.subtract(whole, diff, out=diff)
+    return float(np.max(np.abs(diff, out=diff).sum(axis=1)))
 
 
 def resolvent(Q, lam, g):
@@ -415,7 +469,7 @@ def recover_coefficients(Q, t_small, tol=1e-12):
     x = qm.node_coordinates()
     if x.ndim != 1:
         raise ShapeError("moment recovery supports 1-D grids in v1")
-    P, _ = _kernel_matrix(qm, t_small, tol)
+    (P, _), = _kernel_matrices(qm, [t_small], tol)
     rs = P.sum(axis=1)
     px = P @ x
     px2 = P @ (x * x)
@@ -453,7 +507,7 @@ def stochastic_continuity_defect(Q, node, radius, times, tol=1e-12):
     max_interior = np.empty(times.size)
     interior = slice(1, -1) if qm.size > 2 else slice(None)
     for k, t in enumerate(times):
-        P, _ = _kernel_matrix(qm, t, tol)
+        (P, _), = _kernel_matrices(qm, [t], tol)
         ball_mass = np.einsum("ij,ij->i", P, inside)
         defect = 1.0 - ball_mass
         at_node[k] = defect[node]

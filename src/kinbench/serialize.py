@@ -157,14 +157,19 @@ def certificate_from_dict(d):
 # --------------------------------------------------------------------------
 
 def write_evolution_csv(path, result, x):
-    """One row per snapshot and node; ``x`` holds the node coordinates."""
-    nodes = [f"{i},{fmt(xi)}," for i, xi in enumerate(x)]
+    """One row per snapshot and node; ``x`` holds the node coordinates.
+
+    Each snapshot is one ``%`` format of a template prebuilt from the node
+    columns; ``%.17g`` writes a float as ``fmt`` does.
+    """
+    snapshot = "".join(f"%s,{i},{fmt(xi)},%.17g\n" for i, xi in enumerate(x))
+    args = [None] * (2 * len(x))
     with open(path, "w") as fh:
         fh.write("time,node_index,x,value\n")
         for t, vals in zip(result.times, result.fields):
-            ft = fmt(t)
-            for node, v in zip(nodes, vals):
-                fh.write(f"{ft},{node}{fmt(v)}\n")
+            args[0::2] = [fmt(t)] * len(x)
+            args[1::2] = vals.tolist()
+            fh.write(snapshot % tuple(args))
 
 
 def write_summary_csv(path, result):

@@ -14,10 +14,12 @@ from kinbench.generator import CATALOG_NAMES
 from kinbench.serialize import (
     certificate_from_dict,
     certificate_to_dict,
+    fmt,
     read_csv_columns,
     read_qmatrix,
     spec_from_dict,
     spec_to_dict,
+    write_evolution_csv,
     write_hcurve_csv,
 )
 
@@ -83,6 +85,29 @@ def test_evolution_csv_x_column_is_the_node_coordinate(run_artifacts):
     assert snapshots == 201
     assert np.array_equal(cols["x"], np.tile(x, snapshots))
     assert np.array_equal(cols["node_index"], np.tile(np.arange(x.size), snapshots))
+
+
+def _evolution_csv_per_value(path, result, x):
+    """The one-``fmt``-call-per-value writer that write_evolution_csv replaced."""
+    with open(path, "w") as fh:
+        fh.write("time,node_index,x,value\n")
+        for t, vals in zip(result.times, result.fields):
+            for i, (xi, v) in enumerate(zip(x, vals)):
+                fh.write(f"{fmt(t)},{i},{fmt(xi)},{fmt(v)}\n")
+
+
+def test_evolution_csv_bytes_match_the_per_value_writer(tmp_path):
+    specials = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -2.5e-310, 2.2250738585072014e-308,
+                1e-300, 0.1, 1.0 / 3.0, -7.0, 1e300, 1.7976931348623157e308]
+    fields = np.array([np.roll(specials, k) for k in range(3)])
+    times = np.array([0.0, 1e-17, 0.1])
+    x = np.linspace(-1.0, 1.0, len(specials))
+    x[3] = -0.0
+    result = kb.EvolutionResult(times, fields, *np.zeros((3, times.size)))
+    write_evolution_csv(tmp_path / "new.csv", result, x)
+    _evolution_csv_per_value(tmp_path / "ref.csv", result, x)
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+    assert b",-0,-0\n" in (tmp_path / "new.csv").read_bytes()
 
 
 def test_inline_gibbs_truncated_mass_is_null(tmp_path):
@@ -236,6 +261,15 @@ MALFORMED_SCENARIO_FIELDS = {
     "oracle.snapshot_times": ("oracle", {"snapshot_times": [1.0, 0.5]},
                               "oracle.snapshot_times"),
     "scheme": ("scheme", "central", "scheme"),
+    "checks.invariant_measure": ("checks", {"invariant_measure": "false"},
+                                 "checks.invariant_measure"),
+    "checks.invariant_measure.number": ("checks", {"invariant_measure": 0},
+                                        "checks.invariant_measure"),
+    "initial_density.sigma": ("initial_density", {"kind": "gaussian", "sigma": 0},
+                              "initial_density.sigma"),
+    "initial_density.width": ("initial_density", {"kind": "bump", "width": 0},
+                              "initial_density.width"),
+    "oracle.particles.zero": ("oracle", {"particles": 0}, "oracle.particles"),
     "generator.table": ("generator", {"dimension": 1, "a": {"points": [1, 0], "values": [1, 1]},
                                       "b": "0", "domain": {"kind": "box", "bounds": [[-1, 1]]}},
                         "generator"),
@@ -288,6 +322,23 @@ def test_malformed_operator_field_is_named_input_error(tmp_path, capsys, field, 
     err = capsys.readouterr().err
     assert err.startswith("input error (") and err.count("\n") == 1
     assert named in err
+
+
+def test_invariant_measure_false_skips_the_invariant_checks(tmp_path):
+    doc = {**SMALL_SCENARIO, "checks": {"invariant_measure": False}}
+    path = write_json(tmp_path / "skip.json", doc)
+    assert main(["run", path, "--out", str(tmp_path / "out")]) == 0
+    checks = json.loads((tmp_path / "out" / "summary.json").read_text())["checks"]
+    assert "invariant_residual" not in checks
+    assert not any(name.startswith("h_monotone") for name in checks)
+
+
+def test_oracle_compare_without_particles_is_input_error(tmp_path, capsys):
+    doc = {**SMALL_SCENARIO, "oracle": {"particles": 0, "snapshot_times": [0.5]}}
+    path = write_json(tmp_path / "empty.json", doc)
+    assert main(["oracle-compare", path, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error (") and "oracle.particles" in err
 
 
 def test_natural_takes_exact_integers():

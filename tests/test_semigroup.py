@@ -120,8 +120,8 @@ def _box_chain(n):
 
 def _count_kernel_builds(monkeypatch):
     calls = []
-    build = sg._kernel_matrix
-    monkeypatch.setattr(sg, "_kernel_matrix", lambda *a: calls.append(a) or build(*a))
+    build = sg._kernel_matrices
+    monkeypatch.setattr(sg, "_kernel_matrices", lambda *a: calls.append(a) or build(*a))
     return calls
 
 
@@ -158,7 +158,7 @@ def test_appendix2a_series_builds_one_dense_kernel_per_step_key(a2a201, monkeypa
     calls = _count_kernel_builds(monkeypatch)
     evolve_series(a2a201.Q, nu0, np.linspace(0.0, 10.0, 201), tol=1e-12)
     # the 200 steps round to 0.05 and 0.05 +- 1 ulp of 10; one kernel, at 0.05
-    assert [t for _, t, _ in calls] == [0.05]
+    assert [ts for _, ts, _ in calls] == [[0.05]]
 
 
 def test_one_shot_density_agrees_across_routes(a2a201, monkeypatch):
@@ -274,6 +274,62 @@ def test_chapman_kolmogorov(two_state, a2a201):
     assert chapman_kolmogorov_defect(a2a201.Q, 0.3, 0.7, tol=1e-12) <= 3e-10
 
 
+def _bits(x):
+    return np.asarray(x, dtype=float).view(np.int64)
+
+
+def test_kernels_of_one_call_are_bitwise_separate_builds(a2a201):
+    ts = [1.0, 0.3, 0.0, 0.7, 0.3]
+    together = sg._kernel_matrices(a2a201.Q, ts, 1e-12)
+    assert len(together) == len(ts)
+    for t, (M, defect) in zip(ts, together):
+        (ref, ref_defect), = sg._kernel_matrices(a2a201.Q, [t], 1e-12)
+        assert np.array_equal(_bits(M), _bits(ref))
+        assert _bits(defect) == _bits(ref_defect)
+
+
+def _ck_from_separate_builds(qm, t, s, tol):
+    (whole, _), = sg._kernel_matrices(qm, [t + s], tol)
+    (left, _), = sg._kernel_matrices(qm, [t], tol)
+    (right, _), = sg._kernel_matrices(qm, [s], tol)
+    return float(np.max(np.abs(whole - left @ right).sum(axis=1)))
+
+
+@pytest.mark.parametrize("t, s", [(0.3, 0.7), (0.0, 0.8), (0.5, 0.0), (0.25, 0.25)])
+def test_chapman_kolmogorov_is_bitwise_three_separate_builds(a2a201, t, s):
+    box, _ = _box_chain(9)
+    for qm in [a2a201.Q, box]:
+        got = chapman_kolmogorov_defect(qm, t, s, tol=1e-12)
+        assert _bits(got) == _bits(_ck_from_separate_builds(qm, t, s, 1e-12))
+
+
+@pytest.mark.parametrize("t, s, kernels", [(0.3, 0.7, 3), (0.0, 0.8, 2)])
+def test_chapman_kolmogorov_runs_one_series_pass(a2a201, monkeypatch, caplog, t, s, kernels):
+    caplog.set_level(logging.DEBUG, logger="kinbench.semigroup")
+    passes = []
+    series = sg._identity_series
+    monkeypatch.setattr(sg, "_identity_series", lambda *a: passes.append(a) or series(*a))
+    chapman_kolmogorov_defect(a2a201.Q, t, s, tol=1e-12)
+    assert len(passes) == 1
+    assert len(passes[0][1]) == kernels
+    (line,) = _logged_lines(caplog, "series ")
+    terms = max(sg._uniformization(a2a201.Q, u, 1e-12).weights.size for u in [t + s, t, s] if u)
+    assert line == {"n": 201, "b": 1, "block": 64, "kernels": kernels, "terms": terms}
+    assert len(_logged_lines(caplog, "kernel ")) == kernels
+
+
+def test_flush_zeroes_the_entries_below_the_threshold_in_magnitude():
+    f = sg._FLUSH
+    vals = [0.0, -0.0, 5e-324, -5e-324, 0.5 * f, -0.5 * f, np.nextafter(f, 0),
+            -np.nextafter(f, 0), f, -f, 1.0, -1.0, np.inf, -np.inf, np.nan]
+    M = np.array([np.roll(vals, k) for k in range(len(vals))])
+    small = (np.abs(M) < f) & (M != 0.0)
+    ref = M.copy()
+    ref[small] = 0.0
+    assert sg._flush(M) == np.count_nonzero(small) == 6 * len(vals)
+    assert np.array_equal(_bits(M), _bits(ref))
+
+
 def _series_inputs(qm, t, tol=1e-9):
     plan = sg._uniformization(qm, t, tol)
     return sp.identity(qm.size, format="csr") + qm.Q / plan.lam, plan
@@ -284,26 +340,47 @@ def _1d_chain(name, n, scheme):
     return build_qmatrix(spec, Grid.from_domain(spec.domain, n), scheme)
 
 
-def _assert_identity_series_is_dense_series(qm, t, bandwidth):
-    P, plan = _series_inputs(qm, t)
-    M, b = sg._identity_series(P, plan.weights)
-    ref = sg._series_matvec(P, np.eye(qm.size), plan.weights)
+def _assert_identity_series_is_dense_series(qm, ts, bandwidth):
+    P, _ = _series_inputs(qm, ts[0])
+    weight_sets = [sg._uniformization(qm, t, 1e-9).weights for t in ts]
+    Ms, b = sg._identity_series(P, weight_sets)
     assert b == bandwidth
-    assert np.array_equal(M.view(np.int64), ref.view(np.int64))
+    assert len(Ms) == len(weight_sets)
+    for M, weights in zip(Ms, weight_sets):
+        ref = sg._series_matvec(P, np.eye(qm.size), weights)
+        assert np.array_equal(M.view(np.int64), ref.view(np.int64))
+
+
+# one block up to _BLOCK = 64 columns, several above it
+_BLOCK_EDGE_SIZES = [5, 63, 64, 65, 128, 129, 257, 401]
 
 
 @pytest.mark.parametrize("name", CATALOG_NAMES)
 @pytest.mark.parametrize("scheme", ["exponential-fitting", "upwind"])
 def test_identity_series_is_bitwise_the_dense_series(name, scheme):
-    # one block up to _BLOCK = 256 columns, several above it
-    for n in [5, 127, 128, 129, 255, 256, 257, 401]:
-        _assert_identity_series_is_dense_series(_1d_chain(name, n, scheme), 0.3, 1)
+    assert sg._BLOCK == 64
+    for n in _BLOCK_EDGE_SIZES:
+        _assert_identity_series_is_dense_series(_1d_chain(name, n, scheme), [0.3], 1)
 
 
 def test_identity_series_is_bitwise_the_dense_series_off_1d_catalog():
     Q, _ = _box_chain(17)
-    _assert_identity_series_is_dense_series(Q, 0.3, 17)
-    _assert_identity_series_is_dense_series(_absorbing_chain(301), 0.3, 1)
+    _assert_identity_series_is_dense_series(Q, [0.3], 17)
+    _assert_identity_series_is_dense_series(Q, [1.0, 0.3, 0.05], 17)
+    _assert_identity_series_is_dense_series(_absorbing_chain(301), [0.3], 1)
+    _assert_identity_series_is_dense_series(_absorbing_chain(301), [0.7, 0.3, 0.01], 1)
+    # an unstructured chain: b = n - 1, so every power is P's own CSR product
+    dense = DiscreteGenerator.from_matrix(_random_chain(np.random.default_rng(0), 150))
+    _assert_identity_series_is_dense_series(dense, [0.3], 149)
+
+
+@pytest.mark.parametrize("n", _BLOCK_EDGE_SIZES)
+def test_identity_series_sets_of_unequal_length_share_one_pass(n):
+    qm = _1d_chain("appendix2a", n, "exponential-fitting")
+    ts = [1.0, 0.3, 1e-4, 0.7, 0.3]
+    terms = [sg._uniformization(qm, t, 1e-9).weights.size for t in ts]
+    assert len(set(terms)) >= 3
+    _assert_identity_series_is_dense_series(qm, ts, 1)
 
 
 def _box_50x(n):
@@ -312,7 +389,7 @@ def _box_50x(n):
 
 
 def _unflushed_kernel(qm, t, tol):
-    """_kernel_matrix with the dense identity series and no flush."""
+    """_kernel_matrices for one t, with the dense identity series and no flush."""
     P, plan = _series_inputs(qm, t, tol)
     M = sg._series_matvec(P, np.eye(qm.size), plan.weights)
     for _ in range(plan.splits):
@@ -328,7 +405,7 @@ def _unflushed_kernel(qm, t, tol):
 def test_flushed_squarings_match_unflushed_kernel(t):
     Q = _box_50x(401)
     assert sg._uniformization(Q, t, 1e-9).splits > 0
-    M, defect = sg._kernel_matrix(Q, t, 1e-9)
+    (M, defect), = sg._kernel_matrices(Q, [t], 1e-9)
     ref, ref_defect = _unflushed_kernel(Q, t, 1e-9)
     assert np.float64(defect).view(np.int64) == np.float64(ref_defect).view(np.int64)
     big = np.maximum(np.abs(M), np.abs(ref)) >= 1e-130
