@@ -30,7 +30,6 @@ from .errors import (
     NoInvariantDensity,
     ScenarioError,
     SpectrumError,
-    TimeError,
 )
 from .htheorem import HFunctional, h_curves, solve_invariant
 from .pawula import (
@@ -42,6 +41,7 @@ from .pawula import (
     second_order_sign_check,
 )
 from .semigroup import (
+    _check_times,
     chapman_kolmogorov_defect,
     evolve_series,
     generator_at_max,
@@ -130,9 +130,17 @@ def _boolean(value):
     return value
 
 
+def _finite(value):
+    value = float(value)
+    if not np.isfinite(value):
+        raise ValueError(f"{value!r} is not a finite number")
+    return value
+
+
 def _times(times):
     if isinstance(times, dict):
-        times = np.linspace(float(times["start"]), float(times["stop"]), _natural(times["num"]))
+        times = np.linspace(_finite(times["start"]), _finite(times["stop"]),
+                            _natural(times["num"]))
     return time_schedule(float(t) for t in times)
 
 
@@ -142,15 +150,14 @@ def _floats(values):
 
 def _lags(values):
     s, t = (float(v) for v in values)
-    if not (s >= 0 and t >= 0):
-        raise TimeError("both times must be nonnegative")
+    _check_times(s, t)
     return s, t
 
 
 def _rates(values):
     rates = _floats(values)
-    if not all(lam > 0 for lam in rates):
-        raise SpectrumError("resolvent parameters must be positive")
+    if not all(0 < lam < np.inf for lam in rates):
+        raise SpectrumError("resolvent parameters must be positive and finite")
     return rates
 
 
@@ -198,12 +205,12 @@ def _scenario(args):
     }
     oracle = {
         "particles": _field(doc, "oracle.particles", _particles, 100_000),
-        "dt": _field(doc, "oracle.dt", float, 1e-3),
+        "dt": _field(doc, "oracle.dt", _finite, 1e-3),
         "seed": args.seed if args.seed is not None else _field(doc, "oracle.seed", _natural, 1234),
         "snapshot_times": _field(doc, "oracle.snapshot_times",
                                  lambda v: time_schedule(_floats(v)).tolist(), [0.5, 1.0, 2.0]),
         "moment_points": _field(doc, "oracle.moment_points", _floats, [0.0]),
-        "moment_window": _field(doc, "oracle.moment_window", float, 1e-2),
+        "moment_window": _field(doc, "oracle.moment_window", _finite, 1e-2),
     }
     seed = args.seed if args.seed is not None else _field(doc, "seed", _natural, 0)
     times = _field(doc, "times", _times, {"start": 0.0, "stop": 10.0, "num": 201})

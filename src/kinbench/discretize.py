@@ -309,7 +309,8 @@ def _sample_coefficients(spec, grid):
     """Diffusion diagonal and drift at every node, each of shape (size, ndim).
 
     In 1-D the coefficients take the whole node array in one call; an
-    n-D ``a`` maps one point to a matrix, so it is called once per node.
+    n-D ``a`` maps one point to a matrix, so it is called once per node,
+    and the matrices are then checked for off-diagonal entries together.
     """
     if grid.ndim == 1:
         x = grid.x
@@ -317,17 +318,16 @@ def _sample_coefficients(spec, grid):
         b = np.broadcast_to(np.asarray(spec.b(x), dtype=float), x.shape)[:, None]
     else:
         pts = grid.nodes()
-        a = np.empty(pts.shape)
-        b = np.empty(pts.shape)
-        for i, p in enumerate(pts):
-            amat = spec.a_matrix(p)
-            off = amat - np.diag(np.diag(amat))
-            scale = max(1.0, float(np.max(np.abs(amat))))
-            if np.max(np.abs(off)) > 1e-12 * scale:
-                raise UnsupportedTensor(
-                    "off-diagonal diffusion entries are not supported in v1")
-            a[i] = np.diag(amat)
-            b[i] = np.asarray(spec.b(p), dtype=float).reshape(grid.ndim)
+        mats = np.array([spec.a_matrix(p) for p in pts])
+        if mats.shape != pts.shape + (grid.ndim,):
+            raise ShapeError(f"a must map a point to a {grid.ndim} x {grid.ndim} matrix")
+        a = np.diagonal(mats, axis1=1, axis2=2).copy()
+        scale = np.maximum(1.0, np.max(np.abs(mats), axis=(1, 2)))
+        diag = np.arange(grid.ndim)
+        mats[:, diag, diag] = 0.0
+        if np.any(np.max(np.abs(mats), axis=(1, 2)) > 1e-12 * scale):
+            raise UnsupportedTensor("off-diagonal diffusion entries are not supported in v1")
+        b = np.array([np.asarray(spec.b(p), dtype=float).reshape(grid.ndim) for p in pts])
     if a.min() < EIG_FLOOR:
         i, ax = np.unravel_index(int(np.argmin(a)), a.shape)
         raise NonEllipticCoefficient(

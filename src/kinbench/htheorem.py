@@ -6,6 +6,11 @@ null space, the decay of sum_i m_i h(nu_i / m_i) is exact for every convex
 h, so only rounding shows up in the monotonicity checks.  Quadrature
 weights enter only where discrete fields are compared against continuum
 densities and integrals.
+
+``_closed_classes`` imports ``scipy.sparse.csgraph`` in its body.  That
+import loads ``scipy.sparse.linalg`` and ``scipy.linalg`` with it, and only
+the reachability step of a non-reversible or absorbing chain needs it; a
+reversible chain is solved on the lattice and never pays for it.
 """
 
 from __future__ import annotations
@@ -15,7 +20,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse import csgraph
 
 from . import fd
 from .errors import (
@@ -208,6 +212,8 @@ def _lattice_balance(qm):
 
 def _closed_classes(mat):
     """Node sets of the closed communicating classes; transient states raise."""
+    from scipy.sparse import csgraph  # deferred: see the module docstring
+
     n = mat.shape[0]
     coo = mat.tocoo()
     edge = (coo.row != coo.col) & (coo.data > 0)

@@ -205,8 +205,8 @@ def simulate(spec, sampler, n, dt, T, seed, snapshots=None):
     """
     if spec.dimension != 1:
         raise ParameterOutOfRange("particle oracle supports dimension 1 in v1")
-    if dt <= 0 or T < 0:
-        raise ParameterOutOfRange("need dt > 0 and T >= 0")
+    if not (0 < dt < np.inf) or T < 0:
+        raise ParameterOutOfRange("need a finite dt > 0 and T >= 0")
     times = time_schedule([T] if snapshots is None else snapshots)
     if times[-1] > T:
         raise TimeError(f"snapshot times must lie in [0, T = {T:g}]")

@@ -34,6 +34,11 @@ of the shipped workloads, and so their artifact bytes, depend on it.  The
 vector series costs steps*2^splits*(nnz + C), where C (``_MATVEC_COST``)
 is the fixed cost of one sparse matvec plus two vector updates.  A step
 length goes dense iff n <= 2048 and n*(nnz + n) <= steps*2^splits*(nnz + C).
+
+``resolvent`` imports ``scipy.sparse.linalg`` in its body, the one place
+that uses it.  That import also loads ``scipy.linalg`` and takes about
+0.15 s and 10 MB, which a process that never solves a resolvent (the
+evolution and H-theorem paths) should not pay at start-up.
 """
 
 from __future__ import annotations
@@ -46,7 +51,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .discretize import DiscreteGenerator
 from .errors import (
@@ -108,11 +112,18 @@ def _poisson_weights(mu, tail):
 def _split_count(mu):
     if mu <= LEVEL_MEAN:
         return 0
-    k = int(math.ceil(math.log2(mu / LEVEL_MEAN)))
-    if k > MAX_SPLITS:
+    levels = math.log2(mu / LEVEL_MEAN)  # inf when lambda*t overflows
+    if levels > MAX_SPLITS:
         raise TruncationBudgetExceeded(
-            f"horizon needs 2^{k} splits; reduce t or lambda")
-    return k
+            f"horizon needs more than 2^{MAX_SPLITS} splits; reduce t or lambda")
+    return math.ceil(levels)
+
+
+def _check_times(*ts):
+    """Raise TimeError unless every t is finite and nonnegative (NaN is neither)."""
+    for t in ts:
+        if not 0.0 <= t < math.inf:
+            raise TimeError(f"t = {t:g}: evolution times must be finite and nonnegative")
 
 
 def _check_tol(tol):
@@ -121,12 +132,13 @@ def _check_tol(tol):
 
 
 def time_schedule(times):
-    """``times`` as a float array; raises unless nonempty, nonnegative and nondecreasing."""
+    """``times`` as a float array; raises unless nonempty, finite, nonnegative
+    and nondecreasing."""
     times = np.asarray(list(times), dtype=float)
     if times.size == 0:
         raise ParameterOutOfRange("empty time schedule")
-    if not (np.all(times >= 0) and np.all(np.diff(times) >= 0)):
-        raise TimeError("a time schedule is nonnegative and nondecreasing")
+    if not (np.all(np.isfinite(times)) and np.all(times >= 0) and np.all(np.diff(times) >= 0)):
+        raise TimeError("a time schedule is finite, nonnegative and nondecreasing")
     return times
 
 
@@ -285,8 +297,7 @@ def _kernel_matrices(qm, ts, tol):
 
 def transition_kernel(Q, t, tol=1e-9):
     """Transition kernel P(t); rows sum to one within the reported defect."""
-    if t < 0:
-        raise TimeError(f"t = {t:g} < 0")
+    _check_times(t)
     _check_tol(tol)
     (M, defect), = _kernel_matrices(_as_qmatrix(Q), [t], tol)
     return TransitionKernel(M, defect)
@@ -335,8 +346,7 @@ def evolve_observable(Q, f0, t, tol=1e-9):
     constants stay constant within tol, and the sup norm does not grow
     beyond tol.
     """
-    if t < 0:
-        raise TimeError(f"t = {t:g} < 0")
+    _check_times(t)
     _check_tol(tol)
     qm = _as_qmatrix(Q)
     f0 = _chain_vector(qm, f0)
@@ -345,8 +355,7 @@ def evolve_observable(Q, f0, t, tol=1e-9):
 
 def evolve_density(Q, nu0, t, tol=1e-9):
     """Density-side evolution e^{Q^T t} nu0; conserves the total mass sum(nu)."""
-    if t < 0:
-        raise TimeError(f"t = {t:g} < 0")
+    _check_times(t)
     _check_tol(tol)
     qm = _as_qmatrix(Q)
     vals = _chain_vector(qm, nu0)
@@ -413,8 +422,7 @@ def evolve_series(Q, nu0, times, tol=1e-9):
 def chapman_kolmogorov_defect(Q, t, s, tol=1e-9):
     """Sup-norm defect between P(t+s) and P(t) P(s), all three kernels built
     from one series pass."""
-    if t < 0 or s < 0:
-        raise TimeError("times must be nonnegative")
+    _check_times(t, s)
     _check_tol(tol)
     qm = _as_qmatrix(Q)
     (whole, _), (left, _), (right, _) = _kernel_matrices(qm, [t + s, t, s], tol)
@@ -425,8 +433,10 @@ def chapman_kolmogorov_defect(Q, t, s, tol=1e-9):
 
 def resolvent(Q, lam, g):
     """Solve (lam - Q) f = g; the M-matrix structure bounds ||lam f|| by ||g||."""
-    if lam <= 0:
-        raise SpectrumError(f"resolvent parameter must be positive, got {lam:g}")
+    if not 0.0 < lam < math.inf:
+        raise SpectrumError(f"resolvent parameter must be positive and finite, got {lam:g}")
+    import scipy.sparse.linalg as spla  # deferred: see the module docstring
+
     qm = _as_qmatrix(Q)
     A = (lam * sp.identity(qm.size, format="csc") - qm.Q.tocsc())
     return spla.spsolve(A, _chain_vector(qm, g))
@@ -456,9 +466,10 @@ def recover_coefficients(Q, t_small, tol=1e-12):
     t -> 0 for a true diffusion.  Emits MomentBiasWarning when
     lambda_max * t exceeds 0.1 (the O(t) bias scale).
     """
-    qm = _as_qmatrix(Q)
-    if t_small <= 0:
+    _check_times(t_small)
+    if t_small == 0:
         raise TimeError("t_small must be positive")
+    qm = _as_qmatrix(Q)
     _check_tol(tol)
     if qm.lambda_max * t_small > 0.1:
         warnings.warn(
@@ -500,8 +511,7 @@ def stochastic_continuity_defect(Q, node, radius, times, tol=1e-12):
     if x.ndim != 1:
         raise ShapeError("stochastic continuity supports 1-D grids in v1")
     times = np.asarray(list(times), dtype=float)
-    if np.any(times < 0):
-        raise TimeError("times must be nonnegative")
+    _check_times(*times)
     inside = (np.abs(x[None, :] - x[:, None]) <= radius).astype(float)
     at_node = np.empty(times.size)
     max_interior = np.empty(times.size)

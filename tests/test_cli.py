@@ -251,6 +251,23 @@ MALFORMED_SCENARIO_FIELDS = {
                                            "checks.chapman_kolmogorov"),
     "checks.resolvent_lambdas": ("checks", {"resolvent_lambdas": [-1]},
                                  "checks.resolvent_lambdas"),
+    # non-finite times and rates are input errors, not tracebacks or vacuous passes
+    "times.inf": ("times", [0.0, float("inf")], "times"),
+    "times.stop.inf": ("times", {"start": 0, "stop": float("inf"), "num": 3}, "times"),
+    "checks.chapman_kolmogorov.inf": ("checks", {"chapman_kolmogorov": [0.3, float("inf")]},
+                                      "checks.chapman_kolmogorov"),
+    "checks.chapman_kolmogorov.nan": ("checks", {"chapman_kolmogorov": [float("nan"), 0.7]},
+                                      "checks.chapman_kolmogorov"),
+    "checks.resolvent_lambdas.inf": ("checks", {"resolvent_lambdas": [float("inf")]},
+                                     "checks.resolvent_lambdas"),
+    "checks.resolvent_lambdas.nan": ("checks", {"resolvent_lambdas": [1.0, float("nan")]},
+                                     "checks.resolvent_lambdas"),
+    "oracle.dt.inf": ("oracle", {"dt": float("inf")}, "oracle.dt"),
+    "oracle.dt.nan": ("oracle", {"dt": float("nan")}, "oracle.dt"),
+    "oracle.moment_window.inf": ("oracle", {"moment_window": float("inf")},
+                                 "oracle.moment_window"),
+    "oracle.snapshot_times.inf": ("oracle", {"snapshot_times": [0.5, float("inf")]},
+                                  "oracle.snapshot_times"),
     "grid.n.fraction": ("grid", {"n": 41.7}, "grid.n"),
     "grid.n.too_few": ("grid", {"n": 2}, "grid.n"),
     "seed.fraction": ("seed", 1.5, "seed"),
@@ -339,6 +356,16 @@ def test_oracle_compare_without_particles_is_input_error(tmp_path, capsys):
     assert main(["oracle-compare", path, "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("input error (") and "oracle.particles" in err
+
+
+@pytest.mark.parametrize("field", ["dt", "moment_window"])
+def test_oracle_compare_rejects_an_infinite_oracle_field(tmp_path, capsys, field):
+    doc = {**SMALL_SCENARIO, "oracle": {"particles": 100, "snapshot_times": [0.5],
+                                        field: float("inf")}}
+    path = write_json(tmp_path / "inf.json", doc)
+    assert main(["oracle-compare", path, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error (") and f"oracle.{field}" in err
 
 
 def test_natural_takes_exact_integers():

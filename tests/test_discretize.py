@@ -8,6 +8,7 @@ import kinbench as kb
 from kinbench.discretize import (
     DiscreteGenerator,
     Grid,
+    _sample_coefficients,
     bernoulli_ratio,
     build_qmatrix,
 )
@@ -81,6 +82,54 @@ def test_offdiagonal_tensor_rejected():
     grid = Grid.from_domain(domain, 5)
     with pytest.raises(UnsupportedTensor):
         build_qmatrix(spec, grid)
+
+
+def per_node_coefficients(spec, grid):
+    """The node-by-node reference for n-D sampling: each a(p) is checked for
+    off-diagonal entries against max(1, max|a(p)|) before its diagonal is kept."""
+    pts = grid.nodes()
+    a, b = np.empty(pts.shape), np.empty(pts.shape)
+    for i, p in enumerate(pts):
+        amat = spec.a_matrix(p)
+        off = amat - np.diag(np.diag(amat))
+        if np.max(np.abs(off)) > 1e-12 * max(1.0, float(np.max(np.abs(amat)))):
+            raise UnsupportedTensor(f"off-diagonal entry at node {i}")
+        a[i] = np.diag(amat)
+        b[i] = np.asarray(spec.b(p), dtype=float).reshape(grid.ndim)
+    return a, b
+
+
+@pytest.mark.parametrize("shape", [(9, 7), (5, 4, 6)])
+def test_nd_sampling_is_bitwise_the_per_node_loop(shape):
+    dim = len(shape)
+    bounds = tuple((-1.0 - k, 2.0 + 0.5 * k) for k in range(dim))
+
+    def a(p):  # large diagonal, off-diagonal rounding below the 1e-12 scale
+        return np.diag(1e6 * (1.0 + np.sin(p) ** 2)) + 1e-7 * (1.0 - np.eye(dim))
+
+    spec = GeneratorSpec(dim, a, lambda p: np.cos(p) - p, DomainSpec("box", bounds))
+    grid = Grid.from_domain(spec.domain, shape)
+    got = _sample_coefficients(spec, grid)
+    want = per_node_coefficients(spec, grid)
+    assert all(g.tobytes() == w.tobytes() and g.shape == w.shape for g, w in zip(got, want))
+
+
+def test_nd_sampling_rejects_one_off_diagonal_node():
+    domain = DomainSpec("box", ((-1.0, 1.0), (-1.0, 1.0)))
+    a = lambda p: np.array([[1.0, 1e-3 * (p[0] > 0.9)], [0.0, 1.0]])
+    spec = GeneratorSpec(2, a, lambda p: np.zeros(2), domain)
+    grid = Grid.from_domain(domain, 5)
+    with pytest.raises(UnsupportedTensor):
+        per_node_coefficients(spec, grid)
+    with pytest.raises(UnsupportedTensor, match="off-diagonal diffusion entries"):
+        _sample_coefficients(spec, grid)
+
+
+def test_nd_sampling_rejects_a_scalar_diffusion():
+    domain = DomainSpec("box", ((-1.0, 1.0), (-1.0, 1.0)))
+    spec = GeneratorSpec(2, lambda p: 1.0, lambda p: np.zeros(2), domain)
+    with pytest.raises(ShapeError):
+        _sample_coefficients(spec, Grid.from_domain(domain, 5))
 
 
 @pytest.mark.parametrize("scheme", ["exponential-fitting", "upwind"])

@@ -8,10 +8,15 @@ as a name anywhere in the module (``np`` in ``np.asarray`` included).
 ``__init__.py`` is skipped because its imports are the public API.  A
 module-level ``def _name`` counts as used when ``_name`` appears as a
 name, an attribute or an imported name anywhere in the package.
+``scipy.sparse.linalg`` and ``scipy.sparse.csgraph`` may be imported only
+inside function bodies, and a subprocess checks that ``import kinbench``
+loads neither until a function needs it.
 """
 
 import ast
+import os
 import pathlib
+import subprocess
 import sys
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "kinbench"
@@ -96,3 +101,93 @@ def test_dependency_check_flags_outside_imports(tmp_path):
                      "def f():\n    from scipy.integrate import quad\n    return quad\n")
     assert disallowed_imports(probe) == ["probe.py:5 scipy.linalg",
                                          "probe.py:9 scipy.integrate.quad"]
+
+
+# each loads scipy.linalg too (about 0.15 s and 10 MB); only the function
+# that uses one may import it, so `import kinbench` stays free of them
+DEFERRED = ("scipy.sparse.linalg", "scipy.sparse.csgraph")
+
+
+def _deferred(module):
+    return any(module == m or module.startswith(m + ".") for m in DEFERRED)
+
+
+def eager_deferred_imports(path):
+    """Imports of a DEFERRED module that run when the module is imported:
+    every statement outside a function body, class bodies included."""
+    hits = []
+    todo = list(ast.parse(path.read_text()).body)
+    while todo:
+        node = todo.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        if isinstance(node, ast.Import):
+            hits += [(node.lineno, a.name) for a in node.names if _deferred(a.name)]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            hits += [(node.lineno, f"{node.module}.{a.name}") for a in node.names
+                     if _deferred(node.module) or _deferred(f"{node.module}.{a.name}")]
+        todo.extend(ast.iter_child_nodes(node))
+    return [f"{path.name}:{line} {name}" for line, name in sorted(hits)]
+
+
+def test_deferred_scipy_modules_load_only_in_function_bodies():
+    modules = sorted(SRC.glob("*.py"))
+    assert len(modules) > 5
+    assert [hit for p in modules for hit in eager_deferred_imports(p)] == []
+
+
+def test_deferred_import_check_flags_module_level_imports(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text("import scipy.sparse\nfrom scipy.sparse import csgraph, csr_matrix\n"
+                     "if True:\n    import scipy.sparse.linalg as spla\n\n\n"
+                     "class C:\n    from scipy.sparse.csgraph import laplacian\n\n"
+                     "    def m(self):\n        from scipy.sparse import linalg\n"
+                     "        return linalg\n\n\n"
+                     "def f():\n    import scipy.sparse.linalg\n    return scipy\n")
+    assert eager_deferred_imports(probe) == ["probe.py:2 scipy.sparse.csgraph",
+                                             "probe.py:4 scipy.sparse.linalg",
+                                             "probe.py:8 scipy.sparse.csgraph.laplacian"]
+
+
+COLD_START = """
+import sys
+
+import numpy as np
+
+import kinbench.cli
+import kinbench as kb
+
+HEAVY = ("scipy.linalg", "scipy.sparse.linalg", "scipy.sparse.csgraph")
+
+
+def loaded():
+    return [m for m in HEAVY if m in sys.modules]
+
+
+assert loaded() == [], loaded()
+domain = kb.DomainSpec("box", ((-2.0, 2.0), (-1.0, 1.0)))
+spec = kb.GeneratorSpec(2, lambda p: np.diag([1.0 + p[0] ** 2, 2.0]), lambda p: -p, domain)
+Q = kb.build_qmatrix(spec, kb.Grid.from_domain(domain, 9))
+sol = kb.solve_invariant(Q)
+nu0 = np.zeros(Q.size)
+nu0[0] = 1.0
+curve = kb.h_curve(Q, nu0, kb.HFunctional.from_name("xlogx"), [0.0, 0.5, 1.0], reference=sol)
+assert curve.is_monotone(1e-12)
+assert loaded() == [], loaded()
+
+f = kb.resolvent(Q, 1.0, np.ones(Q.size))
+assert np.allclose(f, 1.0)
+assert "scipy.sparse.linalg" in loaded(), loaded()
+
+cycle = kb.solve_invariant([[-1.0, 1.0, 0.0], [0.0, -1.0, 1.0], [1.0, 0.0, -1.0]])
+assert np.allclose(cycle.pi, 1.0 / 3.0) and cycle.unique
+assert loaded() == list(HEAVY), loaded()
+"""
+
+
+def test_cold_start_loads_linalg_and_csgraph_on_first_use():
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(SRC.parent), os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", COLD_START], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

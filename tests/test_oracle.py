@@ -131,7 +131,8 @@ def test_simulate_is_bitwise_the_plain_euler_maruyama_formula(bc):
     assert (bc == "absorbing") == bool(absorbed.any())
 
 
-@pytest.mark.parametrize("snaps", [[0.5, 0.2], [-0.1, 0.5], [0.5, 1.5]])
+@pytest.mark.parametrize("snaps", [[0.5, 0.2], [-0.1, 0.5], [0.5, 1.5],
+                                   [0.5, float("inf")]])
 def test_bad_snapshot_schedule_rejected(snaps):
     spec, _ = kb.catalog_example("ornstein-uhlenbeck")
     with pytest.raises(TimeError):
@@ -367,3 +368,10 @@ def test_draw_ring_stays_in_its_byte_budget(monkeypatch, n, ring_bytes, depth):
         assert sum(1 for _ in draws) == 40
     spec = GeneratorSpec(1, CE("1 + x^2"), CE("3*x"), DomainSpec("box", ((-1.0, 1.0),)))
     _assert_bitwise_serial(spec, uniform_source(-0.5, 0.5), n, 1e-2, 3, [0.0, 0.05, 0.4])
+
+
+@pytest.mark.parametrize("dt", [0.0, float("nan"), float("inf")])
+def test_zero_or_nonfinite_dt_rejected(dt):
+    spec, _ = kb.catalog_example("ornstein-uhlenbeck")
+    with pytest.raises(ParameterOutOfRange):
+        simulate(spec, point_source(0.0), 10, dt, 1.0, seed=1)

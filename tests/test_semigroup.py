@@ -62,6 +62,32 @@ def test_negative_time_rejected(two_state):
         evolve_observable(two_state, np.array([1.0, 0.0]), -0.1)
 
 
+@pytest.mark.parametrize("t", [-0.1, float("nan"), float("inf")])
+def test_negative_nan_and_infinite_times_rejected(two_state, monkeypatch, t):
+    plans = []
+    plan = sg._uniformization
+    monkeypatch.setattr(sg, "_uniformization", lambda *a: plans.append(a) or plan(*a))
+    v = np.array([1.0, 0.0])
+    for call in (lambda: transition_kernel(two_state, t),
+                 lambda: evolve_observable(two_state, v, t),
+                 lambda: evolve_density(two_state, v, t),
+                 lambda: evolve_series(two_state, v, [0.0, t]),
+                 lambda: chapman_kolmogorov_defect(two_state, 0.3, t),
+                 lambda: chapman_kolmogorov_defect(two_state, t, 0.3),
+                 lambda: recover_coefficients(two_state, t),
+                 lambda: stochastic_continuity_defect(two_state, 0, 0.5, [0.1, t])):
+        with pytest.raises(TimeError):
+            call()
+    assert plans == []
+
+
+def test_horizon_overflowing_the_poisson_mean_is_a_budget_error():
+    # lambda*t overflows to inf although t is finite
+    fast = DiscreteGenerator.from_matrix([[-10.0, 10.0], [10.0, -10.0]])
+    with pytest.raises(TruncationBudgetExceeded):
+        transition_kernel(fast, 1e308)
+
+
 def test_tolerance_validated(two_state):
     with pytest.raises(ParameterOutOfRange):
         evolve_observable(two_state, np.array([1.0, 0.0]), 1.0, tol=1e-3)
@@ -462,6 +488,12 @@ def test_resolvent_constant_input(a2a201):
 def test_resolvent_spectrum_error(two_state):
     with pytest.raises(SpectrumError):
         resolvent(two_state, 0.0, np.array([1.0, 0.0]))
+
+
+@pytest.mark.parametrize("lam", [float("nan"), float("inf")])
+def test_resolvent_rejects_a_nonfinite_parameter(two_state, lam):
+    with pytest.raises(SpectrumError):
+        resolvent(two_state, lam, np.array([1.0, 0.0]))
 
 
 @given(st.integers(0, 2 ** 31 - 1), st.sampled_from([0.1, 1.0, 10.0]))
