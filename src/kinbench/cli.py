@@ -25,6 +25,7 @@ import numpy as np
 from . import oracle as oracle_mod
 from .discretize import Grid, build_qmatrix, check_scheme
 from .errors import (
+    DomainError,
     InputError,
     KinbenchError,
     NoInvariantDensity,
@@ -42,6 +43,7 @@ from .pawula import (
 )
 from .semigroup import (
     _check_times,
+    _check_tol,
     chapman_kolmogorov_defect,
     evolve_series,
     generator_at_max,
@@ -137,6 +139,23 @@ def _finite(value):
     return value
 
 
+def _positive(value):
+    value = _finite(value)
+    if not value > 0:
+        raise ValueError(f"{value!r} is not positive")
+    return value
+
+
+def _interior_points(values, domain):
+    """Finite points strictly inside a 1-D domain: a particle started on or
+    past a wall would be clipped to it."""
+    points = [_finite(v) for v in values]
+    for p in points:
+        if not domain.contains(p, interior=True):
+            raise DomainError(f"{p:g} is not in the interior of {domain.bounds[0]}")
+    return points
+
+
 def _times(times):
     if isinstance(times, dict):
         times = np.linspace(_finite(times["start"]), _finite(times["stop"]),
@@ -195,9 +214,11 @@ Scenario = namedtuple("Scenario", "path out tol seed times initial hs checks ora
 def _scenario(args):
     """Read a scenario document, apply the command-line overrides, build Q."""
     doc, out = _document(args)
-    tol = args.tol if args.tol is not None else _field(doc, "tol", float, 1e-10)
-    if not (0 < tol <= 1e-6):
-        raise ScenarioError(f"tol must lie in (0, 1e-6], got {tol:g}")
+    spec, rho = _field(doc, "generator", load_generator, None)
+    if spec.dimension != 1:  # n-D chains are library-only for now
+        raise ScenarioError(f"generator.dimension is {spec.dimension}; the CLI runs 1-D chains")
+    tol = _named("tol", _check_tol,
+                 args.tol if args.tol is not None else _field(doc, "tol", float, 1e-10))
     checks = {
         "invariant_measure": _field(doc, "checks.invariant_measure", _boolean, True),
         "chapman_kolmogorov": _field(doc, "checks.chapman_kolmogorov", _lags, [0.3, 0.7]),
@@ -205,12 +226,14 @@ def _scenario(args):
     }
     oracle = {
         "particles": _field(doc, "oracle.particles", _particles, 100_000),
-        "dt": _field(doc, "oracle.dt", _finite, 1e-3),
+        "dt": _field(doc, "oracle.dt", _positive, 1e-3),
         "seed": args.seed if args.seed is not None else _field(doc, "oracle.seed", _natural, 1234),
         "snapshot_times": _field(doc, "oracle.snapshot_times",
                                  lambda v: time_schedule(_floats(v)).tolist(), [0.5, 1.0, 2.0]),
-        "moment_points": _field(doc, "oracle.moment_points", _floats, [0.0]),
-        "moment_window": _field(doc, "oracle.moment_window", _finite, 1e-2),
+        "moment_points": _field(doc, "oracle.moment_points",
+                                lambda v: _interior_points(v, spec.domain),
+                                [0.5 * sum(spec.domain.bounds[0])]),
+        "moment_window": _field(doc, "oracle.moment_window", _positive, 1e-2),
     }
     seed = args.seed if args.seed is not None else _field(doc, "seed", _natural, 0)
     times = _field(doc, "times", _times, {"start": 0.0, "stop": 10.0, "num": 201})
@@ -218,9 +241,6 @@ def _scenario(args):
     hs = _field(doc, "h_functionals", _h_functionals, ["xlogx", "square", "square-dev"])
     scheme = _field(doc, "scheme", check_scheme, "exponential-fitting")
     n = args.grid_n if args.grid_n is not None else _field(doc, "grid.n", _natural, 401)
-    spec, rho = _field(doc, "generator", load_generator, None)
-    if spec.dimension != 1:  # n-D chains are library-only for now
-        raise ScenarioError(f"generator.dimension is {spec.dimension}; the CLI runs 1-D chains")
     grid = _named("grid.n", lambda n: Grid.from_domain(spec.domain, n), n)
     Q = _named("generator", lambda spec: build_qmatrix(spec, grid, scheme), spec)
     return Scenario(args.scenario, out, tol, seed, times, initial, hs, checks, oracle,

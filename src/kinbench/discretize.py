@@ -24,7 +24,7 @@ from .errors import (
     ShapeError,
     UnsupportedTensor,
 )
-from .generator import EIG_FLOOR
+from .generator import EIG_FLOOR, _on_nodes
 from .pawula import OFFDIAG_TOL, ROWSUM_TOL, MaxPrincipleReport, maximum_principle_check
 
 DEGENERACY_THRESHOLD = 1e-14
@@ -73,10 +73,6 @@ class Grid:
             n = (int(n),) * len(domain.bounds)
         axes = tuple(np.linspace(lo, hi, k) for (lo, hi), k in zip(domain.bounds, n))
         return cls(axes, domain.boundary_condition)
-
-    @classmethod
-    def from_interval(cls, lo, hi, n, boundary_condition="no-flux"):
-        return cls((np.linspace(lo, hi, n),), boundary_condition)
 
     @property
     def ndim(self):
@@ -188,19 +184,17 @@ def _exact_row_pair(q_left, q_right):
     return new_left, new_right, -s
 
 
-def _axis_rates(a, b, h_minus, h_plus, scheme, wall="half-cell"):
+def _axis_rates(a, b, h_minus, h_plus, scheme):
     """Neighbor rates (q_minus, q_plus) for one axis of nodes.
 
     a, b sampled at nodes; h_minus/h_plus are distances to the neighbors
     (nan where the neighbor does not exist).  Degenerate nodes fall back
     to pure upwind drift.
 
-    wall='half-cell' treats boundary nodes as half-width finite-volume
-    cells, which pins the zero-flux plane to the wall node itself (the
-    invariant density then matches trapezoid cell widths and the
-    boundary flux of evolved fields is second-order small).
-    wall='mirrored' reflects the missing spacing instead, which keeps
-    constant-coefficient pure diffusion exactly self-adjoint.
+    Boundary nodes are half-width finite-volume cells, which pins the
+    zero-flux plane to the wall node itself (the invariant density then
+    matches trapezoid cell widths and the boundary flux of evolved fields
+    is second-order small).
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -210,12 +204,7 @@ def _axis_rates(a, b, h_minus, h_plus, scheme, wall="half-cell"):
     has_p = ~np.isnan(hp)
     hm_eff = np.where(has_m, hm, hp)
     hp_eff = np.where(has_p, hp, hm)
-    if wall == "half-cell":
-        span = np.where(has_m, hm, 0.0) + np.where(has_p, hp, 0.0)
-    elif wall == "mirrored":
-        span = hm_eff + hp_eff
-    else:
-        raise DomainError(f"unknown wall convention {wall!r}")
+    span = np.where(has_m, hm, 0.0) + np.where(has_p, hp, 0.0)
 
     q_m = np.zeros_like(a)
     q_p = np.zeros_like(a)
@@ -252,7 +241,7 @@ def check_scheme(name):
     return name
 
 
-def build_qmatrix(spec, grid, scheme="exponential-fitting", wall="half-cell"):
+def build_qmatrix(spec, grid, scheme="exponential-fitting"):
     """Assemble the discrete generator on a grid of any dimension.
 
     Each axis adds exponential-fitting (default) or upwind neighbor rates
@@ -281,7 +270,7 @@ def build_qmatrix(spec, grid, scheme="exponential-fitting", wall="half-cell"):
         dxs = np.diff(grid.axes[ax])
         hm = np.where(k > 0, dxs[np.maximum(k - 1, 0)], np.nan)
         hp = np.where(k < shape[ax] - 1, dxs[np.minimum(k, dxs.size - 1)], np.nan)
-        q_m, q_p = _axis_rates(a[:, ax], b[:, ax], hm, hp, scheme, wall)
+        q_m, q_p = _axis_rates(a[:, ax], b[:, ax], hm, hp, scheme)
         if grid.boundary_condition == "absorbing":
             q_m[on_wall] = 0.0
             q_p[on_wall] = 0.0
@@ -313,9 +302,8 @@ def _sample_coefficients(spec, grid):
     and the matrices are then checked for off-diagonal entries together.
     """
     if grid.ndim == 1:
-        x = grid.x
-        a = np.broadcast_to(np.asarray(spec.a(x), dtype=float), x.shape)[:, None]
-        b = np.broadcast_to(np.asarray(spec.b(x), dtype=float), x.shape)[:, None]
+        a = _on_nodes(spec.a, grid.x)[0][:, None]
+        b = _on_nodes(spec.b, grid.x)[0][:, None]
     else:
         pts = grid.nodes()
         mats = np.array([spec.a_matrix(p) for p in pts])

@@ -5,11 +5,18 @@ higher dimension); the formal adjoint drives densities.  Coefficients may be
 plain callables, numpy polynomials or compiled expressions (see
 :mod:`kinbench.expressions`).
 
-One derivative rule serves this module and :mod:`kinbench.pawula`:
-``derivatives(f, x, m)`` is exact for compiled expressions and polynomials
-(``_derivative_of``); for any other callable it takes the 5-point central
-stencil at h = 1e-3 max(1, |x|) for orders 1-2 and Richardson-extrapolated
-central differences (``fd.richardson_dm``) for orders 3 and up.
+Three rules differentiate a coefficient or a test function:
+
+- ``derivatives(f, x, m)``, at one point in 1-D (also used by
+  :mod:`kinbench.pawula`): exact for compiled expressions and polynomials
+  (``_derivative_of``); any other callable gets the 5-point central
+  stencil at h = 1e-3 max(1, |x|) for orders 1-2 and Richardson-extrapolated
+  central differences (``fd.richardson_dm``) for orders 3 and up;
+- ``_on_nodes(f, x, m)``, on the 1-D grid nodes: exact where
+  ``_derivative_of`` finds a derivative, else ``np.gradient`` of the order
+  below (second order at the walls);
+- ``_fd_grad_hess(f, pt)``, at one point in n-D: 3-point differences at
+  h = 1e-4 max(1, max|x_i|), for expressions too.
 """
 
 from __future__ import annotations
@@ -99,6 +106,16 @@ def _derivative_of(f):
 def _fd_step(x):
     """Step of the 5-point stencils at a point."""
     return 1e-3 * max(1.0, abs(x))
+
+
+def _on_nodes(f, x, m=0):
+    """[f, f', ..., f^(m)] on the 1-D node array x, each of shape x.shape."""
+    out = [np.broadcast_to(np.asarray(f(x), dtype=float), x.shape)]
+    for _ in range(m):
+        f = _derivative_of(f)
+        out.append(np.broadcast_to(np.asarray(f(x), dtype=float), x.shape) if f is not None
+                   else np.gradient(out[-1], x, edge_order=2))
+    return out
 
 
 def derivatives(f, x, m):
@@ -203,46 +220,19 @@ class EquilibriumDensity:
         MissingGibbsForm when neither is available.
         """
         if self.gibbs is not None:
-            beta, H = self.gibbs
             if self.grid is None:
                 raise MissingGibbsForm("no grid attached to evaluate H on")
-            x = self.grid.nodes_for_eval()
-            hvals = np.broadcast_to(np.asarray(H(x), dtype=float), (self.grid.size,))
-            dH = _derivative_of(H)
-            if dH is not None:
-                dhvals = np.broadcast_to(np.asarray(dH(x), dtype=float), (self.grid.size,))
-            else:
-                dhvals = np.gradient(hvals, self.grid.x, edge_order=2)
-            return float(beta), np.asarray(hvals), np.asarray(dhvals)
-        if self.values is None or self.grid is None:
-            raise MissingGibbsForm("no gibbs data and no samples to recover it from")
-        vals = np.asarray(self.values, dtype=float)
-        if np.any(vals <= 0):
-            raise MissingGibbsForm("recovery needs strictly positive samples")
-        bh = -np.log(vals / vals.max())
-        return 1.0, bh, np.gradient(bh, self.grid.x, edge_order=2)
-
-    def validate(self):
-        """Check nonnegativity and gibbs consistency of the samples."""
-        if self.values is None:
-            return
-        vals = np.asarray(self.values, dtype=float)
-        if np.any(vals < 0):
-            raise ParameterOutOfRange("density values must be nonnegative")
-        if self.gibbs is not None and self.grid is not None:
             beta, H = self.gibbs
-            x = self.grid.nodes_for_eval()
-            model = np.exp(-float(beta) * np.asarray(H(x), dtype=float))
-            k = int(np.argmax(vals))
-            if model[k] == 0:
-                return
-            c = vals[k] / model[k]
-            err = np.abs(vals - c * model)
-            scale = np.maximum(np.abs(vals), np.abs(c * model))
-            mask = scale > 0
-            if np.any(err[mask] / scale[mask] > 1e-10):
-                raise ParameterOutOfRange(
-                    "samples are not proportional to exp(-beta H) within tolerance")
+        else:
+            if self.values is None or self.grid is None:
+                raise MissingGibbsForm("no gibbs data and no samples to recover it from")
+            vals = np.asarray(self.values, dtype=float)
+            if np.any(vals <= 0):
+                raise MissingGibbsForm("recovery needs strictly positive samples")
+            bh = -np.log(vals / vals.max())
+            beta, H = 1.0, lambda _: bh  # no exact derivative: _on_nodes takes the gradient
+        hvals, dhvals = _on_nodes(H, self.grid.x, 1)
+        return float(beta), hvals, dhvals
 
 
 def apply_generator(spec, f, x):
@@ -329,31 +319,23 @@ def _formal_adjoint_nd(spec, rho, x):
     return float(total)
 
 
-def residual_invariant(spec, rho0, grid=None, method="auto"):
-    """Max |adjoint applied to rho0| over interior grid nodes.
+def residual_invariant(spec, rho0, grid=None):
+    """Max |(a rho0)'' - (b rho0)'| over the interior grid nodes.
 
-    method 'analytic' differentiates Gibbs data or the analytic density;
-    'fd' applies three-point formulas on the nodes to the sampled products
-    a*rho and b*rho; 'auto' prefers analytic whenever available.
+    When a, b and rho0 all have exact derivatives (see ``_rho_exact``),
+    the product rule is applied on the nodes; otherwise three-point
+    formulas act on the sampled products a*rho0 and b*rho0.
     """
     grid = grid if grid is not None else rho0.grid
     if grid is None:
         raise DomainError("rho0 carries no grid and none was supplied")
     x = grid.x
-    if method not in ("auto", "analytic", "fd"):
-        raise ParameterOutOfRange(f"unknown method {method!r}")
-
-    da, db = _derivative_of(spec.a), _derivative_of(spec.b)
-    analytic_ok = False
-    if method in ("auto", "analytic"):
-        analytic_ok = _has_analytic_rho(rho0) and da is not None and db is not None
-        if method == "analytic" and not analytic_ok:
-            raise InsufficientSmoothness("analytic residual needs derivative data")
-
-    if analytic_ok:
-        r, dr, d2r = _rho_derivs_on(rho0, x)
-        a, a1, a2 = (np.asarray(g(x), dtype=float) for g in (spec.a, da, _derivative_of(da)))
-        b, b1 = (np.asarray(g(x), dtype=float) for g in (spec.b, db))
+    exact = _derivative_of(spec.a) is not None and _derivative_of(spec.b) is not None
+    rho = _rho_exact(rho0, x) if exact else None
+    if rho is not None:
+        r, dr, d2r = rho
+        a, a1, a2 = _on_nodes(spec.a, x, 2)
+        b, b1 = _on_nodes(spec.b, x, 1)
         res = a * d2r + (2 * a1 - b) * dr + (a2 - b1) * r
         return float(np.max(np.abs(res[1:-1])))
 
@@ -361,9 +343,9 @@ def residual_invariant(spec, rho0, grid=None, method="auto"):
     if vals is None:
         if rho0.rho_fn is None:
             raise InsufficientSmoothness("rho0 has neither samples nor analytic form")
-        vals = np.asarray(rho0.rho_fn(x), dtype=float)
-    a = np.broadcast_to(np.asarray(spec.a(x), dtype=float), x.shape)
-    b = np.broadcast_to(np.asarray(spec.b(x), dtype=float), x.shape)
+        vals, = _on_nodes(rho0.rho_fn, x)
+    a, = _on_nodes(spec.a, x)
+    b, = _on_nodes(spec.b, x)
     d2 = _nonuniform_d2(a * vals, x)
     d1 = np.gradient(b * vals, x, edge_order=2)[1:-1]
     return float(np.max(np.abs(d2 - d1)))
@@ -375,37 +357,28 @@ def _nonuniform_d2(vals, x):
     return 2 * (hm * vals[2:] - (hm + hp) * vals[1:-1] + hp * vals[:-2]) / (hm * hp * (hm + hp))
 
 
-def _has_analytic_rho(rho0):
-    if rho0.gibbs is not None and _derivative_of(rho0.gibbs[1]) is not None:
-        return True
-    return rho0.rho_fn is not None and _derivative_of(rho0.rho_fn) is not None
+def _rho_exact(rho0, x):
+    """(rho, rho', rho'') on the nodes x from exact derivative data, else None.
 
-
-def _rho_derivs_on(rho0, x):
-    """rho, rho', rho'' on sample points from analytic data."""
+    Gibbs data with a differentiable H gives rho' = -beta H' rho and
+    rho'' = (beta^2 H'^2 - beta H'') rho, where rho is the samples, else
+    the analytic density, else exp(-beta H); failing that, an analytic
+    density with exact derivatives is differentiated itself.
+    """
     if rho0.gibbs is not None and _derivative_of(rho0.gibbs[1]) is not None:
         beta, H = rho0.gibbs
         beta = float(beta)
-        dH = _derivative_of(H)
-        hv = np.asarray(H(x), dtype=float)
-        dhv = np.asarray(dH(x), dtype=float)
-        d2hv = np.asarray(_derivative_of(dH)(x), dtype=float)
+        hv, dhv, d2hv = _on_nodes(H, x, 2)
         if rho0.values is not None:
             r = np.asarray(rho0.values, dtype=float)
         elif rho0.rho_fn is not None:
-            r = np.asarray(rho0.rho_fn(x), dtype=float)
+            r, = _on_nodes(rho0.rho_fn, x)
         else:
             r = np.exp(-beta * hv)
-        dr = -beta * dhv * r
-        d2r = (beta**2 * dhv**2 - beta * d2hv) * r
-        return r, dr, d2r
-    f = rho0.rho_fn
-    d1 = _derivative_of(f)
-    d2 = _derivative_of(d1)
-    r = np.asarray(f(x), dtype=float)
-    dr = np.asarray(d1(x), dtype=float)
-    d2r = np.asarray(d2(x), dtype=float)
-    return r, dr, d2r
+        return r, -beta * dhv * r, (beta**2 * dhv**2 - beta * d2hv) * r
+    if rho0.rho_fn is not None and _derivative_of(rho0.rho_fn) is not None:
+        return tuple(_on_nodes(rho0.rho_fn, x, 2))
+    return None
 
 
 def compute_Hi(spec, rho0, grid=None):
@@ -423,14 +396,8 @@ def compute_Hi(spec, rho0, grid=None):
     if spec.dimension != 1:
         raise UnsupportedTensor("compute_Hi supports dimension 1 in v1")
     beta, _, dh = work.gibbs_or_recovered()
-    x = grid.x
-    a = np.broadcast_to(np.asarray(spec.a(x), dtype=float), x.shape)
-    b = np.broadcast_to(np.asarray(spec.b(x), dtype=float), x.shape)
-    da = _derivative_of(spec.a)
-    if da is not None:
-        da = np.broadcast_to(np.asarray(da(x), dtype=float), x.shape)
-    else:
-        da = np.gradient(a, x, edge_order=2)
+    a, da = _on_nodes(spec.a, grid.x, 1)
+    b, = _on_nodes(spec.b, grid.x)
     return 2.0 * (beta * a * dh - da + b)
 
 

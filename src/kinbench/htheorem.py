@@ -28,7 +28,7 @@ from .errors import (
     ParameterOutOfRange,
     SupportViolation,
 )
-from .generator import EquilibriumDensity, compute_Hi
+from .generator import EquilibriumDensity, _on_nodes, compute_Hi
 from .semigroup import _as_qmatrix, evolve_series
 
 _CONVEXITY_PROBE = np.linspace(1e-6, 10.0, 1000)
@@ -371,7 +371,7 @@ def dissipation_rate(spec, rho0, phi_tilde, h, grid):
     phi = np.asarray(phi_tilde, dtype=float)
     x = grid.x
     w = grid.weights()
-    a = np.broadcast_to(np.asarray(spec.a(x), dtype=float), x.shape)
+    a, = _on_nodes(spec.a, x)
     grad = np.gradient(phi, x, axis=-1, edge_order=2)
     integrand = rho * h.d2(phi) * a * grad * grad
     rates = -np.array([np.dot(row, w) for row in integrand.reshape(-1, x.size)])

@@ -53,6 +53,7 @@ from functools import partial
 import numpy as np
 
 from .errors import (
+    DomainError,
     EmptyEnsemble,
     NonEllipticCoefficient,
     ParameterOutOfRange,
@@ -287,8 +288,11 @@ def moment_estimates(spec, x0, t_small, n, seed):
     """Kernel moments from particles all started at x0, one step of length t_small.
 
     Returns E[dX]/t and E[dX^2]/(2t) with standard errors, and E[|dX|^3]/t,
-    which must shrink with t for a true diffusion.
+    which must shrink with t for a true diffusion.  x0 must lie in the
+    domain interior: a start on or past a wall would be clipped to it.
     """
+    if not spec.domain.contains(x0, interior=True):
+        raise DomainError(f"x0 = {x0:g} is not in the domain interior")
     ens = simulate(spec, point_source(x0), n, t_small, t_small, seed)
     if np.any(ens.absorbed):
         warnings.warn("some particles were absorbed during the moment window")

@@ -127,8 +127,10 @@ def _check_times(*ts):
 
 
 def _check_tol(tol):
+    """``tol`` when it lies in (0, 1e-6], else ParameterOutOfRange."""
     if not (0.0 < tol <= 1e-6):
         raise ParameterOutOfRange(f"tol must lie in (0, 1e-6], got {tol:g}")
+    return tol
 
 
 def time_schedule(times):

@@ -13,7 +13,6 @@ import numpy as np
 from .errors import ScenarioError
 from .expressions import CompiledExpression
 from .generator import DomainSpec, EquilibriumDensity, GeneratorSpec, catalog_example
-from .pawula import PawulaCertificate
 
 FLOAT_FMT = "{:.17g}"
 
@@ -138,20 +137,6 @@ def certificate_to_dict(cert):
     return d
 
 
-def certificate_from_dict(d):
-    multi = d.get("multi_index")
-    return PawulaCertificate(
-        x0=d["x0"] if d.get("dimension", 1) == 1 else tuple(d["x0"]),
-        epsilon=float(d["epsilon"]),
-        amplitude=float(d["amplitude"]),
-        order=int(d["order"]),
-        value=float(d["value"]),
-        validity_radius=float(d["validity_radius"]),
-        dimension=int(d.get("dimension", 1)),
-        multi_index=tuple(tuple(p) for p in multi) if multi else None,
-    )
-
-
 # --------------------------------------------------------------------------
 # CSV artifacts
 # --------------------------------------------------------------------------
@@ -199,17 +184,6 @@ def write_ensemble_csv(path, ensemble):
             fh.write(f"{i},{fmt(xv)},{int(flag)}\n")
 
 
-def read_csv_columns(path):
-    """Parse one of our CSV artifacts back into float columns."""
-    with open(path) as fh:
-        header = fh.readline().strip().split(",")
-        cols = {name: [] for name in header}
-        for line in fh:
-            for name, tok in zip(header, line.strip().split(",")):
-                cols[name].append(float(tok))
-    return {k: np.asarray(v) for k, v in cols.items()}
-
-
 def write_qmatrix(path_matrix, path_meta, qgen):
     """Coordinate-triplet export (row col value, row-major) with metadata."""
     coo = qgen.Q.tocoo()
@@ -228,16 +202,3 @@ def write_qmatrix(path_matrix, path_meta, qgen):
     }
     with open(path_meta, "w") as fh:
         fh.write(canonical_json(meta))
-
-
-def read_qmatrix(path_matrix, size):
-    import scipy.sparse as sp
-
-    rows, cols, vals = [], [], []
-    with open(path_matrix) as fh:
-        for line in fh:
-            r, c, v = line.split()
-            rows.append(int(r))
-            cols.append(int(c))
-            vals.append(float(v))
-    return sp.coo_matrix((vals, (rows, cols)), shape=(size, size)).tocsr()

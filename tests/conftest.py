@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import HealthCheck, settings
 
 import kinbench as kb
+from kinbench.pawula import PawulaCertificate
 
 settings.register_profile(
     "kinbench",
@@ -51,3 +53,41 @@ def a2b400():
 def gaussian_measure(x, center, sigma):
     v = np.exp(-((x - center) ** 2) / (2 * sigma**2))
     return v / v.sum()
+
+
+# readers of the CLI's artifacts: the package writes them, only tests read them back
+
+def read_csv_columns(path):
+    """Parse one of the CSV artifacts back into float columns."""
+    with open(path) as fh:
+        header = fh.readline().strip().split(",")
+        cols = {name: [] for name in header}
+        for line in fh:
+            for name, tok in zip(header, line.strip().split(",")):
+                cols[name].append(float(tok))
+    return {k: np.asarray(v) for k, v in cols.items()}
+
+
+def read_qmatrix(path_matrix, size):
+    rows, cols, vals = [], [], []
+    with open(path_matrix) as fh:
+        for line in fh:
+            r, c, v = line.split()
+            rows.append(int(r))
+            cols.append(int(c))
+            vals.append(float(v))
+    return sp.coo_matrix((vals, (rows, cols)), shape=(size, size)).tocsr()
+
+
+def certificate_from_dict(d):
+    multi = d.get("multi_index")
+    return PawulaCertificate(
+        x0=d["x0"] if d.get("dimension", 1) == 1 else tuple(d["x0"]),
+        epsilon=float(d["epsilon"]),
+        amplitude=float(d["amplitude"]),
+        order=int(d["order"]),
+        value=float(d["value"]),
+        validity_radius=float(d["validity_radius"]),
+        dimension=int(d.get("dimension", 1)),
+        multi_index=tuple(tuple(p) for p in multi) if multi else None,
+    )

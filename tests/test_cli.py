@@ -12,16 +12,15 @@ from kinbench import cli, errors, htheorem, oracle
 from kinbench.cli import _mass_outside, _natural, build_parser, main
 from kinbench.generator import CATALOG_NAMES
 from kinbench.serialize import (
-    certificate_from_dict,
     certificate_to_dict,
     fmt,
-    read_csv_columns,
-    read_qmatrix,
     spec_from_dict,
     spec_to_dict,
     write_evolution_csv,
     write_hcurve_csv,
 )
+
+from conftest import certificate_from_dict, read_csv_columns, read_qmatrix
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SCENARIOS = ROOT / "scenarios"
@@ -290,7 +289,19 @@ MALFORMED_SCENARIO_FIELDS = {
     "generator.table": ("generator", {"dimension": 1, "a": {"points": [1, 0], "values": [1, 1]},
                                       "b": "0", "domain": {"kind": "box", "bounds": [[-1, 1]]}},
                         "generator"),
+    "tol.range": ("tol", 1e-3, "tol"),
+    # a step and a window are positive; moment particles start inside the domain
+    "oracle.dt.zero": ("oracle", {"dt": 0}, "oracle.dt"),
+    "oracle.moment_window.negative": ("oracle", {"moment_window": -0.01},
+                                      "oracle.moment_window"),
+    "oracle.moment_points.outside": ("oracle", {"moment_points": [0.0, 100]},
+                                     "oracle.moment_points"),
+    "oracle.moment_points.wall": ("oracle", {"moment_points": [8.0]}, "oracle.moment_points"),
+    "oracle.moment_points.inf": ("oracle", {"moment_points": [float("inf")]},
+                                 "oracle.moment_points"),
 }
+
+ORACLE_FIELDS = {k: v for k, v in MALFORMED_SCENARIO_FIELDS.items() if k.startswith("oracle.")}
 
 
 @pytest.mark.parametrize("field, value, named", MALFORMED_SCENARIO_FIELDS.values(),
@@ -366,6 +377,21 @@ def test_oracle_compare_rejects_an_infinite_oracle_field(tmp_path, capsys, field
     assert main(["oracle-compare", path, "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("input error (") and f"oracle.{field}" in err
+
+
+@pytest.mark.parametrize("field, value, named", ORACLE_FIELDS.values(), ids=ORACLE_FIELDS.keys())
+def test_oracle_compare_names_a_malformed_oracle_field(tmp_path, capsys, field, value, named):
+    path = write_json(tmp_path / "bad.json", {**SMALL_SCENARIO, field: value})
+    assert main(["oracle-compare", path, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error (") and err.count("\n") == 1
+    assert named in err
+
+
+def test_tol_override_out_of_range_is_named(tmp_path, capsys):
+    path = write_json(tmp_path / "ok.json", SMALL_SCENARIO)
+    assert main(["run", path, "--out", str(tmp_path / "out"), "--tol", "0"]) == 2
+    assert "malformed tol" in capsys.readouterr().err
 
 
 def test_natural_takes_exact_integers():

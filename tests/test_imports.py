@@ -7,7 +7,10 @@ syntax tree with ``ast``: an imported name counts as used when it appears
 as a name anywhere in the module (``np`` in ``np.asarray`` included).
 ``__init__.py`` is skipped because its imports are the public API.  A
 module-level ``def _name`` counts as used when ``_name`` appears as a
-name, an attribute or an imported name anywhere in the package.
+name, an attribute or an imported name anywhere in the package.  Every
+module-level function or class must be named somewhere in the package
+(an export from ``__init__.py`` counts), in ``benchmarks/`` or in
+``scripts/``; a name only tests use belongs in ``tests/``.
 ``scipy.sparse.linalg`` and ``scipy.sparse.csgraph`` may be imported only
 inside function bodies, and a subprocess checks that ``import kinbench``
 loads neither until a function needs it.
@@ -63,6 +66,36 @@ def test_no_unreferenced_private_functions():
                if isinstance(node, ast.FunctionDef) and node.name.startswith("_")
                and not node.name.startswith("__") and node.name not in used]
     assert private == []
+
+
+def unused_definitions(package, *consumers):
+    """Top-level functions and classes of ``package`` that no module of it
+    names (its ``__init__`` exports included) and no ``.py`` file under a
+    ``consumers`` directory names."""
+    trees = {p: ast.parse(p.read_text()) for p in sorted(package.glob("*.py"))}
+    outside = [ast.parse(p.read_text()) for d in consumers for p in sorted(d.rglob("*.py"))]
+    used = set().union(*(referenced_names(t) for t in [*trees.values(), *outside]))
+    return [f"{path.stem}.{node.name}" for path, tree in trees.items() for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name not in used]
+
+
+def test_every_definition_is_used_outside_the_tests():
+    # tests alone keep nothing alive: a helper only they need lives in tests/
+    root = SRC.parent.parent
+    assert unused_definitions(SRC, root / "benchmarks", root / "scripts") == []
+
+
+def test_unused_definition_check_flags_a_probe(tmp_path):
+    package, bench = tmp_path / "pkg", tmp_path / "bench"
+    package.mkdir()
+    bench.mkdir()
+    (package / "__init__.py").write_text("from .mod import Exported\n")
+    (package / "mod.py").write_text(
+        "class Exported:\n    def m(self):\n        return _helper()\n\n\n"
+        "def _helper():\n    return 1\n\n\ndef benched():\n    return 2\n\n\n"
+        "def orphan():\n    return 3\n\n\nclass Orphan:\n    pass\n")
+    (bench / "run.py").write_text("from pkg.mod import benched\n")
+    assert unused_definitions(package, bench) == ["mod.orphan", "mod.Orphan"]
 
 
 # beyond the standard library and numpy, the package may import only these

@@ -9,6 +9,7 @@ import kinbench as kb
 from kinbench import oracle
 from kinbench.discretize import Grid
 from kinbench.errors import (
+    DomainError,
     EmptyEnsemble,
     NonEllipticCoefficient,
     ParameterOutOfRange,
@@ -140,7 +141,7 @@ def test_bad_snapshot_schedule_rejected(snaps):
 
 
 def test_empirical_density_delta():
-    grid = Grid.from_interval(0.0, 1.0, 11)
+    grid = Grid((np.linspace(0.0, 1.0, 11),))
     spec = GeneratorSpec(1, CE("0"), CE("0"), DomainSpec("box", ((0.0, 1.0),)))
     ens = simulate(spec, point_source(0.5), 1000, 1e-2, 0.0, seed=1)
     dens = empirical_density(ens, grid)
@@ -151,7 +152,7 @@ def test_empirical_density_delta():
 
 
 def test_empirical_density_uniform_sampler():
-    grid = Grid.from_interval(0.0, 1.0, 41)
+    grid = Grid((np.linspace(0.0, 1.0, 41),))
     spec = GeneratorSpec(1, CE("0"), CE("0"), DomainSpec("box", ((0.0, 1.0),)))
     ens = simulate(spec, uniform_source(0.0, 1.0), 50_000, 1e-2, 0.0, seed=3)
     dens = empirical_density(ens, grid)
@@ -159,7 +160,7 @@ def test_empirical_density_uniform_sampler():
 
 
 def test_empirical_density_empty():
-    grid = Grid.from_interval(0.0, 1.0, 11)
+    grid = Grid((np.linspace(0.0, 1.0, 11),))
     spec = GeneratorSpec(1, CE("1"), CE("5"),
                          DomainSpec("box", ((0.0, 1.0),), "absorbing"))
     ens = simulate(spec, point_source(0.9), 50, 1e-2, 5.0, seed=9)
@@ -181,6 +182,15 @@ def test_moment_estimates_quadratic_diffusion():
     # a(2) = 5, b(2) = -2; finite-window bias is O(t)
     assert abs(est.drift + 2.0) <= 3 * est.drift_se + 0.1
     assert abs(est.diffusion - 5.0) <= 3 * est.diffusion_se + 0.15
+
+
+@pytest.mark.parametrize("x0", [100.0, 8.0, -8.0, float("inf")])
+def test_moment_estimates_need_an_interior_start(x0):
+    # a start on or past a wall would be clipped to it, and its moments
+    # would not be the generator's at x0
+    spec, _ = kb.catalog_example("ornstein-uhlenbeck")
+    with pytest.raises(DomainError):
+        moment_estimates(spec, x0, 1e-2, 100, seed=1)
 
 
 def test_third_moment_trend():
