@@ -73,8 +73,10 @@ class DomainSpec:
         return len(self.bounds)
 
     def contains(self, x, interior=False):
+        """Whether every point of ``x`` lies in the domain (strictly inside
+        when ``interior``); a NaN or infinite coordinate never does."""
         pt = np.atleast_1d(np.asarray(x, dtype=float))
-        if pt.shape[-1] != self.dimension:
+        if pt.shape[-1] != self.dimension or not np.all(np.isfinite(pt)):
             return False
         for k, (lo, hi) in enumerate(self.bounds):
             v = pt[..., k]

@@ -16,10 +16,17 @@ last-axis stride in n-D), term k of a block of columns touches only the
 rows within k*b of the block.  Until those rows span the chain, the term
 is computed from P's diagonals, added in the order its rows store their
 columns, so each kernel is bitwise the full n x n series.  Before each
-squaring, entries below sqrt(tiny) ~ 1.5e-154 in magnitude are flushed to
-zero, so the squarings never multiply subnormals.  That drops at most
-n*1.5e-154 of mass per row per squaring, and the reported defect, the
-row-sum defect taken before renormalization, includes it.
+squaring, entries below the flush floor max(sqrt(tiny), eps*tail/n) in
+magnitude are set to zero, tail being the plan's per-level Poisson tail:
+about 2e-36 for the Chapman-Kolmogorov kernels of appendix2a at n = 1001.
+So the squarings never multiply subnormals, and each drops at most
+eps*tail of mass per row, at most 2^(k+1)*eps*tail through k squarings:
+under 2 eps relative to the a-priori bound tail*2^k.  The reported defect,
+that bound or the row-sum defect taken before renormalization if larger,
+includes it.  Each squaring skips the blocks of the kernel that are
+exactly zero (``_square``), so a kernel stays cheap while the flush keeps
+its band narrow; a kernel whose rows all span the chain is squared as one
+``M @ M``.
 
 One cost rule picks between the two for vector evolution, once per step
 length.  ``evolve_series`` groups the steps of its schedule up front,
@@ -76,7 +83,7 @@ _MATVEC_COST = 4096
 # plus 2*k*b rows, so narrow blocks waste less of the band, while each term
 # costs a few numpy calls per diagonal and per kernel whatever the width.
 _BLOCK = 64
-_FLUSH = math.sqrt(np.finfo(float).tiny)  # ~1.5e-154: products of kept entries stay normal
+_FLUSH = math.sqrt(np.finfo(float).tiny)  # lowest flush floor, ~1.5e-154: products stay normal
 
 _log = logging.getLogger("kinbench.semigroup")
 
@@ -179,9 +186,6 @@ class TransitionKernel:
         if n != m:
             raise ShapeError(f"kernel must be square, got {self.P.shape}")
 
-    def row_sum_defect(self):
-        return float(np.max(np.abs(self.P.sum(axis=1) - 1.0)))
-
 
 def _identity_series(P, weight_sets):
     """[sum_k w_k P^k for w in weight_sets] from one pass over the powers of P.
@@ -237,14 +241,59 @@ def _identity_series(P, weight_sets):
     return out, b
 
 
-def _flush(M):
-    """Zero M's nonzero entries below _FLUSH in magnitude, in place and with
-    no n x n float temporary; returns their count."""
-    small = M < _FLUSH
-    small &= M > -_FLUSH
-    small &= M != 0.0
-    M[small] = 0.0
-    return int(np.count_nonzero(small))
+def _flush(M, floor):
+    """Zero M's nonzero entries below ``floor`` in magnitude, in place and
+    ``_BLOCK`` rows at a time, so with no n x n temporary.  Returns their
+    count and, per row, the first nonzero column and the column one past
+    the last (n and 0 for a row of zeros)."""
+    rows, n = M.shape
+    count = 0
+    first = np.empty(rows, dtype=np.intp)
+    last = np.empty(rows, dtype=np.intp)
+    for r0 in range(0, rows, _BLOCK):
+        block = slice(r0, r0 + _BLOCK)
+        B = M[block]
+        small = B < floor
+        small &= B > -floor
+        small &= B != 0.0
+        count += int(np.count_nonzero(small))
+        B[small] = 0.0
+        nonzero = B != 0.0
+        kept = nonzero.any(axis=1)
+        first[block] = np.where(kept, nonzero.argmax(axis=1), n)
+        last[block] = np.where(kept, n - nonzero[:, ::-1].argmax(axis=1), 0)
+    return count, first, last
+
+
+def _square(M, out, first, last):
+    """out = M @ M with no work on the blocks of M that are zero, given
+    M's per-row extents [first, last) from ``_flush``; returns the
+    multiply-adds issued.
+
+    Rows I of a ``_BLOCK``-row block read only the columns K = [min
+    first(I), max last(I)), and rows K only the columns J = [min first(K),
+    max last(K)), so out[I, J] = M[I, K] @ M[K, J] and the rest of out[I]
+    is zero.  Consecutive blocks with the same K and J are one product, so
+    a kernel whose rows all span the chain is one ``np.matmul(M, M)``.
+    """
+    n = M.shape[0]
+    runs = []  # [r0, r1, k0, k1, j0, j1]
+    for r0 in range(0, n, _BLOCK):
+        r1 = min(r0 + _BLOCK, n)
+        k0, k1 = int(first[r0:r1].min()), int(last[r0:r1].max())
+        j0, j1 = (int(first[k0:k1].min()), int(last[k0:k1].max())) if k0 < k1 else (n, 0)
+        if runs and runs[-1][2:] == [k0, k1, j0, j1]:
+            runs[-1][1] = r1
+        else:
+            runs.append([r0, r1, k0, k1, j0, j1])
+    work = 0
+    for r0, r1, k0, k1, j0, j1 in runs:
+        if j0 < j1:
+            np.matmul(M[r0:r1, k0:k1], M[k0:k1, j0:j1], out=out[r0:r1, j0:j1])
+            work += (r1 - r0) * (k1 - k0) * (j1 - j0)
+        out[r0:r1, :j0] = 0.0
+        out[r0:r1, j1:] = 0.0
+    return work
 
 
 def _kernel_matrices(qm, ts, tol):
@@ -255,17 +304,25 @@ def _kernel_matrices(qm, ts, tol):
     every t > 0 comes from one pass over P's powers (``_identity_series``),
     logged as one DEBUG ``series`` line.  The kernels are then finished one
     by one, each dropping its series accumulator as its squarings begin.
-    Before each squaring, entries below _FLUSH = sqrt(tiny) in magnitude are
-    set to zero, so no product of two kept entries is subnormal (OpenBLAS
-    runs several times slower on those).  This drops at most n*_FLUSH of
-    mass per row per squaring.
+    Before each squaring, entries below the flush floor
+    max(_FLUSH, eps*tail/n) in magnitude are set to zero, with tail the
+    plan's per-level Poisson tail.  That drops at most eps*tail of mass per
+    row per squaring, so at most 2^(k+1)*eps*tail through k squarings: under
+    2 eps relative to the a-priori bound tail*2^k.  Since the floor is at
+    least sqrt(tiny), no product of two kept entries is subnormal (OpenBLAS
+    runs several times slower on those).  Each squaring (``_square``) skips
+    the blocks of the kernel that are exactly zero, for the first squarings
+    most of a banded one, and writes into one spare n x n buffer
+    per call, which the kernels pass on to each other.
 
     Rows are renormalized to sum to one, as rows of e^{Qt} do (Q has zero
     row sums).  The returned defect is the larger of the Poisson tail
     bound tail*2^k and the row-sum defect measured before that
     renormalization, which also carries the squaring roundoff and the
     flushed mass.  One DEBUG ``kernel`` line per kernel logs that row-sum
-    defect and the number of flushed entries.
+    defect, the flush floor, the number of flushed entries, and the
+    squarings' multiply-adds over splits*n^3 (``work``; 1 when they skip
+    nothing or there are none).
     """
     n = qm.size
     plans = [None if t == 0 or qm.lambda_max == 0.0 else _uniformization(qm, t, tol)
@@ -278,20 +335,27 @@ def _kernel_matrices(qm, ts, tol):
                    n, b, min(_BLOCK, n), len(live), max(p.weights.size for p in live))
         series.reverse()  # popped in order, so each accumulator is freed as it squares
     out = []
+    spare = None
     for t, plan in zip(ts, plans):
         if plan is None:
             out.append((np.eye(n), 0.0))
             continue
         M = series.pop()
-        flushed = 0
+        floor = max(_FLUSH, np.finfo(float).eps * plan.tail / n)
+        flushed = work = 0
         for _ in range(plan.splits):
-            flushed += _flush(M)
-            M = M @ M
+            count, first, last = _flush(M, floor)
+            flushed += count
+            if spare is None:
+                spare = np.empty_like(M)
+            work += _square(M, spare, first, last)
+            M, spare = spare, M
         rs = M.sum(axis=1)
         row_defect = float(np.max(np.abs(rs - 1.0)))
-        _log.debug("kernel %.15g: n=%d b=%d terms=%d splits=%d flushed=%d "
-                   "row_sum_defect=%.17g", t, n, b, plan.weights.size, plan.splits,
-                   flushed, row_defect)
+        _log.debug("kernel %.15g: n=%d b=%d terms=%d splits=%d floor=%.3g flushed=%d "
+                   "work=%.4g row_sum_defect=%.17g", t, n, b, plan.weights.size,
+                   plan.splits, floor, flushed,
+                   work / (plan.splits * n ** 3) if plan.splits else 1.0, row_defect)
         np.divide(M, rs[:, None], out=M, where=(rs > 0)[:, None])
         out.append((M, max(plan.tail * 2 ** plan.splits, row_defect)))
     return out

@@ -102,6 +102,14 @@ def test_apply_generator_outside_domain():
         apply_generator(spec, CE("x"), 9.0)
 
 
+def test_apply_generator_rejects_a_nan_point():
+    spec, _ = catalog_example("ornstein-uhlenbeck")
+    for interior in (False, True):
+        assert not spec.domain.contains(float("nan"), interior=interior)
+    with pytest.raises(DomainError):
+        apply_generator(spec, CE("x^2"), float("nan"))
+
+
 def test_apply_generator_stencil_needs_room():
     spec, _ = catalog_example("ornstein-uhlenbeck")
     with pytest.raises(InsufficientSmoothness):

@@ -184,7 +184,7 @@ def test_moment_estimates_quadratic_diffusion():
     assert abs(est.diffusion - 5.0) <= 3 * est.diffusion_se + 0.15
 
 
-@pytest.mark.parametrize("x0", [100.0, 8.0, -8.0, float("inf")])
+@pytest.mark.parametrize("x0", [100.0, 8.0, -8.0, float("inf"), float("nan")])
 def test_moment_estimates_need_an_interior_start(x0):
     # a start on or past a wall would be clipped to it, and its moments
     # would not be the generator's at x0

@@ -1,4 +1,5 @@
 import logging
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -281,7 +282,7 @@ def test_two_state_kernel_closed_form(two_state):
 def test_kernel_rows_stochastic(a2a201):
     for t in [0.1, 1.0, 10.0]:
         K = transition_kernel(a2a201.Q, t, tol=1e-10)
-        assert K.row_sum_defect() <= 1e-10
+        assert np.max(np.abs(K.P.sum(axis=1) - 1.0)) <= 1e-10
         assert K.P.min() >= 0.0
 
 
@@ -352,8 +353,90 @@ def test_flush_zeroes_the_entries_below_the_threshold_in_magnitude():
     small = (np.abs(M) < f) & (M != 0.0)
     ref = M.copy()
     ref[small] = 0.0
-    assert sg._flush(M) == np.count_nonzero(small) == 6 * len(vals)
+    count, first, last = sg._flush(M, f)
+    assert count == np.count_nonzero(small) == 6 * len(vals)
     assert np.array_equal(_bits(M), _bits(ref))
+    _assert_extents(ref, first, last)
+
+
+def _assert_extents(M, first, last):
+    n = M.shape[1]
+    for row, j0, j1 in zip(M, first, last):
+        nonzero = np.flatnonzero(row)
+        assert (j0, j1) == ((nonzero[0], nonzero[-1] + 1) if nonzero.size else (n, 0))
+
+
+def test_flush_reports_each_rows_extent_across_blocks():
+    rng = np.random.default_rng(3)
+    n = 2 * sg._BLOCK + 7
+    M = np.abs(np.subtract.outer(np.arange(n), np.arange(n))) <= 5
+    M = M * rng.uniform(1e-3, 1.0, size=(n, n))
+    M[10] = rng.uniform(1e-3, 1.0, size=n)  # no zeros
+    M[70] = 1e-6  # all below the floor: becomes a row of zeros
+    M[80, :3] = 1e-6  # flushed far tail of a banded row
+    small = (M != 0.0) & (M < 1e-4)
+    ref = np.where(small, 0.0, M)
+    count, first, last = sg._flush(M, 1e-4)
+    assert count == np.count_nonzero(small) == n + 3
+    assert np.array_equal(M, ref)
+    assert (first[10], last[10]) == (0, n)
+    assert (first[70], last[70]) == (n, 0)
+    assert (first[80], last[80]) == (75, 86)
+    _assert_extents(M, first, last)
+
+
+def _checked_squarings(monkeypatch):
+    """Patch sg._square to check each squaring against M @ M: the same
+    nonzero pattern and values within 1e-14 relative; returns the list the
+    issued multiply-adds are appended to."""
+    works = []
+    square = sg._square
+
+    def checked(M, out, first, last):
+        out[...] = np.nan  # every entry must be written
+        works.append(square(M, out, first, last))
+        ref = M @ M
+        assert np.array_equal(out != 0.0, ref != 0.0)
+        assert np.all(np.abs(out - ref) <= 1e-14 * np.abs(ref))
+        return works[-1]
+
+    monkeypatch.setattr(sg, "_square", checked)
+    return works
+
+
+@pytest.mark.parametrize("name", CATALOG_NAMES)
+def test_block_squarings_match_full_products(name, monkeypatch):
+    works = _checked_squarings(monkeypatch)
+    for n in [5, 63, 64, 65, 129, 401]:
+        before = len(works)
+        qm = _1d_chain(name, n, "exponential-fitting")
+        sg._kernel_matrices(qm, [3.0, 0.3], 1e-9)
+        splits = sum(sg._uniformization(qm, t, 1e-9).splits for t in [3.0, 0.3])
+        assert len(works) - before == splits
+    assert len(works) > 0
+
+
+def test_block_squarings_match_full_products_off_1d_catalog(monkeypatch):
+    works = _checked_squarings(monkeypatch)
+    box, _ = _box_chain(17)
+    for qm, t in [(_absorbing_chain(301), 1.0), (box, 2.0)]:
+        assert sg._uniformization(qm, t, 1e-9).splits > 0
+        before = len(works)
+        sg._kernel_matrices(qm, [t], 1e-9)
+        assert len(works) - before == sg._uniformization(qm, t, 1e-9).splits
+    assert works[0] < 301 ** 3  # the absorbing chain's band skipped blocks
+
+
+def test_square_of_a_full_kernel_is_bitwise_the_full_product():
+    n = 300
+    M = sg._series_matvec(sp.identity(n, format="csr")
+                          + sp.csr_matrix(_random_chain(np.random.default_rng(5), n)) / (2.0 * n),
+                          np.eye(n), [0.5, 0.3, 0.2])
+    assert np.all(M != 0.0)
+    _, first, last = sg._flush(M, sg._FLUSH)
+    out = np.full_like(M, np.nan)
+    assert sg._square(M, out, first, last) == n ** 3
+    assert np.array_equal(_bits(out), _bits(M @ M))
 
 
 def _series_inputs(qm, t, tol=1e-9):
@@ -432,16 +515,30 @@ def test_flushed_squarings_match_unflushed_kernel(t):
     Q = _box_50x(401)
     assert sg._uniformization(Q, t, 1e-9).splits > 0
     (M, defect), = sg._kernel_matrices(Q, [t], 1e-9)
-    ref, ref_defect = _unflushed_kernel(Q, t, 1e-9)
-    assert np.float64(defect).view(np.int64) == np.float64(ref_defect).view(np.int64)
-    big = np.maximum(np.abs(M), np.abs(ref)) >= 1e-130
-    assert np.array_equal(M[big].view(np.int64), ref[big].view(np.int64))
-    assert np.max(np.abs(M - ref)) <= 1e-150
+    ref, _ = _unflushed_kernel(Q, t, 1e-9)
+    assert np.max(np.abs(M - ref).sum(axis=1)) <= defect
+    for size, rtol in [(1e-10, 1e-13), (1e-20, 1e-12)]:
+        big = np.abs(ref) >= size
+        assert np.all(np.abs(M[big] - ref[big]) <= rtol * ref[big])
     # the squarings never multiply subnormals, so none reach the kernel
     tiny = np.finfo(float).tiny
     subnormal = lambda A: np.count_nonzero((A != 0) & (np.abs(A) < tiny))
     assert subnormal(ref) > 0
     assert subnormal(M) == 0
+
+
+def test_chapman_kolmogorov_holds_no_more_than_four_kernels():
+    # three kernels and their product, plus the series pass's block sums:
+    # one more n x n array alive at any point exceeds this
+    qm = _1d_chain("appendix2a", 401, "exponential-fitting")
+    n = qm.size
+    tracemalloc.start()
+    try:
+        chapman_kolmogorov_defect(qm, 0.3, 0.7, tol=1e-12)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * n * n * 8 + 3 * n * sg._BLOCK * 8
 
 
 def test_kernel_build_is_logged_with_its_row_sum_defect(a2a201, caplog):
@@ -451,7 +548,8 @@ def test_kernel_build_is_logged_with_its_row_sum_defect(a2a201, caplog):
     lines = _logged_lines(caplog, "kernel ")
     assert len(lines) == 1
     for line in lines:
-        assert set(line) == {"n", "b", "terms", "splits", "flushed", "row_sum_defect"}
+        assert set(line) == {"n", "b", "terms", "splits", "floor", "flushed", "work",
+                             "row_sum_defect"}
         assert (line["n"], line["b"]) == (201, 1)
     caplog.clear()
     for t in [0.05, 1.0]:
@@ -460,7 +558,11 @@ def test_kernel_build_is_logged_with_its_row_sum_defect(a2a201, caplog):
         plan = sg._uniformization(a2a201.Q, t, 1e-12)
         assert (line["terms"], line["splits"]) == (plan.weights.size, plan.splits)
         assert K.truncation == max(plan.tail * 2 ** plan.splits, line["row_sum_defect"])
+        floor = max(sg._FLUSH, np.finfo(float).eps * plan.tail / 201)
+        assert line["floor"] == float(f"{floor:.3g}")
         caplog.clear()
+    # the squarings skip the zero blocks of the banded kernel
+    assert line["splits"] > 0 and line["work"] < 1
 
 
 # ---------------------------------------------------------------------------
