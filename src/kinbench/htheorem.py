@@ -271,14 +271,24 @@ def solve_invariant(Q):
 
 
 def _reference_measure(Q, reference):
-    """Normalize reference input to a measure vector on the chain nodes."""
+    """The reference measure on the chain nodes: the solved invariant measure
+    for None, an InvariantSolution's pi, or a measure vector of the chain's
+    length.  Anything else raises ParameterOutOfRange."""
     qm = _as_qmatrix(Q)
     if reference is None:
         sol = solve_invariant(qm)
         return sol.pi
     if isinstance(reference, InvariantSolution):
         return reference.pi
-    return np.asarray(reference, dtype=float)
+    try:
+        m = np.asarray(reference, dtype=float)
+    except (TypeError, ValueError):
+        m = None
+    if m is None or m.shape != (qm.size,):
+        got = type(reference).__name__ if m is None else f"shape {m.shape}"
+        raise ParameterOutOfRange(f"reference must be None, an InvariantSolution or a "
+                                  f"measure vector of length {qm.size}, got {got}")
+    return m
 
 
 def h_function(reference, state, h):
@@ -415,18 +425,20 @@ class ConsistencyReport:
     boundary: float
 
 
-def dH_dt_consistency(Q, spec, rho0, nu0, h, t, dt, tol=1e-12):
+def dH_dt_consistency(Q, spec, reference, nu0, h, t, dt, tol=1e-12):
     """Centered-difference dH/dt against the dissipation quadrature.
 
-    Both sides are evaluated on the same discrete fields: the H curve
-    uses the invariant measure, the rate uses the matching density form,
-    so the reported gap isolates discretization error.
+    Both sides are evaluated on the same discrete fields: the H curve is
+    taken against ``reference`` (as in ``h_curves``: None for the solved
+    invariant measure, an InvariantSolution, or a measure vector on the
+    nodes), and the rate against its density form, so the reported gap
+    isolates discretization error.
     """
     if t - dt < 0:
         raise ParameterOutOfRange("need t - dt >= 0 for the centered slope")
     if h.d2fn is None:
         raise NonSmoothH(f"{h.kind} lacks the second derivative the identity needs")
-    m = _reference_measure(Q, rho0)
+    m = _reference_measure(Q, reference)
     if np.any(m <= 0):
         raise NoInvariantDensity("reference measure must be strictly positive")
     _, curves = h_curves(Q, nu0, [h], [t - dt, t, t + dt], tol, reference=m, spec=spec)

@@ -7,7 +7,7 @@ of Pade or Krylov exponentials.  Long horizons are split into 2^k levels
 of a short-time series: squared k times as a dense kernel, with the
 defect tracked, or applied 2^k times to a vector as a sparse series.
 
-The dense kernels are built in one way only (``_kernel_matrices``), any
+The dense kernels are built in one way only (``_kernels``), any
 number per call.  P = I + Q/lambda does not depend on t, so one pass over
 the powers of P gives the series on the identity of every t in the call:
 the Chapman-Kolmogorov check builds P(t+s), P(t) and P(s) from one pass.
@@ -27,6 +27,18 @@ includes it.  Each squaring skips the blocks of the kernel that are
 exactly zero (``_square``), so a kernel stays cheap while the flush keeps
 its band narrow; a kernel whose rows all span the chain is squared as one
 ``M @ M``.
+
+The dense memory of a call is a fixed, counted set of n x n arrays.  The
+pass returns each series as its band, the diagonals it reaches, never more
+doubles than one dense array; the kernels are then finished one at a time,
+each band expanded into a buffer and squared against one spare.  One kernel
+takes two n x n arrays; the Chapman-Kolmogorov check takes three: P(t) and
+P(s), their product, then P(t+s) finished in the buffers of its factors.
+``kinbench run`` runs that check before the evolution, so the evolution's
+kernel reuses the memory the check freed instead of growing the heap, and
+the check sets the run's peak.  The kernel diagnostics (moment recovery,
+stochastic continuity) sum their rows ``_BLOCK`` at a time, beside the
+kernel only.
 
 One cost rule picks between the two for vector evolution, once per step
 length.  ``evolve_series`` groups the steps of its schedule up front,
@@ -205,6 +217,15 @@ def _identity_series(P, weight_sets):
     kernel does.  The padding and the rows outside the band add signed
     zeros to sums that are never -0, so each result is bitwise equal to
     _series_matvec(P, np.eye(n), w).
+
+    A set of K terms reaches only the diagonals |i - j| <= h = (K - 1)*b, so
+    its series is returned as its band when 2h + 1 < n: an (n, 2h + 1)
+    array whose row j holds column j's entries on rows j - h .. j + h, zero
+    off the chain (``_expand`` makes it a kernel).  Otherwise it is returned
+    as the n x n series itself, so no set takes more doubles than one dense
+    array.  A block's column sums are kept h rows past each end of the
+    chain, all zero, so each block is copied into the band through one
+    skewed view.
     """
     n = P.shape[0]
     rows = np.repeat(np.arange(n), np.diff(P.indptr))
@@ -212,13 +233,15 @@ def _identity_series(P, weight_sets):
     b = int(np.max(np.abs(offsets)))
     diagonals = None  # built for the first product whose rows do not span the chain
     terms = max(len(w) for w in weight_sets)
-    out = [np.empty((n, n)) for _ in weight_sets]
+    widths = [2 * (len(w) - 1) * b + 1 for w in weight_sets]
+    out = [np.empty((n, min(width, n))) for width in widths]
+    pads = [width // 2 if width < n else 0 for width in widths]
     for c0 in range(0, n, _BLOCK):
         c1 = min(c0 + _BLOCK, n)
         lo, hi, pv = c0, c1, np.eye(c1 - c0)
-        sums = np.zeros((len(weight_sets), n, c1 - c0))  # the block's columns of each set
-        for acc, w in zip(sums, weight_sets):
-            acc[c0:c1] = w[0] * pv
+        sums = [np.zeros((n + 2 * pad, c1 - c0)) for pad in pads]  # the block's columns
+        for acc, pad, w in zip(sums, pads, weight_sets):
+            acc[pad + c0:pad + c1] = w[0] * pv
         for k in range(1, terms):
             r0, r1 = max(c0 - k * b, 0), min(c1 + k * b, n)
             if r1 - r0 == n:
@@ -233,12 +256,46 @@ def _identity_series(P, weight_sets):
                     if i0 < i1:
                         nxt[i0 - r0:i1 - r0] += D[i0:i1] * pv[i0 + d - lo:i1 + d - lo]
             pv, lo, hi = nxt, r0, r1
-            for acc, w in zip(sums, weight_sets):
+            for acc, pad, w in zip(sums, pads, weight_sets):
                 if k < len(w):
-                    acc[lo:hi] += w[k] * pv
+                    acc[pad + lo:pad + hi] += w[k] * pv
         for M, acc in zip(out, sums):
-            M[:, c0:c1] = acc
+            if M.shape[1] == n:
+                M[:, c0:c1] = acc
+            else:
+                M[c0:c1] = _skewed(acc[c0:], c1 - c0, M.shape[1])
     return out, b
+
+
+def _skewed(A, rows, width):
+    """The (rows, width) view V[j, e] = A[j + e, j] of a 2-D array A: the
+    diagonals of A's columns, as a band stores them."""
+    row, col = A.strides
+    return np.lib.stride_tricks.as_strided(A, (rows, width), (row + col, row))
+
+
+def _expand(band, pool):
+    """The n x n series of a band from ``_identity_series``: the array itself
+    when it is stored dense, else a buffer from ``pool`` holding the band's
+    diagonals and zeros elsewhere, filled ``_BLOCK`` columns at a time."""
+    n, width = band.shape
+    if width == n:
+        return band
+    h = width // 2
+    M = _buffer(pool, n)
+    M.fill(0.0)
+    slab = np.zeros((_BLOCK + 2 * h, _BLOCK))  # rows c0 - h .. c1 + h of a block
+    for c0 in range(0, n, _BLOCK):
+        c1 = min(c0 + _BLOCK, n)
+        _skewed(slab, c1 - c0, width)[...] = band[c0:c1]  # never writes the corners
+        r0, r1 = max(c0 - h, 0), min(c1 + h, n)
+        M[r0:r1, c0:c1] = slab[r0 - c0 + h:r1 - c0 + h, :c1 - c0]
+    return M
+
+
+def _buffer(pool, n):
+    """An n x n array from ``pool``, or a new one when it is empty."""
+    return pool.pop() if pool else np.empty((n, n))
 
 
 def _flush(M, floor):
@@ -296,15 +353,19 @@ def _square(M, out, first, last):
     return work
 
 
-def _kernel_matrices(qm, ts, tol):
-    """Dense e^{Qt} for each t in ``ts``, as (kernel, defect) pairs, by
-    uniformization with scaling and squaring.
+def _kernels(qm, ts, tol, pool):
+    """Yield dense e^{Qt} for each t in ``ts`` in turn, as (kernel, defect)
+    pairs, by uniformization with scaling and squaring.
 
     P = I + Q/lam does not depend on t, so the series on the identity of
     every t > 0 comes from one pass over P's powers (``_identity_series``),
-    logged as one DEBUG ``series`` line.  The kernels are then finished one
-    by one, each dropping its series accumulator as its squarings begin.
-    Before each squaring, entries below the flush floor
+    logged as one DEBUG ``series`` line, each series held as its band.  The
+    kernels are then finished one at a time in n x n buffers taken from
+    ``pool`` (a new one when it is empty): the band is expanded into one
+    (``_expand``) and dropped, and the kernel is squared against one spare,
+    which goes back to ``pool`` before the kernel is yielded.  So a caller
+    that hands buffers back between kernels bounds the dense arrays of the
+    call.  Before each squaring, entries below the flush floor
     max(_FLUSH, eps*tail/n) in magnitude are set to zero, with tail the
     plan's per-level Poisson tail.  That drops at most eps*tail of mass per
     row per squaring, so at most 2^(k+1)*eps*tail through k squarings: under
@@ -312,8 +373,7 @@ def _kernel_matrices(qm, ts, tol):
     least sqrt(tiny), no product of two kept entries is subnormal (OpenBLAS
     runs several times slower on those).  Each squaring (``_square``) skips
     the blocks of the kernel that are exactly zero, for the first squarings
-    most of a banded one, and writes into one spare n x n buffer
-    per call, which the kernels pass on to each other.
+    most of a banded one.
 
     Rows are renormalized to sum to one, as rows of e^{Qt} do (Q has zero
     row sums).  The returned defect is the larger of the Poisson tail
@@ -330,26 +390,31 @@ def _kernel_matrices(qm, ts, tol):
     live = [plan for plan in plans if plan is not None]
     if live:
         P = sp.identity(n, format="csr") + qm.Q / live[0].lam
-        series, b = _identity_series(P, [plan.weights for plan in live])
-        _log.debug("series pass: n=%d b=%d block=%d kernels=%d terms=%d",
-                   n, b, min(_BLOCK, n), len(live), max(p.weights.size for p in live))
-        series.reverse()  # popped in order, so each accumulator is freed as it squares
-    out = []
-    spare = None
+        bands, b = _identity_series(P, [plan.weights for plan in live])
+        terms = max(p.weights.size for p in live)
+        _log.debug("series pass: n=%d b=%d block=%d kernels=%d terms=%d half=%d",
+                   n, b, min(_BLOCK, n), len(live), terms, min((terms - 1) * b, n - 1))
+        bands.reverse()  # popped in order, so each band is freed as its kernel is expanded
     for t, plan in zip(ts, plans):
         if plan is None:
-            out.append((np.eye(n), 0.0))
+            M = _buffer(pool, n)
+            M.fill(0.0)
+            np.fill_diagonal(M, 1.0)
+            yield M, 0.0
             continue
-        M = series.pop()
+        M = _expand(bands.pop(), pool)
         floor = max(_FLUSH, np.finfo(float).eps * plan.tail / n)
         flushed = work = 0
+        spare = None
         for _ in range(plan.splits):
             count, first, last = _flush(M, floor)
             flushed += count
             if spare is None:
-                spare = np.empty_like(M)
+                spare = _buffer(pool, n)
             work += _square(M, spare, first, last)
             M, spare = spare, M
+        if spare is not None:
+            pool.append(spare)
         rs = M.sum(axis=1)
         row_defect = float(np.max(np.abs(rs - 1.0)))
         _log.debug("kernel %.15g: n=%d b=%d terms=%d splits=%d floor=%.3g flushed=%d "
@@ -357,8 +422,19 @@ def _kernel_matrices(qm, ts, tol):
                    plan.splits, floor, flushed,
                    work / (plan.splits * n ** 3) if plan.splits else 1.0, row_defect)
         np.divide(M, rs[:, None], out=M, where=(rs > 0)[:, None])
-        out.append((M, max(plan.tail * 2 ** plan.splits, row_defect)))
-    return out
+        yield M, max(plan.tail * 2 ** plan.splits, row_defect)
+
+
+def _kernel_matrices(qm, ts, tol):
+    """The (kernel, defect) pairs of ``_kernels`` for every t in ``ts``.
+
+    Every kernel is kept, so the call holds one n x n array per kernel plus
+    the one spare the kernels pass on to each other: two for a single
+    kernel.  ``chapman_kolmogorov_defect`` takes its kernels from
+    ``_kernels`` itself and hands the buffers of P(t) and P(s) back before
+    P(t+s) is finished, so it holds three, not four.
+    """
+    return list(_kernels(qm, ts, tol, []))
 
 
 def transition_kernel(Q, t, tol=1e-9):
@@ -487,12 +563,16 @@ def evolve_series(Q, nu0, times, tol=1e-9):
 
 def chapman_kolmogorov_defect(Q, t, s, tol=1e-9):
     """Sup-norm defect between P(t+s) and P(t) P(s), all three kernels built
-    from one series pass."""
+    from one series pass and held in three n x n buffers."""
     _check_times(t, s)
     _check_tol(tol)
     qm = _as_qmatrix(Q)
-    (whole, _), (left, _), (right, _) = _kernel_matrices(qm, [t + s, t, s], tol)
-    diff = left @ right
+    pool = []
+    kernels = _kernels(qm, [t, s, t + s], tol, pool)
+    (left, _), (right, _) = next(kernels), next(kernels)
+    diff = np.matmul(left, right, out=_buffer(pool, qm.size))
+    pool += [left, right]  # P(t+s) is finished in the two buffers of its factors
+    (whole, _), = kernels
     np.subtract(whole, diff, out=diff)
     return float(np.max(np.abs(diff, out=diff).sum(axis=1)))
 
@@ -552,9 +632,18 @@ def recover_coefficients(Q, t_small, tol=1e-12):
     px2 = P @ (x * x)
     drift = (px - x * rs) / t_small
     diffusion = (px2 - 2 * x * px + x * x * rs) / (2 * t_small)
-    third = np.abs(x[None, :] - x[:, None]) ** 3
-    third_abs = np.einsum("ij,ij->i", P, third) / t_small
+    third_abs = _row_moments(P, x, lambda d: np.abs(d) ** 3) / t_small
     return MomentRecovery(x, drift, diffusion, third_abs)
+
+
+def _row_moments(P, x, g):
+    """sum_j P[i, j] g(x[j] - x[i]) for each row i, as one einsum over
+    ``_BLOCK`` rows at a time, so with no n x n temporary."""
+    out = np.empty(P.shape[0])
+    for r0 in range(0, P.shape[0], _BLOCK):
+        rows = slice(r0, r0 + _BLOCK)
+        out[rows] = np.einsum("ij,ij->i", P[rows], g(x[None, :] - x[rows, None]))
+    return out
 
 
 @dataclass
@@ -578,14 +667,13 @@ def stochastic_continuity_defect(Q, node, radius, times, tol=1e-12):
         raise ShapeError("stochastic continuity supports 1-D grids in v1")
     times = np.asarray(list(times), dtype=float)
     _check_times(*times)
-    inside = (np.abs(x[None, :] - x[:, None]) <= radius).astype(float)
     at_node = np.empty(times.size)
     max_interior = np.empty(times.size)
     interior = slice(1, -1) if qm.size > 2 else slice(None)
     for k, t in enumerate(times):
         (P, _), = _kernel_matrices(qm, [t], tol)
-        ball_mass = np.einsum("ij,ij->i", P, inside)
-        defect = 1.0 - ball_mass
+        defect = 1.0 - _row_moments(P, x, lambda d: (np.abs(d) <= radius).astype(float))
+        del P  # freed before the next kernel is built
         at_node[k] = defect[node]
         max_interior[k] = float(defect[interior].max())
     return ContinuityDefect(times, at_node, max_interior, int(node))

@@ -285,6 +285,16 @@ MALFORMED_SCENARIO_FIELDS = {
                               "initial_density.sigma"),
     "initial_density.width": ("initial_density", {"kind": "bump", "width": 0},
                               "initial_density.width"),
+    # a table value that is not a finite, nonnegative number is malformed input
+    "initial_density.values.nan": ("initial_density",
+                                   {"kind": "table", "values": [1.0] * 10 + [float("nan")] * 11},
+                                   "initial_density.values"),
+    "initial_density.values.inf": ("initial_density",
+                                   {"kind": "table", "values": [1.0] * 20 + [float("inf")]},
+                                   "initial_density.values"),
+    "initial_density.values.negative": ("initial_density",
+                                        {"kind": "table", "values": [1.0] * 20 + [-1.0]},
+                                        "initial_density.values"),
     "oracle.particles.zero": ("oracle", {"particles": 0}, "oracle.particles"),
     "generator.table": ("generator", {"dimension": 1, "a": {"points": [1, 0], "values": [1, 1]},
                                       "b": "0", "domain": {"kind": "box", "bounds": [[-1, 1]]}},

@@ -550,6 +550,17 @@ def test_dhdt_equilibrium_both_vanish(ou400):
     assert rep.relative_gap == 0.0
 
 
+@pytest.mark.parametrize("kind", ["density", "short-vector", "string"])
+def test_an_unusable_reference_is_rejected_by_name(a2a201, kind):
+    reference = {"density": a2a201.rho, "short-vector": np.ones(7), "string": "pi"}[kind]
+    h = HFunctional.from_name("square-dev")
+    nu0 = gaussian_measure(a2a201.x, 2.0, 0.5)
+    with pytest.raises(ParameterOutOfRange, match="None, an InvariantSolution or a measure"):
+        h_curve(a2a201.Q, nu0, h, [0.0, 0.1], reference=reference)
+    with pytest.raises(ParameterOutOfRange, match="None, an InvariantSolution or a measure"):
+        dH_dt_consistency(a2a201.Q, a2a201.spec, reference, nu0, h, t=0.5, dt=1e-3)
+
+
 def test_dhdt_gap_appendix2b(a2b400):
     h = HFunctional.from_name("square-dev")
     nu0 = gaussian_measure(a2b400.x, 2.0, 0.5)

@@ -1,5 +1,6 @@
 import logging
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -341,7 +342,8 @@ def test_chapman_kolmogorov_runs_one_series_pass(a2a201, monkeypatch, caplog, t,
     assert len(passes[0][1]) == kernels
     (line,) = _logged_lines(caplog, "series ")
     terms = max(sg._uniformization(a2a201.Q, u, 1e-12).weights.size for u in [t + s, t, s] if u)
-    assert line == {"n": 201, "b": 1, "block": 64, "kernels": kernels, "terms": terms}
+    assert line == {"n": 201, "b": 1, "block": 64, "kernels": kernels, "terms": terms,
+                    "half": terms - 1}
     assert len(_logged_lines(caplog, "kernel ")) == kernels
 
 
@@ -452,10 +454,13 @@ def _1d_chain(name, n, scheme):
 def _assert_identity_series_is_dense_series(qm, ts, bandwidth):
     P, _ = _series_inputs(qm, ts[0])
     weight_sets = [sg._uniformization(qm, t, 1e-9).weights for t in ts]
-    Ms, b = sg._identity_series(P, weight_sets)
+    bands, b = sg._identity_series(P, weight_sets)
     assert b == bandwidth
-    assert len(Ms) == len(weight_sets)
-    for M, weights in zip(Ms, weight_sets):
+    assert len(bands) == len(weight_sets)
+    for band, weights in zip(bands, weight_sets):
+        half = min((weights.size - 1) * b, qm.size)
+        assert band.shape == (qm.size, min(2 * half + 1, qm.size))
+        M = sg._expand(band, [])
         ref = sg._series_matvec(P, np.eye(qm.size), weights)
         assert np.array_equal(M.view(np.int64), ref.view(np.int64))
 
@@ -527,18 +532,69 @@ def test_flushed_squarings_match_unflushed_kernel(t):
     assert subnormal(M) == 0
 
 
-def test_chapman_kolmogorov_holds_no_more_than_four_kernels():
-    # three kernels and their product, plus the series pass's block sums:
-    # one more n x n array alive at any point exceeds this
-    qm = _1d_chain("appendix2a", 401, "exponential-fitting")
-    n = qm.size
+def _traced_peak(call):
     tracemalloc.start()
     try:
-        chapman_kolmogorov_defect(qm, 0.3, 0.7, tol=1e-12)
-        _, peak = tracemalloc.get_traced_memory()
+        call()
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 4 * n * n * 8 + 3 * n * sg._BLOCK * 8
+
+
+def _widest_band_bytes(qm, ts, tol):
+    """Bytes of the widest series band of a 1-D chain's kernels at ``ts``."""
+    terms = max(sg._uniformization(qm, t, tol).weights.size for t in ts)
+    return qm.size * (2 * (terms - 1) + 1) * 8
+
+
+def test_chapman_kolmogorov_holds_no_more_than_three_kernels():
+    # P(t), P(s) and their product, then P(t+s) in its factors' buffers: one
+    # more n x n array alive at any point exceeds this
+    qm = _1d_chain("appendix2a", 401, "exponential-fitting")
+    n = qm.size
+    band = _widest_band_bytes(qm, [0.3, 0.7, 1.0], 1e-12)
+    assert band < n * n * 8  # the series are held as bands
+    peak = _traced_peak(lambda: chapman_kolmogorov_defect(qm, 0.3, 0.7, tol=1e-12))
+    assert peak < 3 * n * n * 8 + band + 2 * n * sg._BLOCK * 8
+
+
+def test_transition_kernel_holds_the_kernel_and_one_spare():
+    qm = _1d_chain("appendix2a", 401, "exponential-fitting")
+    n = qm.size
+    band = _widest_band_bytes(qm, [0.3], 1e-12)
+    assert _traced_peak(lambda: transition_kernel(qm, 0.3, tol=1e-12)) < 2 * n * n * 8 + band
+
+
+def _diagnostics(qm):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", MomentBiasWarning)
+        moments = recover_coefficients(qm, 1e-3)
+    continuity = stochastic_continuity_defect(qm, qm.size // 2, 0.3, [0.05, 1e-3])
+    return moments, continuity
+
+
+@pytest.mark.parametrize("which", [0, 1])
+def test_kernel_diagnostics_hold_the_kernel_and_one_spare(which):
+    qm = _1d_chain("appendix2a", 401, "exponential-fitting")
+    n = qm.size
+    qm.node_coordinates()
+    peak = _traced_peak(lambda: _diagnostics(qm)[which])
+    assert peak < 2 * n * n * 8 + 2 * n * sg._BLOCK * 8
+
+
+def test_kernel_diagnostics_are_bitwise_their_full_row_sums():
+    qm = _1d_chain("appendix2a", 401, "exponential-fitting")
+    x = qm.node_coordinates()
+    moments, continuity = _diagnostics(qm)
+    gap = x[None, :] - x[:, None]
+    (P, _), = sg._kernel_matrices(qm, [1e-3], 1e-12)
+    third = np.einsum("ij,ij->i", P, np.abs(gap) ** 3) / 1e-3
+    assert np.array_equal(_bits(moments.third_abs_over_t), _bits(third))
+    for k, t in enumerate([0.05, 1e-3]):
+        (P, _), = sg._kernel_matrices(qm, [t], 1e-12)
+        defect = 1.0 - np.einsum("ij,ij->i", P, (np.abs(gap) <= 0.3).astype(float))
+        assert _bits(continuity.at_node[k]) == _bits(defect[qm.size // 2])
+        assert _bits(continuity.max_interior[k]) == _bits(defect[1:-1].max())
 
 
 def test_kernel_build_is_logged_with_its_row_sum_defect(a2a201, caplog):
