@@ -8,6 +8,7 @@ independent particle simulation.  All evaluation paths are pure functions
 over immutable inputs; results are deterministic for fixed seeds.
 """
 
+from .bands import BandMatrix
 from .discretize import DiscreteGenerator, Grid, build_qmatrix
 from .errors import KinbenchError
 from .expressions import CompiledExpression

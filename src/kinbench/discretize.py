@@ -7,7 +7,8 @@ coarse grids; every ``DiscreteGenerator`` confirms it at construction
 with ``pawula.maximum_principle_check``.  ``build_qmatrix`` is the one
 assembler for every dimension: a loop over the axes whose only dimension
 branches are the coefficient sampling and the diagonal, which in 1-D
-keeps row sums exactly zero (see ``_exact_row_pair``).
+keeps row sums exactly zero (see ``_exact_row_pair``).  It writes Q's
+diagonals, one per axis direction and the main one, into a ``BandMatrix``.
 """
 
 from __future__ import annotations
@@ -15,12 +16,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import fd
+from .bands import BandMatrix
 from .errors import (
     DomainError,
     NonEllipticCoefficient,
+    ParameterOutOfRange,
     ShapeError,
     UnsupportedTensor,
 )
@@ -113,27 +115,31 @@ class Grid:
 
 @dataclass
 class DiscreteGenerator:
-    """Sparse Q-matrix (observable side) with assembly metadata.
+    """Q-matrix (observable side) as a ``BandMatrix``, with assembly metadata.
 
-    Construction runs ``maximum_principle_check`` once and keeps its report
-    in ``maximum_principle``; a failing report raises NonEllipticCoefficient
-    (an off-diagonal) or ShapeError (row sums, as does a non-square Q).
+    Any other Q (a dense array, nested lists or a scipy sparse matrix) is
+    read into one; a non-square Q raises ShapeError and a non-finite entry
+    ParameterOutOfRange, naming the first one.  Construction then runs
+    ``maximum_principle_check`` once and keeps its report in
+    ``maximum_principle``; a failing report raises NonEllipticCoefficient
+    (an off-diagonal) or ShapeError (row sums).
     """
 
-    Q: sp.csr_matrix
+    Q: BandMatrix
     grid: Grid | None = None
     scheme: str = "raw"
     lambda_max: float = 0.0
     maximum_principle: MaxPrincipleReport = field(init=False, repr=False)
 
     def __post_init__(self):
-        if not sp.issparse(self.Q):
-            self.Q = sp.csr_matrix(np.asarray(self.Q, dtype=float))
-        else:
-            self.Q = self.Q.tocsr()
-        n, m = self.Q.shape
-        if n != m:
-            raise ShapeError(f"Q must be square, got {self.Q.shape}")
+        if not isinstance(self.Q, BandMatrix):
+            self.Q = BandMatrix.from_matrix(self.Q)
+        m, i = np.nonzero(~np.isfinite(self.Q.bands))
+        if i.size:
+            j = i + self.Q.offsets[m]
+            first = np.lexsort((j, i))[0]
+            raise ParameterOutOfRange(f"Q[{i[first]}, {j[first]}] = "
+                                      f"{self.Q.bands[m[first], i[first]]:g} is not finite")
         self.lambda_max = float(np.max(np.abs(self.Q.diagonal()), initial=0.0))
         rep = self.maximum_principle = maximum_principle_check(self.Q)
         if not rep.min_offdiag >= -OFFDIAG_TOL:
@@ -144,7 +150,7 @@ class DiscreteGenerator:
 
     @classmethod
     def from_matrix(cls, Q, grid=None, scheme="raw"):
-        return cls(sp.csr_matrix(np.asarray(Q, dtype=float)), grid, scheme)
+        return cls(Q, grid, scheme)
 
     @property
     def size(self):
@@ -262,9 +268,7 @@ def build_qmatrix(spec, grid, scheme="exponential-fitting"):
     multi = np.unravel_index(idx, shape)
     on_wall = np.any([(k == 0) | (k == size - 1) for k, size in zip(multi, shape)], axis=0)
 
-    rows = []
-    cols = []
-    vals = []
+    bands = {}
     diag = np.zeros(n)
     for ax, k in enumerate(multi):
         dxs = np.diff(grid.axes[ax])
@@ -280,17 +284,11 @@ def build_qmatrix(spec, grid, scheme="exponential-fitting"):
             diag -= q_m + q_p
         stride = int(np.prod(shape[ax + 1:]))
         for q, step in ((q_m, -stride), (q_p, stride)):
-            sel = q > 0
-            rows.append(idx[sel])
-            cols.append(idx[sel] + step)
-            vals.append(q[sel])
-    rows.append(idx)
-    cols.append(idx)
-    vals.append(diag)
-    Q = sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(n, n),
-    ).tocsr()
+            if np.any(q > 0):
+                bands[step] = np.where(q > 0, q, 0.0)
+    bands[0] = diag
+    offsets = sorted(bands)
+    Q = BandMatrix(offsets, np.array([bands[d] for d in offsets]), full_diagonal=True)
     return DiscreteGenerator(Q, grid, scheme)
 
 

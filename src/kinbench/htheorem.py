@@ -7,10 +7,12 @@ h, so only rounding shows up in the monotonicity checks.  Quadrature
 weights enter only where discrete fields are compared against continuum
 densities and integrals.
 
-``_closed_classes`` imports ``scipy.sparse.csgraph`` in its body.  That
-import loads ``scipy.sparse.linalg`` and ``scipy.linalg`` with it, and only
-the reachability step of a non-reversible or absorbing chain needs it; a
-reversible chain is solved on the lattice and never pays for it.
+Q's diagonals (its ``BandMatrix``) are all the lattice step reads.
+``_closed_classes`` imports ``scipy.sparse`` and ``scipy.sparse.csgraph``
+in its body.  Those imports load ``scipy.sparse.linalg`` and
+``scipy.linalg`` with them, and only the reachability step of a
+non-reversible or absorbing chain needs them; a reversible chain is solved
+on the lattice and never pays for them.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ import logging
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import fd
 from .errors import (
@@ -175,9 +176,9 @@ def _lattice_balance(qm):
     shape = qm.grid.shape if qm.grid is not None else (n,)
     ndim = len(shape)
     nodes = np.arange(n).reshape(shape)
-    coo = mat.tocoo()
-    off = coo.row != coo.col
-    i, j, q = coo.row[off], coo.col[off], coo.data[off]
+    i, j, q = mat.entries()
+    off = i != j
+    i, j, q = i[off], j[off], q[off]
     low, step = np.minimum(i, j), np.abs(i - j)
     tree = np.zeros(i.size, dtype=bool)
     log_pi = np.zeros(shape)
@@ -205,20 +206,20 @@ def _lattice_balance(qm):
         return pi, 0.0
     with np.errstate(divide="ignore", invalid="ignore"):
         forward = log_pi[i] + np.log(np.abs(q))
-        backward = log_pi[j] + np.log(np.abs(np.asarray(mat[j, i]).ravel()))
+        backward = log_pi[j] + np.log(np.abs(mat[j, i]))
         rel = np.where(forward == backward, 0.0, -np.expm1(-np.abs(forward - backward)))
     return pi, float(rel.max(initial=0.0))
 
 
 def _closed_classes(mat):
     """Node sets of the closed communicating classes; transient states raise."""
-    from scipy.sparse import csgraph  # deferred: see the module docstring
+    from scipy.sparse import csgraph, csr_matrix  # deferred: see the module docstring
 
     n = mat.shape[0]
-    coo = mat.tocoo()
-    edge = (coo.row != coo.col) & (coo.data > 0)
-    src, dst = coo.row[edge], coo.col[edge]
-    adj = sp.csr_matrix((np.ones(src.size, dtype=np.int8), (src, dst)), shape=(n, n))
+    src, dst, q = mat.entries()
+    edge = (src != dst) & (q > 0)
+    src, dst = src[edge], dst[edge]
+    adj = csr_matrix((np.ones(src.size, dtype=np.int8), (src, dst)), shape=(n, n))
     ncomp, labels = csgraph.connected_components(adj, directed=True, connection="strong")
     closed = np.ones(ncomp, dtype=bool)
     leaving = labels[src] != labels[dst]
@@ -258,11 +259,18 @@ def solve_invariant(Q):
         basis = [pi]
     else:
         basis = []
+        rows, cols, vals = mat.entries()
         for nodes in _closed_classes(mat):
             _log.debug("invariant: gth path on %d states, lattice defect %.3g",
                        nodes.size, defect)
+            # the class's own block of Q, dense, from the entries inside it
+            pos = np.full(n, -1)
+            pos[nodes] = np.arange(nodes.size)
+            inside = (pos[rows] >= 0) & (pos[cols] >= 0)
+            block = np.zeros((nodes.size, nodes.size))
+            block[pos[rows[inside]], pos[cols[inside]]] = vals[inside]
             v = np.zeros(n)
-            v[nodes] = _gth(mat[nodes][:, nodes].toarray())
+            v[nodes] = _gth(block)
             basis.append(v)
     unique = len(basis) == 1
     pi = basis[0] if unique else sum(basis) / len(basis)

@@ -21,9 +21,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 from numpy.polynomial import Polynomial
 
+from .bands import BandMatrix
 from .errors import (
     NoViolationAtPoint,
     OrderTooLow,
@@ -165,29 +165,27 @@ def maximum_principle_check(Q):
 
     Passes iff all off-diagonal entries are >= -OFFDIAG_TOL and every
     row sums to zero within ROWSUM_TOL.  Accepts DiscreteGenerator,
-    sparse, or dense input; non-square input raises ShapeError.  Works on
-    the CSR arrays and densifies only the worst row.  Implicit zeros count
-    as 0.0 off-diagonals, and ``worst_entry`` is the first row-major
-    position of the smallest off-diagonal (``(0, 0)`` with value 0.0 when
-    n <= 1; an empty matrix passes).
+    ``BandMatrix``, sparse, or dense input; non-square input raises
+    ShapeError.  Works on the diagonals and densifies only the worst row.
+    Entries on no diagonal count as 0.0 off-diagonals, and ``worst_entry``
+    is the first row-major position of the smallest off-diagonal (``(0, 0)``
+    with value 0.0 when n <= 1; an empty matrix passes).
     """
     mat = getattr(Q, "Q", Q)
-    shape = mat.shape if sp.issparse(mat) else np.shape(mat)
-    if len(shape) != 2 or shape[0] != shape[1]:
-        raise ShapeError(f"expected a square matrix, got shape {shape}")
-    n = shape[0]
+    if not isinstance(mat, BandMatrix):
+        mat = BandMatrix.from_matrix(mat)
+    n = mat.shape[0]
     if n == 0:
         return MaxPrincipleReport(True, 0.0, 0.0, (0, 0, 0.0))
-    mat = sp.csr_matrix(mat, dtype=float, copy=True)
-    mat.sum_duplicates()
-    rows = np.repeat(np.arange(n), np.diff(mat.indptr))
-    off = rows != mat.indices
-    row_min = np.full(n, np.inf)
-    np.minimum.at(row_min, rows[off], mat.data[off])
-    implicit_zero = np.bincount(rows[off], minlength=n) < n - 1
+    cols = np.arange(n) + mat.offsets[:, None]
+    on = (cols >= 0) & (cols < n)
+    on[mat.offsets == 0] = False
+    row_min = np.where(on, mat.bands, np.inf).min(axis=0, initial=np.inf)
+    implicit_zero = on.sum(axis=0) < n - 1
     row_min[implicit_zero] = np.minimum(row_min[implicit_zero], 0.0)
     i = int(np.argmin(row_min))
-    row = mat.getrow(i).toarray().ravel()
+    row = np.zeros(n)
+    row[cols[on[:, i], i]] = mat.bands[on[:, i], i]
     row[i] = np.inf
     j = int(np.argmin(row))
     min_off = float(row[j]) if n > 1 else 0.0

@@ -54,10 +54,13 @@ vector series costs steps*2^splits*(nnz + C), where C (``_MATVEC_COST``)
 is the fixed cost of one sparse matvec plus two vector updates.  A step
 length goes dense iff n <= 2048 and n*(nnz + n) <= steps*2^splits*(nnz + C).
 
-``resolvent`` imports ``scipy.sparse.linalg`` in its body, the one place
-that uses it.  That import also loads ``scipy.linalg`` and takes about
-0.15 s and 10 MB, which a process that never solves a resolvent (the
-evolution and H-theorem paths) should not pay at start-up.
+Q is a ``BandMatrix``, and so is P = I + Q/lambda (``_stochastic``): the
+vector series and the identity series both multiply by P's diagonals.
+``resolvent`` is the one place that uses scipy: it imports
+``scipy.sparse`` and ``scipy.sparse.linalg`` in its body and hands them
+``Q.tocsr()``.  Those imports take about 0.35 s and 30 MB together, which
+a process that never solves a resolvent (the evolution and H-theorem
+paths) should not pay at start-up.
 """
 
 from __future__ import annotations
@@ -69,8 +72,8 @@ from collections import Counter, namedtuple
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
+from .bands import BandMatrix
 from .discretize import DiscreteGenerator
 from .errors import (
     MomentBiasWarning,
@@ -101,9 +104,7 @@ _log = logging.getLogger("kinbench.semigroup")
 
 
 def _as_qmatrix(Q):
-    if isinstance(Q, DiscreteGenerator):
-        return Q
-    return DiscreteGenerator.from_matrix(np.asarray(Q, dtype=float))
+    return Q if isinstance(Q, DiscreteGenerator) else DiscreteGenerator(Q)
 
 
 def _poisson_weights(mu, tail):
@@ -163,6 +164,14 @@ def time_schedule(times):
     return times
 
 
+def _stochastic(mat, lam):
+    """P = I + mat/lam as a ``BandMatrix``, bitwise scipy's
+    ``identity(n) + mat / lam``, whose division multiplies by 1/lam."""
+    bands = mat.bands * (1 / lam)
+    bands[np.searchsorted(mat.offsets, 0)] += 1.0
+    return BandMatrix(mat.offsets, bands)
+
+
 def _series_matvec(P, v, weights):
     acc = weights[0] * v
     pv = v
@@ -202,21 +211,13 @@ class TransitionKernel:
 def _identity_series(P, weight_sets):
     """[sum_k w_k P^k for w in weight_sets] from one pass over the powers of P.
 
-    With b the largest |i - j| over P's stored entries, P^k e_j vanishes
-    outside |i - j| <= k*b.  So for each block of columns [c0, c1), power k
-    is computed once, on rows [c0 - k*b, c1 + k*b) only, and added into
-    every set that has a term k.  While those rows do not span the chain,
-    the product is taken by diagonals, D_d[i] = P[i, i + d] padded with
-    zeros where nothing is stored; once they do, it is P's own CSR product,
-    whose cost follows nnz rather than the number of diagonals (up to
-    2n - 1 for a dense chain).
-
-    When each row of P stores its columns in increasing order, as in every
-    P this module builds, adding the diagonals in increasing d adds each
-    row's products in its stored order, starting from +0, as scipy's CSR
-    kernel does.  The padding and the rows outside the band add signed
-    zeros to sums that are never -0, so each result is bitwise equal to
-    _series_matvec(P, np.eye(n), w).
+    With b the largest |i - j| over P's diagonals, P^k e_j vanishes outside
+    |i - j| <= k*b.  So for each block of columns [c0, c1), power k is
+    computed once, on rows [c0 - k*b, c1 + k*b) only, and added into every
+    set that has a term k.  The product is taken by P's diagonals, added in
+    increasing offset as ``BandMatrix`` products are, so the rows outside
+    the band add only signed zeros to sums that are never -0 and each result
+    is bitwise equal to _series_matvec(P, np.eye(n), w).
 
     A set of K terms reaches only the diagonals |i - j| <= h = (K - 1)*b, so
     its series is returned as its band when 2h + 1 < n: an (n, 2h + 1)
@@ -228,10 +229,7 @@ def _identity_series(P, weight_sets):
     skewed view.
     """
     n = P.shape[0]
-    rows = np.repeat(np.arange(n), np.diff(P.indptr))
-    offsets, where = np.unique(P.indices - rows, return_inverse=True)
-    b = int(np.max(np.abs(offsets)))
-    diagonals = None  # built for the first product whose rows do not span the chain
+    b = int(np.max(np.abs(P.offsets)))
     terms = max(len(w) for w in weight_sets)
     widths = [2 * (len(w) - 1) * b + 1 for w in weight_sets]
     out = [np.empty((n, min(width, n))) for width in widths]
@@ -244,17 +242,11 @@ def _identity_series(P, weight_sets):
             acc[pad + c0:pad + c1] = w[0] * pv
         for k in range(1, terms):
             r0, r1 = max(c0 - k * b, 0), min(c1 + k * b, n)
-            if r1 - r0 == n:
-                nxt = P @ (pv if hi - lo == n else np.pad(pv, ((lo, n - hi), (0, 0))))
-            else:
-                if diagonals is None:
-                    diagonals = np.zeros((offsets.size, n, 1))
-                    diagonals[where, rows, 0] = P.data
-                nxt = np.zeros((r1 - r0, c1 - c0))
-                for d, D in zip(offsets.tolist(), diagonals):
-                    i0, i1 = max(r0, lo - d), min(r1, hi - d)
-                    if i0 < i1:
-                        nxt[i0 - r0:i1 - r0] += D[i0:i1] * pv[i0 + d - lo:i1 + d - lo]
+            nxt = np.zeros((r1 - r0, c1 - c0))
+            for d, D in zip(P.offsets.tolist(), P.bands):
+                i0, i1 = max(r0, lo - d), min(r1, hi - d)
+                if i0 < i1:
+                    nxt[i0 - r0:i1 - r0] += D[i0:i1, None] * pv[i0 + d - lo:i1 + d - lo]
             pv, lo, hi = nxt, r0, r1
             for acc, pad, w in zip(sums, pads, weight_sets):
                 if k < len(w):
@@ -389,7 +381,7 @@ def _kernels(qm, ts, tol, pool):
              for t in ts]
     live = [plan for plan in plans if plan is not None]
     if live:
-        P = sp.identity(n, format="csr") + qm.Q / live[0].lam
+        P = _stochastic(qm.Q, live[0].lam)
         bands, b = _identity_series(P, [plan.weights for plan in live])
         terms = max(p.weights.size for p in live)
         _log.debug("series pass: n=%d b=%d block=%d kernels=%d terms=%d half=%d",
@@ -463,8 +455,7 @@ def _step_operator(qm, t, tol, transpose, steps):
     if dense:
         (M, _), = _kernel_matrices(qm, [t], tol)
         return (lambda v: M.T @ v) if transpose else (lambda v: M @ v)
-    mat = qm.Q.T.tocsr() if transpose else qm.Q
-    P = sp.identity(n, format="csr") + mat / plan.lam
+    P = _stochastic(qm.Q.T if transpose else qm.Q, plan.lam)
 
     def series(v):
         for _ in range(2 ** plan.splits):
@@ -501,8 +492,8 @@ def evolve_density(Q, nu0, t, tol=1e-9):
     _check_tol(tol)
     qm = _as_qmatrix(Q)
     vals = _chain_vector(qm, nu0)
-    if np.any(vals < 0):
-        raise ParameterOutOfRange("initial density must be nonnegative")
+    if not np.all((vals >= 0) & (vals < math.inf)):  # NaN fails both
+        raise ParameterOutOfRange("initial density must be finite and nonnegative")
     return _step_operator(qm, t, tol, True, 1)(vals)
 
 
@@ -581,10 +572,11 @@ def resolvent(Q, lam, g):
     """Solve (lam - Q) f = g; the M-matrix structure bounds ||lam f|| by ||g||."""
     if not 0.0 < lam < math.inf:
         raise SpectrumError(f"resolvent parameter must be positive and finite, got {lam:g}")
-    import scipy.sparse.linalg as spla  # deferred: see the module docstring
+    import scipy.sparse as sp  # deferred: see the module docstring
+    import scipy.sparse.linalg as spla
 
     qm = _as_qmatrix(Q)
-    A = (lam * sp.identity(qm.size, format="csc") - qm.Q.tocsc())
+    A = (lam * sp.identity(qm.size, format="csc") - qm.Q.tocsr().tocsc())
     return spla.spsolve(A, _chain_vector(qm, g))
 
 

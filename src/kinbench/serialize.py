@@ -186,10 +186,8 @@ def write_ensemble_csv(path, ensemble):
 
 def write_qmatrix(path_matrix, path_meta, qgen):
     """Coordinate-triplet export (row col value, row-major) with metadata."""
-    coo = qgen.Q.tocoo()
-    order = np.lexsort((coo.col, coo.row))
     with open(path_matrix, "w") as fh:
-        for r, c, v in zip(coo.row[order], coo.col[order], coo.data[order]):
+        for r, c, v in zip(*qgen.Q.entries()):
             fh.write(f"{r} {c} {fmt(v)}\n")
     meta = {
         "size": qgen.size,

@@ -1,3 +1,6 @@
+import re
+import warnings
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -5,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import kinbench as kb
+import kinbench.discretize as kd
 from kinbench.discretize import (
     DiscreteGenerator,
     Grid,
@@ -15,6 +19,7 @@ from kinbench.discretize import (
 from kinbench.errors import (
     DomainError,
     NonEllipticCoefficient,
+    ParameterOutOfRange,
     ShapeError,
     UnsupportedTensor,
 )
@@ -64,7 +69,7 @@ def test_appendix2a_assembly_is_markov(a2a201):
 
 
 def test_row_sums_exactly_zero(a2b400):
-    rs = np.asarray(a2b400.Q.Q.sum(axis=1)).ravel()
+    rs = a2b400.Q.Q @ np.ones(a2b400.Q.size)
     assert np.max(np.abs(rs)) == 0.0
 
 
@@ -147,7 +152,7 @@ def test_2d_assembly_is_kronecker_sum_of_1d_chains(scheme):
                           DomainSpec("box", bounds[1:]))
     Qx = build_qmatrix(specx, Grid.from_domain(specx.domain, 9), scheme).Q
     Qy = build_qmatrix(specy, Grid.from_domain(specy.domain, 7), scheme).Q
-    kron_sum = (sp.kron(Qx, sp.identity(7)) + sp.kron(sp.identity(9), Qy)).toarray()
+    kron_sum = np.kron(Qx.toarray(), np.eye(7)) + np.kron(np.eye(9), Qy.toarray())
     assert np.max(np.abs(Q.toarray() - kron_sum)) <= 1e-14 * np.max(np.abs(kron_sum))
 
 
@@ -286,6 +291,30 @@ def test_discrete_generator_keeps_its_maximum_principle_report(form):
     assert Q.maximum_principle.passed and Q.lambda_max == 2.0
 
 
+@pytest.mark.parametrize("dense, named", [
+    ([[np.nan, 1.0], [1.0, -1.0]], "Q[0, 0] = nan"),
+    ([[-1.0, np.nan], [1.0, -1.0]], "Q[0, 1] = nan"),
+    ([[-1.0, 1.0], [np.inf, -np.inf]], "Q[1, 0] = inf"),
+    ([[-1.0, 1.0, 0.0], [0.0, -np.inf, np.nan], [0.0, 0.0, 0.0]], "Q[1, 1] = -inf"),
+], ids=["diagonal-nan", "offdiagonal-nan", "first-of-two-inf", "row-major-first"])
+def test_non_finite_entries_are_named_before_the_report(dense, named, monkeypatch):
+    reports = []
+    check = kd.maximum_principle_check
+    monkeypatch.setattr(kd, "maximum_principle_check", lambda Q: reports.append(Q) or check(Q))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ParameterOutOfRange, match=f"^{re.escape(named)} is not finite$"):
+            DiscreteGenerator.from_matrix(dense)
+    assert reports == []
+
+
+@pytest.mark.parametrize("Q", [[1.0, 2.0], np.zeros((2, 2, 2)), 3.0], ids=["1-d", "3-d", "scalar"])
+def test_non_2d_input_reports_its_own_shape(Q):
+    shape = np.shape(Q)
+    with pytest.raises(ShapeError, match=f"^expected a square matrix, got shape {re.escape(str(shape))}$"):
+        DiscreteGenerator.from_matrix(Q)
+
+
 @pytest.mark.parametrize("empty", [np.zeros((0, 0)), sp.csr_matrix((0, 0))], ids=["dense", "csr"])
 def test_discrete_generator_accepts_empty_matrix(empty):
     Q = DiscreteGenerator(empty)
@@ -304,8 +333,7 @@ def test_adjoint_is_transpose():
 
 
 def test_adjoint_columns_conserve_mass(a2a201):
-    Qt = a2a201.Q.Q.T
-    colsums = np.asarray(Qt.sum(axis=0)).ravel()
+    colsums = a2a201.Q.Q.T.toarray().sum(axis=0)
     assert np.max(np.abs(colsums)) == 0.0
 
 
@@ -390,9 +418,10 @@ def test_random_admissible_chain_is_markov_and_dissipates_entropy(params):
                          lambda x: b0 + b1 * np.asarray(x, dtype=float),
                          DomainSpec("box", ((-3.0, 3.0),)))
     Q = build_qmatrix(spec, Grid((np.linspace(-3.0, 3.0, n),)), scheme)
-    off = Q.Q - sp.diags(Q.Q.diagonal())
+    off = Q.Q.toarray()
+    np.fill_diagonal(off, 0.0)
     assert off.min() >= 0.0
-    assert np.all(np.asarray(Q.Q.sum(axis=1)).ravel() == 0.0)
+    assert np.all(Q.Q @ np.ones(Q.size) == 0.0)
     nu0 = np.exp(-(Q.grid.x - 1.0) ** 2)
     curve = kb.h_curve(Q, nu0 / nu0.sum(), kb.HFunctional.from_name("xlogx"),
                        np.linspace(0.0, 2.0, 9), tol=1e-12, reference=kb.solve_invariant(Q))

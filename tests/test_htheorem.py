@@ -106,7 +106,7 @@ def test_appendix2a_invariant_close_to_analytic(a2a401):
     analytic /= np.dot(analytic, a2a401.w)
     L1 = np.dot(np.abs(sol.pi / a2a401.w - analytic), a2a401.w)
     assert L1 <= 0.01
-    assert sol.residual <= 1e-10 * np.abs(a2a401.Q.Q).max()
+    assert sol.residual <= 1e-10 * np.abs(a2a401.Q.Q.bands).max()
 
 
 def test_block_diagonal_chain_not_unique():

@@ -11,9 +11,14 @@ name, an attribute or an imported name anywhere in the package.  Every
 module-level function or class must be named somewhere in the package
 (an export from ``__init__.py`` counts), in ``benchmarks/`` or in
 ``scripts/``; a name only tests use belongs in ``tests/``.
-``scipy.sparse.linalg`` and ``scipy.sparse.csgraph`` may be imported only
-inside function bodies, and a subprocess checks that ``import kinbench``
-loads neither until a function needs it.
+``scipy.sparse``, ``scipy.sparse.linalg`` and ``scipy.sparse.csgraph``
+may be imported only inside function bodies.  A subprocess checks that
+``import kinbench.cli``, a 2-D build, ``solve_invariant`` on a reversible
+chain and ``h_curve`` load no ``scipy`` module at all; that the first
+``resolvent`` loads ``scipy.sparse`` and ``scipy.sparse.linalg``; and that
+a chain off the lattice path loads ``scipy.sparse.csgraph``.  (Earlier,
+``scipy.sparse`` itself was allowed at start-up and only the linalg and
+csgraph submodules were checked.)
 """
 
 import ast
@@ -136,9 +141,11 @@ def test_dependency_check_flags_outside_imports(tmp_path):
                                          "probe.py:9 scipy.integrate.quad"]
 
 
-# each loads scipy.linalg too (about 0.15 s and 10 MB); only the function
-# that uses one may import it, so `import kinbench` stays free of them
-DEFERRED = ("scipy.sparse.linalg", "scipy.sparse.csgraph")
+# scipy.sparse alone takes about 0.2 s and 22 MB (any scipy submodule loads
+# numpy.f2py and numpy.testing through scipy's array-API layer), and the two
+# others load scipy.linalg too; only the function that uses one may import
+# it, so `import kinbench` stays free of scipy
+DEFERRED = ("scipy.sparse", "scipy.sparse.linalg", "scipy.sparse.csgraph")
 
 
 def _deferred(module):
@@ -177,7 +184,9 @@ def test_deferred_import_check_flags_module_level_imports(tmp_path):
                      "    def m(self):\n        from scipy.sparse import linalg\n"
                      "        return linalg\n\n\n"
                      "def f():\n    import scipy.sparse.linalg\n    return scipy\n")
-    assert eager_deferred_imports(probe) == ["probe.py:2 scipy.sparse.csgraph",
+    assert eager_deferred_imports(probe) == ["probe.py:1 scipy.sparse",
+                                             "probe.py:2 scipy.sparse.csgraph",
+                                             "probe.py:2 scipy.sparse.csr_matrix",
                                              "probe.py:4 scipy.sparse.linalg",
                                              "probe.py:8 scipy.sparse.csgraph.laplacian"]
 
@@ -190,14 +199,18 @@ import numpy as np
 import kinbench.cli
 import kinbench as kb
 
-HEAVY = ("scipy.linalg", "scipy.sparse.linalg", "scipy.sparse.csgraph")
+HEAVY = ("scipy.sparse", "scipy.linalg", "scipy.sparse.linalg", "scipy.sparse.csgraph")
 
 
 def loaded():
     return [m for m in HEAVY if m in sys.modules]
 
 
-assert loaded() == [], loaded()
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+
+assert scipy_modules() == [], scipy_modules()
 domain = kb.DomainSpec("box", ((-2.0, 2.0), (-1.0, 1.0)))
 spec = kb.GeneratorSpec(2, lambda p: np.diag([1.0 + p[0] ** 2, 2.0]), lambda p: -p, domain)
 Q = kb.build_qmatrix(spec, kb.Grid.from_domain(domain, 9))
@@ -206,11 +219,11 @@ nu0 = np.zeros(Q.size)
 nu0[0] = 1.0
 curve = kb.h_curve(Q, nu0, kb.HFunctional.from_name("xlogx"), [0.0, 0.5, 1.0], reference=sol)
 assert curve.is_monotone(1e-12)
-assert loaded() == [], loaded()
+assert scipy_modules() == [], scipy_modules()
 
 f = kb.resolvent(Q, 1.0, np.ones(Q.size))
 assert np.allclose(f, 1.0)
-assert "scipy.sparse.linalg" in loaded(), loaded()
+assert {"scipy.sparse", "scipy.sparse.linalg"} <= set(loaded()), loaded()
 
 cycle = kb.solve_invariant([[-1.0, 1.0, 0.0], [0.0, -1.0, 1.0], [1.0, 0.0, -1.0]])
 assert np.allclose(cycle.pi, 1.0 / 3.0) and cycle.unique

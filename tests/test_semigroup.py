@@ -443,7 +443,12 @@ def test_square_of_a_full_kernel_is_bitwise_the_full_product():
 
 def _series_inputs(qm, t, tol=1e-9):
     plan = sg._uniformization(qm, t, tol)
-    return sp.identity(qm.size, format="csr") + qm.Q / plan.lam, plan
+    return sg._stochastic(qm.Q, plan.lam), plan
+
+
+def _csr_stochastic(qm, lam):
+    """P = I + Q/lam as scipy builds it from Q's CSR."""
+    return sp.identity(qm.size, format="csr") + qm.Q.tocsr() / lam
 
 
 def _1d_chain(name, n, scheme):
@@ -452,7 +457,7 @@ def _1d_chain(name, n, scheme):
 
 
 def _assert_identity_series_is_dense_series(qm, ts, bandwidth):
-    P, _ = _series_inputs(qm, ts[0])
+    P, plan = _series_inputs(qm, ts[0])
     weight_sets = [sg._uniformization(qm, t, 1e-9).weights for t in ts]
     bands, b = sg._identity_series(P, weight_sets)
     assert b == bandwidth
@@ -461,7 +466,7 @@ def _assert_identity_series_is_dense_series(qm, ts, bandwidth):
         half = min((weights.size - 1) * b, qm.size)
         assert band.shape == (qm.size, min(2 * half + 1, qm.size))
         M = sg._expand(band, [])
-        ref = sg._series_matvec(P, np.eye(qm.size), weights)
+        ref = sg._series_matvec(_csr_stochastic(qm, plan.lam), np.eye(qm.size), weights)
         assert np.array_equal(M.view(np.int64), ref.view(np.int64))
 
 
@@ -483,7 +488,7 @@ def test_identity_series_is_bitwise_the_dense_series_off_1d_catalog():
     _assert_identity_series_is_dense_series(Q, [1.0, 0.3, 0.05], 17)
     _assert_identity_series_is_dense_series(_absorbing_chain(301), [0.3], 1)
     _assert_identity_series_is_dense_series(_absorbing_chain(301), [0.7, 0.3, 0.01], 1)
-    # an unstructured chain: b = n - 1, so every power is P's own CSR product
+    # an unstructured chain: b = n - 1, so every power spans all 2n - 1 diagonals
     dense = DiscreteGenerator.from_matrix(_random_chain(np.random.default_rng(0), 150))
     _assert_identity_series_is_dense_series(dense, [0.3], 149)
 
@@ -778,8 +783,12 @@ def test_continuity_decreases_to_zero(a2a201):
     (lambda Q: recover_coefficients(Q, 1e-3, tol=0.5), ParameterOutOfRange),
     (lambda Q: resolvent(Q, 1.0, [1.0, 0.0, 0.0]), ShapeError),
     (lambda Q: generator_at_max(Q, [1.0, 0.0, 0.0]), ShapeError),
+    (lambda Q: evolve_density(Q, [np.nan, 1.0], 1.0), ParameterOutOfRange),
+    (lambda Q: evolve_density(Q, [np.inf, 1.0], 1.0), ParameterOutOfRange),
+    (lambda Q: evolve_density(Q, [-1.0, 1.0], 1.0), ParameterOutOfRange),
 ], ids=["continuity-node-negative", "continuity-node-past-end", "continuity-tol",
-        "recover-tol", "resolvent-length", "generator-at-max-length"])
+        "recover-tol", "resolvent-length", "generator-at-max-length", "density-nan",
+        "density-inf", "density-negative"])
 def test_bad_arguments_are_named_errors_before_any_kernel(two_state, monkeypatch, call, error):
     calls = _count_kernel_builds(monkeypatch)
     with pytest.raises(error):
