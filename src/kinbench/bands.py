@@ -29,7 +29,9 @@ class BandMatrix:
     scipy's CSR product does, and the result is bitwise scipy's: an entry
     that is not stored adds a signed zero to a sum that is never -0.
     ``A.T @ x`` likewise matches scipy's product with the CSR's transpose.
-    ``tocsr()`` exists only to hand the matrix to scipy's solvers.
+    The resolvent factors the matrix from these bands too; only the
+    reachability graph of ``htheorem._closed_classes``, built from
+    ``entries()``, goes to scipy.
     """
 
     def __init__(self, offsets, bands, full_diagonal=False):
@@ -119,11 +121,3 @@ class BandMatrix:
         for part, rows, cols in self._spans:
             flat[rows.start * n + cols.start::n + 1][:part.size] += part
         return A
-
-    def tocsr(self):
-        """The stored entries as a scipy CSR matrix, for scipy's solvers."""
-        from scipy.sparse import csr_matrix  # deferred: importing scipy costs start-up
-
-        rows, cols, vals = self.entries()
-        indptr = np.searchsorted(rows, np.arange(self.shape[0] + 1))
-        return csr_matrix((vals, cols, indptr), shape=self.shape)

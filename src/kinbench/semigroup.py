@@ -56,11 +56,8 @@ length goes dense iff n <= 2048 and n*(nnz + n) <= steps*2^splits*(nnz + C).
 
 Q is a ``BandMatrix``, and so is P = I + Q/lambda (``_stochastic``): the
 vector series and the identity series both multiply by P's diagonals.
-``resolvent`` is the one place that uses scipy: it imports
-``scipy.sparse`` and ``scipy.sparse.linalg`` in its body and hands them
-``Q.tocsr()``.  Those imports take about 0.35 s and 30 MB together, which
-a process that never solves a resolvent (the evolution and H-theorem
-paths) should not pay at start-up.
+``resolvent`` factors lam - Q in numpy too, by a banded elimination with
+no subtraction (``_resolvent_factor``), so this module uses no scipy.
 """
 
 from __future__ import annotations
@@ -472,6 +469,14 @@ def _chain_vector(qm, v):
     return v
 
 
+def _density(qm, nu0):
+    """nu0 as a chain vector; ParameterOutOfRange unless finite and nonnegative."""
+    vals = _chain_vector(qm, nu0)
+    if not np.all((vals >= 0) & (vals < math.inf)):  # NaN fails both
+        raise ParameterOutOfRange("initial density must be finite and nonnegative")
+    return vals
+
+
 def evolve_observable(Q, f0, t, tol=1e-9):
     """Observable-side evolution e^{Qt} f0.
 
@@ -491,10 +496,8 @@ def evolve_density(Q, nu0, t, tol=1e-9):
     _check_times(t)
     _check_tol(tol)
     qm = _as_qmatrix(Q)
-    vals = _chain_vector(qm, nu0)
-    if not np.all((vals >= 0) & (vals < math.inf)):  # NaN fails both
-        raise ParameterOutOfRange("initial density must be finite and nonnegative")
-    return _step_operator(qm, t, tol, True, 1)(vals)
+    nu0 = _density(qm, nu0)
+    return _step_operator(qm, t, tol, True, 1)(nu0)
 
 
 @dataclass
@@ -526,7 +529,7 @@ def evolve_series(Q, nu0, times, tol=1e-9):
     times = time_schedule(times)
     _check_tol(tol)
 
-    current = _chain_vector(qm, nu0)
+    current = _density(qm, nu0)
     dts = np.diff(times, prepend=0.0)
     same = 4 * np.spacing(times[-1])
     firsts, group = [], []
@@ -569,15 +572,75 @@ def chapman_kolmogorov_defect(Q, t, s, tol=1e-9):
 
 
 def resolvent(Q, lam, g):
-    """Solve (lam - Q) f = g; the M-matrix structure bounds ||lam f|| by ||g||."""
+    """Solve (lam - Q) f = g for g of shape (n,) or a block of columns (n, k).
+
+    lam - Q is factored once per call by ``_resolvent_factor``, a banded
+    elimination that only adds and multiplies nonnegative numbers, and every
+    column is solved against that factor.  So g >= 0 gives f >= 0 exactly,
+    g = 1 gives lam f = 1 to rounding, and the M-matrix structure bounds
+    ||lam f|| by ||g||.  Each column's result is bitwise that of solving it
+    alone.  A non-finite g raises ParameterOutOfRange; a g whose first axis
+    is not n raises ShapeError.
+    """
     if not 0.0 < lam < math.inf:
         raise SpectrumError(f"resolvent parameter must be positive and finite, got {lam:g}")
-    import scipy.sparse as sp  # deferred: see the module docstring
-    import scipy.sparse.linalg as spla
-
     qm = _as_qmatrix(Q)
-    A = (lam * sp.identity(qm.size, format="csc") - qm.Q.tocsr().tocsc())
-    return spla.spsolve(A, _chain_vector(qm, g))
+    g = np.asarray(g, dtype=float)
+    if g.ndim not in (1, 2) or g.shape[0] != qm.size:
+        raise ShapeError(f"right-hand side of shape {g.shape} does not match chain size {qm.size}")
+    if not np.all(np.isfinite(g)):
+        raise ParameterOutOfRange("resolvent right-hand side must be finite")
+    band, windows = _resolvent_factor(qm.Q, lam)
+    n, b = qm.size, band.shape[1] // 2
+    rhs = g.reshape(n, -1)
+    _log.debug("resolvent solve: n=%d b=%d lam=%.6g columns=%d", n, b, lam, rhs.shape[1])
+    y = np.zeros((n + b, rhs.shape[1]))
+    y[:n] = rhs
+    for k, W in enumerate(windows):  # forward: y_i = g_i + sum_k l_ik y_k
+        y[k + 1:k + b + 1] += W[1:, :1] * y[k]
+    for k in range(n - 1, -1, -1):  # back: f_k = (y_k + sum_j N_kj f_j) / d_k
+        y[k] /= band[k, b]
+        j0 = max(k - b, 0)
+        y[j0:k] += windows[j0][:k - j0, k - j0, None] * y[k]
+    return y[:n, 0].copy() if g.ndim == 1 else y[:n]
+
+
+def _resolvent_factor(Q, lam):
+    """LU factors of lam - Q for the off-diagonal rates N_ij = Q[i, j] >= 0,
+    by elimination without subtraction (Grassmann, Taksar and Heyman
+    1985; Alfa, Xue and Ye 2002).
+
+    Q's rows sum to zero, so the rows of lam - Q sum to lam: the diagonal
+    is lam plus the row's off-diagonal rates and is never read.  With b the
+    largest |offset| of Q, row i's rates sit in ``band[i, b + j - i]`` of an
+    (n + b, 2b + 1) band, zero off the chain and in the b rows past it, and
+    s_i, the row's excess over its rates, starts at lam.  Step k takes the
+    pivot d_k = s_k + sum_{j > k} N_kj, the multipliers l_i = N_ik / d_k,
+    and sets s_i += l_i s_k and N_ij += l_i N_kj for the b rows below: the
+    active rows of lam - Q keep their off-diagonals at -N and their row sums
+    at s, so each quantity is a sum of nonnegative terms.  A step works on
+    ``windows[k]``, the (b + 1, b + 1) view W[r, c] = N_{k+r, k+c} of the
+    band.  On return the band holds l_ik below the diagonal, d_k on it and
+    N_kj of the upper factor above it; elimination fills in only inside b.
+    """
+    n = Q.shape[0]
+    b = int(np.max(np.abs(Q.offsets), initial=0))
+    band = np.zeros((n + b, 2 * b + 1))
+    for d, D in zip(Q.offsets.tolist(), Q.bands):
+        if d:
+            rows = slice(max(0, -d), min(n, n - d))
+            band[rows, b + d] = D[rows]
+    row, col = band.strides
+    windows = np.lib.stride_tricks.as_strided(band[:, b:], (n, b + 1, b + 1),
+                                              (row, row - col, col))
+    excess = np.full(n + b, float(lam))
+    for k, W in enumerate(windows):
+        d = W[0, 0] = excess[k] + W[0, 1:].sum()
+        low = W[1:, 0]
+        low /= d
+        excess[k + 1:k + b + 1] += low * excess[k]
+        W[1:, 1:] += low[:, None] * W[0, 1:]  # W's diagonal slots are overwritten by d
+    return band, windows
 
 
 def generator_at_max(Q, f):

@@ -79,6 +79,14 @@ def read_qmatrix(path_matrix, size):
     return sp.coo_matrix((vals, (rows, cols)), shape=(size, size)).tocsr()
 
 
+def band_csr(Q):
+    """A ``BandMatrix``'s stored entries as a scipy CSR matrix, the reference
+    the band products are checked against."""
+    rows, cols, vals = Q.entries()
+    indptr = np.searchsorted(rows, np.arange(Q.shape[0] + 1))
+    return sp.csr_matrix((vals, cols, indptr), shape=Q.shape)
+
+
 def certificate_from_dict(d):
     multi = d.get("multi_index")
     return PawulaCertificate(

@@ -4,8 +4,9 @@
 rates and the whole diagonal and convert them to CSR; ``from_matrix`` used
 ``csr_matrix`` of the dense input.  On every 1-D catalog chain (both
 schemes, both walls), the chain-2d benchmark chain, ``scenarios/
-absorbing.json`` and a dense chain, the bands give those CSR arrays, nnz,
-products, row sums and P = I + Q/lambda bit for bit.
+absorbing.json`` and a dense chain, the bands give those CSR arrays (as
+``conftest.band_csr`` builds them from ``entries()``), nnz, products, row
+sums and P = I + Q/lambda bit for bit.
 """
 
 import importlib.util
@@ -28,6 +29,8 @@ from kinbench.discretize import (
 )
 from kinbench.generator import CATALOG_NAMES, catalog_example
 from kinbench.serialize import load_generator
+
+from conftest import band_csr
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -101,7 +104,7 @@ def _bits(x):
 
 def _assert_bitwise(qm, ref):
     Q, n = qm.Q, qm.size
-    csr = Q.tocsr()
+    csr = band_csr(Q)
     assert Q.nnz == ref.nnz == csr.nnz
     assert np.array_equal(csr.indptr, ref.indptr)
     assert np.array_equal(csr.indices, ref.indices)

@@ -54,6 +54,15 @@ def test_run_summary_checks_all_pass(run_artifacts):
     assert summary["scheme"] == "exponential-fitting"
 
 
+def test_run_records_the_resolvent_checks(run_artifacts):
+    checks = json.loads((run_artifacts / "summary.json").read_text())["checks"]
+    assert {name: checks[name]["threshold"] for name in
+            ["resolvent_bound", "resolvent_constant", "resolvent_positivity"]} == \
+        {"resolvent_bound": 1.0 + 1e-12, "resolvent_constant": 1e-12, "resolvent_positivity": 0.0}
+    assert checks["resolvent_constant"]["value"] <= 1e-13
+    assert checks["resolvent_positivity"]["value"] < 0.0  # min f over the |G| columns > 0
+
+
 def test_qmatrix_roundtrip_is_exact(run_artifacts):
     meta = json.loads((run_artifacts / "qmatrix_meta.json").read_text())
     Q = read_qmatrix(run_artifacts / "qmatrix.txt", meta["size"])

@@ -11,14 +11,16 @@ name, an attribute or an imported name anywhere in the package.  Every
 module-level function or class must be named somewhere in the package
 (an export from ``__init__.py`` counts), in ``benchmarks/`` or in
 ``scripts/``; a name only tests use belongs in ``tests/``.
-``scipy.sparse``, ``scipy.sparse.linalg`` and ``scipy.sparse.csgraph``
-may be imported only inside function bodies.  A subprocess checks that
-``import kinbench.cli``, a 2-D build, ``solve_invariant`` on a reversible
-chain and ``h_curve`` load no ``scipy`` module at all; that the first
-``resolvent`` loads ``scipy.sparse`` and ``scipy.sparse.linalg``; and that
-a chain off the lattice path loads ``scipy.sparse.csgraph``.  (Earlier,
-``scipy.sparse`` itself was allowed at start-up and only the linalg and
-csgraph submodules were checked.)
+``scipy.sparse`` and ``scipy.sparse.csgraph`` are the only scipy modules
+the package may import, and only inside function bodies.  A subprocess
+checks that ``import kinbench.cli``, a 2-D build, ``solve_invariant`` on a
+reversible chain, ``h_curve`` and ``resolvent`` on a vector and on a block
+load no ``scipy`` module at all, and that a chain off the lattice path
+loads ``scipy.sparse.csgraph``.  (Earlier, ``scipy.sparse`` itself was
+allowed at start-up and only the linalg and csgraph submodules were
+checked; later ``scipy.sparse.linalg`` was allowed too, for a resolvent
+that handed Q to ``spsolve``, and the first ``resolvent`` was checked to
+load it.)
 """
 
 import ast
@@ -104,7 +106,7 @@ def test_unused_definition_check_flags_a_probe(tmp_path):
 
 
 # beyond the standard library and numpy, the package may import only these
-ALLOWED_SCIPY = {"scipy.sparse", "scipy.sparse.linalg", "scipy.sparse.csgraph"}
+ALLOWED_SCIPY = {"scipy.sparse", "scipy.sparse.csgraph"}
 
 
 def _allowed(module):
@@ -136,9 +138,11 @@ def test_dependency_check_flags_outside_imports(tmp_path):
     probe = tmp_path / "probe.py"
     probe.write_text("import json\nimport numpy.polynomial\nfrom scipy import sparse\n"
                      "from . import fd\nimport scipy.linalg\n\n\n"
-                     "def f():\n    from scipy.integrate import quad\n    return quad\n")
+                     "def f():\n    from scipy.integrate import quad\n    return quad\n\n\n"
+                     "def g():\n    import scipy.sparse.linalg as spla\n    return spla\n")
     assert disallowed_imports(probe) == ["probe.py:5 scipy.linalg",
-                                         "probe.py:9 scipy.integrate.quad"]
+                                         "probe.py:9 scipy.integrate.quad",
+                                         "probe.py:14 scipy.sparse.linalg"]
 
 
 # scipy.sparse alone takes about 0.2 s and 22 MB (any scipy submodule loads
@@ -223,7 +227,9 @@ assert scipy_modules() == [], scipy_modules()
 
 f = kb.resolvent(Q, 1.0, np.ones(Q.size))
 assert np.allclose(f, 1.0)
-assert {"scipy.sparse", "scipy.sparse.linalg"} <= set(loaded()), loaded()
+F = kb.resolvent(Q, 2.0, np.column_stack([np.ones(Q.size), nu0]))
+assert np.allclose(F[:, 0], 0.5) and F.shape == (Q.size, 2)
+assert scipy_modules() == [], scipy_modules()
 
 cycle = kb.solve_invariant([[-1.0, 1.0, 0.0], [0.0, -1.0, 1.0], [1.0, 0.0, -1.0]])
 assert np.allclose(cycle.pi, 1.0 / 3.0) and cycle.unique

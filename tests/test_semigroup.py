@@ -1,4 +1,7 @@
+import functools
+import json
 import logging
+import pathlib
 import tracemalloc
 import warnings
 
@@ -32,8 +35,11 @@ from kinbench.semigroup import (
     stochastic_continuity_defect,
     transition_kernel,
 )
+from kinbench.serialize import load_generator
 
-from conftest import gaussian_measure
+from conftest import band_csr, gaussian_measure
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
 # ---------------------------------------------------------------------------
@@ -147,9 +153,10 @@ def _box_chain(n):
 
 
 def _count_kernel_builds(monkeypatch):
+    """The (qm, ts, tol, pool) arguments of every ``_kernels`` call."""
     calls = []
-    build = sg._kernel_matrices
-    monkeypatch.setattr(sg, "_kernel_matrices", lambda *a: calls.append(a) or build(*a))
+    build = sg._kernels
+    monkeypatch.setattr(sg, "_kernels", lambda *a: calls.append(a) or build(*a))
     return calls
 
 
@@ -186,7 +193,7 @@ def test_appendix2a_series_builds_one_dense_kernel_per_step_key(a2a201, monkeypa
     calls = _count_kernel_builds(monkeypatch)
     evolve_series(a2a201.Q, nu0, np.linspace(0.0, 10.0, 201), tol=1e-12)
     # the 200 steps round to 0.05 and 0.05 +- 1 ulp of 10; one kernel, at 0.05
-    assert [ts for _, ts, _ in calls] == [[0.05]]
+    assert [ts for _, ts, _, _ in calls] == [[0.05]]
 
 
 def test_one_shot_density_agrees_across_routes(a2a201, monkeypatch):
@@ -448,7 +455,7 @@ def _series_inputs(qm, t, tol=1e-9):
 
 def _csr_stochastic(qm, lam):
     """P = I + Q/lam as scipy builds it from Q's CSR."""
-    return sp.identity(qm.size, format="csr") + qm.Q.tocsr() / lam
+    return sp.identity(qm.size, format="csr") + band_csr(qm.Q) / lam
 
 
 def _1d_chain(name, n, scheme):
@@ -677,6 +684,70 @@ def _random_chain(rng, n):
     return Q
 
 
+@functools.cache
+def _resolvent_chains():
+    """(name, chain) pairs: every 1-D catalog entry at n = 101 under both
+    schemes, the absorbing scenario, a 9 x 9 box and a dense chain."""
+    chains = [(f"{name}/{scheme}", _1d_chain(name, 101, scheme))
+              for name in CATALOG_NAMES for scheme in ("exponential-fitting", "upwind")]
+    doc = json.loads((ROOT / "scenarios" / "absorbing.json").read_text())
+    spec, _ = load_generator(doc["generator"])
+    chains.append(("absorbing", build_qmatrix(spec, Grid.from_domain(spec.domain,
+                                                                     doc["grid"]["n"]))))
+    chains.append(("box9", _box_chain(9)[0]))
+    chains.append(("dense", DiscreteGenerator.from_matrix(
+        _random_chain(np.random.default_rng(5), 30))))
+    return chains
+
+
+def _resolvent_block(n, rng):
+    """Three signed columns, their magnitudes and the constant 1."""
+    G = rng.standard_normal((n, 3))
+    return np.column_stack([G, np.abs(G), np.ones(n)])
+
+
+@pytest.mark.parametrize("lam", [0.1, 1.0, 10.0])
+def test_resolvent_matches_a_dense_solve(lam):
+    rng = np.random.default_rng(11)
+    for name, qm in _resolvent_chains():
+        g = _resolvent_block(qm.size, rng)
+        f = resolvent(qm, lam, g)
+        ref = np.linalg.solve(lam * np.eye(qm.size) - qm.Q.toarray(), g)
+        scale = np.abs(ref).max(axis=0)
+        assert np.all(np.abs(f - ref) <= 1e-10 * np.abs(ref) + 1e-13 * scale), name
+
+
+def test_resolvent_block_is_bitwise_its_columns():
+    rng = np.random.default_rng(12)
+    for name, qm in _resolvent_chains():
+        g = _resolvent_block(qm.size, rng)
+        f = resolvent(qm, 1.0, g)
+        cols = np.column_stack([resolvent(qm, 1.0, g[:, j]) for j in range(g.shape[1])])
+        assert f.shape == g.shape
+        assert np.array_equal(_bits(f), _bits(cols)), name
+
+
+@pytest.mark.parametrize("lam", [0.1, 1.0, 10.0])
+def test_resolvent_keeps_positivity_and_constants(lam, a2a401):
+    rng = np.random.default_rng(13)
+    for name, qm in [*_resolvent_chains(), ("appendix2a-401", a2a401.Q)]:
+        g = np.abs(rng.standard_normal((qm.size, 4)))
+        g[rng.uniform(size=g.shape) < 0.3] = 0.0
+        assert resolvent(qm, lam, g).min() >= 0.0, name
+        f = resolvent(qm, lam, np.ones(qm.size))
+        assert np.abs(lam * f - 1.0).max() <= 1e-13, name
+
+
+def test_resolvent_logs_one_line_per_call(caplog):
+    caplog.set_level(logging.DEBUG, logger="kinbench.semigroup")
+    Q = _box_chain(9)[0]
+    resolvent(Q, 0.5, np.ones((Q.size, 7)))
+    resolvent(Q, 2.0, np.ones(Q.size))
+    lines = _logged_lines(caplog, "resolvent solve")
+    assert lines == [{"n": 81.0, "b": 9.0, "lam": 0.5, "columns": 7.0},
+                     {"n": 81.0, "b": 9.0, "lam": 2.0, "columns": 1.0}]
+
+
 # ---------------------------------------------------------------------------
 # positivity / contraction / dissipativity properties
 # ---------------------------------------------------------------------------
@@ -786,9 +857,14 @@ def test_continuity_decreases_to_zero(a2a201):
     (lambda Q: evolve_density(Q, [np.nan, 1.0], 1.0), ParameterOutOfRange),
     (lambda Q: evolve_density(Q, [np.inf, 1.0], 1.0), ParameterOutOfRange),
     (lambda Q: evolve_density(Q, [-1.0, 1.0], 1.0), ParameterOutOfRange),
+    (lambda Q: evolve_series(Q, [np.nan, 1.0], [0.0, 1.0]), ParameterOutOfRange),
+    (lambda Q: evolve_series(Q, [-1.0, 1.0], [0.0, 1.0]), ParameterOutOfRange),
+    (lambda Q: resolvent(Q, 1.0, [np.nan, 1.0]), ParameterOutOfRange),
+    (lambda Q: resolvent(Q, 1.0, np.ones((3, 2))), ShapeError),
 ], ids=["continuity-node-negative", "continuity-node-past-end", "continuity-tol",
         "recover-tol", "resolvent-length", "generator-at-max-length", "density-nan",
-        "density-inf", "density-negative"])
+        "density-inf", "density-negative", "series-density-nan", "series-density-negative",
+        "resolvent-nan", "resolvent-block-length"])
 def test_bad_arguments_are_named_errors_before_any_kernel(two_state, monkeypatch, call, error):
     calls = _count_kernel_builds(monkeypatch)
     with pytest.raises(error):
