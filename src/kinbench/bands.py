@@ -29,8 +29,8 @@ class BandMatrix:
     scipy's CSR product does, and the result is bitwise scipy's: an entry
     that is not stored adds a signed zero to a sum that is never -0.
     ``A.T @ x`` likewise matches scipy's product with the CSR's transpose.
-    The resolvent factors the matrix from these bands too; only the
-    reachability graph of ``htheorem._closed_classes``, built from
+    One elimination factors it from these bands for the resolvent and GTH;
+    only the reachability graph of ``htheorem._closed_classes``, built from
     ``entries()``, goes to scipy.
     """
 
@@ -54,13 +54,14 @@ class BandMatrix:
         A = A.tocoo() if sparse else np.asarray(A, dtype=float)
         if len(A.shape) != 2 or A.shape[0] != A.shape[1]:
             raise ShapeError(f"expected a square matrix, got shape {A.shape}")
-        if sparse:
-            rows, cols, vals = A.row, A.col, A.data
-        else:
-            rows, cols = np.nonzero(A)
-            vals = A[rows, cols]
+        rows, cols = (A.row, A.col) if sparse else np.nonzero(A)
+        return cls.from_entries(rows, cols, A.data if sparse else A[rows, cols], A.shape[0])
+
+    @classmethod
+    def from_entries(cls, rows, cols, vals, n):
+        """The n x n matrix with A[rows, cols] = vals, duplicates summed."""
         offsets, where = np.unique(np.subtract(cols, rows, dtype=np.intp), return_inverse=True)
-        bands = np.zeros((offsets.size, A.shape[0]))
+        bands = np.zeros((offsets.size, n))
         np.add.at(bands, (where, rows), vals)
         return cls(offsets, bands)
 

@@ -7,12 +7,12 @@ h, so only rounding shows up in the monotonicity checks.  Quadrature
 weights enter only where discrete fields are compared against continuum
 densities and integrals.
 
-Q's diagonals (its ``BandMatrix``) are all the lattice step reads.
-``_closed_classes`` imports ``scipy.sparse`` and ``scipy.sparse.csgraph``
-in its body.  Those imports load ``scipy.sparse.linalg`` and
-``scipy.linalg`` with them, and only the reachability step of a
-non-reversible or absorbing chain needs them; a reversible chain is solved
-on the lattice and never pays for them.
+Q's diagonals (its ``BandMatrix``) are all the lattice step reads.  Off
+it, ``_closed_classes`` imports ``scipy.sparse`` and its ``csgraph`` in its
+body, which load ``scipy.sparse.linalg`` and ``scipy.linalg`` too, so a
+reversible chain never pays for them; GTH is the resolvent's banded
+elimination at lam = 0 (``semigroup._eliminate``): O(m b^2) time and
+O(m b) memory for bandwidth b, O(m^3) time for a dense chain.
 """
 
 from __future__ import annotations
@@ -29,8 +29,9 @@ from .errors import (
     ParameterOutOfRange,
     SupportViolation,
 )
+from .bands import BandMatrix
 from .generator import EquilibriumDensity, _on_nodes, compute_Hi
-from .semigroup import _as_qmatrix, evolve_series
+from .semigroup import _as_qmatrix, _eliminate, evolve_series
 
 _CONVEXITY_PROBE = np.linspace(1e-6, 10.0, 1000)
 
@@ -131,30 +132,35 @@ class InvariantSolution:
     residual: float
 
 
-def _gth(A):
-    """GTH elimination on a dense irreducible rate matrix (no subtractions).
+def _class_measure(mat, nodes, defect):
+    """GTH on the closed class ``nodes`` of Q, as a measure on every node.
 
-    Back-substitution starts from pi_0 = 1, possibly far out in the tail.
-    Dividing by the power of two _GTH_RESCALE whenever an entry exceeds it
-    keeps pi finite, and changes no bit of a chain that never reaches it.
+    The class's own rows (no rate leaves a closed class) are eliminated by
+    ``_eliminate`` at lam = 0; back-substitution starts from pi_{m-1} = 1,
+    possibly far out in the tail: pi_i = sum_{k > i} l_ki pi_k.  Dividing by
+    the power of two _GTH_RESCALE whenever an entry exceeds it keeps pi
+    finite, and changes no bit of a chain that never reaches it.
     """
-    A = np.array(A, dtype=float)
-    m = A.shape[0]
-    if m == 1:
-        return np.ones(1)
-    s = np.zeros(m)
-    for n in range(m - 1, 0, -1):
-        s[n] = A[n, :n].sum()
-        if s[n] <= 0:
-            raise NoInvariantDensity("GTH hit a non-communicating state")
-        A[:n, :n] += np.outer(A[:n, n], A[n, :n]) / s[n]
-    pi = np.zeros(m)
-    pi[0] = 1.0
-    for n in range(1, m):
-        pi[n] = float(pi[:n] @ A[:n, n]) / s[n]
-        if pi[n] > _GTH_RESCALE:
-            pi[:n + 1] /= _GTH_RESCALE
-    return pi / pi.sum()
+    n, m = mat.shape[0], nodes.size
+    if m < n:
+        rows, cols, vals = mat.entries()
+        inside = np.isin(rows, nodes)
+        mat = BandMatrix.from_entries(*np.searchsorted(nodes, (rows[inside], cols[inside])),
+                                      vals[inside], m)
+    band, windows = _eliminate(mat, 0.0)
+    b = band.shape[1] // 2
+    pi = np.zeros(m + b)
+    pi[m - 1] = 1.0
+    for i in range(m - 2, -1, -1):
+        pi[i] = windows[i][1:, 0] @ pi[i + 1:i + b + 1]
+        if pi[i] > _GTH_RESCALE:
+            pi[i:m] /= _GTH_RESCALE
+    v = np.zeros(n)
+    v[nodes] = pi[:m] / pi[:m].sum()
+    _log.debug("invariant: gth path on %d states, b=%d, smallest pivot %.3g, "
+               "%d entries underflowed to 0, lattice defect %.3g", m, b,
+               band[:m - 1, b].min(initial=np.inf), np.sum(v[nodes] == 0.0), defect)
+    return v
 
 
 def _lattice_balance(qm):
@@ -243,35 +249,23 @@ def solve_invariant(Q):
        density exists (absorbing walls are the canonical case) and raise
        NoInvariantDensity.
     3. GTH elimination on each closed class, which keeps every entry of
-       pi to full relative accuracy however widely they spread.
+       pi to full relative accuracy however widely they spread: the
+       resolvent's banded elimination at lam = 0 on the class's own entries.
 
     Reducible chains return one basis vector per closed class with
     unique=False.  The path taken and the defect are logged at DEBUG
-    under ``kinbench.htheorem``.
+    under ``kinbench.htheorem``, the GTH path's with b, the smallest pivot
+    and how many entries of pi underflowed to 0.
     """
     qm = _as_qmatrix(Q)
     mat = qm.Q
-    n = qm.size
 
     pi, defect = _lattice_balance(qm)
     if defect <= BALANCE_TOL:
         _log.debug("invariant: lattice path, defect %.3g", defect)
         basis = [pi]
     else:
-        basis = []
-        rows, cols, vals = mat.entries()
-        for nodes in _closed_classes(mat):
-            _log.debug("invariant: gth path on %d states, lattice defect %.3g",
-                       nodes.size, defect)
-            # the class's own block of Q, dense, from the entries inside it
-            pos = np.full(n, -1)
-            pos[nodes] = np.arange(nodes.size)
-            inside = (pos[rows] >= 0) & (pos[cols] >= 0)
-            block = np.zeros((nodes.size, nodes.size))
-            block[pos[rows[inside]], pos[cols[inside]]] = vals[inside]
-            v = np.zeros(n)
-            v[nodes] = _gth(block)
-            basis.append(v)
+        basis = [_class_measure(mat, nodes, defect) for nodes in _closed_classes(mat)]
     unique = len(basis) == 1
     pi = basis[0] if unique else sum(basis) / len(basis)
     residual = float(np.max(np.abs(mat.T @ pi)))
@@ -284,8 +278,7 @@ def _reference_measure(Q, reference):
     length.  Anything else raises ParameterOutOfRange."""
     qm = _as_qmatrix(Q)
     if reference is None:
-        sol = solve_invariant(qm)
-        return sol.pi
+        return solve_invariant(qm).pi
     if isinstance(reference, InvariantSolution):
         return reference.pi
     try:
@@ -316,9 +309,7 @@ def h_function(reference, state, h):
         if np.any(np.abs(state_vals[dead]) > 1e-14 * max(live_scale, 1.0)):
             raise SupportViolation("state has mass where the reference density vanishes")
     alive = ~dead
-    ratio = np.zeros_like(ref)
-    ratio[alive] = state_vals[alive] / ref[alive]
-    hvals = h(ratio[alive])
+    hvals = h(state_vals[alive] / ref[alive])
     return float(np.dot(hvals * ref[alive], np.ones(hvals.size)))
 
 

@@ -57,7 +57,7 @@ length goes dense iff n <= 2048 and n*(nnz + n) <= steps*2^splits*(nnz + C).
 Q is a ``BandMatrix``, and so is P = I + Q/lambda (``_stochastic``): the
 vector series and the identity series both multiply by P's diagonals.
 ``resolvent`` factors lam - Q in numpy too, by a banded elimination with
-no subtraction (``_resolvent_factor``), so this module uses no scipy.
+no subtraction (``_eliminate``, GTH at lam = 0), so this module uses no scipy.
 """
 
 from __future__ import annotations
@@ -74,6 +74,7 @@ from .bands import BandMatrix
 from .discretize import DiscreteGenerator
 from .errors import (
     MomentBiasWarning,
+    NoInvariantDensity,
     ParameterOutOfRange,
     ShapeError,
     SpectrumError,
@@ -574,7 +575,7 @@ def chapman_kolmogorov_defect(Q, t, s, tol=1e-9):
 def resolvent(Q, lam, g):
     """Solve (lam - Q) f = g for g of shape (n,) or a block of columns (n, k).
 
-    lam - Q is factored once per call by ``_resolvent_factor``, a banded
+    lam - Q is factored once per call by ``_eliminate``, a banded
     elimination that only adds and multiplies nonnegative numbers, and every
     column is solved against that factor.  So g >= 0 gives f >= 0 exactly,
     g = 1 gives lam f = 1 to rounding, and the M-matrix structure bounds
@@ -590,7 +591,7 @@ def resolvent(Q, lam, g):
         raise ShapeError(f"right-hand side of shape {g.shape} does not match chain size {qm.size}")
     if not np.all(np.isfinite(g)):
         raise ParameterOutOfRange("resolvent right-hand side must be finite")
-    band, windows = _resolvent_factor(qm.Q, lam)
+    band, windows = _eliminate(qm.Q, lam)
     n, b = qm.size, band.shape[1] // 2
     rhs = g.reshape(n, -1)
     _log.debug("resolvent solve: n=%d b=%d lam=%.6g columns=%d", n, b, lam, rhs.shape[1])
@@ -605,10 +606,10 @@ def resolvent(Q, lam, g):
     return y[:n, 0].copy() if g.ndim == 1 else y[:n]
 
 
-def _resolvent_factor(Q, lam):
+def _eliminate(Q, lam):
     """LU factors of lam - Q for the off-diagonal rates N_ij = Q[i, j] >= 0,
     by elimination without subtraction (Grassmann, Taksar and Heyman
-    1985; Alfa, Xue and Ye 2002).
+    1985; Alfa, Xue and Ye 2002): the resolvent's at lam > 0, GTH at 0.
 
     Q's rows sum to zero, so the rows of lam - Q sum to lam: the diagonal
     is lam plus the row's off-diagonal rates and is never read.  With b the
@@ -616,12 +617,14 @@ def _resolvent_factor(Q, lam):
     (n + b, 2b + 1) band, zero off the chain and in the b rows past it, and
     s_i, the row's excess over its rates, starts at lam.  Step k takes the
     pivot d_k = s_k + sum_{j > k} N_kj, the multipliers l_i = N_ik / d_k,
-    and sets s_i += l_i s_k and N_ij += l_i N_kj for the b rows below: the
-    active rows of lam - Q keep their off-diagonals at -N and their row sums
-    at s, so each quantity is a sum of nonnegative terms.  A step works on
-    ``windows[k]``, the (b + 1, b + 1) view W[r, c] = N_{k+r, k+c} of the
-    band.  On return the band holds l_ik below the diagonal, d_k on it and
-    N_kj of the upper factor above it; elimination fills in only inside b.
+    and sets s_i += l_i s_k and N_ij += l_i N_kj for the rows below it on
+    the chain: the active rows of lam - Q keep their off-diagonals at -N and
+    their row sums at s, so each quantity is a sum of nonnegative terms.  A
+    step works on ``windows[k]``, the (b + 1, b + 1) view W[r, c] =
+    N_{k+r, k+c} of the band.  On return the band holds l_ik below the
+    diagonal, d_k on it and N_kj of the upper factor above it; elimination
+    fills in only inside b.  At lam = 0 the last pivot is 0 and never
+    divided by; an earlier zero pivot raises NoInvariantDensity.
     """
     n = Q.shape[0]
     b = int(np.max(np.abs(Q.offsets), initial=0))
@@ -636,10 +639,13 @@ def _resolvent_factor(Q, lam):
     excess = np.full(n + b, float(lam))
     for k, W in enumerate(windows):
         d = W[0, 0] = excess[k] + W[0, 1:].sum()
-        low = W[1:, 0]
+        r = min(b, n - 1 - k)  # the rows past the chain are zero and stay so
+        if r and not d > 0:
+            raise NoInvariantDensity(f"non-communicating state {k} in the elimination")
+        low = W[1:r + 1, 0]
         low /= d
-        excess[k + 1:k + b + 1] += low * excess[k]
-        W[1:, 1:] += low[:, None] * W[0, 1:]  # W's diagonal slots are overwritten by d
+        excess[k + 1:k + r + 1] += low * excess[k]
+        W[1:r + 1, 1:r + 1] += low[:, None] * W[0, 1:r + 1]  # W's diagonal is overwritten by d
     return band, windows
 
 

@@ -4,6 +4,7 @@ import scipy.sparse as sp
 from hypothesis import HealthCheck, settings
 
 import kinbench as kb
+from kinbench.htheorem import _GTH_RESCALE
 from kinbench.pawula import PawulaCertificate
 
 settings.register_profile(
@@ -85,6 +86,40 @@ def band_csr(Q):
     rows, cols, vals = Q.entries()
     indptr = np.searchsorted(rows, np.arange(Q.shape[0] + 1))
     return sp.csr_matrix((vals, cols, indptr), shape=Q.shape)
+
+
+def dense_gth(A):
+    """GTH elimination on a dense irreducible rate matrix (Grassmann, Taksar
+    and Heyman 1985), the reference for ``solve_invariant``'s banded one.
+
+    It eliminates from the last state down and back-substitutes from
+    pi_0 = 1, dividing by the power of two _GTH_RESCALE whenever an entry
+    exceeds it; O(m^3) time and a dense m x m copy of A.
+    """
+    A = np.array(A, dtype=float)
+    m = A.shape[0]
+    if m == 1:
+        return np.ones(1)
+    s = np.zeros(m)
+    for n in range(m - 1, 0, -1):
+        s[n] = A[n, :n].sum()
+        assert s[n] > 0, "GTH hit a non-communicating state"
+        A[:n, :n] += np.outer(A[:n, n], A[n, :n]) / s[n]
+    pi = np.zeros(m)
+    pi[0] = 1.0
+    for n in range(1, m):
+        pi[n] = float(pi[:n] @ A[:n, n]) / s[n]
+        if pi[n] > _GTH_RESCALE:
+            pi[:n + 1] /= _GTH_RESCALE
+    return pi / pi.sum()
+
+
+def assert_matches_dense_gth(pi, A, rtol=1e-13):
+    """pi has dense GTH's zero pattern and agrees with it entrywise to rtol."""
+    ref = dense_gth(A)
+    assert np.array_equal(pi == 0.0, ref == 0.0)
+    live = ref != 0.0
+    assert np.max(np.abs(pi[live] - ref[live]) / ref[live], initial=0.0) <= rtol
 
 
 def certificate_from_dict(d):

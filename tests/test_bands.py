@@ -177,6 +177,8 @@ def test_sparse_input_sums_its_duplicates():
     Q = BandMatrix.from_matrix(coo)
     assert np.array_equal(Q.toarray(), [[-1.0, 1.0], [2.0, -2.0]])
     assert Q.nnz == 4
+    T = BandMatrix.from_entries(coo.row, coo.col, coo.data, 2)
+    assert np.array_equal(T.offsets, Q.offsets) and np.array_equal(_bits(T.bands), _bits(Q.bands))
 
 
 def test_transpose_keeps_the_stored_diagonal():

@@ -224,8 +224,8 @@ def test_underflowing_exponential_fitting_rates_keep_the_chain_irreducible():
     assert np.all(dense.sum(axis=1) == 0.0)
     sol = kb.solve_invariant(Q)
     assert sol.unique and np.all(sol.pi > 0)
-    # the same x-axis in 2-D goes through dense GTH, which a subnormal rate
-    # would turn into an overflowing division
+    # the same x-axis in 2-D goes through the banded GTH elimination, which
+    # a subnormal rate would turn into an overflowing division
     domain = DomainSpec("box", ((-3.0, 3.0), (-3.0, 3.0)))
     spec = GeneratorSpec(2, lambda p: np.diag([1e-3, 1.0]), lambda p: -np.asarray(p), domain)
     sol = kb.solve_invariant(build_qmatrix(spec, Grid.from_domain(domain, 5)))

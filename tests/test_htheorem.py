@@ -1,4 +1,5 @@
 import logging
+import re
 import tracemalloc
 import warnings
 
@@ -8,6 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import kinbench as kb
+from kinbench.bands import BandMatrix
 from kinbench.discretize import DiscreteGenerator, Grid, build_qmatrix
 from kinbench.errors import (
     NoInvariantDensity,
@@ -19,7 +21,7 @@ from kinbench.expressions import CompiledExpression as CE
 from kinbench.generator import CATALOG_NAMES, DomainSpec, GeneratorSpec
 from kinbench.htheorem import (
     HFunctional,
-    _gth,
+    _class_measure,
     boundary_term,
     dH_dt_consistency,
     dissipation_rate,
@@ -30,7 +32,7 @@ from kinbench.htheorem import (
 from kinbench.pawula import maximum_principle_check
 from kinbench.semigroup import evolve_density
 
-from conftest import gaussian_measure
+from conftest import assert_matches_dense_gth, gaussian_measure
 
 
 # ---------------------------------------------------------------------------
@@ -132,12 +134,16 @@ def test_absorbing_chain_has_no_invariant_density():
         solve_invariant(Q)
 
 
-def test_gth_matches_nullspace_on_random_chain():
-    rng = np.random.default_rng(11)
-    n = 9
-    Q = rng.uniform(0.1, 1.0, size=(n, n))
+def _dense_chain(rng, m):
+    """Every off-diagonal rate positive: bandwidth m - 1, not reversible."""
+    Q = rng.uniform(0.1, 1.0, size=(m, m))
     np.fill_diagonal(Q, 0.0)
     np.fill_diagonal(Q, -Q.sum(axis=1))
+    return Q
+
+
+def test_gth_matches_nullspace_on_random_chain():
+    Q = _dense_chain(np.random.default_rng(11), 9)
     sol = solve_invariant(DiscreteGenerator.from_matrix(Q))
     w, v = np.linalg.eig(Q.T)
     k = np.argmin(np.abs(w))
@@ -181,7 +187,7 @@ def test_lattice_balance_matches_gth_on_reversible_boxes(seed, shape, caplog):
     caplog.set_level(logging.DEBUG, logger="kinbench.htheorem")
     sol = solve_invariant(Q)
     assert _logged_paths(caplog) == ["lattice"]
-    assert np.max(np.abs(sol.pi - _gth(Q.Q.toarray()))) <= 1e-14
+    assert_matches_dense_gth(sol.pi, Q.Q.toarray())
 
 
 @pytest.mark.parametrize("n", [5, 21])
@@ -190,7 +196,7 @@ def test_rotational_chain_takes_gth_fallback(n, caplog):
     caplog.set_level(logging.DEBUG, logger="kinbench.htheorem")
     sol = solve_invariant(Q)
     assert _logged_paths(caplog) == ["gth"]
-    assert np.array_equal(sol.pi, _gth(Q.Q.toarray()))
+    assert_matches_dense_gth(sol.pi, Q.Q.toarray())
 
 
 @pytest.mark.parametrize("name", CATALOG_NAMES)
@@ -233,14 +239,19 @@ def test_2d_strongly_confining_chain_takes_lattice_path(caplog):
     assert sol.residual <= 1e-12 * Q.lambda_max
 
 
-def test_gth_rescales_when_pi_spans_more_than_the_float_range(caplog):
-    # rotational drift sends this box to GTH, whose back-substitution starts
-    # from pi_0 = 1 at a corner where pi is far below the float range
+def _steep_rotational_chain():
+    """25x25 box whose pi spans more than the float range, off the lattice path."""
     domain = DomainSpec("box", ((-8.0, 8.0), (-8.0, 8.0)))
     spec = GeneratorSpec(2, lambda p: np.eye(2),
                          lambda p: np.array([-50.0 * p[0] - 5.0 * p[1],
                                              -50.0 * p[1] + 5.0 * p[0]]), domain)
-    Q = build_qmatrix(spec, Grid.from_domain(domain, 25))
+    return build_qmatrix(spec, Grid.from_domain(domain, 25))
+
+
+def test_gth_rescales_when_pi_spans_more_than_the_float_range(caplog):
+    # rotational drift sends this box to GTH, whose back-substitution starts
+    # from pi_{m-1} = 1 at a corner where pi is far below the float range
+    Q = _steep_rotational_chain()
     caplog.set_level(logging.DEBUG, logger="kinbench.htheorem")
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -249,6 +260,113 @@ def test_gth_rescales_when_pi_spans_more_than_the_float_range(caplog):
     assert np.all(np.isfinite(sol.pi)) and np.all(sol.pi >= 0.0)
     assert sol.pi.sum() == pytest.approx(1.0, abs=1e-15)
     assert np.isfinite(sol.residual) and sol.residual <= 1e-12 * Q.lambda_max
+
+
+def _gth_log(caplog):
+    """The fields of each ``invariant: gth path`` line, as numbers."""
+    lines = [r.getMessage() for r in caplog.records if r.name == "kinbench.htheorem"
+             and r.getMessage().startswith("invariant: gth path")]
+    fields = [re.match(r"invariant: gth path on (\d+) states, b=(\d+), smallest pivot (\S+), "
+                       r"(\d+) entries underflowed to 0, lattice defect (\S+)$", line)
+              for line in lines]
+    assert all(fields), lines
+    return [tuple(float(g) for g in f.groups()) for f in fields]
+
+
+@pytest.mark.parametrize("chain", ["dense-9", "steep-rotational-25"])
+def test_banded_elimination_matches_dense_gth(chain, caplog):
+    Q = (DiscreteGenerator.from_matrix(_dense_chain(np.random.default_rng(11), 9))
+         if chain == "dense-9" else _steep_rotational_chain())
+    caplog.set_level(logging.DEBUG, logger="kinbench.htheorem")
+    sol = solve_invariant(Q)
+    assert_matches_dense_gth(sol.pi, Q.Q.toarray())
+    (states, b, pivot, zeros, _), = _gth_log(caplog)
+    assert (states, b, zeros) == ((9, 8, 0) if chain == "dense-9" else (625, 25, 4))
+    assert zeros == np.sum(sol.pi == 0.0)
+    assert 0.0 < pivot < np.inf
+
+
+def test_reducible_chain_solves_each_closed_class_alone(caplog):
+    # five closed classes of 1 to 5 states, interleaved over 15 nodes
+    rng = np.random.default_rng(3)
+    order = rng.permutation(15)
+    Q = np.zeros((15, 15))
+    classes = []
+    for size, start in zip(range(1, 6), (0, 1, 3, 6, 10)):
+        nodes = np.sort(order[start:start + size])
+        Q[np.ix_(nodes, nodes)] = _dense_chain(rng, size)
+        classes.append(nodes)
+    caplog.set_level(logging.DEBUG, logger="kinbench.htheorem")
+    sol = solve_invariant(DiscreteGenerator.from_matrix(Q))
+    assert not sol.unique and len(sol.basis) == 5
+    assert sorted(n for n, *_ in _gth_log(caplog)) == [1, 2, 3, 4, 5]
+    found = {int(np.flatnonzero(v)[0]): v for v in sol.basis}
+    for nodes in classes:
+        v = found[int(nodes[0])]
+        assert np.array_equal(np.flatnonzero(v), nodes)
+        assert_matches_dense_gth(v[nodes], Q[np.ix_(nodes, nodes)])
+
+
+def test_one_state_and_two_absorbing_states(caplog):
+    one = solve_invariant([[0.0]])
+    assert one.unique and np.array_equal(one.pi, [1.0])
+    caplog.set_level(logging.DEBUG, logger="kinbench.htheorem")
+    pi = _class_measure(BandMatrix.from_matrix([[0.0]]), np.arange(1), np.inf)
+    assert np.array_equal(pi, [1.0])
+    assert _gth_log(caplog) == [(1, 0, np.inf, 0, np.inf)]  # no pivot before the last
+
+    caplog.clear()
+    two = solve_invariant(np.zeros((2, 2)))
+    assert _logged_paths(caplog) == ["gth", "gth"]
+    assert not two.unique
+    assert sorted(map(tuple, two.basis)) == [(0.0, 1.0), (1.0, 0.0)]
+
+
+def test_elimination_names_a_state_that_reaches_no_later_one():
+    # state 0 is absorbing and eliminated first: its pivot, the rate to
+    # the states after it, is 0
+    with pytest.raises(NoInvariantDensity, match="non-communicating"):
+        _class_measure(BandMatrix.from_matrix([[0.0, 0.0], [1.0, -1.0]]), np.arange(2), 0.0)
+
+
+def test_41x41_rotational_chain_is_solved_in_its_band(caplog):
+    solve_invariant(_rotational_chain(5))  # scipy's first import is not the solve's memory
+    Q = _rotational_chain(41)
+    caplog.set_level(logging.DEBUG, logger="kinbench.htheorem")
+    tracemalloc.start()
+    try:
+        sol = solve_invariant(Q)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert _logged_paths(caplog) == ["gth"]
+    assert peak < 4e6  # one dense 1681 x 1681 array is 22.6 MB
+    assert sol.residual <= 1e-12 * Q.lambda_max
+
+
+def test_kramers_chain_converges_to_the_gibbs_density(caplog):
+    # the paper's phase-space setting: dx = v dt, dv = (-x - v) dt + sqrt(2) dW.
+    # a = diag(0, 1) is singular and the chain is not reversible, yet its
+    # invariant density is exp(-(x^2 + v^2) / 2); the upwind transport
+    # along x makes the error first order in h
+    domain = DomainSpec("box", ((-5.0, 5.0), (-5.0, 5.0)))
+    spec = GeneratorSpec(2, lambda p: np.diag([0.0, 1.0]),
+                         lambda p: np.array([p[1], -p[0] - p[1]]), domain)
+    caplog.set_level(logging.DEBUG, logger="kinbench.htheorem")
+    distances = []
+    for n in (21, 41, 81):
+        Q = build_qmatrix(spec, Grid.from_domain(domain, n))
+        caplog.clear()
+        sol = solve_invariant(Q)
+        assert _logged_paths(caplog) == ["gth"]
+        assert sol.residual <= 1e-12 * Q.lambda_max
+        w = Q.quadrature_weights()
+        x, v = Q.node_coordinates().T
+        gibbs = np.exp(-(x * x + v * v) / 2.0)
+        gibbs /= gibbs @ w
+        distances.append(np.abs(sol.pi / w - gibbs) @ w)
+    ratios = np.divide(distances[1:], distances[:-1])
+    assert np.all((ratios >= 0.45) & (ratios <= 0.6)), distances
 
 
 def test_2d_absorbing_box_names_transient_states():

@@ -12,7 +12,9 @@ module-level function or class must be named somewhere in the package
 (an export from ``__init__.py`` counts), in ``benchmarks/`` or in
 ``scripts/``; a name only tests use belongs in ``tests/``.
 ``scipy.sparse`` and ``scipy.sparse.csgraph`` are the only scipy modules
-the package may import, and only inside function bodies.  A subprocess
+the package may import, and only inside function bodies; ``from m import
+x`` imports the module m.x when there is one, so ``from scipy.sparse import
+linalg`` is flagged although ``scipy.sparse`` is allowed.  A subprocess
 checks that ``import kinbench.cli``, a 2-D build, ``solve_invariant`` on a
 reversible chain, ``h_curve`` and ``resolvent`` on a vector and on a block
 load no ``scipy`` module at all, and that a chain off the lattice path
@@ -24,6 +26,7 @@ load it.)
 """
 
 import ast
+import importlib.util
 import os
 import pathlib
 import subprocess
@@ -114,17 +117,26 @@ def _allowed(module):
     return top in sys.stdlib_module_names or top == "numpy" or module in ALLOWED_SCIPY
 
 
+def _is_module(name):
+    try:
+        return importlib.util.find_spec(name) is not None
+    except ModuleNotFoundError:  # the parent is a module, not a package
+        return False
+
+
 def disallowed_imports(path):
     """Absolute imports anywhere in a module (function bodies included) that
-    fall outside the allowed set; ``from m import x`` passes when m or m.x does."""
+    fall outside the allowed set.  ``from m import x`` passes when m.x is
+    allowed, or when m is and m.x is not a module of its own."""
     hits = []
     for node in ast.walk(ast.parse(path.read_text())):
         if isinstance(node, ast.Import):
             hits += [(node.lineno, a.name) for a in node.names if not _allowed(a.name)]
-        elif isinstance(node, ast.ImportFrom) and node.level == 0 \
-                and not _allowed(node.module):
-            hits += [(node.lineno, f"{node.module}.{a.name}") for a in node.names
-                     if not _allowed(f"{node.module}.{a.name}")]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            for a in node.names:
+                name = f"{node.module}.{a.name}"
+                if not _allowed(name) and (not _allowed(node.module) or _is_module(name)):
+                    hits.append((node.lineno, name))
     return [f"{path.name}:{line} {name}" for line, name in hits]
 
 
@@ -139,10 +151,13 @@ def test_dependency_check_flags_outside_imports(tmp_path):
     probe.write_text("import json\nimport numpy.polynomial\nfrom scipy import sparse\n"
                      "from . import fd\nimport scipy.linalg\n\n\n"
                      "def f():\n    from scipy.integrate import quad\n    return quad\n\n\n"
-                     "def g():\n    import scipy.sparse.linalg as spla\n    return spla\n")
+                     "def g():\n    import scipy.sparse.linalg as spla\n    return spla\n\n\n"
+                     "def h():\n    from scipy.sparse import csr_matrix, linalg\n"
+                     "    return csr_matrix, linalg\n")
     assert disallowed_imports(probe) == ["probe.py:5 scipy.linalg",
                                          "probe.py:9 scipy.integrate.quad",
-                                         "probe.py:14 scipy.sparse.linalg"]
+                                         "probe.py:14 scipy.sparse.linalg",
+                                         "probe.py:19 scipy.sparse.linalg"]
 
 
 # scipy.sparse alone takes about 0.2 s and 22 MB (any scipy submodule loads

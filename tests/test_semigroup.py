@@ -577,27 +577,31 @@ def test_transition_kernel_holds_the_kernel_and_one_spare():
     assert _traced_peak(lambda: transition_kernel(qm, 0.3, tol=1e-12)) < 2 * n * n * 8 + band
 
 
-def _diagnostics(qm):
+def _moments(qm):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", MomentBiasWarning)
-        moments = recover_coefficients(qm, 1e-3)
-    continuity = stochastic_continuity_defect(qm, qm.size // 2, 0.3, [0.05, 1e-3])
-    return moments, continuity
+        return recover_coefficients(qm, 1e-3)
+
+
+def _continuity(qm):
+    return stochastic_continuity_defect(qm, qm.size // 2, 0.3, [0.05, 1e-3])
 
 
 @pytest.mark.parametrize("which", [0, 1])
 def test_kernel_diagnostics_hold_the_kernel_and_one_spare(which):
+    # each diagnostic traced alone: [0] moment recovery, [1] stochastic continuity
     qm = _1d_chain("appendix2a", 401, "exponential-fitting")
     n = qm.size
     qm.node_coordinates()
-    peak = _traced_peak(lambda: _diagnostics(qm)[which])
+    diagnostic = (_moments, _continuity)[which]
+    peak = _traced_peak(lambda: diagnostic(qm))
     assert peak < 2 * n * n * 8 + 2 * n * sg._BLOCK * 8
 
 
 def test_kernel_diagnostics_are_bitwise_their_full_row_sums():
     qm = _1d_chain("appendix2a", 401, "exponential-fitting")
     x = qm.node_coordinates()
-    moments, continuity = _diagnostics(qm)
+    moments, continuity = _moments(qm), _continuity(qm)
     gap = x[None, :] - x[:, None]
     (P, _), = sg._kernel_matrices(qm, [1e-3], 1e-12)
     third = np.einsum("ij,ij->i", P, np.abs(gap) ** 3) / 1e-3
