@@ -112,13 +112,3 @@ class BandMatrix:
         stored = self._stored().T
         rows, m = np.nonzero(stored)
         return rows, rows + self.offsets[m], self.bands.T[stored]
-
-    def toarray(self):
-        """The dense matrix, each band added into zeros as scipy's ``toarray``
-        adds the stored entries, so a stored -0.0 reads +0.0 there too."""
-        n = self.shape[0]
-        A = np.zeros((n, n))
-        flat = A.reshape(-1)
-        for part, rows, cols in self._spans:
-            flat[rows.start * n + cols.start::n + 1][:part.size] += part
-        return A

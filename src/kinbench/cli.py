@@ -167,6 +167,14 @@ def _floats(values):
     return [float(v) for v in values]
 
 
+def _sample_points(values):
+    """At least one point, each a finite number: no points would pass any operator."""
+    points = [_finite(v) for v in values]
+    if not points:
+        raise ValueError("at least one point is needed")
+    return points
+
+
 def _lags(values):
     s, t = (float(v) for v in values)
     _check_times(s, t)
@@ -422,7 +430,7 @@ def cmd_pawula(args):
     x0 = _field(doc, "x0", float, 0.0)
     epsilon = _field(doc, "epsilon", float, DEFAULT_EPSILON)
     amplitude = _field(doc, "amplitude", lambda v: v if v is None else float(v), None)
-    points = _field(doc, "points", _floats, np.linspace(-10.0, 10.0, 201))
+    points = _field(doc, "points", _sample_points, np.linspace(-10.0, 10.0, 201))
     if op.order <= 2:
         passed, worst = second_order_sign_check(op, points)
         _write_json(out, "pawula_verdict.json", {

@@ -6,9 +6,10 @@ construction; central differencing is excluded because it violates it on
 coarse grids; every ``DiscreteGenerator`` confirms it at construction
 with ``pawula.maximum_principle_check``.  ``build_qmatrix`` is the one
 assembler for every dimension: a loop over the axes whose only dimension
-branches are the coefficient sampling and the diagonal, which in 1-D
-keeps row sums exactly zero (see ``_exact_row_pair``).  It writes Q's
-diagonals, one per axis direction and the main one, into a ``BandMatrix``.
+branch is the diagonal, which in 1-D keeps row sums exactly zero (see
+``_exact_row_pair``); the coefficients come from ``GeneratorSpec.diffusion``
+and ``drift``.  It writes Q's diagonals, one per axis direction and the
+main one, into a ``BandMatrix``.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from .errors import (
     ShapeError,
     UnsupportedTensor,
 )
-from .generator import EIG_FLOOR, _on_nodes
+from .generator import _require_floor
 from .pawula import OFFDIAG_TOL, ROWSUM_TOL, MaxPrincipleReport, maximum_principle_check
 
 DEGENERACY_THRESHOLD = 1e-14
@@ -190,11 +191,11 @@ def _exact_row_pair(q_left, q_right):
     return new_left, new_right, -s
 
 
-def _axis_rates(a, b, h_minus, h_plus, scheme):
+def _axis_rates(a, b, hm, hp, scheme):
     """Neighbor rates (q_minus, q_plus) for one axis of nodes.
 
-    a, b sampled at nodes; h_minus/h_plus are distances to the neighbors
-    (nan where the neighbor does not exist).  Degenerate nodes fall back
+    a, b sampled at nodes; hm/hp are distances to the neighbors (nan
+    where the neighbor does not exist).  Degenerate nodes fall back
     to pure upwind drift.
 
     Boundary nodes are half-width finite-volume cells, which pins the
@@ -202,10 +203,6 @@ def _axis_rates(a, b, h_minus, h_plus, scheme):
     matches trapezoid cell widths and the boundary flux of evolved fields
     is second-order small).
     """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    hm = np.asarray(h_minus, dtype=float)
-    hp = np.asarray(h_plus, dtype=float)
     has_m = ~np.isnan(hm)
     has_p = ~np.isnan(hp)
     hm_eff = np.where(has_m, hm, hp)
@@ -254,9 +251,8 @@ def build_qmatrix(spec, grid, scheme="exponential-fitting"):
     (``_axis_rates``) at its node stride; no-flux walls couple inward
     only, absorbing walls get zero rows.  Diffusion tensors must be
     diagonal (dimension-by-dimension splitting), else UnsupportedTensor.
-    Two steps depend on the dimension: ``_sample_coefficients``, and the
-    diagonal, which is ``_exact_row_pair`` in 1-D and minus the summed
-    rates otherwise.
+    One step depends on the dimension: the diagonal, which is
+    ``_exact_row_pair`` in 1-D and minus the summed rates otherwise.
     """
     check_scheme(scheme)
     if grid.ndim != spec.dimension:
@@ -295,27 +291,16 @@ def build_qmatrix(spec, grid, scheme="exponential-fitting"):
 def _sample_coefficients(spec, grid):
     """Diffusion diagonal and drift at every node, each of shape (size, ndim).
 
-    In 1-D the coefficients take the whole node array in one call; an
-    n-D ``a`` maps one point to a matrix, so it is called once per node,
-    and the matrices are then checked for off-diagonal entries together.
+    Both are read through ``spec.diffusion`` and ``spec.drift``.  A node
+    whose a has an off-diagonal entry above 1e-12 max(1, max|a|) raises
+    UnsupportedTensor; the diagonal, a's eigenvalues, then passes the floor
+    rule of ``check_admissible`` and is clipped at zero.
     """
-    if grid.ndim == 1:
-        a = _on_nodes(spec.a, grid.x)[0][:, None]
-        b = _on_nodes(spec.b, grid.x)[0][:, None]
-    else:
-        pts = grid.nodes()
-        mats = np.array([spec.a_matrix(p) for p in pts])
-        if mats.shape != pts.shape + (grid.ndim,):
-            raise ShapeError(f"a must map a point to a {grid.ndim} x {grid.ndim} matrix")
-        a = np.diagonal(mats, axis1=1, axis2=2).copy()
-        scale = np.maximum(1.0, np.max(np.abs(mats), axis=(1, 2)))
-        diag = np.arange(grid.ndim)
-        mats[:, diag, diag] = 0.0
-        if np.any(np.max(np.abs(mats), axis=(1, 2)) > 1e-12 * scale):
-            raise UnsupportedTensor("off-diagonal diffusion entries are not supported in v1")
-        b = np.array([np.asarray(spec.b(p), dtype=float).reshape(grid.ndim) for p in pts])
-    if a.min() < EIG_FLOOR:
-        i, ax = np.unravel_index(int(np.argmin(a)), a.shape)
-        raise NonEllipticCoefficient(
-            f"a has negative diagonal entry {a[i, ax]:g} on axis {ax} at node {i}")
-    return np.maximum(a, 0.0), b
+    pts = grid.nodes_for_eval()
+    mats = spec.diffusion(pts)
+    a = np.diagonal(mats, axis1=1, axis2=2)
+    off = np.abs(mats - a[..., None] * np.eye(grid.ndim)).max(axis=(1, 2))
+    if np.any(off > 1e-12 * np.maximum(1.0, np.abs(mats).max(axis=(1, 2)))):
+        raise UnsupportedTensor("off-diagonal diffusion entries are not supported in v1")
+    _require_floor(a, pts)
+    return np.maximum(a, 0.0), spec.drift(pts)

@@ -3,7 +3,10 @@
 A generator acts on observables as ``a(x) f'' + b(x) f'`` (sums over axes in
 higher dimension); the formal adjoint drives densities.  Coefficients may be
 plain callables, numpy polynomials or compiled expressions (see
-:mod:`kinbench.expressions`).
+:mod:`kinbench.expressions`).  A 1-D coefficient takes the whole point
+array in one call, as assembly calls it; an n-D one takes one point.  The
+checks, assembly and the pointwise operators read a and b through
+``GeneratorSpec.diffusion`` and ``GeneratorSpec.drift``.
 
 Three rules differentiate a coefficient or a test function:
 
@@ -35,6 +38,7 @@ from .errors import (
     MissingGibbsForm,
     NonEllipticCoefficient,
     ParameterOutOfRange,
+    ShapeError,
     UnknownExample,
     UnsupportedTensor,
 )
@@ -78,22 +82,36 @@ class DomainSpec:
         pt = np.atleast_1d(np.asarray(x, dtype=float))
         if pt.shape[-1] != self.dimension or not np.all(np.isfinite(pt)):
             return False
-        for k, (lo, hi) in enumerate(self.bounds):
-            v = pt[..., k]
-            if interior:
-                if np.any(v <= lo) or np.any(v >= hi):
-                    return False
-            else:
-                if np.any(v < lo) or np.any(v > hi):
-                    return False
-        return True
+        lo, hi = np.array(self.bounds).T
+        return bool(np.all((lo < pt) & (pt < hi) if interior else (lo <= pt) & (pt <= hi)))
 
 
 def _as_point(x, dimension):
-    if dimension == 1:
-        return float(np.asarray(x).reshape(()))
-    pt = np.asarray(x, dtype=float).reshape(dimension)
-    return pt
+    """A point as coefficients take it: a float in 1-D, a vector in n-D."""
+    x = np.asarray(x, dtype=float)
+    if x.size != dimension:
+        raise ShapeError(f"point has {x.size} coordinates, expected {dimension}")
+    return x.item() if dimension == 1 else x.reshape(dimension)
+
+
+def _require_finite(name, values, points):
+    """ParameterOutOfRange at the first non-finite entry of the (k, ...) values
+    of ``name`` at the (k, d) ``points``, row-major."""
+    bad = ~np.isfinite(values)
+    if bad.any():
+        first = np.unravel_index(np.argmax(bad), bad.shape)
+        raise ParameterOutOfRange(f"{name} = {values[first]:g} at point {first[0]} "
+                                  f"(x = {points[first[0]].tolist()}) is not finite")
+
+
+def _require_floor(eigenvalues, points):
+    """NonEllipticCoefficient at the first of the k ``points`` where a's
+    (k, d) ``eigenvalues`` dip below EIG_FLOOR."""
+    low = eigenvalues.min(axis=1, initial=np.inf)
+    if np.any(low < EIG_FLOOR):
+        i = int(np.argmax(low < EIG_FLOOR))
+        raise NonEllipticCoefficient(f"a has eigenvalue {low[i]:g} < 0 at point {i} (x = "
+                                     f"{np.reshape(points, (low.size, -1))[i].tolist()})")
 
 
 def _derivative_of(f):
@@ -143,8 +161,9 @@ def derivatives(f, x, m):
 class GeneratorSpec:
     """Second-order generator: diffusion field a, drift field b, domain.
 
-    In 1-D, ``a`` and ``b`` map x to scalars.  In n-D, ``a`` maps a point
-    to a symmetric (n, n) matrix and ``b`` to an (n,) vector.
+    In 1-D, ``a`` and ``b`` map the whole point array to values in one
+    call.  In n-D, ``a`` maps a point to a symmetric (n, n) matrix and
+    ``b`` to an (n,) vector.
     """
 
     dimension: int
@@ -159,30 +178,45 @@ class GeneratorSpec:
         if self.domain.dimension != self.dimension:
             raise DomainError("domain dimension does not match spec dimension")
 
+    def diffusion(self, points):
+        """Symmetrized diffusion matrices at ``points``, shape (k, d, d)."""
+        return self._sample("a", points)
+
+    def drift(self, points):
+        """Drift vectors at ``points``, shape (k, d)."""
+        return self._sample("b", points)
+
+    def _sample(self, name, points):
+        """Coefficient ``name`` at ``points``, shaped as ``Grid.nodes_for_eval()``
+        gives them or one point: one call in 1-D (one number may stand for
+        all), one per point in n-D; ShapeError or ParameterOutOfRange else."""
+        d = self.dimension
+        shape = (d, d) if name == "a" else (d,)
+        f = getattr(self, name)
+        pts = np.asarray(points, dtype=float)
+        if d > 1 and pts.size % d:
+            raise ShapeError(f"points need {d} coordinates each, got shape {pts.shape}")
+        out = f(pts) if d == 1 else [f(p) for p in pts.reshape(-1, d)]
+        try:
+            if d == 1:
+                out = np.broadcast_to(np.asarray(out, dtype=float), pts.shape)
+            pts = pts.reshape(-1, d)
+            vals = np.array(out, dtype=float).reshape((len(pts),) + shape)
+        except ValueError:
+            raise ShapeError(f"{name} must map each point to "
+                             f"{'one number' if d == 1 else f'shape {shape}'}") from None
+        _require_finite(name, vals, pts)
+        return 0.5 * (vals + vals.transpose(0, 2, 1)) if name == "a" and d > 1 else vals
+
     def a_matrix(self, x):
         """Symmetrized diffusion matrix at a point (n-D) or scalar (1-D)."""
-        if self.dimension == 1:
-            return float(self.a(_as_point(x, 1)))
-        m = np.asarray(self.a(_as_point(x, self.dimension)), dtype=float)
-        return 0.5 * (m + m.T)
+        m = self.diffusion(_as_point(x, self.dimension))[0]
+        return float(m[0, 0]) if self.dimension == 1 else m
 
     def check_admissible(self, points):
-        """Raise NonEllipticCoefficient if a(x) dips below the eigenvalue floor."""
-        pts = np.atleast_1d(np.asarray(points, dtype=float))
-        if self.dimension == 1:
-            vals = np.asarray(self.a(pts), dtype=float)
-            vals = np.broadcast_to(vals, pts.shape)
-            bad = vals < EIG_FLOOR
-            if np.any(bad):
-                i = int(np.argmax(bad))
-                raise NonEllipticCoefficient(
-                    f"a({pts[i]:g}) = {vals[i]:g} < 0")
-        else:
-            for p in pts.reshape(-1, self.dimension):
-                w = np.linalg.eigvalsh(self.a_matrix(p))
-                if w.min() < EIG_FLOOR:
-                    raise NonEllipticCoefficient(
-                        f"a({p}) has eigenvalue {w.min():g} < 0")
+        """Raise NonEllipticCoefficient at the first point where an eigenvalue of
+        a is below EIG_FLOOR (ParameterOutOfRange where a is not finite)."""
+        _require_floor(np.linalg.eigvalsh(self.diffusion(points)), points)
 
 
 @dataclass
@@ -237,33 +271,32 @@ class EquilibriumDensity:
         return float(beta), hvals, dhvals
 
 
-def apply_generator(spec, f, x):
-    """Evaluate (a f'' + b f') at a point.
-
-    In 1-D, f is differentiated by the module's derivative rule; a
-    callable without exact derivatives needs room for the difference
-    stencil around x inside the domain.
-    """
-    if spec.dimension == 1:
-        x = _as_point(x, 1)
-        if not spec.domain.contains(x, interior=True):
-            raise DomainError(f"x = {x:g} is not in the domain interior")
-        if _derivative_of(f) is None:
-            h = _fd_step(x)
-            lo, hi = spec.domain.bounds[0]
-            if x - 2 * h < lo or x + 2 * h > hi:
-                raise InsufficientSmoothness(
-                    "no exact derivatives and the difference stencil leaves the domain")
-        _, d1, d2 = derivatives(f, x, 2)
-        return float(spec.a(x)) * d2 + float(spec.b(x)) * d1
-    # n-D path: quadratic form with the Hessian
+def _interior_point(spec, x):
+    """x as a coefficient takes one point; DomainError unless strictly inside."""
     pt = _as_point(x, spec.dimension)
     if not spec.domain.contains(pt, interior=True):
-        raise DomainError(f"{pt} is not in the domain interior")
-    amat = spec.a_matrix(pt)
-    bvec = np.asarray(spec.b(pt), dtype=float).reshape(spec.dimension)
-    grad, hess = _fd_grad_hess(f, pt)
-    return float(np.sum(amat * hess) + np.dot(bvec, grad))
+        raise DomainError(f"x = {pt} is not in the domain interior")
+    return pt
+
+
+def apply_generator(spec, f, x):
+    """Evaluate sum a_ij d_ij f + sum b_i d_i f at a point.
+
+    Only the derivative rule depends on the dimension: ``derivatives`` in
+    1-D, where a callable without exact derivatives needs room for the
+    difference stencil inside the domain, and ``_fd_grad_hess`` in n-D.
+    """
+    pt = _interior_point(spec, x)
+    if spec.dimension == 1:
+        h = 2 * _fd_step(pt)
+        if _derivative_of(f) is None and not spec.domain.contains([[pt - h], [pt + h]]):
+            raise InsufficientSmoothness(
+                "no exact derivatives and the difference stencil leaves the domain")
+        _, d1, d2 = derivatives(f, pt, 2)
+        grad, hess = np.array([d1]), np.array([[d2]])
+    else:
+        grad, hess = _fd_grad_hess(f, pt)
+    return float(np.sum(spec.diffusion(pt)[0] * hess) + np.dot(spec.drift(pt)[0], grad))
 
 
 def _fd_grad_hess(f, pt):
@@ -292,31 +325,25 @@ def _fd_grad_hess(f, pt):
 
 def apply_formal_adjoint(spec, rho, x):
     """Evaluate the density-side operator (a rho)'' - (b rho)' at a point."""
+    x = _interior_point(spec, x)
     if spec.dimension != 1:
         return _formal_adjoint_nd(spec, rho, x)
-    x = _as_point(x, 1)
-    if not spec.domain.contains(x, interior=True):
-        raise DomainError(f"x = {x:g} is not in the domain interior")
     a, da, d2a = derivatives(spec.a, x, 2)
     b, db = derivatives(spec.b, x, 1)
     r, dr, d2r = derivatives(rho, x, 2)
     return a * d2r + (2 * da - b) * dr + (d2a - db) * r
 
 
-def _formal_adjoint_nd(spec, rho, x):
-    """n-D adjoint: ``_fd_grad_hess`` of the product fields a_ij rho and b_i rho."""
-    pt = _as_point(x, spec.dimension)
-    if not spec.domain.contains(pt, interior=True):
-        raise DomainError(f"{pt} is not in the domain interior")
+def _formal_adjoint_nd(spec, rho, pt):
+    """n-D adjoint at an interior point: ``_fd_grad_hess`` of the product
+    fields a_ij rho and b_i rho."""
     n = spec.dimension
     total = 0.0
+    for i, j in np.ndindex(n, n):
+        _, hess = _fd_grad_hess(lambda y: spec.diffusion(y)[0, i, j] * float(rho(y)), pt)
+        total += hess[i, j]
     for i in range(n):
-        for j in range(n):
-            _, hess = _fd_grad_hess(lambda y: spec.a_matrix(y)[i, j] * float(rho(y)), pt)
-            total += hess[i, j]
-    for i in range(n):
-        grad, _ = _fd_grad_hess(lambda y: np.asarray(spec.b(y), dtype=float)[i] * float(rho(y)),
-                                pt)
+        grad, _ = _fd_grad_hess(lambda y: spec.drift(y)[0, i] * float(rho(y)), pt)
         total -= grad[i]
     return float(total)
 
@@ -423,79 +450,33 @@ def catalog_example(name, alpha=1.0):
     alpha = 1.0 if alpha is None else float(alpha)
 
     if name == "ornstein-uhlenbeck":
-        domain = DomainSpec("full-line", ((-8.0, 8.0),))
-        spec = GeneratorSpec(
-            1,
-            CompiledExpression("1"),
-            CompiledExpression("-x"),
-            domain,
-            label="ornstein-uhlenbeck",
-        )
-        rho = EquilibriumDensity(
-            rho_fn=CompiledExpression("exp(-x^2/2)"),
-            gibbs=(1.0, CompiledExpression("x^2/2")),
-            normalizable=True,
-            total_mass=math.sqrt(2 * math.pi),
-        )
-        return spec, rho
-
+        return _example("full-line", (-8.0, 8.0), "1", "-x", name,
+                        "exp(-x^2/2)", "x^2/2", math.sqrt(2 * math.pi))
     if name == "pure-diffusion":
-        domain = DomainSpec("box", ((-1.0, 1.0),))
-        spec = GeneratorSpec(
-            1,
-            CompiledExpression("1"),
-            CompiledExpression("0"),
-            domain,
-            label="pure-diffusion",
-        )
-        rho = EquilibriumDensity(
-            rho_fn=CompiledExpression("1"),
-            gibbs=(1.0, CompiledExpression("0")),
-            normalizable=False,
-            total_mass=math.inf,
-        )
-        return spec, rho
+        return _example("box", (-1.0, 1.0), "1", "0", name, "1", "0", math.inf)
 
     if alpha < -0.5:
         raise ParameterOutOfRange(f"alpha = {alpha:g} < -1/2")
     normalizable = alpha > 0.0
     c = 2 * alpha - 1
-
+    label = f"{name}(alpha={alpha:g})"
     if name == "appendix2a":
-        domain = DomainSpec("full-line", ((-10.0, 10.0),))
-        spec = GeneratorSpec(
-            1,
-            CompiledExpression("1 + x^2"),
-            CompiledExpression(f"-({c!r})*x"),
-            domain,
-            label=f"appendix2a(alpha={alpha:g})",
-        )
         p = alpha + 0.5
         mass = math.sqrt(math.pi) * math.gamma(alpha) / math.gamma(alpha + 0.5) \
             if normalizable else math.inf
-        rho = EquilibriumDensity(
-            rho_fn=CompiledExpression(f"(1 + x^2)^(-({p!r}))"),
-            gibbs=(1.0, CompiledExpression(f"({p!r})*ln(1 + x^2)")),
-            normalizable=normalizable,
-            total_mass=mass,
-        )
-        return spec, rho
-
+        return _example("full-line", (-10.0, 10.0), "1 + x^2", f"-({c!r})*x", label,
+                        f"(1 + x^2)^(-({p!r}))", f"({p!r})*ln(1 + x^2)", mass)
     # appendix2b: degenerate half-line family
-    domain = DomainSpec("half-line", ((0.05, 20.0),))
-    spec = GeneratorSpec(
-        1,
-        CompiledExpression("x^2"),
-        CompiledExpression(f"1 - ({c!r})*x"),
-        domain,
-        label=f"appendix2b(alpha={alpha:g})",
-    )
     q = 2 * alpha + 1
-    mass = math.gamma(2 * alpha) if normalizable else math.inf
-    rho = EquilibriumDensity(
-        rho_fn=CompiledExpression(f"x^(-({q!r}))*exp(-1/x)"),
-        gibbs=(1.0, CompiledExpression(f"({q!r})*ln(x) + 1/x")),
-        normalizable=normalizable,
-        total_mass=mass,
-    )
-    return spec, rho
+    return _example("half-line", (0.05, 20.0), "x^2", f"1 - ({c!r})*x", label,
+                    f"x^(-({q!r}))*exp(-1/x)", f"({q!r})*ln(x) + 1/x",
+                    math.gamma(2 * alpha) if normalizable else math.inf)
+
+
+def _example(kind, bounds, a, b, label, rho, H, mass):
+    """A 1-D catalog pair from its expressions, H being the Gibbs form at beta = 1;
+    the density is normalizable exactly when its total mass is finite."""
+    E = CompiledExpression
+    spec = GeneratorSpec(1, E(a), E(b), DomainSpec(kind, (bounds,)), label=label)
+    return spec, EquilibriumDensity(rho_fn=E(rho), gibbs=(1.0, E(H)),
+                                    normalizable=math.isfinite(mass), total_mass=mass)

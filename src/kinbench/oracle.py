@@ -183,9 +183,10 @@ def _em_step(spec, x, xi, work, dt, sqrt_dt):
     in at each step, so only spec.a and spec.b allocate.
     """
     a_vals = np.asarray(spec.a(x), dtype=float)
-    if a_vals.min() < EIG_FLOOR:
-        raise NonEllipticCoefficient(
-            f"a = {a_vals.min():g} < 0 encountered during simulation")
+    low = a_vals.min()
+    if not low >= EIG_FLOOR:  # one reduction; NaN propagates into it
+        error = ParameterOutOfRange if np.isnan(low) else NonEllipticCoefficient
+        raise error(f"a = {low:g} encountered during simulation")
     np.multiply(np.sqrt(2.0 * np.maximum(a_vals, 0.0)) * sqrt_dt, xi, out=xi)
     np.multiply(np.asarray(spec.b(x), dtype=float), dt, out=work)
     x += work

@@ -30,7 +30,7 @@ from .errors import (
     PreconditionViolated,
     ShapeError,
 )
-from .generator import EIG_FLOOR, derivatives
+from .generator import EIG_FLOOR, _as_point, _require_finite, derivatives
 
 DEFAULT_EPSILON = 0.1
 OFFDIAG_TOL = 1e-12
@@ -73,14 +73,6 @@ class TruncatedOperator:
     def coefficient(self, key):
         c = self.coefficients.get(self._key(key), 0.0)
         return c if callable(c) else lambda x, _v=float(c): _v
-
-
-def _point(op, x):
-    """A point as coefficients take it: a float in 1-D, a vector in n-D."""
-    x = np.asarray(x, dtype=float)
-    if x.size != op.dimension:
-        raise ShapeError(f"point has {x.size} coordinates, expected {op.dimension}")
-    return x.item() if op.dimension == 1 else x.reshape(op.dimension)
 
 
 def _pure_second_order(op, x):
@@ -209,7 +201,7 @@ def pawula_counterexample(op, x0, epsilon=DEFAULT_EPSILON, amplitude=None):
         raise OrderTooLow(f"order {k} operator satisfies the order bound; nothing to violate")
     if epsilon <= 0:
         raise PreconditionViolated("epsilon must be positive")
-    x0 = _point(op, x0)
+    x0 = _as_point(x0, op.dimension)
     for multi in (key for key in op.coefficients if sum(key) == k):
         ck = float(op.coefficient(multi)(x0))
         if ck != 0.0:
@@ -265,19 +257,21 @@ def second_order_sign_check(op, points):
     """Nonnegativity of the second-order coefficient over sample points.
 
     A TruncatedOperator is judged by its pure second-order coefficients,
-    a GeneratorSpec by the smallest eigenvalue of its diffusion matrix.
-    Returns (passed, worst_value); no points give (True, inf).
+    a GeneratorSpec by the eigenvalues of its diffusion matrices, taken in
+    one batch.  A non-finite coefficient raises ParameterOutOfRange naming
+    the first point that has it.  Returns (passed, worst_value); no points
+    give (True, inf).
     """
-    if isinstance(op, TruncatedOperator) and op.order > 2:
+    if not isinstance(op, TruncatedOperator):
+        values = np.linalg.eigvalsh(op.diffusion(points))
+    elif op.order > 2:
         raise PreconditionViolated("sign check applies to operators of order <= 2")
-    worst = math.inf
-    for p in np.reshape(points, (-1, op.dimension)):
-        p = _point(op, p)
-        if isinstance(op, TruncatedOperator):
-            values = _pure_second_order(op, p)
-        else:
-            values = np.linalg.eigvalsh(np.atleast_2d(op.a_matrix(p)))
-        worst = min(worst, float(min(values)))
+    else:
+        pts = np.reshape(np.asarray(points, dtype=float), (-1, op.dimension))
+        values = np.array([_pure_second_order(op, _as_point(p, op.dimension)) for p in pts],
+                          dtype=float).reshape(pts.shape)
+        _require_finite("second-order coefficient", values, pts)
+    worst = float(values.min(initial=np.inf))
     return worst >= EIG_FLOOR, worst
 
 
@@ -293,10 +287,10 @@ def cube_test(op, A, x0):
     A0 = float(A(x0))
     if abs(A0) > 1e-12:
         raise PreconditionViolated(f"A(x0) = {A0:g} is not zero")
-    if hasattr(op, "a_matrix"):  # GeneratorSpec
+    if not isinstance(op, TruncatedOperator):  # GeneratorSpec
         A0, dA0, d2A0 = derivatives(A, x0, 2)
         d1_cube = 3 * A0**2 * dA0
         d2_cube = 6 * A0 * dA0**2 + 3 * A0**2 * d2A0
-        return float(op.a(x0)) * d2_cube + float(op.b(x0)) * d1_cube
+        return float(op.diffusion(x0)[0, 0, 0] * d2_cube + op.drift(x0)[0, 0] * d1_cube)
     cube = A**3 if isinstance(A, Polynomial) else lambda x: float(A(x)) ** 3
     return apply_operator(op, cube, x0)

@@ -80,6 +80,17 @@ def read_qmatrix(path_matrix, size):
     return sp.coo_matrix((vals, (rows, cols)), shape=(size, size)).tocsr()
 
 
+def toarray(Q):
+    """A ``BandMatrix`` as a dense array, each band added into zeros as scipy's
+    ``toarray`` adds the stored entries, so a stored -0.0 reads +0.0 there too."""
+    n = Q.shape[0]
+    A = np.zeros((n, n))
+    flat = A.reshape(-1)
+    for part, rows, cols in Q._spans:
+        flat[rows.start * n + cols.start::n + 1][:part.size] += part
+    return A
+
+
 def band_csr(Q):
     """A ``BandMatrix``'s stored entries as a scipy CSR matrix, the reference
     the band products are checked against."""

@@ -30,7 +30,7 @@ from kinbench.discretize import (
 from kinbench.generator import CATALOG_NAMES, catalog_example
 from kinbench.serialize import load_generator
 
-from conftest import band_csr
+from conftest import band_csr, toarray
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -120,8 +120,8 @@ def _assert_bitwise(qm, ref):
         (Q.T @ v, ref.T @ v),
         (Q @ block, ref @ block),
         (Q @ np.ones(n), ref @ np.ones(n)),  # the row sums maximum_principle_check takes
-        (Q.toarray(), ref.toarray()),
-        (P.toarray(), P_ref.toarray()),
+        (toarray(Q), ref.toarray()),
+        (toarray(P), P_ref.toarray()),
         (P @ v, P_ref @ v),
         (sg._stochastic(Q.T, lam) @ v, Pt_ref @ v),
     ]
@@ -175,7 +175,7 @@ def test_sparse_input_sums_its_duplicates():
     coo = sp.coo_matrix(([-1.0, 0.5, 0.5, 2.0, -2.0], ([0, 0, 0, 1, 1], [0, 1, 1, 0, 1])),
                         shape=(2, 2))
     Q = BandMatrix.from_matrix(coo)
-    assert np.array_equal(Q.toarray(), [[-1.0, 1.0], [2.0, -2.0]])
+    assert np.array_equal(toarray(Q), [[-1.0, 1.0], [2.0, -2.0]])
     assert Q.nnz == 4
     T = BandMatrix.from_entries(coo.row, coo.col, coo.data, 2)
     assert np.array_equal(T.offsets, Q.offsets) and np.array_equal(_bits(T.bands), _bits(Q.bands))
@@ -185,5 +185,5 @@ def test_transpose_keeps_the_stored_diagonal():
     spec, grid, scheme = _absorbing()
     Q = build_qmatrix(spec, grid, scheme).Q
     assert Q.T.nnz == Q.nnz
-    assert np.array_equal(Q.T.toarray(), Q.toarray().T)
+    assert np.array_equal(toarray(Q.T), toarray(Q).T)
     assert np.array_equal(_bits(Q.T.T.bands), _bits(Q.bands))

@@ -20,7 +20,7 @@ from kinbench.serialize import (
     write_hcurve_csv,
 )
 
-from conftest import certificate_from_dict, read_csv_columns, read_qmatrix
+from conftest import certificate_from_dict, read_csv_columns, read_qmatrix, toarray
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SCENARIOS = ROOT / "scenarios"
@@ -69,7 +69,7 @@ def test_qmatrix_roundtrip_is_exact(run_artifacts):
     spec, _ = kb.catalog_example("appendix2a", 1.0)
     grid = kb.Grid.from_domain(spec.domain, 201)
     rebuilt = kb.build_qmatrix(spec, grid)
-    assert np.array_equal(Q.toarray(), rebuilt.Q.toarray())
+    assert np.array_equal(Q.toarray(), toarray(rebuilt.Q))
 
 
 def test_evolution_csv_roundtrips_to_the_bit(run_artifacts):
@@ -355,6 +355,9 @@ MALFORMED_OPERATOR_FIELDS = {
     "order.fraction": ("order", 3.5, "order"),
     "order.bool": ("order", True, "order"),
     "points": ("points", ["a"], "points"),
+    "points.empty": ("points", [], "points"),
+    "points.nan": ("points", [0.0, float("nan")], "points"),
+    "points.inf": ("points", [float("inf")], "points"),
 }
 
 
@@ -467,6 +470,17 @@ def test_pawula_second_order_pass(tmp_path, capsys):
                  "--out", str(tmp_path)])
     assert code == 0
     assert "pass" in capsys.readouterr().out
+
+
+def test_pawula_nan_second_order_coefficient_is_input_error(tmp_path, capsys):
+    doc = {"coefficients": {"2": "ln(x - 20)", "1": "x"}, "order": 2}
+    path = write_json(tmp_path / "nan.json", doc)
+    with np.errstate(invalid="ignore"):
+        assert main(["pawula", path, "--out", str(tmp_path / "out")]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("input error (ParameterOutOfRange): second-order coefficient")
+    assert "pass" not in captured.out
+    assert not (tmp_path / "out" / "pawula_verdict.json").exists()
 
 
 def test_pawula_empty_coefficients(tmp_path):

@@ -27,6 +27,8 @@ from kinbench.expressions import CompiledExpression as CE
 from kinbench.generator import CATALOG_NAMES, DomainSpec, GeneratorSpec
 from kinbench.pawula import maximum_principle_check
 
+from conftest import toarray
+
 
 def uniform_spec(a_text, b_text, lo, hi, bc="no-flux"):
     return GeneratorSpec(1, CE(a_text), CE(b_text),
@@ -43,21 +45,21 @@ def test_bernoulli_ratio_branches():
 
 def test_laplacian_stencil():
     spec = uniform_spec("1", "0", 0.0, 4.0)
-    Q = build_qmatrix(spec, Grid((np.linspace(0, 4, 5),))).Q.toarray()
+    Q = toarray(build_qmatrix(spec, Grid((np.linspace(0, 4, 5),))).Q)
     assert np.allclose(Q[2], [0.0, 1.0, -2.0, 1.0, 0.0], rtol=0, atol=0)
 
 
 def test_pure_drift_upwind_row():
     spec = uniform_spec("0", "1", 0.0, 4.0)
-    Q = build_qmatrix(spec, Grid((np.linspace(0, 4, 5),))).Q.toarray()
+    Q = toarray(build_qmatrix(spec, Grid((np.linspace(0, 4, 5),))).Q)
     assert np.allclose(Q[2], [0.0, 0.0, -1.0, 1.0, 0.0], rtol=0, atol=0)
 
 
 def test_degenerate_limit_matches_tiny_diffusion():
     # rates at a = 1e-13 (fitted branch) agree with the a = 0 upwind branch
     g = Grid((np.linspace(0.0, 4.0, 5),))
-    q_tiny = build_qmatrix(uniform_spec("0.0000000000001", "1", 0, 4), g).Q.toarray()
-    q_zero = build_qmatrix(uniform_spec("0", "1", 0, 4), g).Q.toarray()
+    q_tiny = toarray(build_qmatrix(uniform_spec("0.0000000000001", "1", 0, 4), g).Q)
+    q_zero = toarray(build_qmatrix(uniform_spec("0", "1", 0, 4), g).Q)
     assert np.allclose(q_tiny[2], q_zero[2], atol=1e-9)
 
 
@@ -137,6 +139,16 @@ def test_nd_sampling_rejects_a_scalar_diffusion():
         _sample_coefficients(spec, Grid.from_domain(domain, 5))
 
 
+@pytest.mark.parametrize("a, b", [("(0.25 - x)^0.5 + 1", "0"), ("1", "(0.25 - x)^0.5")],
+                         ids=["diffusion", "drift"])
+def test_non_finite_coefficient_is_named_by_its_node(a, b):
+    # both are nan at the nodes 0.5 and 1 of five on [-1, 1]; the first is node 3
+    name = "a" if b == "0" else "b"
+    with np.errstate(invalid="ignore"), pytest.raises(
+            ParameterOutOfRange, match=rf"^{name} = nan at point 3 \(x = \[0.5\]\) is not finite$"):
+        build_qmatrix(uniform_spec(a, b, -1, 1), Grid.from_domain(DomainSpec("box", ((-1, 1),)), 5))
+
+
 # the ids name the wall convention the sum holds for
 @pytest.mark.parametrize("scheme", ["exponential-fitting", "upwind"],
                          ids=lambda scheme: f"half-cell-{scheme}")
@@ -152,8 +164,8 @@ def test_2d_assembly_is_kronecker_sum_of_1d_chains(scheme):
                           DomainSpec("box", bounds[1:]))
     Qx = build_qmatrix(specx, Grid.from_domain(specx.domain, 9), scheme).Q
     Qy = build_qmatrix(specy, Grid.from_domain(specy.domain, 7), scheme).Q
-    kron_sum = np.kron(Qx.toarray(), np.eye(7)) + np.kron(np.eye(9), Qy.toarray())
-    assert np.max(np.abs(Q.toarray() - kron_sum)) <= 1e-14 * np.max(np.abs(kron_sum))
+    kron_sum = np.kron(toarray(Qx), np.eye(7)) + np.kron(np.eye(9), toarray(Qy))
+    assert np.max(np.abs(toarray(Q) - kron_sum)) <= 1e-14 * np.max(np.abs(kron_sum))
 
 
 def qmatrix_1d_by_hand(spec, x, scheme):
@@ -195,7 +207,7 @@ def qmatrix_cases():
 def test_1d_assembly_is_bitwise_the_chain_by_hand(spec, scheme):
     for n in (5, 51, 401):
         grid = Grid.from_domain(spec.domain, n)
-        Q = build_qmatrix(spec, grid, scheme).Q.toarray()
+        Q = toarray(build_qmatrix(spec, grid, scheme).Q)
         assert Q.tobytes() == qmatrix_1d_by_hand(spec, grid.x, scheme).tobytes(), n
 
 
@@ -209,7 +221,7 @@ def test_2d_diagonal_tensor_assembles():
     assert rep.passed
     # interior rates along axis 0 sum to ~2*a00/dx^2 (drift correction is tiny)
     dx = 2.0 / 6
-    dense = Q.Q.toarray()
+    dense = toarray(Q.Q)
     center = 3 * 7 + 3
     assert dense[center, center - 7] + dense[center, center + 7] == pytest.approx(
         2 / dx**2, rel=1e-3)
@@ -219,7 +231,7 @@ def test_underflowing_exponential_fitting_rates_keep_the_chain_irreducible():
     # at x = +-1.5 the cell Peclet number |b| h / a is 2250, so B(z) underflows
     # to 0 and, unfloored, no rate would lead to the walls
     Q = build_qmatrix(uniform_spec("0.001", "-x", -3.0, 3.0), Grid((np.linspace(-3.0, 3.0, 5),)))
-    dense = Q.Q.toarray()
+    dense = toarray(Q.Q)
     assert np.all(np.diag(dense, 1) > 0) and np.all(np.diag(dense, -1) > 0)
     assert np.all(dense.sum(axis=1) == 0.0)
     sol = kb.solve_invariant(Q)
@@ -234,7 +246,7 @@ def test_underflowing_exponential_fitting_rates_keep_the_chain_irreducible():
 
 def test_absorbing_boundary_rows_are_zero():
     spec = uniform_spec("1", "0", 0.0, 1.0, bc="absorbing")
-    Q = build_qmatrix(spec, Grid((np.linspace(0, 1, 9),), "absorbing")).Q.toarray()
+    Q = toarray(build_qmatrix(spec, Grid((np.linspace(0, 1, 9),), "absorbing")).Q)
     assert np.all(Q[0] == 0.0)
     assert np.all(Q[-1] == 0.0)
 
@@ -328,12 +340,12 @@ def test_trapezoid_weights_sum_to_length():
 
 def test_adjoint_is_transpose():
     Q = DiscreteGenerator.from_matrix([[-1.0, 1.0], [0.0, 0.0]])
-    Qt = Q.Q.T.toarray()
+    Qt = toarray(Q.Q.T)
     assert np.array_equal(Qt, [[-1.0, 0.0], [1.0, 0.0]])
 
 
 def test_adjoint_columns_conserve_mass(a2a201):
-    colsums = a2a201.Q.Q.T.toarray().sum(axis=0)
+    colsums = toarray(a2a201.Q.Q.T).sum(axis=0)
     assert np.max(np.abs(colsums)) == 0.0
 
 
@@ -418,7 +430,7 @@ def test_random_admissible_chain_is_markov_and_dissipates_entropy(params):
                          lambda x: b0 + b1 * np.asarray(x, dtype=float),
                          DomainSpec("box", ((-3.0, 3.0),)))
     Q = build_qmatrix(spec, Grid((np.linspace(-3.0, 3.0, n),)), scheme)
-    off = Q.Q.toarray()
+    off = toarray(Q.Q)
     np.fill_diagonal(off, 0.0)
     assert off.min() >= 0.0
     assert np.all(Q.Q @ np.ones(Q.size) == 0.0)

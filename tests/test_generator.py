@@ -13,6 +13,7 @@ from kinbench.errors import (
     MissingGibbsForm,
     NonEllipticCoefficient,
     ParameterOutOfRange,
+    ShapeError,
     UnknownExample,
 )
 from kinbench.expressions import CompiledExpression as CE
@@ -437,6 +438,92 @@ def test_admissibility_check():
     spec = line_spec("-1", "0", -1, 1, "box")
     with pytest.raises(NonEllipticCoefficient):
         spec.check_admissible(np.linspace(-1, 1, 11))
+
+
+# ---------------------------------------------------------------------------
+# diffusion and drift: the one reader of a and b
+
+
+def box_spec(a, b=lambda p: np.zeros(2)):
+    return GeneratorSpec(2, a, b, DomainSpec("box", ((-1.0, 1.0), (-1.0, 1.0))))
+
+
+def test_nd_sampler_stacks_and_symmetrizes():
+    spec = box_spec(lambda p: np.array([[1.0, p[0]], [0.0, 2.0]]), lambda p: -p)
+    pts = np.array([[0.5, 0.0], [-0.25, 1.0]])
+    want = np.array([[[1.0, 0.25], [0.25, 2.0]], [[1.0, -0.125], [-0.125, 2.0]]])
+    assert np.array_equal(spec.diffusion(pts), want)
+    assert np.array_equal(spec.drift(pts), -pts)
+    assert spec.diffusion(pts[1]).shape == (1, 2, 2)  # one point
+    assert np.array_equal(spec.a_matrix(pts[1]), want[1])
+
+
+def test_1d_sampler_takes_the_whole_array_in_one_call():
+    shapes = []
+    spec = GeneratorSpec(1, lambda x: shapes.append(np.shape(x)) or 1 + x**2, lambda x: 3.0,
+                         DomainSpec("box", ((-1.0, 1.0),)))
+    x = np.linspace(-1, 1, 5)
+    assert np.array_equal(spec.diffusion(x), (1 + x**2).reshape(5, 1, 1))
+    assert np.array_equal(spec.drift(x), np.full((5, 1), 3.0))  # one number stands for all
+    assert spec.a_matrix(0.5) == 1.25
+    assert shapes == [(5,), ()]
+
+
+@pytest.mark.parametrize("dim, name, value", [
+    (2, "a", lambda p: np.eye(3)),
+    (2, "a", lambda p: np.eye(2) if p[0] < 0 else np.ones(2)),
+    (2, "b", lambda p: np.zeros(3)),
+    (1, "a", lambda x: np.ones(3)),
+    (1, "b", lambda x: np.ones((5, 1))),
+], ids=["nd-big", "nd-ragged", "nd-drift", "1d-count", "1d-column"])
+def test_sampler_rejects_a_value_of_the_wrong_shape(dim, name, value):
+    coefficients = {"a": lambda p: np.eye(dim), "b": lambda p: np.zeros(dim), name: value}
+    spec = GeneratorSpec(dim, coefficients["a"], coefficients["b"],
+                         DomainSpec("box", ((-1.0, 1.0),) * dim))
+    pts = np.linspace(-1, 1, 5) if dim == 1 else np.array([[-0.5, 0.0], [0.5, 0.0]])
+    with pytest.raises(ShapeError, match=f"^{name} must map each point"):
+        (spec.diffusion if name == "a" else spec.drift)(pts)
+
+
+def test_nd_points_need_every_coordinate():
+    with pytest.raises(ShapeError, match="points need 2 coordinates"):
+        box_spec(lambda p: np.eye(2)).diffusion(np.zeros(3))
+
+
+def test_nan_1d_diffusion_fails_the_admissibility_check():
+    spec = line_spec("ln(x - 2)", "0", -1, 1, "box")  # nan on all of [-1, 1]
+    with np.errstate(invalid="ignore"), pytest.raises(
+            ParameterOutOfRange, match=r"^a = nan at point 0 \(x = \[-1.0\]\) is not finite$"):
+        spec.check_admissible(np.linspace(-1, 1, 11))
+
+
+def test_nan_2d_diffusion_fails_the_admissibility_and_sign_checks():
+    # eigvalsh gives [0, -0] for diag(nan, 1), which would pass the floor
+    spec = box_spec(lambda p: np.diag([np.nan, 1.0]))
+    pts = np.array([[0.0, 0.5]])
+    match = r"^a = nan at point 0 \(x = \[0.0, 0.5\]\) is not finite$"
+    with pytest.raises(ParameterOutOfRange, match=match):
+        spec.check_admissible(pts)
+    with pytest.raises(ParameterOutOfRange, match=match):
+        kb.second_order_sign_check(spec, pts)
+
+
+def test_admissibility_names_the_first_point_below_the_floor():
+    spec = box_spec(lambda p: np.array([[1.0, 0.0], [0.0, 0.5 - p[1]]]))
+    pts = np.array([[0.0, 0.0], [0.0, 0.75], [0.0, 1.0]])
+    with pytest.raises(NonEllipticCoefficient,
+                       match=r"^a has eigenvalue -0.25 < 0 at point 1 \(x = \[0.0, 0.75\]\)$"):
+        spec.check_admissible(pts)
+
+
+def test_assembly_shares_the_admissibility_floor_rule():
+    spec = line_spec("x", "0", -1, 1, "box")
+    grid = kb.Grid.from_domain(spec.domain, 5)
+    message = r"^a has eigenvalue -1 < 0 at point 0 \(x = \[-1.0\]\)$"
+    with pytest.raises(NonEllipticCoefficient, match=message):
+        spec.check_admissible(grid.nodes_for_eval())
+    with pytest.raises(NonEllipticCoefficient, match=message):
+        kb.build_qmatrix(spec, grid)
 
 
 def test_half_line_domain_requires_positive_lo():

@@ -32,7 +32,7 @@ from kinbench.htheorem import (
 from kinbench.pawula import maximum_principle_check
 from kinbench.semigroup import evolve_density
 
-from conftest import assert_matches_dense_gth, gaussian_measure
+from conftest import assert_matches_dense_gth, gaussian_measure, toarray
 
 
 # ---------------------------------------------------------------------------
@@ -187,7 +187,7 @@ def test_lattice_balance_matches_gth_on_reversible_boxes(seed, shape, caplog):
     caplog.set_level(logging.DEBUG, logger="kinbench.htheorem")
     sol = solve_invariant(Q)
     assert _logged_paths(caplog) == ["lattice"]
-    assert_matches_dense_gth(sol.pi, Q.Q.toarray())
+    assert_matches_dense_gth(sol.pi, toarray(Q.Q))
 
 
 @pytest.mark.parametrize("n", [5, 21])
@@ -196,7 +196,7 @@ def test_rotational_chain_takes_gth_fallback(n, caplog):
     caplog.set_level(logging.DEBUG, logger="kinbench.htheorem")
     sol = solve_invariant(Q)
     assert _logged_paths(caplog) == ["gth"]
-    assert_matches_dense_gth(sol.pi, Q.Q.toarray())
+    assert_matches_dense_gth(sol.pi, toarray(Q.Q))
 
 
 @pytest.mark.parametrize("name", CATALOG_NAMES)
@@ -279,7 +279,7 @@ def test_banded_elimination_matches_dense_gth(chain, caplog):
          if chain == "dense-9" else _steep_rotational_chain())
     caplog.set_level(logging.DEBUG, logger="kinbench.htheorem")
     sol = solve_invariant(Q)
-    assert_matches_dense_gth(sol.pi, Q.Q.toarray())
+    assert_matches_dense_gth(sol.pi, toarray(Q.Q))
     (states, b, pivot, zeros, _), = _gth_log(caplog)
     assert (states, b, zeros) == ((9, 8, 0) if chain == "dense-9" else (625, 25, 4))
     assert zeros == np.sum(sol.pi == 0.0)

@@ -51,6 +51,13 @@ def test_negative_diffusion_rejected():
         simulate(spec, point_source(0.0), 100, 1e-2, 0.1, seed=1)
 
 
+def test_nan_diffusion_stops_the_simulation():
+    # sqrt(x + 2) ln(x) is nan at the start -0.5: a NaN must not pass the floor test
+    spec = GeneratorSpec(1, CE("(x + 2)^0.5 * ln(x)"), CE("0"), DomainSpec("box", ((-1.0, 1.0),)))
+    with np.errstate(invalid="ignore"), pytest.raises(ParameterOutOfRange, match="^a = nan "):
+        simulate(spec, point_source(-0.5), 100, 1e-2, 0.1, seed=1)
+
+
 def test_ou_stationary_moments():
     spec, _ = kb.catalog_example("ornstein-uhlenbeck")
     n = 20_000

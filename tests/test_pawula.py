@@ -15,6 +15,7 @@ import kinbench as kb
 from kinbench.errors import (
     NoViolationAtPoint,
     OrderTooLow,
+    ParameterOutOfRange,
     PreconditionViolated,
     ShapeError,
 )
@@ -266,6 +267,20 @@ def test_sign_check_generator_spec():
     spec, _ = kb.catalog_example("appendix2a", 1.0)
     ok, worst = second_order_sign_check(spec, np.linspace(-10, 10, 51))
     assert ok and worst == pytest.approx(1.0)
+
+
+def test_sign_check_names_a_non_finite_second_order_coefficient():
+    op = TruncatedOperator(2, {1: CE("x"), 2: CE("ln(x)")})  # nan below 0, -inf at 0
+    with np.errstate(invalid="ignore"), pytest.raises(
+            ParameterOutOfRange,
+            match=r"^second-order coefficient = nan at point 2 \(x = \[-1.0\]\) is not finite$"):
+        second_order_sign_check(op, [1.0, 2.0, -1.0, 3.0])
+
+
+def test_sign_check_without_points_passes():
+    spec, _ = kb.catalog_example("appendix2a", 1.0)
+    for op in (TruncatedOperator(2, {2: -1.0}), spec):
+        assert second_order_sign_check(op, []) == (True, math.inf)
 
 
 def test_cube_vanishes_for_ou():

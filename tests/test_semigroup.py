@@ -37,7 +37,7 @@ from kinbench.semigroup import (
 )
 from kinbench.serialize import load_generator
 
-from conftest import band_csr, gaussian_measure
+from conftest import band_csr, gaussian_measure, toarray
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -299,7 +299,7 @@ def test_kernel_truncation_bounds_error_against_expm(a2a201, t):
     # the reported defect must cover the measured error, which includes
     # squaring roundoff that row renormalization would otherwise hide
     K = transition_kernel(a2a201.Q, t, tol=1e-12)
-    exact = sla.expm(a2a201.Q.Q.toarray() * t)
+    exact = sla.expm(toarray(a2a201.Q.Q) * t)
     assert np.max(np.abs(K.P - exact).sum(axis=1)) <= K.truncation
 
 
@@ -716,7 +716,7 @@ def test_resolvent_matches_a_dense_solve(lam):
     for name, qm in _resolvent_chains():
         g = _resolvent_block(qm.size, rng)
         f = resolvent(qm, lam, g)
-        ref = np.linalg.solve(lam * np.eye(qm.size) - qm.Q.toarray(), g)
+        ref = np.linalg.solve(lam * np.eye(qm.size) - toarray(qm.Q), g)
         scale = np.abs(ref).max(axis=0)
         assert np.all(np.abs(f - ref) <= 1e-10 * np.abs(ref) + 1e-13 * scale), name
 
