@@ -121,8 +121,8 @@ def _natural(value):
 
 def _particles(value):
     n = _natural(value)
-    if n < 1:
-        raise ValueError("at least one particle is needed")
+    if n < 2:
+        raise ValueError("at least two particles are needed: a standard error needs two draws")
     return n
 
 
@@ -183,6 +183,8 @@ def _lags(values):
 
 def _rates(values):
     rates = _floats(values)
+    if not rates:
+        raise ValueError("at least one resolvent parameter is needed")
     if not all(0 < lam < np.inf for lam in rates):
         raise SpectrumError("resolvent parameters must be positive and finite")
     return rates
@@ -505,8 +507,8 @@ def cmd_oracle_compare(args):
     elif init["kind"] == "delta":
         sampler = oracle_mod.point_source(init["at"])
     else:
-        raise ScenarioError(
-            "oracle comparison supports gaussian or delta initial densities")
+        raise ScenarioError(f"oracle comparison supports gaussian or delta initial "
+                            f"densities, not {init['kind']!r}")
     nu0 = _initial_measure(sc)
 
     w = grid.weights()
@@ -590,7 +592,9 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        # a non-finite value meets a named check, not a numpy warning first
+        with np.errstate(all="ignore"):
+            return args.func(args)
     except InputError as exc:
         print(f"input error ({type(exc).__name__}): {exc}", file=sys.stderr)
         return 2

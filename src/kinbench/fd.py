@@ -1,8 +1,9 @@
 """Finite-difference helpers used by several modules.
 
 Point derivatives of a callable without exact derivatives follow one
-rule, applied by :func:`kinbench.generator.derivatives`: ``central_d1``
-and ``central_d2`` (5-point stencils) at h = 1e-3 max(1, |x|) for orders
+rule, applied by :func:`kinbench.generator.derivatives` and, in every
+dimension, ``kinbench.generator._grad_hess``: ``central_d1`` and
+``central_d2`` (5-point stencils) at h = 1e-3 max(1, max|x_i|) for orders
 1-2, and ``richardson_dm`` for orders 3 and up.
 """
 

@@ -8,18 +8,18 @@ array in one call, as assembly calls it; an n-D one takes one point.  The
 checks, assembly and the pointwise operators read a and b through
 ``GeneratorSpec.diffusion`` and ``GeneratorSpec.drift``.
 
-Three rules differentiate a coefficient or a test function:
+Two rules differentiate a coefficient or a test function:
 
-- ``derivatives(f, x, m)``, at one point in 1-D (also used by
-  :mod:`kinbench.pawula`): exact for compiled expressions and polynomials
-  (``_derivative_of``); any other callable gets the 5-point central
-  stencil at h = 1e-3 max(1, |x|) for orders 1-2 and Richardson-extrapolated
-  central differences (``fd.richardson_dm``) for orders 3 and up;
+- at a point, in every dimension (``derivatives`` in 1-D, also used by
+  :mod:`kinbench.pawula`, and ``_grad_hess`` for gradient and Hessian):
+  exact for compiled expressions and polynomials (``_derivative_of``); any
+  other callable gets the 5-point central stencils ``fd.central_d1`` and
+  ``fd.central_d2`` at h = 1e-3 max(1, max|x_i|) for orders 1-2, along
+  each axis and each sum of two axes, and Richardson-extrapolated central
+  differences (``fd.richardson_dm``) for orders 3 and up (1-D);
 - ``_on_nodes(f, x, m)``, on the 1-D grid nodes: exact where
   ``_derivative_of`` finds a derivative, else ``np.gradient`` of the order
-  below (second order at the walls);
-- ``_fd_grad_hess(f, pt)``, at one point in n-D: 3-point differences at
-  h = 1e-4 max(1, max|x_i|), for expressions too.
+  below (second order at the walls).
 """
 
 from __future__ import annotations
@@ -114,11 +114,12 @@ def _require_floor(eigenvalues, points):
                                      f"{np.reshape(points, (low.size, -1))[i].tolist()})")
 
 
-def _derivative_of(f):
-    """Exact derivative of a compiled expression or polynomial, else None."""
+def _derivative_of(f, var=0):
+    """Exact partial derivative along axis ``var`` of a compiled expression,
+    or derivative of a (1-D) polynomial, else None."""
     if isinstance(f, CompiledExpression):
-        return f.derivative()
-    if isinstance(f, Polynomial):
+        return f.derivative(var)
+    if isinstance(f, Polynomial) and var == 0:
         return f.deriv()
     return None
 
@@ -242,6 +243,7 @@ class EquilibriumDensity:
         x = grid.nodes_for_eval()
         vals = np.asarray(self.rho_fn(x), dtype=float)
         vals = np.broadcast_to(vals, (grid.size,)).copy()
+        _require_finite("rho", vals, np.reshape(x, (grid.size, -1)))
         if np.any(vals < 0):
             raise ParameterOutOfRange("equilibrium density has negative samples")
         if normalize:
@@ -280,46 +282,48 @@ def _interior_point(spec, x):
 
 
 def apply_generator(spec, f, x):
-    """Evaluate sum a_ij d_ij f + sum b_i d_i f at a point.
-
-    Only the derivative rule depends on the dimension: ``derivatives`` in
-    1-D, where a callable without exact derivatives needs room for the
-    difference stencil inside the domain, and ``_fd_grad_hess`` in n-D.
-    """
+    """Evaluate sum a_ij d_ij f + sum b_i d_i f at a point, the partials by
+    ``_grad_hess``."""
     pt = _interior_point(spec, x)
-    if spec.dimension == 1:
-        h = 2 * _fd_step(pt)
-        if _derivative_of(f) is None and not spec.domain.contains([[pt - h], [pt + h]]):
-            raise InsufficientSmoothness(
-                "no exact derivatives and the difference stencil leaves the domain")
-        _, d1, d2 = derivatives(f, pt, 2)
-        grad, hess = np.array([d1]), np.array([[d2]])
-    else:
-        grad, hess = _fd_grad_hess(f, pt)
+    grad, hess = _grad_hess(f, pt, spec.domain)
     return float(np.sum(spec.diffusion(pt)[0] * hess) + np.dot(spec.drift(pt)[0], grad))
 
 
-def _fd_grad_hess(f, pt):
-    n = pt.size
-    h = 1e-4 * max(1.0, float(np.max(np.abs(pt))))
-    grad = np.empty(n)
-    hess = np.empty((n, n))
-    f0 = float(f(pt))
-    for i in range(n):
-        ei = np.zeros(n)
-        ei[i] = h
-        fp, fm = float(f(pt + ei)), float(f(pt - ei))
-        grad[i] = (fp - fm) / (2 * h)
-        hess[i, i] = (fp - 2 * f0 + fm) / h**2
-    for i in range(n):
-        for j in range(i + 1, n):
-            ei = np.zeros(n)
-            ej = np.zeros(n)
-            ei[i] = h
-            ej[j] = h
-            val = (float(f(pt + ei + ej)) - float(f(pt + ei - ej))
-                   - float(f(pt - ei + ej)) + float(f(pt - ei - ej))) / (4 * h**2)
-            hess[i, j] = hess[j, i] = val
+def _grad_hess(f, pt, domain):
+    """Gradient and Hessian of f at an interior point by the module's point rule.
+
+    Exact where ``_derivative_of`` finds the partials; else ``fd.central_d1``
+    and ``fd.central_d2`` at h = ``_fd_step(max|x_i|)`` along each axis and
+    each sum e_i + e_j of two, the mixed partials by polarization,
+    d_ij = (D^2_{e_i+e_j} - d_ii - d_jj)/2; InsufficientSmoothness when a
+    stencil point leaves the domain.  f may take its values in an array:
+    the point's axes then lead those of the value.
+    """
+    d = domain.dimension
+    x = np.reshape(np.asarray(pt, dtype=float), d)
+    at = _as_point(x, d)
+    partials = [_derivative_of(f, i) for i in range(d)]
+    if all(g is not None for g in partials):
+        hess = [[_derivative_of(g, j)(at) for j in range(d)] for g in partials]
+        return np.array([g(at) for g in partials], dtype=float), np.array(hess, dtype=float)
+    h = _fd_step(float(np.max(np.abs(x))))
+    axes = np.eye(d)
+    pairs = [(i, j) for i in range(d) for j in range(i + 1, d)]
+    reach = 2 * h * np.array([*axes, *(axes[i] + axes[j] for i, j in pairs)])
+    if not domain.contains(np.concatenate([x - reach, x + reach])):
+        raise InsufficientSmoothness(
+            "no exact derivatives and the difference stencil leaves the domain")
+
+    def along(v):
+        return lambda t: np.asarray(f(_as_point(x + t * v, d)), dtype=float)
+
+    grad = np.array([fd.central_d1(along(e), 0.0, h) for e in axes])
+    hess = np.empty((d,) + grad.shape)
+    for i in range(d):
+        hess[i, i] = fd.central_d2(along(axes[i]), 0.0, h)
+    for i, j in pairs:
+        mixed = fd.central_d2(along(axes[i] + axes[j]), 0.0, h)
+        hess[i, j] = hess[j, i] = (mixed - hess[i, i] - hess[j, j]) / 2
     return grad, hess
 
 
@@ -335,17 +339,11 @@ def apply_formal_adjoint(spec, rho, x):
 
 
 def _formal_adjoint_nd(spec, rho, pt):
-    """n-D adjoint at an interior point: ``_fd_grad_hess`` of the product
-    fields a_ij rho and b_i rho."""
-    n = spec.dimension
-    total = 0.0
-    for i, j in np.ndindex(n, n):
-        _, hess = _fd_grad_hess(lambda y: spec.diffusion(y)[0, i, j] * float(rho(y)), pt)
-        total += hess[i, j]
-    for i in range(n):
-        grad, _ = _fd_grad_hess(lambda y: spec.drift(y)[0, i] * float(rho(y)), pt)
-        total -= grad[i]
-    return float(total)
+    """n-D adjoint sum d_ij(a_ij rho) - sum d_i(b_i rho) at an interior point,
+    by ``_grad_hess`` of the product fields a rho and b rho."""
+    _, hess = _grad_hess(lambda y: spec.diffusion(y)[0] * float(rho(y)), pt, spec.domain)
+    grad, _ = _grad_hess(lambda y: spec.drift(y)[0] * float(rho(y)), pt, spec.domain)
+    return float(np.einsum("ijij->", hess) - np.trace(grad))
 
 
 def residual_invariant(spec, rho0, grid=None):

@@ -355,7 +355,11 @@ def _kernels(qm, ts, tol, pool):
     (``_expand``) and dropped, and the kernel is squared against one spare,
     which goes back to ``pool`` before the kernel is yielded.  So a caller
     that hands buffers back between kernels bounds the dense arrays of the
-    call.  Before each squaring, entries below the flush floor
+    call: one that keeps every kernel holds one n x n array per kernel plus
+    the one spare the kernels pass on to each other, two for a single
+    kernel, while ``chapman_kolmogorov_defect`` hands the buffers of P(t)
+    and P(s) back before P(t+s) is finished, so it holds three, not four.
+    Before each squaring, entries below the flush floor
     max(_FLUSH, eps*tail/n) in magnitude are set to zero, with tail the
     plan's per-level Poisson tail.  That drops at most eps*tail of mass per
     row per squaring, so at most 2^(k+1)*eps*tail through k squarings: under
@@ -415,23 +419,11 @@ def _kernels(qm, ts, tol, pool):
         yield M, max(plan.tail * 2 ** plan.splits, row_defect)
 
 
-def _kernel_matrices(qm, ts, tol):
-    """The (kernel, defect) pairs of ``_kernels`` for every t in ``ts``.
-
-    Every kernel is kept, so the call holds one n x n array per kernel plus
-    the one spare the kernels pass on to each other: two for a single
-    kernel.  ``chapman_kolmogorov_defect`` takes its kernels from
-    ``_kernels`` itself and hands the buffers of P(t) and P(s) back before
-    P(t+s) is finished, so it holds three, not four.
-    """
-    return list(_kernels(qm, ts, tol, []))
-
-
 def transition_kernel(Q, t, tol=1e-9):
     """Transition kernel P(t); rows sum to one within the reported defect."""
     _check_times(t)
     _check_tol(tol)
-    (M, defect), = _kernel_matrices(_as_qmatrix(Q), [t], tol)
+    (M, defect), = _kernels(_as_qmatrix(Q), [t], tol, [])
     return TransitionKernel(M, defect)
 
 
@@ -451,7 +443,7 @@ def _step_operator(qm, t, tol, transpose, steps):
                plan.splits, terms, steps, dense_cost, series_cost,
                "dense" if dense else "series")
     if dense:
-        (M, _), = _kernel_matrices(qm, [t], tol)
+        (M, _), = _kernels(qm, [t], tol, [])
         return (lambda v: M.T @ v) if transpose else (lambda v: M @ v)
     P = _stochastic(qm.Q.T if transpose else qm.Q, plan.lam)
 
@@ -687,7 +679,7 @@ def recover_coefficients(Q, t_small, tol=1e-12):
     x = qm.node_coordinates()
     if x.ndim != 1:
         raise ShapeError("moment recovery supports 1-D grids in v1")
-    (P, _), = _kernel_matrices(qm, [t_small], tol)
+    (P, _), = _kernels(qm, [t_small], tol, [])
     rs = P.sum(axis=1)
     px = P @ x
     px2 = P @ (x * x)
@@ -732,7 +724,7 @@ def stochastic_continuity_defect(Q, node, radius, times, tol=1e-12):
     max_interior = np.empty(times.size)
     interior = slice(1, -1) if qm.size > 2 else slice(None)
     for k, t in enumerate(times):
-        (P, _), = _kernel_matrices(qm, [t], tol)
+        (P, _), = _kernels(qm, [t], tol, [])
         defect = 1.0 - _row_moments(P, x, lambda d: (np.abs(d) <= radius).astype(float))
         del P  # freed before the next kernel is built
         at_node[k] = defect[node]

@@ -7,6 +7,7 @@ emitted value re-parses to the exact double that was in memory.
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 
@@ -22,8 +23,9 @@ def fmt(v):
 
 
 def canonical_json(obj):
-    """Deterministic JSON text: sorted keys, newline-terminated."""
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    """Deterministic RFC 8259 JSON text: sorted keys, newline-terminated;
+    ValueError on a NaN or an infinity."""
+    return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 # --------------------------------------------------------------------------
@@ -122,13 +124,15 @@ def load_generator(doc):
 # --------------------------------------------------------------------------
 
 def certificate_to_dict(cert):
+    """A certificate's document; an unbounded validity radius is null."""
+    radius = cert.validity_radius
     d = {
         "x0": cert.x0 if cert.dimension == 1 else list(cert.x0),
         "epsilon": cert.epsilon,
         "amplitude": cert.amplitude,
         "order": cert.order,
         "value": cert.value,
-        "validity_radius": cert.validity_radius,
+        "validity_radius": radius if math.isfinite(radius) else None,
         "dimension": cert.dimension,
         "polynomial": cert.describe(),
     }

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -67,6 +69,11 @@ def read_csv_columns(path):
             for name, tok in zip(header, line.strip().split(",")):
                 cols[name].append(float(tok))
     return {k: np.asarray(v) for k, v in cols.items()}
+
+
+def reject_json_constant(name):
+    """``json.loads`` hook: NaN and Infinity are not RFC 8259 JSON."""
+    raise ValueError(f"{name} is not RFC 8259 JSON")
 
 
 def read_qmatrix(path_matrix, size):
@@ -141,7 +148,7 @@ def certificate_from_dict(d):
         amplitude=float(d["amplitude"]),
         order=int(d["order"]),
         value=float(d["value"]),
-        validity_radius=float(d["validity_radius"]),
+        validity_radius=math.inf if d["validity_radius"] is None else float(d["validity_radius"]),
         dimension=int(d.get("dimension", 1)),
         multi_index=tuple(tuple(p) for p in multi) if multi else None,
     )

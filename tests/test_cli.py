@@ -3,6 +3,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -20,7 +21,13 @@ from kinbench.serialize import (
     write_hcurve_csv,
 )
 
-from conftest import certificate_from_dict, read_csv_columns, read_qmatrix, toarray
+from conftest import (
+    certificate_from_dict,
+    read_csv_columns,
+    read_qmatrix,
+    reject_json_constant,
+    toarray,
+)
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SCENARIOS = ROOT / "scenarios"
@@ -259,6 +266,9 @@ MALFORMED_SCENARIO_FIELDS = {
                                            "checks.chapman_kolmogorov"),
     "checks.resolvent_lambdas": ("checks", {"resolvent_lambdas": [-1]},
                                  "checks.resolvent_lambdas"),
+    # no rate would leave resolvent_positivity at -inf, which JSON cannot hold
+    "checks.resolvent_lambdas.empty": ("checks", {"resolvent_lambdas": []},
+                                       "checks.resolvent_lambdas"),
     # non-finite times and rates are input errors, not tracebacks or vacuous passes
     "times.inf": ("times", [0.0, float("inf")], "times"),
     "times.stop.inf": ("times", {"start": 0, "stop": float("inf"), "num": 3}, "times"),
@@ -305,6 +315,8 @@ MALFORMED_SCENARIO_FIELDS = {
                                         {"kind": "table", "values": [1.0] * 20 + [-1.0]},
                                         "initial_density.values"),
     "oracle.particles.zero": ("oracle", {"particles": 0}, "oracle.particles"),
+    # a standard error needs two draws
+    "oracle.particles.one": ("oracle", {"particles": 1}, "oracle.particles"),
     "generator.table": ("generator", {"dimension": 1, "a": {"points": [1, 0], "values": [1, 1]},
                                       "b": "0", "domain": {"kind": "box", "bounds": [[-1, 1]]}},
                         "generator"),
@@ -381,6 +393,80 @@ def test_invariant_measure_false_skips_the_invariant_checks(tmp_path):
     checks = json.loads((tmp_path / "out" / "summary.json").read_text())["checks"]
     assert "invariant_residual" not in checks
     assert not any(name.startswith("h_monotone") for name in checks)
+
+
+OU_SPEC = kb.catalog_example("ornstein-uhlenbeck")[0]
+SMALL_X = kb.Grid.from_domain(OU_SPEC.domain, 21).x
+TABLE_VALUES = np.linspace(0.0, 2.0, SMALL_X.size)
+
+
+def _small_equilibrium():
+    return kb.solve_invariant(kb.build_qmatrix(OU_SPEC, kb.Grid.from_domain(OU_SPEC.domain,
+                                                                             21))).pi
+
+
+# initial_density -> the unit-mass vector evolution.csv starts from
+INITIAL_DENSITIES = {
+    "gaussian": ({"kind": "gaussian", "center": 1.0, "sigma": 2.0},
+                 lambda: np.exp(-(SMALL_X - 1.0) ** 2 / 8.0)),
+    "delta": ({"kind": "delta", "at": 1.3}, lambda: np.eye(SMALL_X.size)[12]),
+    "bump": ({"kind": "bump", "center": -1.0, "width": 2.5},
+             lambda: np.maximum(0.0, 1.0 - ((SMALL_X + 1.0) / 2.5) ** 2) ** 2),
+    "equilibrium": ({"kind": "equilibrium"}, _small_equilibrium),
+    "table": ({"kind": "table", "values": TABLE_VALUES.tolist()}, lambda: TABLE_VALUES),
+}
+
+
+@pytest.mark.parametrize("kind", INITIAL_DENSITIES)
+def test_run_starts_from_each_initial_density(tmp_path, kind):
+    desc, expected = INITIAL_DENSITIES[kind]
+    path = write_json(tmp_path / "init.json", {**SMALL_SCENARIO, "initial_density": desc})
+    assert main(["run", path, "--out", str(tmp_path / "out")]) == 0
+    cols = read_csv_columns(tmp_path / "out" / "evolution.csv")
+    start = cols["value"][cols["time"] == 0.0]
+    vals = expected()
+    assert start == pytest.approx(vals / vals.sum(), rel=1e-14, abs=1e-300)
+
+
+# initial_density (and checks) -> the message `run` exits 2 with
+UNUSABLE_INITIAL_DENSITIES = {
+    "table.length": ({"kind": "table", "values": [1.0] * 20}, {},
+                     "initial_density table has 20 values, grid has 21"),
+    "table.zero": ({"kind": "table", "values": [0.0] * 21}, {},
+                   "initial density has no mass on the grid"),
+    "equilibrium.unsolved": ({"kind": "equilibrium"}, {"invariant_measure": False},
+                             "equilibrium start requested but no invariant available"),
+}
+
+
+@pytest.mark.parametrize("desc, checks, message", UNUSABLE_INITIAL_DENSITIES.values(),
+                         ids=UNUSABLE_INITIAL_DENSITIES.keys())
+def test_unusable_initial_density_is_input_error(tmp_path, capsys, desc, checks, message):
+    doc = {**SMALL_SCENARIO, "initial_density": desc, "checks": checks}
+    assert main(["run", write_json(tmp_path / "bad.json", doc),
+                 "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err == f"input error (ScenarioError): {message}\n"
+
+
+def test_oracle_compare_samples_a_delta_start(tmp_path):
+    doc = {**SMALL_SCENARIO, "initial_density": {"kind": "delta", "at": 1.3},
+           "oracle": {"particles": 500, "snapshot_times": [0.5], "moment_points": [0.0]}}
+    out = tmp_path / "out"
+    assert main(["oracle-compare", write_json(tmp_path / "delta.json", doc),
+                 "--out", str(out)]) == 0
+    report = json.loads((out / "oracle_compare.json").read_text())
+    assert [row["t"] for row in report["snapshots"]] == [0.5]
+    assert read_csv_columns(out / "ensemble.csv")["x"].size == 500
+
+
+def test_oracle_compare_rejects_a_bump_start(tmp_path, capsys):
+    doc = {**SMALL_SCENARIO, "initial_density": {"kind": "bump"},
+           "oracle": {"particles": 500, "snapshot_times": [0.5]}}
+    assert main(["oracle-compare", write_json(tmp_path / "bump.json", doc),
+                 "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error (ScenarioError)") and "'bump'" in err
 
 
 def test_oracle_compare_without_particles_is_input_error(tmp_path, capsys):
@@ -481,6 +567,26 @@ def test_pawula_nan_second_order_coefficient_is_input_error(tmp_path, capsys):
     assert captured.err.startswith("input error (ParameterOutOfRange): second-order coefficient")
     assert "pass" not in captured.out
     assert not (tmp_path / "out" / "pawula_verdict.json").exists()
+
+
+def test_pawula_nan_coefficient_prints_one_line_and_no_warning(tmp_path, capsys):
+    doc = {"coefficients": {"2": "ln(x - 20)", "1": "x"}, "order": 2}
+    path = write_json(tmp_path / "nan.json", doc)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["pawula", path, "--out", str(tmp_path / "out")]) == 2
+    assert caught == []
+    err = capsys.readouterr().err
+    assert err.startswith("input error (") and err.count("\n") == 1
+
+
+def test_pawula_unbounded_validity_radius_is_null(tmp_path):
+    doc = {"coefficients": {"2": "1", "4": "-1"}, "order": 4}
+    assert main(["pawula", write_json(tmp_path / "op.json", doc), "--out", str(tmp_path)]) == 0
+    text = (tmp_path / "pawula_certificate.json").read_text()
+    doc = json.loads(text, parse_constant=reject_json_constant)
+    assert doc["validity_radius"] is None
+    assert certificate_from_dict(doc).validity_radius == np.inf
 
 
 def test_pawula_empty_coefficients(tmp_path):

@@ -139,6 +139,51 @@ def test_apply_generator_2d_quadratic():
     assert val == pytest.approx(exact, abs=1e-6)
 
 
+# a rotated anisotropic OU on a box: a = R diag(1, 0.2) R^T, R the rotation by
+# pi/6, b(x) = -x; its invariant density is exp(-x^T a^-1 x / 2)
+_C, _S = math.cos(math.pi / 6), math.sin(math.pi / 6)
+ROTATED_A = np.array([[_C, -_S], [_S, _C]]) @ np.diag([1.0, 0.2]) @ np.array([[_C, _S],
+                                                                            [-_S, _C]])
+BOX_2D = DomainSpec("box", ((-4.0, 4.0), (-4.0, 4.0)))
+POINTS_2D = [(0.3, 0.1), (1.2, -0.7), (-2.0, 1.5), (3.1, 2.2)]
+
+
+def ou_2d(a):
+    return GeneratorSpec(2, lambda p: a, lambda p: -np.asarray(p), BOX_2D)
+
+
+def test_nd_adjoint_annihilates_the_rotated_ou_invariant():
+    inv = np.linalg.inv(ROTATED_A)
+    rho = lambda p: np.exp(-p @ inv @ p / 2)
+    for pt in POINTS_2D:
+        assert abs(apply_formal_adjoint(ou_2d(ROTATED_A), rho, pt)) <= 1e-9
+
+
+def test_nd_apply_generator_of_a_callable_is_fourth_order():
+    f = lambda p: math.sin(p[0]) * math.cos(2 * p[1])
+    for x, y in POINTS_2D:
+        grad = np.array([math.cos(x) * math.cos(2 * y), -2 * math.sin(x) * math.sin(2 * y)])
+        hess = np.array([[-math.sin(x) * math.cos(2 * y), -2 * math.cos(x) * math.sin(2 * y)],
+                         [-2 * math.cos(x) * math.sin(2 * y), -4 * math.sin(x) * math.cos(2 * y)]])
+        exact = np.sum(ROTATED_A * hess) - np.dot([x, y], grad)
+        assert apply_generator(ou_2d(ROTATED_A), f, (x, y)) == pytest.approx(exact, abs=1e-9)
+
+
+def test_nd_apply_generator_of_an_expression_is_exact():
+    a = np.array([[1.0, 0.3], [0.3, 2.0]])
+    f = CE("x1^2*x2 + exp(x2)", 2)
+    for x, y in POINTS_2D[:3]:
+        hess = np.array([[2 * y, 2 * x], [2 * x, math.exp(y)]])
+        exact = np.sum(a * hess) - np.dot([x, y], [2 * x * y, x * x + math.exp(y)])
+        assert apply_generator(ou_2d(a), f, (x, y)) == pytest.approx(exact, abs=1e-12)
+
+
+@pytest.mark.parametrize("pt", [(4.0 - 1e-4, 0.5), (0.5, -4.0 + 1e-4)])
+def test_nd_stencil_needs_room(pt):
+    with pytest.raises(InsufficientSmoothness):
+        apply_generator(ou_2d(ROTATED_A), lambda p: math.sin(p[0] + p[1]), pt)
+
+
 # ---------------------------------------------------------------------------
 # formal adjoint and stationarity residual
 # ---------------------------------------------------------------------------
@@ -336,6 +381,14 @@ def test_nd_formal_adjoint_matches_sympy():
     for pt in [(0.3, 0.1), (-1.1, 0.7), (0.0, 0.0)]:
         value = apply_formal_adjoint(spec, lambda p: np.exp(-(p[0] ** 2 + p[1] ** 2) / 2), pt)
         assert value == pytest.approx(float(exact(*pt)), abs=1e-6)
+
+
+def test_on_grid_names_the_first_non_finite_sample():
+    grid = kb.Grid.from_domain(DomainSpec("box", ((-1.0, 1.0),)), 11)
+    rho = EquilibriumDensity(rho_fn=CE("ln(x - 2)"))
+    with np.errstate(invalid="ignore"), pytest.raises(
+            ParameterOutOfRange, match=r"^rho = nan at point 0 \(x = \[-1\.0\]\) is not finite$"):
+        rho.on_grid(grid, normalize=True)
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,9 @@
 """Golden sha256 digests of the CLI artifacts on the shipped scenarios.
 
 The digests in ``golden_digests.json`` are specific to the numpy and scipy
-builds they were recorded with, so the test skips when those versions
-differ.  Re-record (only when an artifact is meant to change) with
+builds they were recorded with, so the test skips the comparison when those
+versions differ; every JSON artifact must parse as RFC 8259 JSON (no NaN or
+Infinity) either way.  Re-record (only when an artifact is meant to change) with
 
     PYTHONPATH=src python tests/test_golden.py
 
@@ -22,6 +23,7 @@ import pytest
 import scipy
 
 import kinbench
+from conftest import reject_json_constant
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SCENARIOS = ROOT / "scenarios"
@@ -50,9 +52,11 @@ print(json.dumps(codes))
 
 
 def _digest(path):
-    """sha256 of an artifact; summary.json without its absolute scenario path."""
+    """sha256 of an artifact; summary.json without its absolute scenario path.
+    A JSON artifact must parse without NaN or Infinity."""
+    if path.suffix == ".json":
+        doc = json.loads(path.read_text(), parse_constant=reject_json_constant)
     if path.name == "summary.json":
-        doc = json.loads(path.read_text())
         doc.pop("scenario", None)
         data = (json.dumps(doc, sort_keys=True, indent=2) + "\n").encode()
     else:
@@ -85,11 +89,11 @@ def artifact_digests(workdir):
 
 
 def test_artifacts_match_golden_digests(tmp_path):
+    codes, digests = artifact_digests(tmp_path)  # every JSON artifact parses strictly
     golden = json.loads(GOLDEN.read_text())
     versions = {"numpy": np.__version__, "scipy": scipy.__version__}
     if golden["versions"] != versions:
         pytest.skip(f"digests recorded with {golden['versions']}, running {versions}")
-    codes, digests = artifact_digests(tmp_path)
     assert codes == golden["exit_codes"]
     assert digests == golden["digests"]
 

@@ -315,18 +315,18 @@ def _bits(x):
 
 def test_kernels_of_one_call_are_bitwise_separate_builds(a2a201):
     ts = [1.0, 0.3, 0.0, 0.7, 0.3]
-    together = sg._kernel_matrices(a2a201.Q, ts, 1e-12)
+    together = list(sg._kernels(a2a201.Q, ts, 1e-12, []))
     assert len(together) == len(ts)
     for t, (M, defect) in zip(ts, together):
-        (ref, ref_defect), = sg._kernel_matrices(a2a201.Q, [t], 1e-12)
+        (ref, ref_defect), = sg._kernels(a2a201.Q, [t], 1e-12, [])
         assert np.array_equal(_bits(M), _bits(ref))
         assert _bits(defect) == _bits(ref_defect)
 
 
 def _ck_from_separate_builds(qm, t, s, tol):
-    (whole, _), = sg._kernel_matrices(qm, [t + s], tol)
-    (left, _), = sg._kernel_matrices(qm, [t], tol)
-    (right, _), = sg._kernel_matrices(qm, [s], tol)
+    (whole, _), = sg._kernels(qm, [t + s], tol, [])
+    (left, _), = sg._kernels(qm, [t], tol, [])
+    (right, _), = sg._kernels(qm, [s], tol, [])
     return float(np.max(np.abs(whole - left @ right).sum(axis=1)))
 
 
@@ -419,7 +419,7 @@ def test_block_squarings_match_full_products(name, monkeypatch):
     for n in [5, 63, 64, 65, 129, 401]:
         before = len(works)
         qm = _1d_chain(name, n, "exponential-fitting")
-        sg._kernel_matrices(qm, [3.0, 0.3], 1e-9)
+        list(sg._kernels(qm, [3.0, 0.3], 1e-9, []))
         splits = sum(sg._uniformization(qm, t, 1e-9).splits for t in [3.0, 0.3])
         assert len(works) - before == splits
     assert len(works) > 0
@@ -431,7 +431,7 @@ def test_block_squarings_match_full_products_off_1d_catalog(monkeypatch):
     for qm, t in [(_absorbing_chain(301), 1.0), (box, 2.0)]:
         assert sg._uniformization(qm, t, 1e-9).splits > 0
         before = len(works)
-        sg._kernel_matrices(qm, [t], 1e-9)
+        list(sg._kernels(qm, [t], 1e-9, []))
         assert len(works) - before == sg._uniformization(qm, t, 1e-9).splits
     assert works[0] < 301 ** 3  # the absorbing chain's band skipped blocks
 
@@ -515,7 +515,7 @@ def _box_50x(n):
 
 
 def _unflushed_kernel(qm, t, tol):
-    """_kernel_matrices for one t, with the dense identity series and no flush."""
+    """_kernels for one t, with the dense identity series and no flush."""
     P, plan = _series_inputs(qm, t, tol)
     M = sg._series_matvec(P, np.eye(qm.size), plan.weights)
     for _ in range(plan.splits):
@@ -531,7 +531,7 @@ def _unflushed_kernel(qm, t, tol):
 def test_flushed_squarings_match_unflushed_kernel(t):
     Q = _box_50x(401)
     assert sg._uniformization(Q, t, 1e-9).splits > 0
-    (M, defect), = sg._kernel_matrices(Q, [t], 1e-9)
+    (M, defect), = sg._kernels(Q, [t], 1e-9, [])
     ref, _ = _unflushed_kernel(Q, t, 1e-9)
     assert np.max(np.abs(M - ref).sum(axis=1)) <= defect
     for size, rtol in [(1e-10, 1e-13), (1e-20, 1e-12)]:
@@ -603,11 +603,11 @@ def test_kernel_diagnostics_are_bitwise_their_full_row_sums():
     x = qm.node_coordinates()
     moments, continuity = _moments(qm), _continuity(qm)
     gap = x[None, :] - x[:, None]
-    (P, _), = sg._kernel_matrices(qm, [1e-3], 1e-12)
+    (P, _), = sg._kernels(qm, [1e-3], 1e-12, [])
     third = np.einsum("ij,ij->i", P, np.abs(gap) ** 3) / 1e-3
     assert np.array_equal(_bits(moments.third_abs_over_t), _bits(third))
     for k, t in enumerate([0.05, 1e-3]):
-        (P, _), = sg._kernel_matrices(qm, [t], 1e-12)
+        (P, _), = sg._kernels(qm, [t], 1e-12, [])
         defect = 1.0 - np.einsum("ij,ij->i", P, (np.abs(gap) <= 0.3).astype(float))
         assert _bits(continuity.at_node[k]) == _bits(defect[qm.size // 2])
         assert _bits(continuity.max_interior[k]) == _bits(defect[1:-1].max())
