@@ -10,13 +10,15 @@ checks, assembly and the pointwise operators read a and b through
 
 Two rules differentiate a coefficient or a test function:
 
-- at a point, in every dimension (``derivatives`` in 1-D, also used by
-  :mod:`kinbench.pawula`, and ``_grad_hess`` for gradient and Hessian):
+- at a point, in every dimension, ``_grad_hess`` (the gradient and Hessian
+  of ``apply_generator``, ``apply_formal_adjoint`` and ``pawula.cube_test``):
   exact for compiled expressions and polynomials (``_derivative_of``); any
-  other callable gets the 5-point central stencils ``fd.central_d1`` and
-  ``fd.central_d2`` at h = 1e-3 max(1, max|x_i|) for orders 1-2, along
-  each axis and each sum of two axes, and Richardson-extrapolated central
-  differences (``fd.richardson_dm``) for orders 3 and up (1-D);
+  other callable, a and b read through the sampler, gets the 5-point central
+  stencils ``fd.central_d1`` and ``fd.central_d2`` at h = 1e-3 max(1, max|x_i|)
+  along each axis and each sum of two axes, and InsufficientSmoothness when
+  the stencil leaves the domain.  ``derivatives`` (1-D, for
+  ``pawula.apply_operator``) adds Richardson-extrapolated central
+  differences (``fd.richardson_dm``) for orders 3 and up;
 - ``_on_nodes(f, x, m)``, on the 1-D grid nodes: exact where
   ``_derivative_of`` finds a derivative, else ``np.gradient`` of the order
   below (second order at the walls).
@@ -209,11 +211,6 @@ class GeneratorSpec:
         _require_finite(name, vals, pts)
         return 0.5 * (vals + vals.transpose(0, 2, 1)) if name == "a" and d > 1 else vals
 
-    def a_matrix(self, x):
-        """Symmetrized diffusion matrix at a point (n-D) or scalar (1-D)."""
-        m = self.diffusion(_as_point(x, self.dimension))[0]
-        return float(m[0, 0]) if self.dimension == 1 else m
-
     def check_admissible(self, points):
         """Raise NonEllipticCoefficient at the first point where an eigenvalue of
         a is below EIG_FLOOR (ParameterOutOfRange where a is not finite)."""
@@ -289,15 +286,16 @@ def apply_generator(spec, f, x):
     return float(np.sum(spec.diffusion(pt)[0] * hess) + np.dot(spec.drift(pt)[0], grad))
 
 
-def _grad_hess(f, pt, domain):
+def _grad_hess(f, pt, domain, read=None):
     """Gradient and Hessian of f at an interior point by the module's point rule.
 
     Exact where ``_derivative_of`` finds the partials; else ``fd.central_d1``
     and ``fd.central_d2`` at h = ``_fd_step(max|x_i|)`` along each axis and
     each sum e_i + e_j of two, the mixed partials by polarization,
     d_ij = (D^2_{e_i+e_j} - d_ii - d_jj)/2; InsufficientSmoothness when a
-    stencil point leaves the domain.  f may take its values in an array:
-    the point's axes then lead those of the value.
+    stencil point leaves the domain.  The stencil reads f's values through
+    ``read`` (f itself by default), which may return an array: the point's
+    axes then lead those of the value.
     """
     d = domain.dimension
     x = np.reshape(np.asarray(pt, dtype=float), d)
@@ -315,7 +313,7 @@ def _grad_hess(f, pt, domain):
             "no exact derivatives and the difference stencil leaves the domain")
 
     def along(v):
-        return lambda t: np.asarray(f(_as_point(x + t * v, d)), dtype=float)
+        return lambda t: np.asarray((read or f)(_as_point(x + t * v, d)), dtype=float)
 
     grad = np.array([fd.central_d1(along(e), 0.0, h) for e in axes])
     hess = np.empty((d,) + grad.shape)
@@ -328,22 +326,19 @@ def _grad_hess(f, pt, domain):
 
 
 def apply_formal_adjoint(spec, rho, x):
-    """Evaluate the density-side operator (a rho)'' - (b rho)' at a point."""
-    x = _interior_point(spec, x)
-    if spec.dimension != 1:
-        return _formal_adjoint_nd(spec, rho, x)
-    a, da, d2a = derivatives(spec.a, x, 2)
-    b, db = derivatives(spec.b, x, 1)
-    r, dr, d2r = derivatives(rho, x, 2)
-    return a * d2r + (2 * da - b) * dr + (d2a - db) * r
-
-
-def _formal_adjoint_nd(spec, rho, pt):
-    """n-D adjoint sum d_ij(a_ij rho) - sum d_i(b_i rho) at an interior point,
-    by ``_grad_hess`` of the product fields a rho and b rho."""
-    _, hess = _grad_hess(lambda y: spec.diffusion(y)[0] * float(rho(y)), pt, spec.domain)
-    grad, _ = _grad_hess(lambda y: spec.drift(y)[0] * float(rho(y)), pt, spec.domain)
-    return float(np.einsum("ijij->", hess) - np.trace(grad))
+    """Evaluate the density-side operator sum d_ij(a_ij rho) - sum d_i(b_i rho)
+    at a point by the product rule, every partial by ``_grad_hess`` (the
+    stencil reading a and b through the sampler)."""
+    pt = _interior_point(spec, x)
+    d = spec.dimension
+    a, b, r = spec.diffusion(pt)[0], spec.drift(pt)[0], float(rho(pt))
+    da, d2a = _grad_hess(spec.a, pt, spec.domain, lambda y: spec.diffusion(y)[0])
+    db, _ = _grad_hess(spec.b, pt, spec.domain, lambda y: spec.drift(y)[0])
+    dr, d2r = _grad_hess(rho, pt, spec.domain)
+    # exact 1-D partials are scalars; a is symmetric, so both cross terms are equal
+    da, d2a, db = np.reshape(da, (d,) * 3), np.reshape(d2a, (d,) * 4), np.reshape(db, (d, d))
+    return float(np.einsum("ijij->", d2a) * r + 2 * np.einsum("iij,j->", da, dr)
+                 + np.sum(a * d2r) - np.trace(db) * r - np.dot(b, dr))
 
 
 def residual_invariant(spec, rho0, grid=None):

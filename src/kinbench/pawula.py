@@ -10,8 +10,9 @@ Coefficients are keyed by multi-indices (1-D operators may use integer
 orders), so one construction serves every dimension: the witness
 ``A (x - x0)^a - eps |x - x0|^2`` and its closed-form validity radius.
 
-Derivatives of test functions follow the one rule of
-:func:`kinbench.generator.derivatives`: exact for polynomials and compiled
+Derivatives of test functions follow the one point rule of
+:mod:`kinbench.generator` (``derivatives`` for a truncated operator,
+``_grad_hess`` for a generator): exact for polynomials and compiled
 expressions, finite differences for other callables.
 """
 
@@ -30,7 +31,8 @@ from .errors import (
     PreconditionViolated,
     ShapeError,
 )
-from .generator import EIG_FLOOR, _as_point, _require_finite, derivatives
+from .generator import (EIG_FLOOR, _as_point, _grad_hess, _interior_point, _require_finite,
+                        derivatives)
 
 DEFAULT_EPSILON = 0.1
 OFFDIAG_TOL = 1e-12
@@ -279,18 +281,18 @@ def cube_test(op, A, x0):
     """Value of the operator on A^3 at a zero of A.
 
     Pure second-order generators return 0 (within rounding) for every
-    admissible A; a nonzero value flags higher-order structure.
+    admissible A; a nonzero value flags higher-order structure.  On a
+    generator of any dimension, A's partials come from ``generator._grad_hess``.
     """
-    if op.dimension != 1:
-        raise ShapeError("cube_test supports 1-D operators and generators in v1")
-    x0 = float(x0)
+    generator = not isinstance(op, TruncatedOperator)
+    x0 = _interior_point(op, x0) if generator else _as_point(x0, op.dimension)
     A0 = float(A(x0))
     if abs(A0) > 1e-12:
         raise PreconditionViolated(f"A(x0) = {A0:g} is not zero")
-    if not isinstance(op, TruncatedOperator):  # GeneratorSpec
-        A0, dA0, d2A0 = derivatives(A, x0, 2)
-        d1_cube = 3 * A0**2 * dA0
-        d2_cube = 6 * A0 * dA0**2 + 3 * A0**2 * d2A0
-        return float(op.diffusion(x0)[0, 0, 0] * d2_cube + op.drift(x0)[0, 0] * d1_cube)
+    if generator:
+        grad, hess = _grad_hess(A, x0, op.domain)
+        d1_cube = 3 * A0**2 * grad
+        d2_cube = 6 * A0 * np.outer(grad, grad) + 3 * A0**2 * hess
+        return float(np.sum(op.diffusion(x0)[0] * d2_cube) + np.dot(op.drift(x0)[0], d1_cube))
     cube = A**3 if isinstance(A, Polynomial) else lambda x: float(A(x)) ** 3
     return apply_operator(op, cube, x0)

@@ -97,7 +97,7 @@ def per_node_coefficients(spec, grid):
     pts = grid.nodes()
     a, b = np.empty(pts.shape), np.empty(pts.shape)
     for i, p in enumerate(pts):
-        amat = spec.a_matrix(p)
+        amat = spec.diffusion(p)[0]
         off = amat - np.diag(np.diag(amat))
         if np.max(np.abs(off)) > 1e-12 * max(1.0, float(np.max(np.abs(amat)))):
             raise UnsupportedTensor(f"off-diagonal entry at node {i}")

@@ -204,6 +204,24 @@ def test_adjoint_pure_diffusion_is_second_derivative():
     assert apply_formal_adjoint(spec, CE("x^2"), 0.7) == pytest.approx(2.0, abs=1e-10)
 
 
+def test_adjoint_stencil_needs_room_in_1d():
+    spec, _ = catalog_example("ornstein-uhlenbeck")  # on [-8, 8]
+    with pytest.raises(InsufficientSmoothness):
+        apply_formal_adjoint(spec, lambda x: np.exp(-x**2 / 2), 8 - 1e-7)
+
+
+def test_adjoint_reads_a_through_the_sampler():
+    spec = line_spec("ln(x - 2)", "0", -1, 1, "box")
+    with np.errstate(invalid="ignore"), pytest.raises(
+            ParameterOutOfRange, match=r"^a = nan at point 0 \(x = \[0\.3\]\) is not finite$"):
+        apply_formal_adjoint(spec, CE("1"), 0.3)
+
+
+def test_nd_adjoint_of_an_expression_is_exact():
+    spec = GeneratorSpec(2, lambda p: np.eye(2), lambda p: np.zeros(2), BOX_2D)
+    assert apply_formal_adjoint(spec, CE("x1^3 + x2^3", 2), (1.0, 1.0)) == 12.0
+
+
 def test_residual_invariant_appendix2b():
     spec, rho = catalog_example("appendix2b", 1.0)
     grid = kb.Grid.from_domain(spec.domain, 400)
@@ -508,7 +526,7 @@ def test_nd_sampler_stacks_and_symmetrizes():
     assert np.array_equal(spec.diffusion(pts), want)
     assert np.array_equal(spec.drift(pts), -pts)
     assert spec.diffusion(pts[1]).shape == (1, 2, 2)  # one point
-    assert np.array_equal(spec.a_matrix(pts[1]), want[1])
+    assert np.array_equal(spec.diffusion(pts[1])[0], want[1])
 
 
 def test_1d_sampler_takes_the_whole_array_in_one_call():
@@ -518,7 +536,7 @@ def test_1d_sampler_takes_the_whole_array_in_one_call():
     x = np.linspace(-1, 1, 5)
     assert np.array_equal(spec.diffusion(x), (1 + x**2).reshape(5, 1, 1))
     assert np.array_equal(spec.drift(x), np.full((5, 1), 3.0))  # one number stands for all
-    assert spec.a_matrix(0.5) == 1.25
+    assert spec.diffusion(0.5)[0] == 1.25
     assert shapes == [(5,), ()]
 
 

@@ -1,9 +1,10 @@
 """Golden sha256 digests of the CLI artifacts on the shipped scenarios.
 
 The digests in ``golden_digests.json`` are specific to the numpy and scipy
-builds they were recorded with, so the test skips the comparison when those
-versions differ; every JSON artifact must parse as RFC 8259 JSON (no NaN or
-Infinity) either way.  Re-record (only when an artifact is meant to change) with
+builds they were recorded with, so the test skips the digest comparison when
+those versions differ; every command must exit with its recorded code and
+every JSON artifact must parse as RFC 8259 JSON (no NaN or Infinity) either
+way.  Re-record (only when an artifact is meant to change) with
 
     PYTHONPATH=src python tests/test_golden.py
 
@@ -91,10 +92,10 @@ def artifact_digests(workdir):
 def test_artifacts_match_golden_digests(tmp_path):
     codes, digests = artifact_digests(tmp_path)  # every JSON artifact parses strictly
     golden = json.loads(GOLDEN.read_text())
+    assert codes == golden["exit_codes"]
     versions = {"numpy": np.__version__, "scipy": scipy.__version__}
     if golden["versions"] != versions:
         pytest.skip(f"digests recorded with {golden['versions']}, running {versions}")
-    assert codes == golden["exit_codes"]
     assert digests == golden["digests"]
 
 

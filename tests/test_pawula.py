@@ -13,6 +13,7 @@ from numpy.polynomial import Polynomial
 
 import kinbench as kb
 from kinbench.errors import (
+    InsufficientSmoothness,
     NoViolationAtPoint,
     OrderTooLow,
     ParameterOutOfRange,
@@ -305,6 +306,19 @@ def test_cube_precondition():
     spec, _ = kb.catalog_example("ornstein-uhlenbeck")
     with pytest.raises(PreconditionViolated):
         cube_test(spec, CE("x + 1"), 0.0)
+
+
+def test_cube_stencil_needs_room():
+    spec, _ = kb.catalog_example("ornstein-uhlenbeck")  # on [-8, 8]
+    x0 = 8 - 1e-7
+    with pytest.raises(InsufficientSmoothness):
+        cube_test(spec, lambda x: np.sin(x - x0), x0)
+
+
+def test_cube_vanishes_for_2d_ou():
+    spec = GeneratorSpec(2, lambda p: np.array([[1.0, 0.3], [0.3, 0.5]]),
+                         lambda p: -np.asarray(p), DomainSpec("box", ((-4.0, 4.0),) * 2))
+    assert cube_test(spec, CE("x1 + 2*x2 - 0.5", 2), (0.5, 0.0)) == 0.0
 
 
 # ---------------------------------------------------------------------------
