@@ -408,8 +408,7 @@ def _mass_outside(rho, grid):
     forms carry none).  The mass inside is a 16-point Gauss-Legendre rule
     on 64 equal panels, in log x when the interval is positive.
     """
-    if rho is None or rho.rho_fn is None or not rho.normalizable \
-            or not np.isfinite(rho.total_mass):
+    if rho is None or rho.rho_fn is None or not rho.normalizable:
         return None
     lo, hi = float(grid.x[0]), float(grid.x[-1])
     in_log = lo > 0

@@ -8,20 +8,18 @@ array in one call, as assembly calls it; an n-D one takes one point.  The
 checks, assembly and the pointwise operators read a and b through
 ``GeneratorSpec.diffusion`` and ``GeneratorSpec.drift``.
 
-Two rules differentiate a coefficient or a test function:
+Two rules differentiate a coefficient or a test function, both exact
+where ``_derivative_of`` finds a partial (compiled expressions, 1-D
+polynomials), as it always does for ``pawula.apply_operator``:
 
 - at a point, in every dimension, ``_grad_hess`` (the gradient and Hessian
-  of ``apply_generator``, ``apply_formal_adjoint`` and ``pawula.cube_test``):
-  exact for compiled expressions and polynomials (``_derivative_of``); any
-  other callable, a and b read through the sampler, gets the 5-point central
-  stencils ``fd.central_d1`` and ``fd.central_d2`` at h = 1e-3 max(1, max|x_i|)
-  along each axis and each sum of two axes, and InsufficientSmoothness when
-  the stencil leaves the domain.  ``derivatives`` (1-D, for
-  ``pawula.apply_operator``) adds Richardson-extrapolated central
-  differences (``fd.richardson_dm``) for orders 3 and up;
-- ``_on_nodes(f, x, m)``, on the 1-D grid nodes: exact where
-  ``_derivative_of`` finds a derivative, else ``np.gradient`` of the order
-  below (second order at the walls).
+  of ``apply_generator``, ``apply_formal_adjoint`` and ``pawula.cube_test``
+  on a generator): any other callable, a and b read through the sampler,
+  gets the 5-point central stencils ``fd.central_d1`` and ``fd.central_d2``
+  at h = 1e-3 max(1, max|x_i|) along each axis and each sum of two axes,
+  and InsufficientSmoothness when the stencil leaves the domain;
+- ``_on_nodes(f, x, m)``, on the 1-D grid nodes: any other callable gets
+  ``np.gradient`` of the order below (second order at the walls).
 """
 
 from __future__ import annotations
@@ -126,11 +124,6 @@ def _derivative_of(f, var=0):
     return None
 
 
-def _fd_step(x):
-    """Step of the 5-point stencils at a point."""
-    return 1e-3 * max(1.0, abs(x))
-
-
 def _on_nodes(f, x, m=0):
     """[f, f', ..., f^(m)] on the 1-D node array x, each of shape x.shape."""
     out = [np.broadcast_to(np.asarray(f(x), dtype=float), x.shape)]
@@ -138,25 +131,6 @@ def _on_nodes(f, x, m=0):
         f = _derivative_of(f)
         out.append(np.broadcast_to(np.asarray(f(x), dtype=float), x.shape) if f is not None
                    else np.gradient(out[-1], x, edge_order=2))
-    return out
-
-
-def derivatives(f, x, m):
-    """[f, f', ..., f^(m)] at the point x (1-D), by the module's derivative rule."""
-    out = [float(f(x))]
-    if _derivative_of(f) is not None:
-        for _ in range(m):
-            f = _derivative_of(f)
-            out.append(float(f(x)))
-        return out
-    h = _fd_step(x)
-    for k in range(1, m + 1):
-        if k == 1:
-            out.append(fd.central_d1(f, x, h))
-        elif k == 2:
-            out.append(fd.central_d2(f, x, h))
-        else:
-            out.append(fd.richardson_dm(f, x, k))
     return out
 
 
@@ -230,8 +204,12 @@ class EquilibriumDensity:
     gibbs: tuple | None = None
     values: np.ndarray | None = None
     grid: object | None = None
-    normalizable: bool = True
     total_mass: float = math.nan
+
+    @property
+    def normalizable(self):
+        """Whether the total mass is known and finite."""
+        return math.isfinite(self.total_mass)
 
     def on_grid(self, grid, normalize=False):
         """Materialize node values on a grid (optionally quadrature-normalized)."""
@@ -290,7 +268,7 @@ def _grad_hess(f, pt, domain, read=None):
     """Gradient and Hessian of f at an interior point by the module's point rule.
 
     Exact where ``_derivative_of`` finds the partials; else ``fd.central_d1``
-    and ``fd.central_d2`` at h = ``_fd_step(max|x_i|)`` along each axis and
+    and ``fd.central_d2`` at h = 1e-3 max(1, max|x_i|) along each axis and
     each sum e_i + e_j of two, the mixed partials by polarization,
     d_ij = (D^2_{e_i+e_j} - d_ii - d_jj)/2; InsufficientSmoothness when a
     stencil point leaves the domain.  The stencil reads f's values through
@@ -304,7 +282,7 @@ def _grad_hess(f, pt, domain, read=None):
     if all(g is not None for g in partials):
         hess = [[_derivative_of(g, j)(at) for j in range(d)] for g in partials]
         return np.array([g(at) for g in partials], dtype=float), np.array(hess, dtype=float)
-    h = _fd_step(float(np.max(np.abs(x))))
+    h = 1e-3 * max(1.0, float(np.max(np.abs(x))))
     axes = np.eye(d)
     pairs = [(i, j) for i in range(d) for j in range(i + 1, d)]
     reach = 2 * h * np.array([*axes, *(axes[i] + axes[j] for i, j in pairs)])
@@ -467,9 +445,7 @@ def catalog_example(name, alpha=1.0):
 
 
 def _example(kind, bounds, a, b, label, rho, H, mass):
-    """A 1-D catalog pair from its expressions, H being the Gibbs form at beta = 1;
-    the density is normalizable exactly when its total mass is finite."""
+    """A 1-D catalog pair from its expressions, H being the Gibbs form at beta = 1."""
     E = CompiledExpression
     spec = GeneratorSpec(1, E(a), E(b), DomainSpec(kind, (bounds,)), label=label)
-    return spec, EquilibriumDensity(rho_fn=E(rho), gibbs=(1.0, E(H)),
-                                    normalizable=math.isfinite(mass), total_mass=mass)
+    return spec, EquilibriumDensity(rho_fn=E(rho), gibbs=(1.0, E(H)), total_mass=mass)

@@ -44,13 +44,12 @@ _GTH_RESCALE = 2.0 ** 512  # GTH back-substitution rescales above this
 
 _log = logging.getLogger("kinbench.htheorem")
 
-# the built-in h functionals: name -> (h, h', h'', h(0))
+# the built-in h functionals: name -> (h, h'', h(0))
 _BUILTIN_H = {
-    "xlogx": (lambda u: u * np.log(u), lambda u: np.log(u) + 1.0, lambda u: 1.0 / u, 0.0),
-    "square": (lambda u: u * u, lambda u: 2 * u, lambda u: 2.0 * np.ones_like(u), 0.0),
-    "abs-dev": (lambda u: np.abs(u - 1.0), None, None, 1.0),
-    "square-dev": (lambda u: (u - 1.0) ** 2, lambda u: 2 * (u - 1.0),
-                   lambda u: 2.0 * np.ones_like(u), 1.0),
+    "xlogx": (lambda u: u * np.log(u), lambda u: 1.0 / u, 0.0),
+    "square": (lambda u: u * u, lambda u: 2.0 * np.ones_like(u), 0.0),
+    "abs-dev": (lambda u: np.abs(u - 1.0), None, 1.0),
+    "square-dev": (lambda u: (u - 1.0) ** 2, lambda u: 2.0 * np.ones_like(u), 1.0),
 }
 
 
@@ -65,7 +64,6 @@ class HFunctional:
 
     kind: str
     fn: object
-    dfn: object = None
     d2fn: object = None
     value_at_zero: float = 0.0
     probe: object = None
@@ -86,11 +84,6 @@ class HFunctional:
             vals = np.where(u == 0, self.value_at_zero, self.fn(np.maximum(u, 1e-300)))
         return vals if vals.ndim else float(vals)
 
-    def d1(self, u):
-        if self.dfn is None:
-            raise NonSmoothH(f"{self.kind} has no first derivative")
-        return self.dfn(np.asarray(u, dtype=float))
-
     def d2(self, u):
         if self.d2fn is None:
             raise NonSmoothH(f"{self.kind} has no second derivative")
@@ -102,8 +95,8 @@ class HFunctional:
             raise ParameterOutOfRange(
                 f"unknown h functional {name!r}; "
                 "choose xlogx, square, abs-dev, square-dev, or build from_table")
-        fn, dfn, d2fn, h0 = _BUILTIN_H[name]
-        return HFunctional(name, fn, dfn, d2fn,
+        fn, d2fn, h0 = _BUILTIN_H[name]
+        return HFunctional(name, fn, d2fn,
                            h0 if value_at_zero is None else float(value_at_zero))
 
     @staticmethod
@@ -119,7 +112,7 @@ class HFunctional:
         # constant extrapolation beyond the table would fake concavity,
         # so certify convexity on the tabulated span only
         probe = np.linspace(points[0], points[-1], 1000)
-        return HFunctional("custom-table", fn, None, None, vz, probe=probe)
+        return HFunctional("custom-table", fn, None, vz, probe=probe)
 
 
 @dataclass

@@ -10,10 +10,13 @@ Coefficients are keyed by multi-indices (1-D operators may use integer
 orders), so one construction serves every dimension: the witness
 ``A (x - x0)^a - eps |x - x0|^2`` and its closed-form validity radius.
 
-Derivatives of test functions follow the one point rule of
-:mod:`kinbench.generator` (``derivatives`` for a truncated operator,
-``_grad_hess`` for a generator): exact for polynomials and compiled
-expressions, finite differences for other callables.
+A truncated operator differentiates its test function exactly, one
+partial per unit of each multi-index through ``generator._derivative_of``,
+in every dimension: every witness is a polynomial, so a test function
+without exact partials (neither a 1-D numpy polynomial nor a compiled
+expression) raises InsufficientSmoothness.  A generator takes the point
+rule of :mod:`kinbench.generator` (``_grad_hess``): exact for polynomials
+and compiled expressions, finite differences for other callables.
 """
 
 from __future__ import annotations
@@ -26,13 +29,15 @@ from numpy.polynomial import Polynomial
 
 from .bands import BandMatrix
 from .errors import (
+    InsufficientSmoothness,
     NoViolationAtPoint,
     OrderTooLow,
     PreconditionViolated,
     ShapeError,
 )
-from .generator import (EIG_FLOOR, _as_point, _grad_hess, _interior_point, _require_finite,
-                        derivatives)
+from .expressions import CompiledExpression
+from .generator import (EIG_FLOOR, _as_point, _derivative_of, _grad_hess, _interior_point,
+                        _require_finite)
 
 DEFAULT_EPSILON = 0.1
 OFFDIAG_TOL = 1e-12
@@ -84,19 +89,21 @@ def _pure_second_order(op, x):
 
 
 def apply_operator(op, f, x):
-    """Evaluate the truncated operator on a function at a point (1-D)."""
-    if op.dimension != 1:
-        raise ShapeError("apply_operator handles 1-D operators; n-D certificates "
-                         "are evaluated through their exact monomial derivatives")
-    x = float(x)
-    orders = sorted(m for m, in op.coefficients)
-    ds = derivatives(f, x, orders[-1]) if orders else []
+    """Evaluate the truncated operator on a test function at a point, each
+    multi-index by exact partials (``_derivative_of``), in sorted key order."""
+    x = _as_point(x, op.dimension)
     total = 0.0
-    for m in orders:
-        c = float(op.coefficient(m)(x))
-        if c == 0.0:
-            continue
-        total += c * ds[m]
+    for key in sorted(op.coefficients):
+        g = f
+        for axis in (i for i, a in enumerate(key) for _ in range(a)):
+            g = _derivative_of(g, axis)
+            if g is None:
+                raise InsufficientSmoothness(
+                    f"no exact partial {key} of the test function: pass a numpy "
+                    "polynomial (1-D) or a CompiledExpression")
+        c = float(op.coefficient(key)(x))
+        if c != 0.0:
+            total += c * float(g(x))
     return total
 
 
@@ -149,9 +156,6 @@ class MaxPrincipleReport:
     min_offdiag: float
     max_abs_rowsum: float
     worst_entry: tuple
-
-    def __bool__(self):
-        return self.passed
 
 
 def maximum_principle_check(Q):
@@ -282,7 +286,8 @@ def cube_test(op, A, x0):
 
     Pure second-order generators return 0 (within rounding) for every
     admissible A; a nonzero value flags higher-order structure.  On a
-    generator of any dimension, A's partials come from ``generator._grad_hess``.
+    generator of any dimension, A's partials come from ``generator._grad_hess``;
+    a truncated operator takes A^3 exactly, as a polynomial or an expression.
     """
     generator = not isinstance(op, TruncatedOperator)
     x0 = _interior_point(op, x0) if generator else _as_point(x0, op.dimension)
@@ -294,5 +299,8 @@ def cube_test(op, A, x0):
         d1_cube = 3 * A0**2 * grad
         d2_cube = 6 * A0 * np.outer(grad, grad) + 3 * A0**2 * hess
         return float(np.sum(op.diffusion(x0)[0] * d2_cube) + np.dot(op.drift(x0)[0], d1_cube))
-    cube = A**3 if isinstance(A, Polynomial) else lambda x: float(A(x)) ** 3
+    if isinstance(A, CompiledExpression):
+        cube = CompiledExpression(("^", A.node, ("num", 3.0)), A.dimension)
+    else:  # apply_operator refuses a callable without exact partials
+        cube = A**3 if isinstance(A, Polynomial) else lambda x: float(A(x)) ** 3
     return apply_operator(op, cube, x0)

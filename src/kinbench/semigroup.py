@@ -106,9 +106,8 @@ def _as_qmatrix(Q):
 
 
 def _poisson_weights(mu, tail):
-    """Poisson(mu) pmf truncated once the missed mass drops below tail."""
-    if mu <= 0:
-        return np.ones(1)
+    """Poisson(mu) pmf truncated once the missed mass drops below tail
+    (at mu = 0 the first term, 1.0, already holds it all)."""
     w = math.exp(-mu)
     weights = [w]
     cum = w
@@ -198,12 +197,6 @@ class TransitionKernel:
 
     P: np.ndarray
     truncation: float
-
-    def __post_init__(self):
-        self.P = np.asarray(self.P, dtype=float)
-        n, m = self.P.shape
-        if n != m:
-            raise ShapeError(f"kernel must be square, got {self.P.shape}")
 
 
 def _identity_series(P, weight_sets):

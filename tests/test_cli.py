@@ -689,6 +689,8 @@ def test_spec_document_roundtrip():
     assert np.allclose(spec2.b(xs), spec.b(xs), rtol=0, atol=0)
     assert spec2.domain == spec.domain
     assert np.allclose(rho2.rho_fn(xs), rho.rho_fn(xs), rtol=1e-15)
+    # an inline Gibbs form carries no total mass, so it is not known to normalize
+    assert rho.normalizable and not rho2.normalizable
 
 
 TABLE_GENERATOR = {

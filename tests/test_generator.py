@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given
-from numpy.polynomial import Polynomial
 from hypothesis import strategies as st
 
 import kinbench as kb
@@ -27,43 +26,12 @@ from kinbench.generator import (
     apply_generator,
     catalog_example,
     compute_Hi,
-    derivatives,
     residual_invariant,
 )
 
 
 def line_spec(a_text, b_text, lo=-10.0, hi=10.0, kind="full-line"):
     return GeneratorSpec(1, CE(a_text), CE(b_text), DomainSpec(kind, ((lo, hi),)))
-
-
-# ---------------------------------------------------------------------------
-# derivatives: exact for expressions and polynomials, finite differences else
-
-
-def test_derivatives_of_expression_are_exact():
-    x = 0.7
-    got = derivatives(CE("exp(2*x)"), x, 3)
-    assert got == pytest.approx([2.0**k * math.exp(1.4) for k in range(4)], rel=1e-15)
-
-
-def test_derivatives_of_polynomial_are_exact():
-    x = 0.7
-    p = Polynomial([1.0, -2.0, 0.5, 3.0])
-    exact = [1 - 2 * x + 0.5 * x**2 + 3 * x**3, -2 + x + 9 * x**2, 1 + 18 * x, 18.0, 0.0]
-    assert derivatives(p, x, 4) == pytest.approx(exact, rel=1e-15, abs=0)
-
-
-def test_derivatives_of_bare_callable_use_finite_differences():
-    x = 0.7
-    got = derivatives(np.sin, x, 4)
-    exact = [math.sin(x), math.cos(x), -math.sin(x), -math.cos(x), math.sin(x)]
-    err = [abs(g - e) for g, e in zip(got, exact)]
-    # 5-point stencils at h = 1e-3 for orders 1-2, Richardson for 3-4
-    assert err[0] == 0.0
-    assert err[1] <= 1e-13
-    assert err[2] <= 1e-10
-    assert err[3] <= 5e-8
-    assert err[4] <= 2e-8
 
 
 # ---------------------------------------------------------------------------

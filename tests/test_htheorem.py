@@ -479,8 +479,7 @@ def test_h_scaling_invariance(two_state):
     base = HFunctional.from_name("square")
     scaled = HFunctional("custom-table",
                          lambda u: alpha * u * u + c,
-                         lambda u: 2 * alpha * u,
-                         lambda u: 2 * alpha * np.ones_like(u),
+                         d2fn=lambda u: 2 * alpha * np.ones_like(u),
                          value_at_zero=c)
     times = [0.0, 0.4, 1.2]
     nu0 = np.array([0.9, 0.1])

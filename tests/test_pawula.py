@@ -229,6 +229,53 @@ def test_negative_multi_index_entry_is_rejected(key, dimension):
         TruncatedOperator(3, {key: 1.0}, dimension=dimension)
 
 
+# ---------------------------------------------------------------------------
+# apply_operator: exact partials per multi-index, in every dimension
+# ---------------------------------------------------------------------------
+
+def test_apply_operator_of_expression_is_exact():
+    x = 0.7
+    got = [apply_operator(TruncatedOperator(k, {k: 1.0}), CE("exp(2*x)"), x) for k in (1, 2, 3)]
+    assert got == pytest.approx([2.0**k * math.exp(1.4) for k in (1, 2, 3)], rel=1e-15)
+
+
+def test_apply_operator_of_polynomial_is_exact():
+    x = 0.7
+    p = Polynomial([1.0, -2.0, 0.5, 3.0])
+    exact = [-2 + x + 9 * x**2, 1 + 18 * x, 18.0, 0.0]
+    got = [apply_operator(TruncatedOperator(k, {k: 1.0}), p, x) for k in (1, 2, 3, 4)]
+    assert got == pytest.approx(exact, rel=1e-15, abs=0)
+
+
+def test_apply_operator_takes_mixed_partials_in_2d():
+    op = TruncatedOperator(3, {(2, 1): 1.0}, dimension=2)
+    assert apply_operator(op, CE("x1^2*x2", 2), (0.3, 0.4)) == 2.0
+
+
+def _witness_expression(cert):
+    """The n-D witness polynomial of a certificate as a compiled expression."""
+    u = [f"(x{i + 1} - ({float(c)!r}))" for i, c in enumerate(cert.x0)]
+    mono = "*".join(f"{u[i]}^{a}" for i, a in cert.multi_index)
+    square = " + ".join(f"{v}^2" for v in u)
+    return CE(f"({cert.amplitude!r})*{mono} - ({cert.epsilon!r})*({square})", cert.dimension)
+
+
+def test_2d_certificate_reevaluates_through_apply_path():
+    op = TruncatedOperator(3, {(2, 1): lambda p: 1 + p[0] ** 2, (2, 0): 1.0, (0, 2): 0.5},
+                           dimension=2)
+    cert = pawula_counterexample(op, (0.3, -0.2))
+    val = apply_operator(op, _witness_expression(cert), cert.x0)
+    assert val == pytest.approx(cert.value, rel=1e-12)
+
+
+def test_apply_operator_refuses_a_callable_without_exact_partials():
+    op = TruncatedOperator(4, {3: 1.0, 4: 0.5})
+    with pytest.raises(InsufficientSmoothness, match="CompiledExpression"):
+        apply_operator(op, np.sin, 0.3)
+    with pytest.raises(InsufficientSmoothness):
+        cube_test(op, np.sin, 0.0)
+
+
 def test_pawula_scan_script_output():
     root = pathlib.Path(__file__).resolve().parent.parent
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
@@ -319,6 +366,17 @@ def test_cube_vanishes_for_2d_ou():
     spec = GeneratorSpec(2, lambda p: np.array([[1.0, 0.3], [0.3, 0.5]]),
                          lambda p: -np.asarray(p), DomainSpec("box", ((-4.0, 4.0),) * 2))
     assert cube_test(spec, CE("x1 + 2*x2 - 0.5", 2), (0.5, 0.0)) == 0.0
+
+
+def test_cube_of_a_truncated_operator_is_exact_for_expressions():
+    # A = e^x - 1 gives A^3 = x^3 + 3x^4/2 + ..., so 6 + 0.5*36
+    assert cube_test(TruncatedOperator(4, {3: 1.0, 4: 0.5}), CE("exp(x) - 1"), 0.0) == 24.0
+
+
+def test_cube_of_a_2d_truncated_operator():
+    # A linear: d^(1,2) A^3 = 6 * 1 * 2 * 2, and d^(2,0) A^3 = 6 A = 0 at the zero
+    op = TruncatedOperator(3, {(1, 2): 1.0, (2, 0): 0.5}, dimension=2)
+    assert cube_test(op, CE("x1 + 2*x2 - 0.5", 2), (0.5, 0.0)) == 24.0
 
 
 # ---------------------------------------------------------------------------
