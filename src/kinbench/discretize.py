@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import fd
 from .bands import BandMatrix
 from .errors import (
     DomainError,
@@ -107,11 +106,21 @@ class Grid:
 
     def weights(self):
         """Trapezoidal quadrature weights, flattened in C-order."""
-        per_axis = [fd.trapezoid_weights(ax) for ax in self.axes]
+        per_axis = [trapezoid_weights(ax) for ax in self.axes]
         w = per_axis[0]
         for wk in per_axis[1:]:
             w = np.multiply.outer(w, wk)
         return w.ravel()
+
+
+def trapezoid_weights(x):
+    """Trapezoidal quadrature weights for strictly increasing nodes."""
+    x = np.asarray(x, dtype=float)
+    w = np.empty_like(x)
+    w[1:-1] = 0.5 * (x[2:] - x[:-2])
+    w[0] = 0.5 * (x[1] - x[0])
+    w[-1] = 0.5 * (x[-1] - x[-2])
+    return w
 
 
 @dataclass
@@ -129,7 +138,7 @@ class DiscreteGenerator:
     Q: BandMatrix
     grid: Grid | None = None
     scheme: str = "raw"
-    lambda_max: float = 0.0
+    lambda_max: float = field(init=False)
     maximum_principle: MaxPrincipleReport = field(init=False, repr=False)
 
     def __post_init__(self):

@@ -15,9 +15,10 @@ polynomials), as it always does for ``pawula.apply_operator``:
 - at a point, in every dimension, ``_grad_hess`` (the gradient and Hessian
   of ``apply_generator``, ``apply_formal_adjoint`` and ``pawula.cube_test``
   on a generator): any other callable, a and b read through the sampler,
-  gets the 5-point central stencils ``fd.central_d1`` and ``fd.central_d2``
-  at h = 1e-3 max(1, max|x_i|) along each axis and each sum of two axes,
-  and InsufficientSmoothness when the stencil leaves the domain;
+  gets 4th-order central differences at h = 1e-3 max(1, max|x_i|) along
+  each axis and each sum of two axes, both derivatives of a line from one
+  set of five reads, and InsufficientSmoothness when the stencil leaves
+  the domain;
 - ``_on_nodes(f, x, m)``, on the 1-D grid nodes: any other callable gets
   ``np.gradient`` of the order below (second order at the walls).
 """
@@ -31,7 +32,6 @@ from typing import Callable
 import numpy as np
 from numpy.polynomial import Polynomial
 
-from . import fd
 from .errors import (
     DomainError,
     InsufficientSmoothness,
@@ -114,12 +114,12 @@ def _require_floor(eigenvalues, points):
                                      f"{np.reshape(points, (low.size, -1))[i].tolist()})")
 
 
-def _derivative_of(f, var=0):
+def _derivative_of(f, var=0, dimension=1):
     """Exact partial derivative along axis ``var`` of a compiled expression,
-    or derivative of a (1-D) polynomial, else None."""
+    or derivative of a polynomial when ``dimension`` is 1, else None."""
     if isinstance(f, CompiledExpression):
         return f.derivative(var)
-    if isinstance(f, Polynomial) and var == 0:
+    if isinstance(f, Polynomial) and dimension == 1:
         return f.deriv()
     return None
 
@@ -267,20 +267,21 @@ def apply_generator(spec, f, x):
 def _grad_hess(f, pt, domain, read=None):
     """Gradient and Hessian of f at an interior point by the module's point rule.
 
-    Exact where ``_derivative_of`` finds the partials; else ``fd.central_d1``
-    and ``fd.central_d2`` at h = 1e-3 max(1, max|x_i|) along each axis and
-    each sum e_i + e_j of two, the mixed partials by polarization,
-    d_ij = (D^2_{e_i+e_j} - d_ii - d_jj)/2; InsufficientSmoothness when a
-    stencil point leaves the domain.  The stencil reads f's values through
-    ``read`` (f itself by default), which may return an array: the point's
-    axes then lead those of the value.
+    Exact where ``_derivative_of`` finds the partials; else 5-point central
+    differences at h = 1e-3 max(1, max|x_i|) along each axis and each sum
+    e_i + e_j of two: five reads per line, at x+2hv, x+hv, x-hv, x-2hv and
+    x, give the 4th-order first and second derivatives along v, the mixed
+    partials by polarization, d_ij = (D^2_{e_i+e_j} - d_ii - d_jj)/2;
+    InsufficientSmoothness when a stencil point leaves the domain.  The
+    stencil reads f's values through ``read`` (f itself by default), which
+    may return an array: the point's axes then lead those of the value.
     """
     d = domain.dimension
     x = np.reshape(np.asarray(pt, dtype=float), d)
     at = _as_point(x, d)
-    partials = [_derivative_of(f, i) for i in range(d)]
+    partials = [_derivative_of(f, i, d) for i in range(d)]
     if all(g is not None for g in partials):
-        hess = [[_derivative_of(g, j)(at) for j in range(d)] for g in partials]
+        hess = [[_derivative_of(g, j, d)(at) for j in range(d)] for g in partials]
         return np.array([g(at) for g in partials], dtype=float), np.array(hess, dtype=float)
     h = 1e-3 * max(1.0, float(np.max(np.abs(x))))
     axes = np.eye(d)
@@ -290,15 +291,17 @@ def _grad_hess(f, pt, domain, read=None):
         raise InsufficientSmoothness(
             "no exact derivatives and the difference stencil leaves the domain")
 
-    def along(v):
-        return lambda t: np.asarray((read or f)(_as_point(x + t * v, d)), dtype=float)
+    def line(v):
+        p2, p1, m1, m2, c = (np.asarray((read or f)(_as_point(x + t * h * v, d)), dtype=float)
+                             for t in (2, 1, -1, -2, 0))
+        return ((-p2 + 8 * p1 - 8 * m1 + m2) / (12 * h),
+                (-p2 + 16 * p1 - 30 * c + 16 * m1 - m2) / (12 * h * h))
 
-    grad = np.array([fd.central_d1(along(e), 0.0, h) for e in axes])
+    grad, diagonal = map(np.array, zip(*(line(e) for e in axes)))
     hess = np.empty((d,) + grad.shape)
-    for i in range(d):
-        hess[i, i] = fd.central_d2(along(axes[i]), 0.0, h)
+    hess[range(d), range(d)] = diagonal
     for i, j in pairs:
-        mixed = fd.central_d2(along(axes[i] + axes[j]), 0.0, h)
+        mixed = line(axes[i] + axes[j])[1]
         hess[i, j] = hess[j, i] = (mixed - hess[i, i] - hess[j, j]) / 2
     return grad, hess
 

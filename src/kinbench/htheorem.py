@@ -22,7 +22,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import fd
 from .errors import (
     NoInvariantDensity,
     NonSmoothH,
@@ -380,6 +379,24 @@ def dissipation_rate(spec, rho0, phi_tilde, h, grid):
     return rates if phi.ndim > 1 else float(rates[0])
 
 
+def one_sided_d1(values, x, at_start=True):
+    """Second-order one-sided first derivative at a boundary node, per row of a stack."""
+    if at_start:
+        h1 = x[1] - x[0]
+        h2 = x[2] - x[1]
+        # 3-point nonuniform one-sided stencil
+        c0 = -(2 * h1 + h2) / (h1 * (h1 + h2))
+        c1 = (h1 + h2) / (h1 * h2)
+        c2 = -h1 / (h2 * (h1 + h2))
+        return c0 * values[..., 0] + c1 * values[..., 1] + c2 * values[..., 2]
+    h1 = x[-1] - x[-2]
+    h2 = x[-2] - x[-3]
+    c0 = (2 * h1 + h2) / (h1 * (h1 + h2))
+    c1 = -(h1 + h2) / (h1 * h2)
+    c2 = h1 / (h2 * (h1 + h2))
+    return c0 * values[..., -1] + c1 * values[..., -2] + c2 * values[..., -3]
+
+
 def boundary_term(spec, rho0, phi_tilde, h, grid=None):
     """Max magnitude of the boundary flux rho0 a d/dx h(phi) + h(phi) H_i.
 
@@ -401,8 +418,8 @@ def boundary_term(spec, rho0, phi_tilde, h, grid=None):
     Hi = compute_Hi(spec, rho0, grid)
     a_lo = float(np.asarray(spec.a(x[0]), dtype=float))
     a_hi = float(np.asarray(spec.a(x[-1]), dtype=float))
-    dh_lo = fd.one_sided_d1(hvals, x, at_start=True)
-    dh_hi = fd.one_sided_d1(hvals, x, at_start=False)
+    dh_lo = one_sided_d1(hvals, x, at_start=True)
+    dh_hi = one_sided_d1(hvals, x, at_start=False)
     lo = np.abs(rho[0] * a_lo * dh_lo + hvals[..., 0] * Hi[0])
     hi = np.abs(rho[-1] * a_hi * dh_hi + hvals[..., -1] * Hi[-1])
     flux = np.where(hi > lo, hi, lo)  # max(lo, hi) as Python takes it, NaN included

@@ -88,22 +88,35 @@ def _pure_second_order(op, x):
     return [float(op.coefficient(tuple(2 * (j == i) for j in range(n)))(x)) for i in range(n)]
 
 
+def _exact_partial(g, axis, dimension):
+    """The exact partial of test function g along ``axis``; InsufficientSmoothness
+    when ``_derivative_of`` finds none."""
+    g = _derivative_of(g, axis, dimension)
+    if g is None:
+        raise InsufficientSmoothness(
+            f"no exact partial along axis {axis} of the test function: pass a numpy "
+            "polynomial (1-D) or a CompiledExpression")
+    return g
+
+
 def apply_operator(op, f, x):
     """Evaluate the truncated operator on a test function at a point, each
-    multi-index by exact partials (``_derivative_of``), in sorted key order."""
+    multi-index by exact partials (``_derivative_of``), in sorted key order;
+    ParameterOutOfRange names the first coefficient or partial used that is
+    not finite."""
     x = _as_point(x, op.dimension)
+    at = np.reshape(x, (1, -1))
     total = 0.0
     for key in sorted(op.coefficients):
         g = f
         for axis in (i for i, a in enumerate(key) for _ in range(a)):
-            g = _derivative_of(g, axis)
-            if g is None:
-                raise InsufficientSmoothness(
-                    f"no exact partial {key} of the test function: pass a numpy "
-                    "polynomial (1-D) or a CompiledExpression")
+            g = _exact_partial(g, axis, op.dimension)
         c = float(op.coefficient(key)(x))
+        _require_finite(f"coefficient {key}", np.array([c]), at)
         if c != 0.0:
-            total += c * float(g(x))
+            partial = float(g(x))
+            _require_finite(f"partial {key} of the test function", np.array([partial]), at)
+            total += c * partial
     return total
 
 
@@ -291,6 +304,8 @@ def cube_test(op, A, x0):
     """
     generator = not isinstance(op, TruncatedOperator)
     x0 = _interior_point(op, x0) if generator else _as_point(x0, op.dimension)
+    if not generator:
+        _exact_partial(A, 0, op.dimension)  # refuse A before calling it
     A0 = float(A(x0))
     if abs(A0) > 1e-12:
         raise PreconditionViolated(f"A(x0) = {A0:g} is not zero")
@@ -299,8 +314,7 @@ def cube_test(op, A, x0):
         d1_cube = 3 * A0**2 * grad
         d2_cube = 6 * A0 * np.outer(grad, grad) + 3 * A0**2 * hess
         return float(np.sum(op.diffusion(x0)[0] * d2_cube) + np.dot(op.drift(x0)[0], d1_cube))
+    # _exact_partial let only an expression or a 1-D polynomial through
     if isinstance(A, CompiledExpression):
-        cube = CompiledExpression(("^", A.node, ("num", 3.0)), A.dimension)
-    else:  # apply_operator refuses a callable without exact partials
-        cube = A**3 if isinstance(A, Polynomial) else lambda x: float(A(x)) ** 3
-    return apply_operator(op, cube, x0)
+        return apply_operator(op, CompiledExpression(("^", A.node, ("num", 3.0)), A.dimension), x0)
+    return apply_operator(op, A**3, x0)

@@ -333,6 +333,11 @@ def test_discrete_generator_accepts_empty_matrix(empty):
     assert Q.size == 0 and Q.lambda_max == 0.0 and Q.maximum_principle.passed
 
 
+def test_lambda_max_is_not_a_constructor_argument():
+    with pytest.raises(TypeError):
+        DiscreteGenerator([[-1.0, 1.0], [1.0, -1.0]], None, "raw", 99.0)
+
+
 def test_trapezoid_weights_sum_to_length():
     g = Grid((np.linspace(-3.0, 5.0, 33),))
     assert g.weights().sum() == pytest.approx(8.0, rel=1e-14)

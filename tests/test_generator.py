@@ -152,6 +152,46 @@ def test_nd_stencil_needs_room(pt):
         apply_generator(ou_2d(ROTATED_A), lambda p: math.sin(p[0] + p[1]), pt)
 
 
+def _counted(f):
+    """f, and the list of the points it has been called at."""
+    reads = []
+    return (lambda p: reads.append(p) or f(p)), reads
+
+
+def test_point_rule_reads_each_stencil_line_once():
+    spec, _ = catalog_example("ornstein-uhlenbeck")
+    f, reads = _counted(np.sin)
+    apply_generator(spec, f, 0.3)
+    assert len(reads) == 5
+    f, reads = _counted(lambda p: math.sin(p[0]) * math.cos(2 * p[1]))
+    apply_generator(ou_2d(ROTATED_A), f, (0.3, 0.1))
+    assert len(reads) == 15  # the two axes and their sum
+    rho, reads = _counted(lambda x: np.exp(-x**2 / 2))
+    apply_formal_adjoint(spec, rho, 0.3)
+    assert len(reads) == 6  # rho at the point, then one stencil line
+
+
+def _line_by_hand(f, x, v, h):
+    """The 4th-order first and second derivatives of f along v at x."""
+    p2, p1, m1, m2, c = (f(x + t * h * v) for t in (2, 1, -1, -2, 0))
+    return ((-p2 + 8 * p1 - 8 * m1 + m2) / (12 * h),
+            (-p2 + 16 * p1 - 30 * c + 16 * m1 - m2) / (12 * h * h))
+
+
+def test_point_rule_is_bitwise_the_five_point_formulas():
+    spec, _ = catalog_example("ornstein-uhlenbeck")  # a = 1, b = -x
+    d1, d2 = _line_by_hand(np.sin, 0.3, 1.0, 1e-3)
+    assert apply_generator(spec, np.sin, 0.3) == d2 + -0.3 * d1
+    a = np.array([[1.0, 0.3], [0.3, 2.0]])
+    f = lambda p: math.sin(p[0]) * math.cos(2 * p[1])
+    pt, e = np.array([1.2, -0.7]), np.eye(2)
+    h = 1e-3 * 1.2
+    (g1, d11), (g2, d22) = (_line_by_hand(f, pt, v, h) for v in e)
+    d12 = (_line_by_hand(f, pt, e[0] + e[1], h)[1] - d11 - d22) / 2
+    expected = np.sum(a * np.array([[d11, d12], [d12, d22]])) + np.dot(-pt, [g1, g2])
+    assert apply_generator(ou_2d(a), f, pt) == expected
+
+
 # ---------------------------------------------------------------------------
 # formal adjoint and stationarity residual
 # ---------------------------------------------------------------------------

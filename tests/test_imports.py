@@ -149,7 +149,7 @@ def test_imports_stay_within_dependency_surface():
 def test_dependency_check_flags_outside_imports(tmp_path):
     probe = tmp_path / "probe.py"
     probe.write_text("import json\nimport numpy.polynomial\nfrom scipy import sparse\n"
-                     "from . import fd\nimport scipy.linalg\n\n\n"
+                     "from . import bands\nimport scipy.linalg\n\n\n"
                      "def f():\n    from scipy.integrate import quad\n    return quad\n\n\n"
                      "def g():\n    import scipy.sparse.linalg as spla\n    return spla\n\n\n"
                      "def h():\n    from scipy.sparse import csr_matrix, linalg\n"

@@ -1,6 +1,7 @@
 import math
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -274,6 +275,30 @@ def test_apply_operator_refuses_a_callable_without_exact_partials():
         apply_operator(op, np.sin, 0.3)
     with pytest.raises(InsufficientSmoothness):
         cube_test(op, np.sin, 0.0)
+
+
+def test_an_nd_operator_refuses_a_polynomial():
+    op = TruncatedOperator(3, {(3, 0): 1.0}, dimension=2)
+    p = Polynomial([0.0, 0.0, 0.0, 1.0])
+    with pytest.raises(InsufficientSmoothness, match=r"polynomial \(1-D\)"):
+        apply_operator(op, p, (0.3, 0.4))
+    with pytest.raises(InsufficientSmoothness, match=r"polynomial \(1-D\)"):
+        cube_test(op, p, (0.3, 0.4))
+
+
+@pytest.mark.parametrize("run, named", [
+    (lambda: cube_test(TruncatedOperator(3, {3: 1.0}), CE("x^(1/3)"), 0.0),
+     "partial (3,) of the test function = nan at point 0 (x = [0.0])"),
+    (lambda: apply_operator(TruncatedOperator(2, {2: float("nan")}), CE("x^2"), 0.3),
+     "coefficient (2,) = nan at point 0 (x = [0.3])"),
+    (lambda: apply_operator(TruncatedOperator(3, {(2, 1): lambda p: math.inf}, dimension=2),
+                            CE("x1^2*x2", 2), (0.3, 0.4)),
+     "coefficient (2, 1) = inf at point 0 (x = [0.3, 0.4])"),
+], ids=["partial", "coefficient", "2-d-coefficient"])
+def test_apply_operator_names_a_non_finite_term(run, named):
+    with np.errstate(all="ignore"), pytest.raises(
+            ParameterOutOfRange, match=f"^{re.escape(named)} is not finite$"):
+        run()
 
 
 def test_pawula_scan_script_output():
