@@ -472,7 +472,7 @@ def cmd_invariant(args):
     }
     if sc.rho is not None:
         rg = sc.rho.on_grid(grid, normalize=True)
-        summary["L1_vs_analytic"] = float(np.dot(np.abs(sol.pi / w - rg.values), w))
+        summary["L1_vs_analytic"] = float(np.dot(np.abs(sol.pi / w - rg), w))
     _write_json(sc.out, "summary.json", summary)
     print(f"invariant solved: unique={sol.unique} residual={sol.residual:.3g}")
     if "L1_vs_analytic" in summary:

@@ -21,12 +21,16 @@ polynomials), as it always does for ``pawula.apply_operator``:
   the domain;
 - ``_on_nodes(f, x, m)``, on the 1-D grid nodes: any other callable gets
   ``np.gradient`` of the order below (second order at the walls).
+
+A reference density is analytic (``EquilibriumDensity``) or it is samples
+on the grid nodes (an array); ``residual_invariant``, ``compute_Hi`` and
+``htheorem.boundary_term`` take either, and the grid.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -193,17 +197,15 @@ class GeneratorSpec:
 
 @dataclass
 class EquilibriumDensity:
-    """Reference density: analytic form, optional Gibbs data, grid samples.
+    """Analytic reference density: a callable ``rho_fn``, Gibbs data, or both.
 
     ``gibbs`` is a pair (beta, H) with density proportional to
-    exp(-beta*H); when absent it can be recovered from positive samples
-    as beta*H = -ln(rho/max rho).
+    exp(-beta*H).  Samples on grid nodes, the chain's own pi / w among
+    them, are plain arrays, such as ``on_grid`` returns.
     """
 
     rho_fn: Callable | None = None
     gibbs: tuple | None = None
-    values: np.ndarray | None = None
-    grid: object | None = None
     total_mass: float = math.nan
 
     @property
@@ -212,7 +214,7 @@ class EquilibriumDensity:
         return math.isfinite(self.total_mass)
 
     def on_grid(self, grid, normalize=False):
-        """Materialize node values on a grid (optionally quadrature-normalized)."""
+        """Samples on the grid nodes, an array (optionally quadrature-normalized)."""
         if self.rho_fn is None:
             raise MissingGibbsForm("no analytic density to sample")
         x = grid.nodes_for_eval()
@@ -223,29 +225,15 @@ class EquilibriumDensity:
             raise ParameterOutOfRange("equilibrium density has negative samples")
         if normalize:
             vals /= float(np.dot(vals, grid.weights()))
-        return replace(self, values=vals, grid=grid)
+        return vals
 
-    def gibbs_or_recovered(self):
-        """Return (beta, H values on grid, dH values on grid).
 
-        Prefers analytic Gibbs data; otherwise recovers beta*H from the
-        samples via -ln(rho/max rho) with beta = 1.  Raises
-        MissingGibbsForm when neither is available.
-        """
-        if self.gibbs is not None:
-            if self.grid is None:
-                raise MissingGibbsForm("no grid attached to evaluate H on")
-            beta, H = self.gibbs
-        else:
-            if self.values is None or self.grid is None:
-                raise MissingGibbsForm("no gibbs data and no samples to recover it from")
-            vals = np.asarray(self.values, dtype=float)
-            if np.any(vals <= 0):
-                raise MissingGibbsForm("recovery needs strictly positive samples")
-            bh = -np.log(vals / vals.max())
-            beta, H = 1.0, lambda _: bh  # no exact derivative: _on_nodes takes the gradient
-        hvals, dhvals = _on_nodes(H, self.grid.x, 1)
-        return float(beta), hvals, dhvals
+def _scalar(f, pt):
+    """f(pt) as a 0-d float array; ShapeError unless f maps the point to one number."""
+    value = np.asarray(f(pt), dtype=float)
+    if value.ndim:
+        raise ShapeError(f"the test function must map a point to one number, not {value.shape}")
+    return value
 
 
 def _interior_point(spec, x):
@@ -269,12 +257,14 @@ def _grad_hess(f, pt, domain, read=None):
 
     Exact where ``_derivative_of`` finds the partials; else 5-point central
     differences at h = 1e-3 max(1, max|x_i|) along each axis and each sum
-    e_i + e_j of two: five reads per line, at x+2hv, x+hv, x-hv, x-2hv and
-    x, give the 4th-order first and second derivatives along v, the mixed
-    partials by polarization, d_ij = (D^2_{e_i+e_j} - d_ii - d_jj)/2;
-    InsufficientSmoothness when a stencil point leaves the domain.  The
-    stencil reads f's values through ``read`` (f itself by default), which
-    may return an array: the point's axes then lead those of the value.
+    e_i + e_j of two: the centre x, read once, and four reads per line, at
+    x+2hv, x+hv, x-hv and x-2hv, give the 4th-order first and second
+    derivatives along v, the mixed partials by polarization,
+    d_ij = (D^2_{e_i+e_j} - d_ii - d_jj)/2; InsufficientSmoothness when a
+    stencil point leaves the domain.  The stencil reads f's values through
+    ``read``, which may return an array: the point's axes then lead those of
+    the value.  By default it reads f itself, which must map a point to one
+    number (ShapeError else).
     """
     d = domain.dimension
     x = np.reshape(np.asarray(pt, dtype=float), d)
@@ -290,10 +280,12 @@ def _grad_hess(f, pt, domain, read=None):
     if not domain.contains(np.concatenate([x - reach, x + reach])):
         raise InsufficientSmoothness(
             "no exact derivatives and the difference stencil leaves the domain")
+    read = read or (lambda y: _scalar(f, y))
+    c = np.asarray(read(_as_point(x + 0 * h * axes[0], d)), dtype=float)  # -0.0 reads as +0.0
 
     def line(v):
-        p2, p1, m1, m2, c = (np.asarray((read or f)(_as_point(x + t * h * v, d)), dtype=float)
-                             for t in (2, 1, -1, -2, 0))
+        p2, p1, m1, m2 = (np.asarray(read(_as_point(x + t * h * v, d)), dtype=float)
+                          for t in (2, 1, -1, -2))
         return ((-p2 + 8 * p1 - 8 * m1 + m2) / (12 * h),
                 (-p2 + 16 * p1 - 30 * c + 16 * m1 - m2) / (12 * h * h))
 
@@ -322,19 +314,18 @@ def apply_formal_adjoint(spec, rho, x):
                  + np.sum(a * d2r) - np.trace(db) * r - np.dot(b, dr))
 
 
-def residual_invariant(spec, rho0, grid=None):
-    """Max |(a rho0)'' - (b rho0)'| over the interior grid nodes.
+def residual_invariant(spec, rho0, grid):
+    """Max |(a rho0)'' - (b rho0)'| over the interior nodes of the 1-D ``grid``.
 
-    When a, b and rho0 all have exact derivatives (see ``_rho_exact``),
-    the product rule is applied on the nodes; otherwise three-point
-    formulas act on the sampled products a*rho0 and b*rho0.
+    ``rho0`` is an EquilibriumDensity or its samples on the nodes.  When
+    a, b and an analytic rho0 all have exact derivatives (see
+    ``_rho_exact``), the product rule is applied on the nodes; otherwise
+    three-point formulas act on the sampled products a*rho0 and b*rho0.
     """
-    grid = grid if grid is not None else rho0.grid
-    if grid is None:
-        raise DomainError("rho0 carries no grid and none was supplied")
     x = grid.x
+    analytic = isinstance(rho0, EquilibriumDensity)
     exact = _derivative_of(spec.a) is not None and _derivative_of(spec.b) is not None
-    rho = _rho_exact(rho0, x) if exact else None
+    rho = _rho_exact(rho0, x) if exact and analytic else None
     if rho is not None:
         r, dr, d2r = rho
         a, a1, a2 = _on_nodes(spec.a, x, 2)
@@ -342,11 +333,9 @@ def residual_invariant(spec, rho0, grid=None):
         res = a * d2r + (2 * a1 - b) * dr + (a2 - b1) * r
         return float(np.max(np.abs(res[1:-1])))
 
-    vals = rho0.values
-    if vals is None:
-        if rho0.rho_fn is None:
-            raise InsufficientSmoothness("rho0 has neither samples nor analytic form")
-        vals, = _on_nodes(rho0.rho_fn, x)
+    if analytic and rho0.rho_fn is None:
+        raise InsufficientSmoothness("rho0 has neither samples nor analytic form")
+    vals = _on_nodes(rho0.rho_fn, x)[0] if analytic else np.asarray(rho0, dtype=float)
     a, = _on_nodes(spec.a, x)
     b, = _on_nodes(spec.b, x)
     d2 = _nonuniform_d2(a * vals, x)
@@ -364,44 +353,43 @@ def _rho_exact(rho0, x):
     """(rho, rho', rho'') on the nodes x from exact derivative data, else None.
 
     Gibbs data with a differentiable H gives rho' = -beta H' rho and
-    rho'' = (beta^2 H'^2 - beta H'') rho, where rho is the samples, else
-    the analytic density, else exp(-beta H); failing that, an analytic
-    density with exact derivatives is differentiated itself.
+    rho'' = (beta^2 H'^2 - beta H'') rho, where rho is the analytic
+    density, else exp(-beta H); failing that, an analytic density with
+    exact derivatives is differentiated itself.
     """
     if rho0.gibbs is not None and _derivative_of(rho0.gibbs[1]) is not None:
-        beta, H = rho0.gibbs
-        beta = float(beta)
+        beta, H = float(rho0.gibbs[0]), rho0.gibbs[1]
         hv, dhv, d2hv = _on_nodes(H, x, 2)
-        if rho0.values is not None:
-            r = np.asarray(rho0.values, dtype=float)
-        elif rho0.rho_fn is not None:
-            r, = _on_nodes(rho0.rho_fn, x)
-        else:
-            r = np.exp(-beta * hv)
+        r = _on_nodes(rho0.rho_fn, x)[0] if rho0.rho_fn is not None else np.exp(-beta * hv)
         return r, -beta * dhv * r, (beta**2 * dhv**2 - beta * d2hv) * r
     if rho0.rho_fn is not None and _derivative_of(rho0.rho_fn) is not None:
         return tuple(_on_nodes(rho0.rho_fn, x, 2))
     return None
 
 
-def compute_Hi(spec, rho0, grid=None):
-    """Departure-from-gradient-structure field 2(beta a H' - a' + b) on the grid.
+def compute_Hi(spec, rho0, grid):
+    """Departure-from-gradient-structure field 2(beta a H' - a' + b) on the 1-D grid.
 
-    Needs Gibbs data on rho0 (or strictly positive samples from which
-    beta*H is recovered as -ln(rho/max rho)).
+    beta and H come from the Gibbs data of an EquilibriumDensity ``rho0``;
+    from strictly positive samples on the nodes, beta*H = -ln(rho/max rho)
+    with beta = 1, differentiated by ``np.gradient``.
     """
-    grid = grid if grid is not None else rho0.grid
-    if grid is None:
-        raise MissingGibbsForm("need a grid to evaluate on")
-    if rho0.grid is None and rho0.gibbs is None:
-        raise MissingGibbsForm("rho0 carries neither gibbs data nor grid samples")
-    work = rho0 if rho0.grid is not None else replace(rho0, grid=grid)
     if spec.dimension != 1:
         raise UnsupportedTensor("compute_Hi supports dimension 1 in v1")
-    beta, _, dh = work.gibbs_or_recovered()
-    a, da = _on_nodes(spec.a, grid.x, 1)
-    b, = _on_nodes(spec.b, grid.x)
-    return 2.0 * (beta * a * dh - da + b)
+    x = grid.x
+    if isinstance(rho0, EquilibriumDensity):
+        if rho0.gibbs is None:
+            raise MissingGibbsForm("rho0 has no gibbs data; recovery needs its samples")
+        beta, H = rho0.gibbs
+        dh = _on_nodes(H, x, 1)[1]
+    else:
+        vals = np.asarray(rho0, dtype=float)
+        if np.any(vals <= 0):
+            raise MissingGibbsForm("recovery needs strictly positive samples")
+        beta, dh = 1.0, np.gradient(-np.log(vals / vals.max()), x, edge_order=2)
+    a, da = _on_nodes(spec.a, x, 1)
+    b, = _on_nodes(spec.b, x)
+    return 2.0 * (float(beta) * a * dh - da + b)
 
 
 # --------------------------------------------------------------------------
@@ -415,7 +403,7 @@ def catalog_example(name, alpha=1.0):
     """Build a cataloged generator and its analytic equilibrium density.
 
     Returns (GeneratorSpec, EquilibriumDensity).  The equilibrium is
-    analytic (no grid attached); materialize with ``on_grid``.  For the
+    analytic; ``on_grid`` samples it on the nodes.  For the
     two parametric families the density is flagged non-normalizable for
     -1/2 <= alpha <= 0.
     """

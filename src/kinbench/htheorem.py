@@ -124,21 +124,16 @@ class InvariantSolution:
     residual: float
 
 
-def _class_measure(mat, nodes, defect):
-    """GTH on the closed class ``nodes`` of Q, as a measure on every node.
+def _class_measure(mat, defect):
+    """GTH on a closed class of Q: its invariant measure, summing to 1.
 
-    The class's own rows (no rate leaves a closed class) are eliminated by
-    ``_eliminate`` at lam = 0; back-substitution starts from pi_{m-1} = 1,
-    possibly far out in the tail: pi_i = sum_{k > i} l_ki pi_k.  Dividing by
-    the power of two _GTH_RESCALE whenever an entry exceeds it keeps pi
-    finite, and changes no bit of a chain that never reaches it.
+    ``mat`` is the class's own Q (no rate leaves a closed class),
+    eliminated by ``_eliminate`` at lam = 0; back-substitution starts from
+    pi_{m-1} = 1, possibly far out in the tail: pi_i = sum_{k > i} l_ki pi_k.
+    Dividing by the power of two _GTH_RESCALE whenever an entry exceeds it
+    keeps pi finite, and changes no bit of a chain that never reaches it.
     """
-    n, m = mat.shape[0], nodes.size
-    if m < n:
-        rows, cols, vals = mat.entries()
-        inside = np.isin(rows, nodes)
-        mat = BandMatrix.from_entries(*np.searchsorted(nodes, (rows[inside], cols[inside])),
-                                      vals[inside], m)
+    m = mat.shape[0]
     band, windows = _eliminate(mat, 0.0)
     b = band.shape[1] // 2
     pi = np.zeros(m + b)
@@ -147,12 +142,11 @@ def _class_measure(mat, nodes, defect):
         pi[i] = windows[i][1:, 0] @ pi[i + 1:i + b + 1]
         if pi[i] > _GTH_RESCALE:
             pi[i:m] /= _GTH_RESCALE
-    v = np.zeros(n)
-    v[nodes] = pi[:m] / pi[:m].sum()
+    pi = pi[:m] / pi[:m].sum()
     _log.debug("invariant: gth path on %d states, b=%d, smallest pivot %.3g, "
                "%d entries underflowed to 0, lattice defect %.3g", m, b,
-               band[:m - 1, b].min(initial=np.inf), np.sum(v[nodes] == 0.0), defect)
-    return v
+               band[:m - 1, b].min(initial=np.inf), np.sum(pi == 0.0), defect)
+    return pi
 
 
 def _lattice_balance(qm):
@@ -210,13 +204,16 @@ def _lattice_balance(qm):
 
 
 def _closed_classes(mat):
-    """Node sets of the closed communicating classes; transient states raise."""
+    """Each closed communicating class as (its nodes, ascending; its own Q), Q
+    itself for a single class; transient states raise.  Nodes and Q's
+    entries are grouped by class label with one stable sort each, so every
+    class keeps its entries in row-major order."""
     from scipy.sparse import csgraph, csr_matrix  # deferred: see the module docstring
 
     n = mat.shape[0]
-    src, dst, q = mat.entries()
-    edge = (src != dst) & (q > 0)
-    src, dst = src[edge], dst[edge]
+    rows, cols, q = mat.entries()
+    edge = (rows != cols) & (q > 0)
+    src, dst = rows[edge], cols[edge]
     adj = csr_matrix((np.ones(src.size, dtype=np.int8), (src, dst)), shape=(n, n))
     ncomp, labels = csgraph.connected_components(adj, directed=True, connection="strong")
     closed = np.ones(ncomp, dtype=bool)
@@ -227,7 +224,17 @@ def _closed_classes(mat):
         raise NoInvariantDensity(
             f"{int(np.sum(transient))} transient state(s); "
             "no strictly positive invariant density exists")
-    return [np.flatnonzero(labels == c) for c in np.flatnonzero(closed)]
+    if ncomp == 1:
+        return [(np.arange(n), mat)]
+
+    def grouped(keys):  # indices of keys, one array per class label
+        ends = np.cumsum(np.bincount(keys, minlength=ncomp))[:-1]
+        return np.split(np.argsort(keys, kind="stable"), ends)
+
+    # without transient states every class is closed
+    return [(nodes, BandMatrix.from_entries(*np.searchsorted(nodes, (rows[e], cols[e])),
+                                            q[e], nodes.size))
+            for nodes, e in zip(grouped(labels), grouped(labels[rows]))]
 
 
 def solve_invariant(Q):
@@ -257,7 +264,10 @@ def solve_invariant(Q):
         _log.debug("invariant: lattice path, defect %.3g", defect)
         basis = [pi]
     else:
-        basis = [_class_measure(mat, nodes, defect) for nodes in _closed_classes(mat)]
+        basis = []
+        for nodes, sub in _closed_classes(mat):
+            basis.append(np.zeros(qm.size))
+            basis[-1][nodes] = _class_measure(sub, defect)
     unique = len(basis) == 1
     pi = basis[0] if unique else sum(basis) / len(basis)
     residual = float(np.max(np.abs(mat.T @ pi)))
@@ -397,25 +407,19 @@ def one_sided_d1(values, x, at_start=True):
     return c0 * values[..., -1] + c1 * values[..., -2] + c2 * values[..., -3]
 
 
-def boundary_term(spec, rho0, phi_tilde, h, grid=None):
+def boundary_term(spec, rho0, phi_tilde, h, grid):
     """Max magnitude of the boundary flux rho0 a d/dx h(phi) + h(phi) H_i.
 
-    ``rho0`` is an EquilibriumDensity, sampled on ``grid`` when it has no
-    samples, or its values at the nodes of ``grid``, which defaults to the
-    density's own grid.  One state ``phi_tilde`` (n,) gives a float, a
-    stack (k, n) one flux per row.
+    ``rho0`` is an EquilibriumDensity, sampled on the nodes of ``grid``
+    with ``on_grid``, or its samples there; H_i comes from its Gibbs data
+    when it has them and from the samples otherwise.  One state
+    ``phi_tilde`` (n,) gives a float, a stack (k, n) one flux per row.
     """
-    if not isinstance(rho0, EquilibriumDensity):
-        rho0 = EquilibriumDensity(values=np.asarray(rho0, dtype=float), grid=grid)
-    grid = grid if grid is not None else rho0.grid
-    if grid is None:
-        raise ParameterOutOfRange("need a grid for quadrature")
-    if rho0.values is None:
-        rho0 = rho0.on_grid(grid)
-    rho = np.asarray(rho0.values, dtype=float)
+    analytic = isinstance(rho0, EquilibriumDensity)
+    rho = rho0.on_grid(grid) if analytic else np.asarray(rho0, dtype=float)
     x = grid.x
     hvals = h(np.maximum(np.asarray(phi_tilde, dtype=float), 0.0))
-    Hi = compute_Hi(spec, rho0, grid)
+    Hi = compute_Hi(spec, rho0 if analytic and rho0.gibbs is not None else rho, grid)
     a_lo = float(np.asarray(spec.a(x[0]), dtype=float))
     a_hi = float(np.asarray(spec.a(x[-1]), dtype=float))
     dh_lo = one_sided_d1(hvals, x, at_start=True)

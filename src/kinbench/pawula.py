@@ -37,7 +37,7 @@ from .errors import (
 )
 from .expressions import CompiledExpression
 from .generator import (EIG_FLOOR, _as_point, _derivative_of, _grad_hess, _interior_point,
-                        _require_finite)
+                        _require_finite, _scalar)
 
 DEFAULT_EPSILON = 0.1
 OFFDIAG_TOL = 1e-12
@@ -306,7 +306,7 @@ def cube_test(op, A, x0):
     x0 = _interior_point(op, x0) if generator else _as_point(x0, op.dimension)
     if not generator:
         _exact_partial(A, 0, op.dimension)  # refuse A before calling it
-    A0 = float(A(x0))
+    A0 = float(_scalar(A, x0))
     if abs(A0) > 1e-12:
         raise PreconditionViolated(f"A(x0) = {A0:g} is not zero")
     if generator:

@@ -180,7 +180,7 @@ def test_hcurve_csv_matches_library_h_curves(run_artifacts):
     hs = [kb.HFunctional.from_name(k) for k in ("xlogx", "square", "square-dev")]
     times = np.linspace(0, 10, 201)
     _, curves = kb.h_curves(Q, nu0, hs, times, 1e-12, reference=sol, spec=spec,
-                            boundary_density=rho.on_grid(grid))
+                            boundary_density=rho)
     for h in hs:
         cols = read_csv_columns(run_artifacts / f"hcurve_{h.kind}.csv")
         curve = curves[h.kind]

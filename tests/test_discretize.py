@@ -357,7 +357,7 @@ def test_adjoint_columns_conserve_mass(a2a201):
 def test_adjoint_annihilates_sampled_equilibrium(a2a201):
     # the invariant-measure residual of the sampled analytic density is
     # bounded by the scheme truncation error
-    m = a2a201.rho.on_grid(a2a201.grid).values * a2a201.w
+    m = a2a201.rho.on_grid(a2a201.grid) * a2a201.w
     m /= m.sum()
     res = np.max(np.abs(a2a201.Q.Q.T @ m))
     dx = a2a201.x[1] - a2a201.x[0]

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from numpy.polynomial import Polynomial
 
 import kinbench as kb
 from kinbench.errors import (
@@ -28,6 +29,7 @@ from kinbench.generator import (
     compute_Hi,
     residual_invariant,
 )
+from kinbench.pawula import cube_test
 
 
 def line_spec(a_text, b_text, lo=-10.0, hi=10.0, kind="full-line"):
@@ -165,10 +167,23 @@ def test_point_rule_reads_each_stencil_line_once():
     assert len(reads) == 5
     f, reads = _counted(lambda p: math.sin(p[0]) * math.cos(2 * p[1]))
     apply_generator(ou_2d(ROTATED_A), f, (0.3, 0.1))
-    assert len(reads) == 15  # the two axes and their sum
+    assert len(reads) == 13  # the centre, then the two axes and their sum
     rho, reads = _counted(lambda x: np.exp(-x**2 / 2))
     apply_formal_adjoint(spec, rho, 0.3)
     assert len(reads) == 6  # rho at the point, then one stencil line
+
+
+@pytest.mark.parametrize("call", [
+    lambda spec: apply_generator(spec, Polynomial([0.0, 0.0, 1.0]), (0.3, 0.4)),
+    lambda spec: cube_test(spec, Polynomial([0.0, 1.0]), (0.0, 0.4)),
+    lambda spec: apply_generator(spec, lambda p: np.array([p[0], p[1]]), (0.3, 0.4)),
+], ids=["polynomial", "cube-test-polynomial", "vector-callable"])
+def test_a_test_function_must_map_a_point_to_one_number(call):
+    # a numpy polynomial maps the point vector to one value per coordinate
+    spec = GeneratorSpec(2, lambda p: np.eye(2), lambda p: np.array([1.0, 2.0]),
+                         DomainSpec("box", ((-1.0, 1.0), (-1.0, 1.0))))
+    with pytest.raises(ShapeError, match="test function must map a point to one number"):
+        call(spec)
 
 
 def _line_by_hand(f, x, v, h):
@@ -233,21 +248,20 @@ def test_nd_adjoint_of_an_expression_is_exact():
 def test_residual_invariant_appendix2b():
     spec, rho = catalog_example("appendix2b", 1.0)
     grid = kb.Grid.from_domain(spec.domain, 400)
-    assert residual_invariant(spec, rho.on_grid(grid)) <= 1e-6
+    assert residual_invariant(spec, rho, grid) <= 1e-6
 
 
 def test_residual_invariant_ou():
     spec, rho = catalog_example("ornstein-uhlenbeck")
     grid = kb.Grid.from_domain(spec.domain, 401)
-    assert residual_invariant(spec, rho.on_grid(grid)) <= 1e-8
+    assert residual_invariant(spec, rho, grid) <= 1e-8
 
 
 def test_residual_invariant_wrong_density():
     # samples alone carry no derivatives: the three-point form is taken
     spec, _ = catalog_example("ornstein-uhlenbeck")
     grid = kb.Grid.from_domain(spec.domain, 401)
-    flat = EquilibriumDensity(values=np.ones(grid.size), grid=grid)
-    res = residual_invariant(spec, flat)
+    res = residual_invariant(spec, np.ones(grid.size), grid)
     assert res == pytest.approx(1.0, rel=1e-6)
 
 
@@ -260,8 +274,7 @@ def test_residual_fd_second_order(name, alpha):
     errs = []
     for n in [101, 201, 401]:
         grid = kb.Grid.from_domain(spec.domain, n)
-        samples = EquilibriumDensity(values=rho.on_grid(grid).values, grid=grid)
-        errs.append(residual_invariant(spec, samples))
+        errs.append(residual_invariant(spec, rho.on_grid(grid), grid))
     orders = [np.log2(errs[i] / errs[i + 1]) for i in range(2)]
     assert all(1.6 <= o <= 2.4 for o in orders), orders
 
@@ -274,19 +287,18 @@ def on_x(values, x):
 
 
 def residual_by_hand(spec, rho, x):
-    """Product rule from exact derivatives of a, b and rho (Gibbs data
-    first), else three-point formulas on a*rho and b*rho."""
+    """Product rule from exact derivatives of a, b and an analytic rho
+    (Gibbs data first), else three-point formulas on a*rho and b*rho."""
     d = _derivative_of
     da, db = d(spec.a), d(spec.b)
-    gibbs = rho.gibbs is not None and d(rho.gibbs[1]) is not None
-    if da is not None and db is not None and (gibbs or d(rho.rho_fn) is not None):
+    analytic = isinstance(rho, EquilibriumDensity)
+    gibbs = analytic and rho.gibbs is not None and d(rho.gibbs[1]) is not None
+    exact_rho = gibbs or analytic and d(rho.rho_fn) is not None
+    if da is not None and db is not None and exact_rho:
         if gibbs:
             beta, H = float(rho.gibbs[0]), rho.gibbs[1]
             h, dh, d2h = (np.asarray(g(x), dtype=float) for g in (H, d(H), d(d(H))))
-            if rho.values is not None:
-                r = np.asarray(rho.values, dtype=float)
-            else:
-                r = rho.rho_fn(x) if rho.rho_fn is not None else np.exp(-beta * h)
+            r = rho.rho_fn(x) if rho.rho_fn is not None else np.exp(-beta * h)
             dr = -beta * dh * r
             d2r = (beta**2 * dh**2 - beta * d2h) * r
         else:
@@ -296,7 +308,7 @@ def residual_by_hand(spec, rho, x):
         b, b1 = (np.asarray(g(x), dtype=float) for g in (spec.b, db))
         res = on_x(a * d2r + (2 * a1 - b) * dr + (a2 - b1) * r, x)
         return float(np.max(np.abs(res[1:-1])))
-    vals = rho.values if rho.values is not None else rho.rho_fn(x)
+    vals = rho.rho_fn(x) if analytic else rho
     ar, br = on_x(spec.a(x), x) * vals, on_x(spec.b(x), x) * vals
     hm, hp = x[1:-1] - x[:-2], x[2:] - x[1:-1]
     d2 = 2 * (hm * ar[2:] - (hm + hp) * ar[1:-1] + hp * ar[:-2]) / (hm * hp * (hm + hp))
@@ -307,12 +319,12 @@ def Hi_by_hand(spec, rho, x):
     """2(beta a H' - a' + b); H' exact, else the gradient of H or of
     -ln(rho/max rho) on the nodes."""
     d = _derivative_of
-    if rho.gibbs is not None:
+    if isinstance(rho, EquilibriumDensity):
         beta, H = float(rho.gibbs[0]), rho.gibbs[1]
         dh = on_x(d(H)(x), x) if d(H) is not None else np.gradient(on_x(H(x), x), x,
                                                                    edge_order=2)
     else:
-        beta, vals = 1.0, np.asarray(rho.values, dtype=float)
+        beta, vals = 1.0, np.asarray(rho, dtype=float)
         dh = np.gradient(-np.log(vals / vals.max()), x, edge_order=2)
     a = on_x(spec.a(x), x)
     da = on_x(d(spec.a)(x), x) if d(spec.a) is not None else np.gradient(a, x, edge_order=2)
@@ -330,11 +342,10 @@ def bare_specs():
 
 
 def densities(rho, grid):
-    sampled = rho.on_grid(grid)
     return {
-        "on_grid": sampled,
+        "analytic": rho,
         "normalized": rho.on_grid(grid, normalize=True),
-        "samples": EquilibriumDensity(values=sampled.values, grid=grid),
+        "samples": rho.on_grid(grid),
         "gibbs": EquilibriumDensity(gibbs=rho.gibbs),
         "rho_fn": EquilibriumDensity(rho_fn=rho.rho_fn),
     }
@@ -354,13 +365,14 @@ def field_cases():
 def test_residual_and_Hi_are_bitwise_the_formulas_by_hand(spec, rho, n):
     grid = kb.Grid.from_domain(spec.domain, n)
     for kind, dens in densities(rho, grid).items():
-        if dens.values is None and dens.rho_fn is None and _derivative_of(spec.a) is None:
+        analytic = isinstance(dens, EquilibriumDensity)
+        if analytic and dens.rho_fn is None and _derivative_of(spec.a) is None:
             with pytest.raises(InsufficientSmoothness):  # nothing to difference
                 residual_invariant(spec, dens, grid)
             continue
         got = residual_invariant(spec, dens, grid)
         assert got == residual_by_hand(spec, dens, grid.x), kind
-        if dens.gibbs is not None or dens.values is not None:
+        if not analytic or dens.gibbs is not None:
             Hi = compute_Hi(spec, dens, grid)
             assert Hi.tobytes() == Hi_by_hand(spec, dens, grid.x).tobytes(), kind
 
@@ -425,7 +437,7 @@ def test_on_grid_names_the_first_non_finite_sample():
 def test_Hi_vanishes_on_catalog(name, alpha):
     spec, rho = catalog_example(name, alpha)
     grid = kb.Grid.from_domain(spec.domain, 201)
-    Hi = compute_Hi(spec, rho.on_grid(grid), grid)
+    Hi = compute_Hi(spec, rho, grid)
     assert np.max(np.abs(Hi)) <= 1e-12
 
 
@@ -433,7 +445,7 @@ def test_Hi_trivial_flat_case():
     spec = line_spec("1", "0", -1, 1, "box")
     grid = kb.Grid.from_domain(spec.domain, 21)
     rho = EquilibriumDensity(rho_fn=CE("1"), gibbs=(1.0, CE("0")))
-    Hi = compute_Hi(spec, rho.on_grid(grid), grid)
+    Hi = compute_Hi(spec, rho, grid)
     assert np.max(np.abs(Hi)) == 0.0
 
 
@@ -448,8 +460,7 @@ def test_Hi_requires_gibbs_or_samples():
 def test_Hi_recovered_from_samples_matches_analytic():
     spec, rho = catalog_example("ornstein-uhlenbeck")
     grid = kb.Grid.from_domain(spec.domain, 401)
-    sampled = EquilibriumDensity(values=np.exp(-grid.x**2 / 2), grid=grid)
-    Hi = compute_Hi(spec, sampled, grid)
+    Hi = compute_Hi(spec, np.exp(-grid.x**2 / 2), grid)
     # analytic field is 2(a*x - 0 - x) = 0; recovery differentiates samples
     assert np.max(np.abs(Hi[5:-5])) <= 1e-3
 
@@ -459,7 +470,7 @@ def test_Hi_identity_action_on_products():
     spec, rho = catalog_example("appendix2a", 1.0)
     grid = kb.Grid.from_domain(spec.domain, 201)
     req = rho.on_grid(grid)
-    Hi = compute_Hi(spec, req, grid)
+    Hi = compute_Hi(spec, rho, grid)
     phi = CE("exp(-(x-1)^2/4)")
     dphi = phi.derivative()
     rfn = rho.rho_fn
@@ -467,7 +478,7 @@ def test_Hi_identity_action_on_products():
     for i in range(20, 181, 16):
         x = grid.x[i]
         lhs = apply_formal_adjoint(spec, prod, x)
-        rhs = (req.values[i] * (apply_generator(spec, phi, x) - Hi[i] * dphi(x))
+        rhs = (req[i] * (apply_generator(spec, phi, x) - Hi[i] * dphi(x))
                + phi(x) * apply_formal_adjoint(spec, rfn, x))
         assert lhs == pytest.approx(rhs, rel=1e-9, abs=1e-11)
 

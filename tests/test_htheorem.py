@@ -307,11 +307,32 @@ def test_reducible_chain_solves_each_closed_class_alone(caplog):
         assert_matches_dense_gth(v[nodes], Q[np.ix_(nodes, nodes)])
 
 
+def test_reducible_chain_reads_its_entries_once_for_every_class(monkeypatch):
+    # 500 closed classes of two states; the lattice balance reads Q's
+    # entries once, and the split into classes once for all of them
+    k = 500
+    i = np.arange(0, 2 * k, 2)
+    up, down = np.linspace(0.5, 2.0, k), np.linspace(3.0, 0.25, k)
+    Q = BandMatrix.from_entries(np.concatenate([i, i + 1, i, i + 1]),
+                                np.concatenate([i + 1, i, i, i + 1]),
+                                np.concatenate([up, down, -up, -down]), 2 * k)
+    calls = []
+    entries = BandMatrix.entries
+    monkeypatch.setattr(BandMatrix, "entries", lambda self: calls.append(1) or entries(self))
+    sol = solve_invariant(Q)
+    assert len(calls) <= 2
+    assert not sol.unique and len(sol.basis) == k
+    for c, v in enumerate(sol.basis):
+        assert np.array_equal(np.flatnonzero(v), [2 * c, 2 * c + 1])
+        assert np.allclose(v[2 * c:2 * c + 2], [down[c], up[c]] / (up[c] + down[c]),
+                           rtol=1e-14, atol=0.0)
+
+
 def test_one_state_and_two_absorbing_states(caplog):
     one = solve_invariant([[0.0]])
     assert one.unique and np.array_equal(one.pi, [1.0])
     caplog.set_level(logging.DEBUG, logger="kinbench.htheorem")
-    pi = _class_measure(BandMatrix.from_matrix([[0.0]]), np.arange(1), np.inf)
+    pi = _class_measure(BandMatrix.from_matrix([[0.0]]), np.inf)
     assert np.array_equal(pi, [1.0])
     assert _gth_log(caplog) == [(1, 0, np.inf, 0, np.inf)]  # no pivot before the last
 
@@ -326,7 +347,7 @@ def test_elimination_names_a_state_that_reaches_no_later_one():
     # state 0 is absorbing and eliminated first: its pivot, the rate to
     # the states after it, is 0
     with pytest.raises(NoInvariantDensity, match="non-communicating"):
-        _class_measure(BandMatrix.from_matrix([[0.0, 0.0], [1.0, -1.0]]), np.arange(2), 0.0)
+        _class_measure(BandMatrix.from_matrix([[0.0, 0.0], [1.0, -1.0]]), 0.0)
 
 
 def test_41x41_rotational_chain_is_solved_in_its_band(caplog):
@@ -546,32 +567,30 @@ def test_boundary_term_suppressed_by_decaying_density(a2a401):
     vals = nut.values if hasattr(nut, "values") else nut
     phi = vals / sol.pi
     h = HFunctional.from_name("square")
-    req = a2a401.rho.on_grid(a2a401.grid)
-    assert boundary_term(a2a401.spec, req, phi, h, grid=a2a401.grid) <= 1e-4
+    assert boundary_term(a2a401.spec, a2a401.rho, phi, h, grid=a2a401.grid) <= 1e-4
 
 
 def test_boundary_term_zero_at_equilibrium_ratio(a2a401):
     h = HFunctional.from_name("square-dev")  # h(1) = 0
-    req = a2a401.rho.on_grid(a2a401.grid)
     phi = np.ones(a2a401.grid.size)
-    assert boundary_term(a2a401.spec, req, phi, h, grid=a2a401.grid) == 0.0
+    assert boundary_term(a2a401.spec, a2a401.rho, phi, h, grid=a2a401.grid) == 0.0
 
 
 def test_boundary_term_flags_wall_gradient(a2a401):
     h = HFunctional.from_name("square")
-    req = a2a401.rho.on_grid(a2a401.grid)
     phi = 1.0 + 0.1 * a2a401.x
-    assert boundary_term(a2a401.spec, req, phi, h, grid=a2a401.grid) > 1e-3
+    assert boundary_term(a2a401.spec, a2a401.rho, phi, h, grid=a2a401.grid) > 1e-3
 
 
 def test_boundary_term_samples_an_analytic_density():
     spec, rho = kb.catalog_example("appendix2a", 1.0)
     grid = Grid.from_domain(spec.domain, 101)
     phi = 1.0 + 0.1 * grid.x
+    bare = kb.EquilibriumDensity(rho_fn=rho.rho_fn)  # no Gibbs data: H_i from the samples
     for kind in ("xlogx", "square"):
         h = HFunctional.from_name(kind)
-        assert rho.values is None
-        assert boundary_term(spec, rho, phi, h, grid=grid) == \
+        assert isinstance(rho.on_grid(grid), np.ndarray)
+        assert boundary_term(spec, bare, phi, h, grid=grid) == \
             boundary_term(spec, rho.on_grid(grid), phi, h, grid=grid)
     assert boundary_term(spec, rho, np.ones(101), HFunctional.from_name("xlogx"),
                          grid=grid) >= 0.0
@@ -580,12 +599,11 @@ def test_boundary_term_samples_an_analytic_density():
 def test_nan_state_has_nan_h_and_lower_wall_flux(a2a401):
     # the larger wall flux is taken as Python's max(lo, hi) takes it, so
     # only a NaN at the lower wall reaches the flux; H sees every NaN
-    req = a2a401.rho.on_grid(a2a401.grid)
     square = HFunctional.from_name("square")
     phi = np.ones(a2a401.grid.size)
     phi[0] = np.nan
     with np.errstate(all="ignore"):
-        assert np.isnan(boundary_term(a2a401.spec, req, phi, square, grid=a2a401.grid))
+        assert np.isnan(boundary_term(a2a401.spec, a2a401.rho, phi, square, grid=a2a401.grid))
     for node in (0, 200, -1):
         nu = np.array(a2a401.w)
         nu[node] = np.nan
@@ -615,12 +633,12 @@ def test_stacked_identity_terms_equal_row_by_row(a2a401):
     with np.errstate(all="ignore"):
         for kind in ("xlogx", "square", "square-dev"):
             h = HFunctional.from_name(kind)
-            for density in (rho, req.values):
+            for density in (rho, req):
                 rates = dissipation_rate(spec, density, phis, h, grid=grid)
                 rows = [dissipation_rate(spec, density, phi, h, grid=grid) for phi in phis]
                 assert rates.shape == (len(phis),)
                 assert np.array_equal(rates, rows, equal_nan=True)
-            for density in (rho, req):
+            for density in (rho, a2a401.rho):
                 flux = boundary_term(spec, density, phis, h, grid=grid)
                 rows = [boundary_term(spec, density, phi, h, grid=grid) for phi in phis]
                 assert flux.shape == (len(phis),)
