@@ -58,7 +58,7 @@ class TimeError(InputError):
 
 
 class TruncationBudgetExceeded(KinbenchError):
-    """Series length cap exceeded; split the horizon into shorter steps."""
+    """Series length or dense kernel size cap exceeded; shorten the steps or coarsen the grid."""
 
 
 class SpectrumError(InputError):

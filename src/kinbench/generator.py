@@ -19,12 +19,13 @@ polynomials), as it always does for ``pawula.apply_operator``:
   each axis and each sum of two axes, both derivatives of a line from one
   set of five reads, and InsufficientSmoothness when the stencil leaves
   the domain;
-- ``_on_nodes(f, x, m)``, on the 1-D grid nodes: any other callable gets
-  ``np.gradient`` of the order below (second order at the walls).
+- on the 1-D grid nodes, every first derivative of a node field, any other
+  callable's in ``_on_nodes(f, x, m)`` and the wall flux's included, is
+  ``np.gradient(..., edge_order=2)`` (second order at the walls).
 
 A reference density is analytic (``EquilibriumDensity``) or it is samples
-on the grid nodes (an array); ``residual_invariant``, ``compute_Hi`` and
-``htheorem.boundary_term`` take either, and the grid.
+on the grid nodes (an array, read by ``_samples``); ``residual_invariant``,
+``compute_Hi`` and ``htheorem.boundary_term`` take either, and the grid.
 """
 
 from __future__ import annotations
@@ -217,10 +218,8 @@ class EquilibriumDensity:
         """Samples on the grid nodes, an array (optionally quadrature-normalized)."""
         if self.rho_fn is None:
             raise MissingGibbsForm("no analytic density to sample")
-        x = grid.nodes_for_eval()
-        vals = np.asarray(self.rho_fn(x), dtype=float)
-        vals = np.broadcast_to(vals, (grid.size,)).copy()
-        _require_finite("rho", vals, np.reshape(x, (grid.size, -1)))
+        vals = np.asarray(self.rho_fn(grid.nodes_for_eval()), dtype=float)
+        vals = _samples(np.broadcast_to(vals, (grid.size,)), grid).copy()
         if np.any(vals < 0):
             raise ParameterOutOfRange("equilibrium density has negative samples")
         if normalize:
@@ -228,11 +227,22 @@ class EquilibriumDensity:
         return vals
 
 
-def _scalar(f, pt):
+def _samples(values, grid):
+    """Density samples on the nodes of ``grid`` as a (grid.size,) float array;
+    ShapeError for any other shape, ParameterOutOfRange at the first non-finite."""
+    vals = np.asarray(values, dtype=float)
+    if vals.shape != (grid.size,):
+        raise ShapeError(f"density samples have shape {vals.shape}, "
+                         f"expected one per grid node, ({grid.size},)")
+    _require_finite("rho", vals, np.reshape(grid.nodes_for_eval(), (grid.size, -1)))
+    return vals
+
+
+def _scalar(f, pt, name="the test function"):
     """f(pt) as a 0-d float array; ShapeError unless f maps the point to one number."""
     value = np.asarray(f(pt), dtype=float)
     if value.ndim:
-        raise ShapeError(f"the test function must map a point to one number, not {value.shape}")
+        raise ShapeError(f"{name} must map a point to one number, not {value.shape}")
     return value
 
 
@@ -304,7 +314,7 @@ def apply_formal_adjoint(spec, rho, x):
     stencil reading a and b through the sampler)."""
     pt = _interior_point(spec, x)
     d = spec.dimension
-    a, b, r = spec.diffusion(pt)[0], spec.drift(pt)[0], float(rho(pt))
+    a, b, r = spec.diffusion(pt)[0], spec.drift(pt)[0], _scalar(rho, pt, "the density")
     da, d2a = _grad_hess(spec.a, pt, spec.domain, lambda y: spec.diffusion(y)[0])
     db, _ = _grad_hess(spec.b, pt, spec.domain, lambda y: spec.drift(y)[0])
     dr, d2r = _grad_hess(rho, pt, spec.domain)
@@ -335,18 +345,13 @@ def residual_invariant(spec, rho0, grid):
 
     if analytic and rho0.rho_fn is None:
         raise InsufficientSmoothness("rho0 has neither samples nor analytic form")
-    vals = _on_nodes(rho0.rho_fn, x)[0] if analytic else np.asarray(rho0, dtype=float)
+    vals = _on_nodes(rho0.rho_fn, x)[0] if analytic else _samples(rho0, grid)
     a, = _on_nodes(spec.a, x)
     b, = _on_nodes(spec.b, x)
-    d2 = _nonuniform_d2(a * vals, x)
+    ar, hm, hp = a * vals, x[1:-1] - x[:-2], x[2:] - x[1:-1]
+    d2 = 2 * (hm * ar[2:] - (hm + hp) * ar[1:-1] + hp * ar[:-2]) / (hm * hp * (hm + hp))
     d1 = np.gradient(b * vals, x, edge_order=2)[1:-1]
     return float(np.max(np.abs(d2 - d1)))
-
-
-def _nonuniform_d2(vals, x):
-    hm = x[1:-1] - x[:-2]
-    hp = x[2:] - x[1:-1]
-    return 2 * (hm * vals[2:] - (hm + hp) * vals[1:-1] + hp * vals[:-2]) / (hm * hp * (hm + hp))
 
 
 def _rho_exact(rho0, x):
@@ -383,7 +388,7 @@ def compute_Hi(spec, rho0, grid):
         beta, H = rho0.gibbs
         dh = _on_nodes(H, x, 1)[1]
     else:
-        vals = np.asarray(rho0, dtype=float)
+        vals = _samples(rho0, grid)
         if np.any(vals <= 0):
             raise MissingGibbsForm("recovery needs strictly positive samples")
         beta, dh = 1.0, np.gradient(-np.log(vals / vals.max()), x, edge_order=2)

@@ -5,7 +5,8 @@ node, plain sums): with the invariant measure solved from the transpose
 null space, the decay of sum_i m_i h(nu_i / m_i) is exact for every convex
 h, so only rounding shows up in the monotonicity checks.  Quadrature
 weights enter only where discrete fields are compared against continuum
-densities and integrals.
+densities and integrals; there every first derivative of a node field, the
+wall flux's included, is ``np.gradient(..., edge_order=2)``.
 
 Q's diagonals (its ``BandMatrix``) are all the lattice step reads.  Off
 it, ``_closed_classes`` imports ``scipy.sparse`` and its ``csgraph`` in its
@@ -29,7 +30,7 @@ from .errors import (
     SupportViolation,
 )
 from .bands import BandMatrix
-from .generator import EquilibriumDensity, _on_nodes, compute_Hi
+from .generator import EquilibriumDensity, _on_nodes, _samples, compute_Hi
 from .semigroup import _as_qmatrix, _eliminate, evolve_series
 
 _CONVEXITY_PROBE = np.linspace(1e-6, 10.0, 1000)
@@ -371,14 +372,14 @@ def h_curves(Q, nu0, hs, times, tol, reference=None, spec=None, boundary_density
 def dissipation_rate(spec, rho0, phi_tilde, h, grid):
     """Quadrature of -rho0 h''(phi) a (phi')^2 on ``grid``: the dissipation integral.
 
-    ``rho0`` holds the density's values at the grid nodes.  One state
-    ``phi_tilde`` (n,) gives a float, a stack (k, n) one rate per row.  The
-    rate is nonpositive whenever a >= 0 and h is convex; this is the
+    ``rho0`` holds the density's samples, one finite number per node.  One
+    state ``phi_tilde`` (n,) gives a float, a stack (k, n) one rate per row.
+    The rate is nonpositive whenever a >= 0 and h is convex; this is the
     discrete face of the positivity/H-decay equivalence.
     """
     if h.d2fn is None:
         raise NonSmoothH(f"{h.kind} lacks the second derivative the identity needs")
-    rho = np.asarray(rho0, dtype=float)
+    rho = _samples(rho0, grid)
     phi = np.asarray(phi_tilde, dtype=float)
     x = grid.x
     w = grid.weights()
@@ -389,43 +390,29 @@ def dissipation_rate(spec, rho0, phi_tilde, h, grid):
     return rates if phi.ndim > 1 else float(rates[0])
 
 
-def one_sided_d1(values, x, at_start=True):
-    """Second-order one-sided first derivative at a boundary node, per row of a stack."""
-    if at_start:
-        h1 = x[1] - x[0]
-        h2 = x[2] - x[1]
-        # 3-point nonuniform one-sided stencil
-        c0 = -(2 * h1 + h2) / (h1 * (h1 + h2))
-        c1 = (h1 + h2) / (h1 * h2)
-        c2 = -h1 / (h2 * (h1 + h2))
-        return c0 * values[..., 0] + c1 * values[..., 1] + c2 * values[..., 2]
-    h1 = x[-1] - x[-2]
-    h2 = x[-2] - x[-3]
-    c0 = (2 * h1 + h2) / (h1 * (h1 + h2))
-    c1 = -(h1 + h2) / (h1 * h2)
-    c2 = h1 / (h2 * (h1 + h2))
-    return c0 * values[..., -1] + c1 * values[..., -2] + c2 * values[..., -3]
-
-
 def boundary_term(spec, rho0, phi_tilde, h, grid):
     """Max magnitude of the boundary flux rho0 a d/dx h(phi) + h(phi) H_i.
 
     ``rho0`` is an EquilibriumDensity, sampled on the nodes of ``grid``
     with ``on_grid``, or its samples there; H_i comes from its Gibbs data
-    when it has them and from the samples otherwise.  One state
+    when it has them and from the samples otherwise.  h is evaluated on the
+    three nodes by each wall only, and d/dx h(phi) at a wall is the edge of
+    ``np.gradient(..., edge_order=2)`` on those nodes.  One state
     ``phi_tilde`` (n,) gives a float, a stack (k, n) one flux per row.
     """
     analytic = isinstance(rho0, EquilibriumDensity)
-    rho = rho0.on_grid(grid) if analytic else np.asarray(rho0, dtype=float)
+    rho = rho0.on_grid(grid) if analytic else _samples(rho0, grid)
     x = grid.x
-    hvals = h(np.maximum(np.asarray(phi_tilde, dtype=float), 0.0))
+    # from n = 7 on, the gap between the two triples keeps np.gradient on its
+    # nonuniform edge formulas even on a uniform grid
+    walls = np.r_[0:3, max(3, x.size - 3):x.size]
+    hvals = h(np.maximum(np.asarray(phi_tilde, dtype=float)[..., walls], 0.0))
+    dh = np.gradient(hvals, x[walls], axis=-1, edge_order=2)
     Hi = compute_Hi(spec, rho0 if analytic and rho0.gibbs is not None else rho, grid)
     a_lo = float(np.asarray(spec.a(x[0]), dtype=float))
     a_hi = float(np.asarray(spec.a(x[-1]), dtype=float))
-    dh_lo = one_sided_d1(hvals, x, at_start=True)
-    dh_hi = one_sided_d1(hvals, x, at_start=False)
-    lo = np.abs(rho[0] * a_lo * dh_lo + hvals[..., 0] * Hi[0])
-    hi = np.abs(rho[-1] * a_hi * dh_hi + hvals[..., -1] * Hi[-1])
+    lo = np.abs(rho[0] * a_lo * dh[..., 0] + hvals[..., 0] * Hi[0])
+    hi = np.abs(rho[-1] * a_hi * dh[..., -1] + hvals[..., -1] * Hi[-1])
     flux = np.where(hi > lo, hi, lo)  # max(lo, hi) as Python takes it, NaN included
     return flux if flux.ndim else float(flux)
 

@@ -338,7 +338,9 @@ def _square(M, out, first, last):
 
 def _kernels(qm, ts, tol, pool):
     """Yield dense e^{Qt} for each t in ``ts`` in turn, as (kernel, defect)
-    pairs, by uniformization with scaling and squaring.
+    pairs, by uniformization with scaling and squaring.  A chain of more
+    than _DENSE_MAX_STATES states raises TruncationBudgetExceeded at the
+    first kernel, before the series pass and any n x n buffer.
 
     P = I + Q/lam does not depend on t, so the series on the identity of
     every t > 0 comes from one pass over P's powers (``_identity_series``),
@@ -372,6 +374,9 @@ def _kernels(qm, ts, tol, pool):
     nothing or there are none).
     """
     n = qm.size
+    if n > _DENSE_MAX_STATES:
+        raise TruncationBudgetExceeded(f"a dense kernel on {n} states exceeds the limit "
+                                       f"of {_DENSE_MAX_STATES}; use a coarser grid")
     plans = [None if t == 0 or qm.lambda_max == 0.0 else _uniformization(qm, t, tol)
              for t in ts]
     live = [plan for plan in plans if plan is not None]

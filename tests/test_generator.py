@@ -186,6 +186,13 @@ def test_a_test_function_must_map_a_point_to_one_number(call):
         call(spec)
 
 
+def test_a_density_must_map_a_point_to_one_number():
+    spec = GeneratorSpec(2, lambda p: np.eye(2), lambda p: np.array([1.0, 2.0]),
+                         DomainSpec("box", ((-1.0, 1.0), (-1.0, 1.0))))
+    with pytest.raises(ShapeError, match=r"^the density must map a point to one number"):
+        apply_formal_adjoint(spec, lambda p: np.array([p[0], p[1]]), (0.3, 0.4))
+
+
 def _line_by_hand(f, x, v, h):
     """The 4th-order first and second derivatives of f along v at x."""
     p2, p1, m1, m2, c = (f(x + t * h * v) for t in (2, 1, -1, -2, 0))

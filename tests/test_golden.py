@@ -9,15 +9,20 @@ way.  Re-record (only when an artifact is meant to change) with
     PYTHONPATH=src python tests/test_golden.py
 
 which prints the name of every digest it changes and how many it leaves
-unchanged.
+unchanged.  For each changed CSV it also prints the columns that differ
+from the same artifact made by the source committed at git HEAD, run here,
+and their largest absolute change.
 """
 
+import csv
 import hashlib
+import io
 import json
 import os
 import pathlib
 import subprocess
 import sys
+import tarfile
 
 import numpy as np
 import pytest
@@ -65,9 +70,11 @@ def _digest(path):
     return hashlib.sha256(data).hexdigest()
 
 
-def artifact_digests(workdir):
-    """Run every command single-threaded; exit codes and artifact digests."""
+def artifact_digests(workdir, src=None):
+    """Run every command single-threaded, importing kinbench from ``src``
+    (default: the one imported here); exit codes and artifact digests."""
     workdir = pathlib.Path(workdir)
+    workdir.mkdir(parents=True, exist_ok=True)
     small = json.loads((SCENARIOS / "ou_oracle.json").read_text())
     small["oracle"].update(particles=3000, snapshot_times=[0.3], moment_points=[0.0])
     (workdir / "ou_oracle_small.json").write_text(json.dumps(small) + "\n")
@@ -75,7 +82,7 @@ def artifact_digests(workdir):
     for name, (cmd, scenario, *rest) in COMMANDS.items():
         folder = workdir if scenario == "ou_oracle_small.json" else SCENARIOS
         jobs.append([name, str(workdir / name), [cmd, str(folder / scenario), *rest]])
-    src = os.path.dirname(os.path.dirname(os.path.abspath(kinbench.__file__)))
+    src = src or os.path.dirname(os.path.dirname(os.path.abspath(kinbench.__file__)))
     env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1",
                OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
     proc = subprocess.run([sys.executable, "-c", RUNNER, json.dumps(jobs)], env=env,
@@ -99,16 +106,58 @@ def test_artifacts_match_golden_digests(tmp_path):
     assert digests == golden["digests"]
 
 
+def committed_source(dest):
+    """The ``src`` tree committed at git HEAD, extracted under ``dest``."""
+    archive = subprocess.run(["git", "-C", str(ROOT), "archive", "HEAD", "src"],
+                             capture_output=True, check=True).stdout
+    with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+        tar.extractall(dest, filter="data")
+    return str(pathlib.Path(dest) / "src")
+
+
+def column_changes(old_csv, new_csv):
+    """{column: largest absolute change} for each column of two headed CSV
+    files that differs; inf where a column is missing, changes length or
+    holds a cell that is not a number.  NaN against NaN is no change."""
+    def columns(path):
+        header, *rows = csv.reader(pathlib.Path(path).read_text().splitlines())
+        return {name: [row[j] for row in rows] for j, name in enumerate(header)}
+
+    old, new = columns(old_csv), columns(new_csv)
+    changes = {}
+    for name in sorted(old.keys() | new.keys()):
+        if old.get(name) == new.get(name):
+            continue
+        changes[name] = np.inf
+        try:
+            a, b = (np.array(cells[name], dtype=float) for cells in (old, new))
+        except (KeyError, ValueError):  # missing on one side, or not numbers
+            continue
+        if a.shape == b.shape:
+            same = (a == b) | (np.isnan(a) & np.isnan(b))
+            change = np.where(same, 0.0, np.nan_to_num(np.abs(a - b), nan=np.inf))
+            changes[name] = float(change.max())
+    return changes
+
+
 if __name__ == "__main__":
     import tempfile
 
     with tempfile.TemporaryDirectory() as tmp:
-        codes, digests = artifact_digests(tmp)
-    old = json.loads(GOLDEN.read_text())["digests"] if GOLDEN.exists() else {}
-    changed = sorted(name for name in digests.keys() | old.keys()
-                     if digests.get(name) != old.get(name))
-    for name in changed:
-        print(f"changed: {name}")
+        tmp = pathlib.Path(tmp)
+        codes, digests = artifact_digests(tmp / "new")
+        old = json.loads(GOLDEN.read_text())["digests"] if GOLDEN.exists() else {}
+        changed = sorted(name for name in digests.keys() | old.keys()
+                         if digests.get(name) != old.get(name))
+        csvs = [name for name in changed if name.endswith(".csv") and name in digests]
+        if csvs:
+            artifact_digests(tmp / "head", committed_source(tmp / "checkout"))
+        for name in changed:
+            print(f"changed: {name}")
+            if name in csvs and (tmp / "head" / name).exists():
+                for column, change in column_changes(tmp / "head" / name,
+                                                     tmp / "new" / name).items():
+                    print(f"  {column}: largest |change| {change:.3g} against HEAD")
     doc = {"versions": {"numpy": np.__version__, "scipy": scipy.__version__},
            "exit_codes": codes, "digests": digests}
     GOLDEN.write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")

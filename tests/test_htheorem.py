@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from numpy.polynomial import Polynomial
 
 import kinbench as kb
 from kinbench.bands import BandMatrix
@@ -15,10 +16,17 @@ from kinbench.errors import (
     NoInvariantDensity,
     NonSmoothH,
     ParameterOutOfRange,
+    ShapeError,
     SupportViolation,
 )
 from kinbench.expressions import CompiledExpression as CE
-from kinbench.generator import CATALOG_NAMES, DomainSpec, GeneratorSpec
+from kinbench.generator import (
+    CATALOG_NAMES,
+    DomainSpec,
+    GeneratorSpec,
+    compute_Hi,
+    residual_invariant,
+)
 from kinbench.htheorem import (
     HFunctional,
     _class_measure,
@@ -594,6 +602,67 @@ def test_boundary_term_samples_an_analytic_density():
             boundary_term(spec, rho.on_grid(grid), phi, h, grid=grid)
     assert boundary_term(spec, rho, np.ones(101), HFunctional.from_name("xlogx"),
                          grid=grid) >= 0.0
+
+
+def _one_sided_by_hand(values, x, at_start):
+    """The three-point one-sided first derivative at a wall, written out as
+    its three terms c_0 f_0, c_1 f_1 and c_2 f_2 from the wall inward: a
+    reference for the wall rule that shares no code with numpy."""
+    if at_start:
+        h1, h2, f = x[1] - x[0], x[2] - x[1], values[..., :3]
+        sign = 1.0
+    else:
+        h1, h2, f = x[-1] - x[-2], x[-2] - x[-3], values[..., ::-1][..., :3]
+        sign = -1.0
+    c = sign * np.array([-(2 * h1 + h2) / (h1 * (h1 + h2)), (h1 + h2) / (h1 * h2),
+                         -h1 / (h2 * (h1 + h2))])
+    return c * f
+
+
+def test_wall_derivatives_are_np_gradient_edges():
+    # a = 1, b = 0 and flat samples give H_i = 0, so the flux at a wall is
+    # |d/dx h(phi)| there; phi is flat next to the other wall, whose flux
+    # is then rounding only
+    x = np.linspace(0.0, 1.0, 41) + 0.3 * np.linspace(0.0, 1.0, 41) ** 2  # nonuniform
+    grid = Grid((x,))
+    spec = GeneratorSpec(1, Polynomial([1.0]), Polynomial([0.0]),
+                         DomainSpec("box", ((x[0], x[-1]),)))
+    ones = np.ones(x.size)
+    h = HFunctional.from_name("square")
+    ramps = 1.0 + 0.1 * np.arange(1, 9)[:, None] * np.sin(3 * x)
+    for wall, flat in ((0, slice(-3, None)), (-1, slice(None, 3))):
+        phis = ramps.copy()
+        phis[:, flat] = 1.0
+        flux = boundary_term(spec, ones, phis, h, grid=grid)
+        edges = np.gradient(h(phis), x, axis=-1, edge_order=2)[:, wall]
+        assert np.all(np.abs(edges) > 0.1)
+        assert np.array_equal(flux, np.abs(edges))
+        # the three-point formula sums the same three products, in the other
+        # order at the upper wall: a few ulps of the largest of them
+        terms = _one_sided_by_hand(h(phis), x, at_start=wall == 0)
+        bound = 4 * np.finfo(float).eps * np.abs(terms).max(axis=-1)
+        assert np.all(np.abs(flux - np.abs(terms.sum(axis=-1))) <= bound)
+        rows = [boundary_term(spec, ones, phi, h, grid=grid) for phi in phis]
+        assert np.array_equal(flux, rows)
+
+
+def test_density_samples_are_one_finite_number_per_node():
+    spec, _ = kb.catalog_example("ornstein-uhlenbeck")
+    grid = Grid.from_domain(spec.domain, 21)
+    phi, h = np.ones(21), HFunctional.from_name("square")
+    calls = [lambda rho: residual_invariant(spec, rho, grid),
+             lambda rho: compute_Hi(spec, rho, grid),
+             lambda rho: boundary_term(spec, rho, phi, h, grid=grid),
+             lambda rho: dissipation_rate(spec, rho, phi, h, grid=grid)]
+    nonfinite = np.ones(21)
+    nonfinite[[3, 7]] = np.nan, np.inf
+    first = re.escape(f"rho = nan at point 3 (x = {[float(grid.x[3])]}) is not finite")
+    for call in calls:
+        for wrong in (np.ones(5), 1.0, np.ones((1, 21))):
+            with pytest.raises(ShapeError, match=r"one per grid node, \(21,\)$"):
+                call(wrong)
+        with pytest.raises(ParameterOutOfRange, match=f"^{first}$"):
+            call(nonfinite)
 
 
 def test_nan_state_has_nan_h_and_lower_wall_flux(a2a401):

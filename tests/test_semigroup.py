@@ -598,6 +598,22 @@ def test_kernel_diagnostics_hold_the_kernel_and_one_spare(which):
     assert peak < 2 * n * n * 8 + 2 * n * sg._BLOCK * 8
 
 
+def test_kernels_past_the_dense_limit_fail_before_any_n_by_n_buffer():
+    qm = _1d_chain("appendix2a", sg._DENSE_MAX_STATES + 1, "exponential-fitting")
+    n = qm.size
+    limit = f"dense kernel on {n} states exceeds the limit of 2048; use a coarser grid"
+
+    def check():
+        with pytest.raises(TruncationBudgetExceeded, match=limit):
+            chapman_kolmogorov_defect(qm, 0.3, 0.7, tol=1e-12)
+
+    assert _traced_peak(check) < n * n * 8 / 100
+    for call in (lambda: transition_kernel(qm, 0.3), lambda: _moments(qm),
+                 lambda: _continuity(qm)):
+        with pytest.raises(TruncationBudgetExceeded, match=limit):
+            call()
+
+
 def test_kernel_diagnostics_are_bitwise_their_full_row_sums():
     qm = _1d_chain("appendix2a", 401, "exponential-fitting")
     x = qm.node_coordinates()
