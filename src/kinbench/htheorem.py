@@ -27,6 +27,7 @@ from .errors import (
     NoInvariantDensity,
     NonSmoothH,
     ParameterOutOfRange,
+    ShapeError,
     SupportViolation,
 )
 from .bands import BandMatrix
@@ -369,18 +370,27 @@ def h_curves(Q, nu0, hs, times, tol, reference=None, spec=None, boundary_density
     return result, curves
 
 
+def _states(phi_tilde, grid):
+    """phi_tilde as a float state (n,) or stack (k, n), n = grid.size; else ShapeError."""
+    phi = np.asarray(phi_tilde, dtype=float)
+    if phi.ndim not in (1, 2) or phi.shape[-1] != grid.size:
+        raise ShapeError(f"states of shape {phi.shape} need one entry per grid node, n = {grid.size}")
+    return phi
+
+
 def dissipation_rate(spec, rho0, phi_tilde, h, grid):
     """Quadrature of -rho0 h''(phi) a (phi')^2 on ``grid``: the dissipation integral.
 
     ``rho0`` holds the density's samples, one finite number per node.  One
-    state ``phi_tilde`` (n,) gives a float, a stack (k, n) one rate per row.
-    The rate is nonpositive whenever a >= 0 and h is convex; this is the
-    discrete face of the positivity/H-decay equivalence.
+    state ``phi_tilde`` (n,) gives a float, a stack (k, n) one rate per row,
+    and any other shape raises ShapeError.  The rate is nonpositive whenever
+    a >= 0 and h is convex: the discrete face of the positivity/H-decay
+    equivalence.
     """
     if h.d2fn is None:
         raise NonSmoothH(f"{h.kind} lacks the second derivative the identity needs")
     rho = _samples(rho0, grid)
-    phi = np.asarray(phi_tilde, dtype=float)
+    phi = _states(phi_tilde, grid)
     x = grid.x
     w = grid.weights()
     a, = _on_nodes(spec.a, x)
@@ -398,7 +408,8 @@ def boundary_term(spec, rho0, phi_tilde, h, grid):
     when it has them and from the samples otherwise.  h is evaluated on the
     three nodes by each wall only, and d/dx h(phi) at a wall is the edge of
     ``np.gradient(..., edge_order=2)`` on those nodes.  One state
-    ``phi_tilde`` (n,) gives a float, a stack (k, n) one flux per row.
+    ``phi_tilde`` (n,) gives a float, a stack (k, n) one flux per row; any
+    other shape raises ShapeError.
     """
     analytic = isinstance(rho0, EquilibriumDensity)
     rho = rho0.on_grid(grid) if analytic else _samples(rho0, grid)
@@ -406,7 +417,7 @@ def boundary_term(spec, rho0, phi_tilde, h, grid):
     # from n = 7 on, the gap between the two triples keeps np.gradient on its
     # nonuniform edge formulas even on a uniform grid
     walls = np.r_[0:3, max(3, x.size - 3):x.size]
-    hvals = h(np.maximum(np.asarray(phi_tilde, dtype=float)[..., walls], 0.0))
+    hvals = h(np.maximum(_states(phi_tilde, grid)[..., walls], 0.0))
     dh = np.gradient(hvals, x[walls], axis=-1, edge_order=2)
     Hi = compute_Hi(spec, rho0 if analytic and rho0.gibbs is not None else rho, grid)
     a_lo = float(np.asarray(spec.a(x[0]), dtype=float))

@@ -12,43 +12,38 @@ of one pass are bitwise equal to separate runs of length t: ``simulate``
 takes every snapshot time and runs one time loop.  Under reflecting walls
 only the particles that left the window go through the reflection.
 
-The draws are step-parallel.  Splitting the *particles* across workers
-is what would break reproducibility; splitting the *steps* does not,
-because stream k depends on (seed, k) alone.  A pool of ``_DRAW_THREADS``
-threads fills the draws of the coming steps into a ring of at most
-``_PREFETCH`` buffers while the calling thread consumes them strictly in
-step order and alone runs the update (so ``spec.a`` and ``spec.b`` are
-never called from a worker), the walls, the all-absorbed early exit and
-the snapshots.  Draws, positions, ``absorbed`` and times are therefore
-bitwise those of a serial loop, whatever the thread schedule.  numpy
-releases the GIL while it draws, and the draw is most of a step (about
-2.6 of 3.1 ms at 100k particles on a 2-vCPU Xeon), so on two cores it
-overlaps the update.  Process CPU time rises a little, because the draw
-threads and the calling thread share the cores.
+The draws are step-parallel: stream k depends on (seed, k) alone, so any
+thread may fill any step, whereas splitting the *particles* across workers
+would break reproducibility.  ``_StepDraws`` shares the steps between the
+calling thread and ``_DRAW_THREADS`` helper; the caller alone runs the
+update (so ``spec.a`` and ``spec.b`` are never called from a helper), the
+walls, the all-absorbed early exit and the snapshots.  Draws, positions,
+``absorbed`` and times are therefore bitwise those of a serial loop,
+whatever the thread schedule.  numpy releases the GIL while it draws, and
+the draw is most of a step (1.9 of 2.3 ms at 100k particles on a 2-vCPU
+Xeon), so both threads draw while the update overlaps the helper's draw.
 
-A pool task fills at least ``_TASK_DRAWS`` draws, so below 65,536
-particles it draws several consecutive steps: on that Xeon one-step
-tasks took 315 against 250 us a step at 8000 particles and 713 against
-626 us at 32,000, and 2^14 draws a task was slower than 2^16 while 2^17
-and 2^18 were no faster.  Below ``_POOL_MIN_N`` particles the calling thread draws each step itself, as
-the GIL-bound part of a step (stream setup, the update) outweighs the
-draw and the threads only contend: on that Xeon the pool took 124 against
-74 us a step at 1000 particles, broke even near 4000 and won from 6000
-(177 against 223 us).  The ring keeps at most ``_PREFETCH`` slots,
-fewer when they would pass ``_RING_BYTES``, but never fewer than two: it
-costs up to three particle-sized buffers more than a serial loop, and one
-more in very large ensembles.
+On that Xeon a task of at least ``_TASK_DRAWS`` draws beat one-step tasks
+(250 against 315 us a step at 8000 particles with the former two-thread
+pool, 48 against 58 us at 1000 for the calling thread alone), and with a
+helper 2^14 or 2^18 draws a task were no faster (142 and 149 against 135
+us at 8000).  No helper starts in a run of one task, which has nothing to
+share, nor below ``_POOL_MIN_N`` particles, where the GIL-bound part of a
+step (stream setup, the update) outweighs the draw: at 1000 particles the
+helper took 50 against 47 us a step, and it won from about 3000 (74
+against 88 us, at 43% more CPU).  With a helper the ring keeps two to
+``_PREFETCH`` slots within ``_RING_BYTES``: up to three particle-sized
+buffers more than a serial loop, one more in very large ensembles.
+Without one it keeps a single slot.
 """
 
 from __future__ import annotations
 
 import logging
+import threading
 import time
 import warnings
-from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -64,10 +59,10 @@ from .semigroup import time_schedule
 
 _INIT_STREAM = 0
 _STEP_STREAM_BASE = 1
-_DRAW_THREADS = 2       # pool threads that draw ahead of the time loop
-_PREFETCH = 4           # pool tasks (ring buffers) the draws may run ahead
-_TASK_DRAWS = 1 << 16   # least draws per pool task, to amortize its overhead
-_POOL_MIN_N = 1 << 12   # fewest particles for which the pool draws
+_DRAW_THREADS = 1       # helper threads that draw beside the calling thread
+_PREFETCH = 4           # tasks (ring buffers) the draws may run ahead
+_TASK_DRAWS = 1 << 16   # least draws per task, to amortize its overhead
+_POOL_MIN_N = 1 << 12   # fewest particles for which a helper draws
 _RING_BYTES = 32 << 20  # most bytes of ring, unless two slots alone pass it
 
 _log = logging.getLogger("kinbench.oracle")
@@ -79,63 +74,90 @@ def _stream(seed, stream_index):
     return np.random.Generator(bits)
 
 
-def _fill(seed, first_step, rows):
-    """Fill row i with the standard-normal draws of step first_step + i."""
-    for i, row in enumerate(rows):
-        _stream(seed, _STEP_STREAM_BASE + first_step + i).standard_normal(out=row)
-    return rows
-
-
 class _StepDraws:
-    """The draws of steps 0 .. steps-1 of a run, yielded in step order.
+    """The draws of steps 0 .. steps-1 of a run, yielded in step order, a row a step.
 
-    Iterating yields one particle-sized row per step.  A task fills
-    ``per_task`` consecutive rows into one slot of a ring, and a slot goes
-    to a new task only after the caller has moved past its last row, so
-    no task writes a buffer the caller still reads.  With a pool the ring
-    has two to ``_PREFETCH`` slots; without one (``threads`` is 0) it has
-    one slot and the caller fills it when it needs the next step.  Use it
-    in a ``with``: leaving it (at the end, on an early exit or on an
-    exception) cancels the pending tasks and joins the threads.
-    ``waited`` is the caller's total time spent getting draws, waiting on
-    the pool or drawing itself.
+    A task fills ``per_task`` consecutive rows into one slot of a ring.  The
+    helpers and the caller claim tasks in step order under one lock, and a
+    slot goes to a new task only once the caller is past its last row.  When
+    its next task is not ready the caller fills the next free one itself, so
+    it waits only while every free slot is being filled.  Leaving the
+    ``with`` joins the helpers; a helper's exception is raised in the
+    caller.  ``waited`` is the caller's time spent getting draws, its own
+    drawing included, and ``caller_tasks`` counts the tasks it filled.
     """
 
     def __init__(self, seed, n, steps):
-        self.threads = _DRAW_THREADS if n >= _POOL_MIN_N else 0
-        self.per_task = max(1, min(steps, -(-_TASK_DRAWS // n))) if self.threads else 1
-        self.waited = 0.0
-        self._seed, self._steps = seed, steps
+        self.per_task = max(1, min(steps, -(-_TASK_DRAWS // max(n, 1))))
         self._tasks = -(-steps // self.per_task)
+        self.threads = _DRAW_THREADS if n >= _POOL_MIN_N and self._tasks > 1 else 0
         depth = max(2, _RING_BYTES // (8 * self.per_task * n)) if self.threads else 1
         self._ring = np.empty((min(_PREFETCH, depth, self._tasks), self.per_task, n))
-        self._pool = ThreadPoolExecutor(self.threads, "kinbench-draw") if self.threads else None
+        self._ready = [-1] * len(self._ring)  # the task whose rows each slot holds
+        self._next = self._consumed = 0  # the next task to claim; tasks the caller is past
+        self._seed, self._steps, self.waited, self.caller_tasks = seed, steps, 0.0, 0
+        self._error, self._stop, self._lock = None, False, threading.Condition()
+        self._helpers = [threading.Thread(target=self._help, name="kinbench-draw", daemon=True)
+                         for _ in range(self.threads)]
 
     def __enter__(self):
+        for helper in self._helpers:
+            helper.start()
         return self
 
     def __exit__(self, *exc_info):
-        if self._pool is not None:
-            self._pool.shutdown(wait=True, cancel_futures=True)
+        with self._lock:
+            self._stop = True
+            self._lock.notify_all()
+        for helper in self._helpers:
+            helper.join()
 
-    def _submit(self, task):
-        """A call that returns the filled rows of ``task``."""
+    def _claim(self, task=None):
+        """The next free task whose slot is free, waiting for one; None once
+        the caller's ``task`` is ready, or when a helper should stop."""
+        with self._lock:
+            if task is not None:
+                self._consumed = task
+                self._lock.notify_all()
+            while not self._stop:
+                if task is not None:
+                    if self._error is not None:
+                        raise self._error
+                    if self._ready[task % len(self._ring)] == task:
+                        return None
+                elif self._next == self._tasks:
+                    return None
+                if self._next < min(self._tasks, self._consumed + len(self._ring)):
+                    self._next += 1
+                    return self._next - 1
+                self._lock.wait()
+
+    def _fill(self, task):
+        """Fill row i of the task's slot with the normal draws of its step i."""
         first = task * self.per_task
-        rows = self._ring[task % len(self._ring), :min(self.per_task, self._steps - first)]
-        if self._pool is None:
-            return partial(_fill, self._seed, first, rows)
-        return self._pool.submit(_fill, self._seed, first, rows).result
+        for i, row in enumerate(self._ring[task % len(self._ring), :self._steps - first]):
+            _stream(self._seed, _STEP_STREAM_BASE + first + i).standard_normal(out=row)
+        with self._lock:
+            self._ready[task % len(self._ring)] = task
+            self._lock.notify_all()
+
+    def _help(self):
+        try:
+            while (task := self._claim()) is not None:
+                self._fill(task)
+        except BaseException as exc:  # the caller re-raises it
+            with self._lock:
+                self._error = exc
+                self._lock.notify_all()
 
     def __iter__(self):
-        depth = len(self._ring)
-        pending = deque(self._submit(task) for task in range(depth))
         for task in range(self._tasks):
             start = time.perf_counter()
-            rows = pending.popleft()()
+            while (free := self._claim(task)) is not None:
+                self._fill(free)
+                self.caller_tasks += 1
             self.waited += time.perf_counter() - start
-            yield from rows
-            if task + depth < self._tasks:
-                pending.append(self._submit(task + depth))
+            yield from self._ring[task % len(self._ring), :self._steps - task * self.per_task]
 
 
 @dataclass
@@ -250,9 +272,9 @@ def simulate(spec, sampler, n, dt, T, seed, snapshots=None):
                                               int(seed), boundary))
     elapsed = time.perf_counter() - start
     _log.debug("simulate: n=%d steps=%d snapshots=%d threads=%d steps_per_task=%d "
-               "elapsed_s=%.6g particle_steps_per_s=%.6g draw_wait_s=%.6g",
+               "elapsed_s=%.6g particle_steps_per_s=%.6g draw_wait_s=%.6g caller_tasks=%d",
                x.size, k, len(ensembles), draws.threads, draws.per_task, elapsed,
-               x.size * k / max(elapsed, 1e-9), draws.waited)
+               x.size * k / max(elapsed, 1e-9), draws.waited, draws.caller_tasks)
     return ensembles[0] if snapshots is None else ensembles
 
 

@@ -665,6 +665,24 @@ def test_density_samples_are_one_finite_number_per_node():
             call(nonfinite)
 
 
+def test_states_are_one_entry_per_grid_node():
+    spec, _ = kb.catalog_example("ornstein-uhlenbeck")
+    grid = Grid.from_domain(spec.domain, 21)
+    rho, h = np.ones(21), HFunctional.from_name("square")
+    calls = [lambda phi: boundary_term(spec, rho, phi, h, grid=grid),
+             lambda phi: dissipation_rate(spec, rho, phi, h, grid=grid)]
+    for call in calls:
+        for n in (30, 5):
+            for wrong in (1 + 0.1 * np.arange(n), np.ones((3, n))):
+                with pytest.raises(ShapeError, match=r"one entry per grid node, n = 21$"):
+                    call(wrong)
+        for wrong in (1.0, np.ones((2, 3, 21))):
+            with pytest.raises(ShapeError, match=r"n = 21$"):
+                call(wrong)
+        assert np.shape(call(1 + 0.1 * np.arange(21))) == ()
+        assert np.shape(call(np.ones((3, 21)))) == (3,)
+
+
 def test_nan_state_has_nan_h_and_lower_wall_flux(a2a401):
     # the larger wall flux is taken as Python's max(lo, hi) takes it, so
     # only a NaN at the lower wall reaches the flux; H sees every NaN

@@ -269,20 +269,22 @@ def _assert_bitwise_serial(spec, sampler, n, dt, seed, snaps):
         assert ens.time == t
 
 
-# (n, steps, patched constants, logged threads and steps per task).  Runs
-# with a pool and several steps per task end on a partial task (397 is
-# prime) and wrap the ring; below _POOL_MIN_N the calling thread draws,
-# unless the patch lowers it to put small ensembles through the pool.
+# (n, steps, patched constants, logged helper threads and steps per task).
+# Runs of several tasks end on a partial task (397 is prime) and wrap the
+# ring; below _POOL_MIN_N, or in one task, the calling thread draws alone,
+# unless the patch lowers the limit to give small ensembles a helper.  The
+# ids are the cases' established names, kept from the two-thread pool: their
+# last two fields are that pool's thread count and steps per task.
 _SMALL_POOL = {"_POOL_MIN_N": 1}
 _PIPELINE_CASES = [
-    (1, 397, {}, 0, 1),
-    (7, 397, {}, 0, 1),
-    (1000, 397, {}, 0, 1),
-    (5000, 397, {}, 2, 14),
-    (70_000, 13, {}, 2, 1),
-    (1, 397, {**_SMALL_POOL, "_TASK_DRAWS": 20}, 2, 20),
-    (7, 397, {**_SMALL_POOL, "_TASK_DRAWS": 20}, 2, 3),
-    (1000, 397, _SMALL_POOL, 2, 66),
+    pytest.param(1, 397, {}, 0, 397, id="1-397-patch0-0-1"),
+    pytest.param(7, 397, {}, 0, 397, id="7-397-patch1-0-1"),
+    pytest.param(1000, 397, {}, 0, 66, id="1000-397-patch2-0-1"),
+    pytest.param(5000, 397, {}, 1, 14, id="5000-397-patch3-2-14"),
+    pytest.param(70_000, 13, {}, 1, 1, id="70000-13-patch4-2-1"),
+    pytest.param(1, 397, {**_SMALL_POOL, "_TASK_DRAWS": 20}, 1, 20, id="1-397-patch5-2-20"),
+    pytest.param(7, 397, {**_SMALL_POOL, "_TASK_DRAWS": 20}, 1, 3, id="7-397-patch6-2-3"),
+    pytest.param(1000, 397, _SMALL_POOL, 1, 66, id="1000-397-patch7-2-66"),
 ]
 
 
@@ -301,12 +303,25 @@ def test_step_parallel_draws_are_bitwise_the_serial_loop(monkeypatch, caplog, bc
     assert (line["threads"], line["steps_per_task"]) == (threads, per_task)
 
 
-def test_step_parallel_draws_under_thread_contention(monkeypatch):
+def _record_fills(monkeypatch):
+    """(thread name, task) of every task filled, in call order."""
+    fills, fill = [], oracle._StepDraws._fill
+    def recording(draws, task):
+        fills.append((threading.current_thread().name, task))
+        fill(draws, task)
+    monkeypatch.setattr(oracle._StepDraws, "_fill", recording)
+    return fills
+
+
+def test_step_parallel_draws_under_thread_contention(monkeypatch, caplog):
     # more draw threads than cores, one-step tasks through the ring, and
-    # frequent GIL switches: a buffer handed out early would show here
+    # frequent GIL switches: a buffer handed out early, or a task claimed
+    # twice or never, would show here
     monkeypatch.setattr(oracle, "_DRAW_THREADS", 4)
     monkeypatch.setattr(oracle, "_TASK_DRAWS", 1)
     monkeypatch.setattr(oracle, "_POOL_MIN_N", 1)
+    caplog.set_level(logging.DEBUG, logger="kinbench.oracle")
+    fills = _record_fills(monkeypatch)
     spec = GeneratorSpec(1, CE("1 + x^2"), CE("3*x"), DomainSpec("box", ((-1.0, 1.0),)))
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -315,6 +330,37 @@ def test_step_parallel_draws_under_thread_contention(monkeypatch):
                                [0.0, 0.5, 0.5, 2.0])
     finally:
         sys.setswitchinterval(interval)
+    [line] = _logged(caplog)
+    assert (line["threads"], line["steps_per_task"]) == (4, 1)
+    assert sorted(task for _, task in fills) == list(range(200))
+    caller = threading.current_thread().name
+    assert sum(name == caller for name, _ in fills) == line["caller_tasks"]
+
+
+def test_helper_exception_reaches_the_caller(monkeypatch):
+    monkeypatch.setattr(oracle, "_POOL_MIN_N", 1)
+    monkeypatch.setattr(oracle, "_TASK_DRAWS", 1)
+    fill = oracle._StepDraws._fill
+    def failing(draws, task):
+        if threading.current_thread().name == "kinbench-draw":
+            raise RuntimeError(f"helper failed at task {task}")
+        fill(draws, task)
+    monkeypatch.setattr(oracle._StepDraws, "_fill", failing)
+    spec, _ = kb.catalog_example("ornstein-uhlenbeck")
+    baseline = threading.active_count()
+    outcome = []
+    def run():
+        try:
+            simulate(spec, point_source(0.0), 1000, 1e-2, 2.0, seed=1)
+        except RuntimeError as exc:
+            outcome.append(exc)
+    runner = threading.Thread(target=run, daemon=True)  # a hung caller fails the test
+    runner.start()
+    runner.join(timeout=30)
+    assert not runner.is_alive()
+    [exc] = outcome
+    assert str(exc).startswith("helper failed at task")
+    assert threading.active_count() == baseline
 
 
 @pytest.mark.parametrize("n", [1000, 70_000])
@@ -335,11 +381,14 @@ def test_simulate_logs_its_throughput(caplog):
     moment_estimates(spec, 0.0, 1e-2, 70_000, seed=1)
     lines = _logged(caplog)
     assert len(lines) == 2
-    for line, (n, steps, snaps, threads) in zip(lines, [(1000, 100, 2, 0), (70_000, 1, 1, 2)]):
+    for line, (n, steps, snaps, per_task, tasks) in zip(lines, [(1000, 100, 2, 66, 2),
+                                                                (70_000, 1, 1, 1, 1)]):
         assert set(line) == {"n", "steps", "snapshots", "threads", "steps_per_task",
-                             "elapsed_s", "particle_steps_per_s", "draw_wait_s"}
+                             "elapsed_s", "particle_steps_per_s", "draw_wait_s",
+                             "caller_tasks"}
         assert (line["n"], line["steps"], line["snapshots"]) == (n, steps, snaps)
-        assert (line["threads"], line["steps_per_task"]) == (threads, 1)
+        assert (line["threads"], line["steps_per_task"]) == (0, per_task)
+        assert line["caller_tasks"] == tasks
         assert 0 < line["draw_wait_s"] < line["elapsed_s"]
         assert line["particle_steps_per_s"] == pytest.approx(n * steps / line["elapsed_s"],
                                                              rel=1e-5)
@@ -348,16 +397,19 @@ def test_simulate_logs_its_throughput(caplog):
 def test_draw_threads_joined_when_a_turns_negative(monkeypatch, caplog):
     # a < 0 only beyond x = 2, which the drift reaches after several steps
     monkeypatch.setattr(oracle, "_POOL_MIN_N", 1)
+    monkeypatch.setattr(oracle, "_TASK_DRAWS", 1)
     caplog.set_level(logging.DEBUG, logger="kinbench.oracle")
     spec = GeneratorSpec(1, CE("2 - x"), CE("4"), DomainSpec("box", ((-1.0, 3.0),)))
     baseline = threading.active_count()
     simulate(spec, point_source(-1.0), 1000, 1e-2, 0.1, seed=1)
     assert threading.active_count() == baseline
+    fills = _record_fills(monkeypatch)
     with pytest.raises(NonEllipticCoefficient):
         simulate(spec, point_source(-1.0), 1000, 1e-2, 2.0, seed=1)
     assert threading.active_count() == baseline
+    assert "kinbench-draw" in {name for name, _ in fills}
     [line] = _logged(caplog)
-    assert line["threads"] == 2
+    assert (line["threads"], line["steps_per_task"]) == (1, 1)
 
 
 def test_draw_threads_joined_after_all_absorbed(monkeypatch, caplog):
@@ -370,7 +422,7 @@ def test_draw_threads_joined_after_all_absorbed(monkeypatch, caplog):
     assert threading.active_count() == baseline
     [line] = _logged(caplog)
     assert line["steps"] < 5000
-    assert (line["threads"], line["steps_per_task"]) == (2, 1311)
+    assert (line["threads"], line["steps_per_task"]) == (1, 1311)
 
 
 @pytest.mark.parametrize("n, ring_bytes, depth", [(70_000, 32 << 20, 4),
