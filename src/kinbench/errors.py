@@ -58,7 +58,7 @@ class TimeError(InputError):
 
 
 class TruncationBudgetExceeded(KinbenchError):
-    """Series length or dense kernel size cap exceeded; shorten the steps or coarsen the grid."""
+    """Horizon split cap or dense kernel size cap exceeded; shorten the horizon or coarsen the grid."""
 
 
 class SpectrumError(InputError):

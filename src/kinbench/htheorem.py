@@ -445,6 +445,8 @@ def dH_dt_consistency(Q, spec, reference, nu0, h, t, dt, tol=1e-12):
     nodes), and the rate against its density form, so the reported gap
     isolates discretization error.
     """
+    if not 0.0 < dt < np.inf:  # NaN fails both
+        raise ParameterOutOfRange(f"dt = {dt:g}: the centered slope needs a finite dt > 0")
     if t - dt < 0:
         raise ParameterOutOfRange("need t - dt >= 0 for the centered slope")
     if h.d2fn is None:

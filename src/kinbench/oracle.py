@@ -84,7 +84,8 @@ class _StepDraws:
     it waits only while every free slot is being filled.  Leaving the
     ``with`` joins the helpers; a helper's exception is raised in the
     caller.  ``waited`` is the caller's time spent getting draws, its own
-    drawing included, and ``caller_tasks`` counts the tasks it filled.
+    drawing included, ``idle`` the part of it spent waiting on the lock's
+    condition, and ``caller_tasks`` counts the tasks it filled.
     """
 
     def __init__(self, seed, n, steps):
@@ -95,7 +96,8 @@ class _StepDraws:
         self._ring = np.empty((min(_PREFETCH, depth, self._tasks), self.per_task, n))
         self._ready = [-1] * len(self._ring)  # the task whose rows each slot holds
         self._next = self._consumed = 0  # the next task to claim; tasks the caller is past
-        self._seed, self._steps, self.waited, self.caller_tasks = seed, steps, 0.0, 0
+        self._seed, self._steps, self.caller_tasks = seed, steps, 0
+        self.waited = self.idle = 0.0
         self._error, self._stop, self._lock = None, False, threading.Condition()
         self._helpers = [threading.Thread(target=self._help, name="kinbench-draw", daemon=True)
                          for _ in range(self.threads)]
@@ -130,7 +132,10 @@ class _StepDraws:
                 if self._next < min(self._tasks, self._consumed + len(self._ring)):
                     self._next += 1
                     return self._next - 1
+                start = time.perf_counter()
                 self._lock.wait()
+                if task is not None:
+                    self.idle += time.perf_counter() - start
 
     def _fill(self, task):
         """Fill row i of the task's slot with the normal draws of its step i."""
@@ -272,9 +277,10 @@ def simulate(spec, sampler, n, dt, T, seed, snapshots=None):
                                               int(seed), boundary))
     elapsed = time.perf_counter() - start
     _log.debug("simulate: n=%d steps=%d snapshots=%d threads=%d steps_per_task=%d "
-               "elapsed_s=%.6g particle_steps_per_s=%.6g draw_wait_s=%.6g caller_tasks=%d",
-               x.size, k, len(ensembles), draws.threads, draws.per_task, elapsed,
-               x.size * k / max(elapsed, 1e-9), draws.waited, draws.caller_tasks)
+               "elapsed_s=%.6g particle_steps_per_s=%.6g draw_wait_s=%.6g idle_s=%.6g "
+               "caller_tasks=%d", x.size, k, len(ensembles), draws.threads, draws.per_task,
+               elapsed, x.size * k / max(elapsed, 1e-9), draws.waited, draws.idle,
+               draws.caller_tasks)
     return ensembles[0] if snapshots is None else ensembles
 
 

@@ -28,17 +28,15 @@ exactly zero (``_square``), so a kernel stays cheap while the flush keeps
 its band narrow; a kernel whose rows all span the chain is squared as one
 ``M @ M``.
 
-The dense memory of a call is a fixed, counted set of n x n arrays.  The
-pass returns each series as its band, the diagonals it reaches, never more
-doubles than one dense array; the kernels are then finished one at a time,
-each band expanded into a buffer and squared against one spare.  One kernel
-takes two n x n arrays; the Chapman-Kolmogorov check takes three: P(t) and
-P(s), their product, then P(t+s) finished in the buffers of its factors.
-``kinbench run`` runs that check before the evolution, so the evolution's
-kernel reuses the memory the check freed instead of growing the heap, and
-the check sets the run's peak.  The kernel diagnostics (moment recovery,
-stochastic continuity) sum their rows ``_BLOCK`` at a time, beside the
-kernel only.
+The dense memory of a call is a fixed, counted set of n x n arrays, each
+owned by its kernel.  The pass returns each series as its band, the
+diagonals it reaches, never more doubles than one dense array; the kernels
+are then finished one at a time, each band expanded into a new array and
+squared against one spare, which is dropped before the kernel is yielded.
+One kernel takes two n x n arrays; the Chapman-Kolmogorov check takes
+three: P(t) and P(s), their product, then P(t+s) once its factors are
+dropped.  The kernel diagnostics (moment recovery, stochastic continuity)
+sum their rows ``_BLOCK`` at a time, beside the kernel only.
 
 One cost rule picks between the two for vector evolution, once per step
 length.  ``evolve_series`` groups the steps of its schedule up front,
@@ -64,6 +62,7 @@ from __future__ import annotations
 
 import logging
 import math
+import numbers
 import warnings
 from collections import Counter, namedtuple
 from dataclasses import dataclass
@@ -83,7 +82,6 @@ from .errors import (
 )
 
 LEVEL_MEAN = 64.0        # max Poisson mean per series level
-MAX_TERMS = 1_000_000
 MAX_SPLITS = 60
 LAMBDA_MARGIN = 1.05     # keeps P's diagonal positive under rounding
 _DENSE_MAX_STATES = 2048  # larger chains never build a dense n x n kernel
@@ -114,10 +112,6 @@ def _poisson_weights(mu, tail):
     n = 0
     while cum < 1.0 - tail:
         n += 1
-        if n > MAX_TERMS:
-            raise TruncationBudgetExceeded(
-                f"Poisson series needs more than {MAX_TERMS} terms at mean {mu:g}; "
-                "split the horizon into shorter steps")
         w = w * mu / n
         weights.append(w)
         cum += w
@@ -151,9 +145,11 @@ def _check_tol(tol):
 
 
 def time_schedule(times):
-    """``times`` as a float array; raises unless nonempty, finite, nonnegative
-    and nondecreasing."""
+    """``times`` as a float array; raises unless one-dimensional, nonempty,
+    finite, nonnegative and nondecreasing."""
     times = np.asarray(list(times), dtype=float)
+    if times.ndim != 1:
+        raise ShapeError(f"a time schedule is one-dimensional, got shape {times.shape}")
     if times.size == 0:
         raise ParameterOutOfRange("empty time schedule")
     if not (np.all(np.isfinite(times)) and np.all(times >= 0) and np.all(np.diff(times) >= 0)):
@@ -183,7 +179,10 @@ _Plan = namedtuple("_Plan", "lam mu splits tail weights")
 
 def _uniformization(qm, t, tol):
     """Plan for e^{Qt}: rate lam, Poisson mean mu = lam*t, and 2^splits
-    levels, each a Poisson(mu/2^splits) series cut at the per-level tail."""
+    levels, each a Poisson(mu/2^splits) series cut at the per-level tail;
+    None when e^{Qt} is the identity, at t = 0 or Q = 0."""
+    if t == 0 or qm.lambda_max == 0.0:
+        return None
     lam = LAMBDA_MARGIN * qm.lambda_max
     mu = lam * t
     k = _split_count(mu)
@@ -257,16 +256,15 @@ def _skewed(A, rows, width):
     return np.lib.stride_tricks.as_strided(A, (rows, width), (row + col, row))
 
 
-def _expand(band, pool):
+def _expand(band):
     """The n x n series of a band from ``_identity_series``: the array itself
-    when it is stored dense, else a buffer from ``pool`` holding the band's
-    diagonals and zeros elsewhere, filled ``_BLOCK`` columns at a time."""
+    when it is stored dense, else a new array holding the band's diagonals
+    and zeros elsewhere, filled ``_BLOCK`` columns at a time."""
     n, width = band.shape
     if width == n:
         return band
     h = width // 2
-    M = _buffer(pool, n)
-    M.fill(0.0)
+    M = np.zeros((n, n))
     slab = np.zeros((_BLOCK + 2 * h, _BLOCK))  # rows c0 - h .. c1 + h of a block
     for c0 in range(0, n, _BLOCK):
         c1 = min(c0 + _BLOCK, n)
@@ -274,11 +272,6 @@ def _expand(band, pool):
         r0, r1 = max(c0 - h, 0), min(c1 + h, n)
         M[r0:r1, c0:c1] = slab[r0 - c0 + h:r1 - c0 + h, :c1 - c0]
     return M
-
-
-def _buffer(pool, n):
-    """An n x n array from ``pool``, or a new one when it is empty."""
-    return pool.pop() if pool else np.empty((n, n))
 
 
 def _flush(M, floor):
@@ -336,24 +329,22 @@ def _square(M, out, first, last):
     return work
 
 
-def _kernels(qm, ts, tol, pool):
+def _kernels(qm, ts, tol):
     """Yield dense e^{Qt} for each t in ``ts`` in turn, as (kernel, defect)
     pairs, by uniformization with scaling and squaring.  A chain of more
     than _DENSE_MAX_STATES states raises TruncationBudgetExceeded at the
-    first kernel, before the series pass and any n x n buffer.
+    first kernel, before the series pass and any n x n array.
 
     P = I + Q/lam does not depend on t, so the series on the identity of
     every t > 0 comes from one pass over P's powers (``_identity_series``),
     logged as one DEBUG ``series`` line, each series held as its band.  The
-    kernels are then finished one at a time in n x n buffers taken from
-    ``pool`` (a new one when it is empty): the band is expanded into one
-    (``_expand``) and dropped, and the kernel is squared against one spare,
-    which goes back to ``pool`` before the kernel is yielded.  So a caller
-    that hands buffers back between kernels bounds the dense arrays of the
-    call: one that keeps every kernel holds one n x n array per kernel plus
-    the one spare the kernels pass on to each other, two for a single
-    kernel, while ``chapman_kolmogorov_defect`` hands the buffers of P(t)
-    and P(s) back before P(t+s) is finished, so it holds three, not four.
+    kernels are then finished one at a time, each in an n x n array of its
+    own: the band is expanded into it (``_expand``) and dropped, and the
+    kernel is squared against one spare, dropped before the kernel is
+    yielded.  So a kernel its caller drops is freed, and beside the kernels
+    the caller keeps, the call holds at most two n x n arrays: two for a
+    single kernel, three for ``chapman_kolmogorov_defect``, which drops P(t)
+    and P(s) once it has their product.
     Before each squaring, entries below the flush floor
     max(_FLUSH, eps*tail/n) in magnitude are set to zero, with tail the
     plan's per-level Poisson tail.  That drops at most eps*tail of mass per
@@ -377,8 +368,7 @@ def _kernels(qm, ts, tol, pool):
     if n > _DENSE_MAX_STATES:
         raise TruncationBudgetExceeded(f"a dense kernel on {n} states exceeds the limit "
                                        f"of {_DENSE_MAX_STATES}; use a coarser grid")
-    plans = [None if t == 0 or qm.lambda_max == 0.0 else _uniformization(qm, t, tol)
-             for t in ts]
+    plans = [_uniformization(qm, t, tol) for t in ts]
     live = [plan for plan in plans if plan is not None]
     if live:
         P = _stochastic(qm.Q, live[0].lam)
@@ -389,24 +379,18 @@ def _kernels(qm, ts, tol, pool):
         bands.reverse()  # popped in order, so each band is freed as its kernel is expanded
     for t, plan in zip(ts, plans):
         if plan is None:
-            M = _buffer(pool, n)
-            M.fill(0.0)
-            np.fill_diagonal(M, 1.0)
-            yield M, 0.0
+            yield np.eye(n), 0.0
             continue
-        M = _expand(bands.pop(), pool)
+        M = _expand(bands.pop())
         floor = max(_FLUSH, np.finfo(float).eps * plan.tail / n)
         flushed = work = 0
-        spare = None
+        spare = np.empty((n, n)) if plan.splits else None
         for _ in range(plan.splits):
             count, first, last = _flush(M, floor)
             flushed += count
-            if spare is None:
-                spare = _buffer(pool, n)
             work += _square(M, spare, first, last)
             M, spare = spare, M
-        if spare is not None:
-            pool.append(spare)
+        spare = None  # freed before the kernel is yielded
         rs = M.sum(axis=1)
         row_defect = float(np.max(np.abs(rs - 1.0)))
         _log.debug("kernel %.15g: n=%d b=%d terms=%d splits=%d floor=%.3g flushed=%d "
@@ -415,13 +399,14 @@ def _kernels(qm, ts, tol, pool):
                    work / (plan.splits * n ** 3) if plan.splits else 1.0, row_defect)
         np.divide(M, rs[:, None], out=M, where=(rs > 0)[:, None])
         yield M, max(plan.tail * 2 ** plan.splits, row_defect)
+        del M  # so a kernel its caller drops is freed before the next one is built
 
 
 def transition_kernel(Q, t, tol=1e-9):
     """Transition kernel P(t); rows sum to one within the reported defect."""
     _check_times(t)
     _check_tol(tol)
-    (M, defect), = _kernels(_as_qmatrix(Q), [t], tol, [])
+    (M, defect), = _kernels(_as_qmatrix(Q), [t], tol)
     return TransitionKernel(M, defect)
 
 
@@ -429,9 +414,9 @@ def _step_operator(qm, t, tol, transpose, steps):
     """v -> e^{Qt} v (e^{Q^T t} v when transpose) for a step length applied
     ``steps`` times: a copy of v when t = 0 or Q = 0, else a dense kernel or
     a sparse series, by the module's cost rule."""
-    if t == 0 or qm.lambda_max == 0.0:
-        return np.copy
     plan = _uniformization(qm, t, tol)
+    if plan is None:
+        return np.copy
     n, nnz, terms = qm.size, qm.Q.nnz, plan.weights.size
     dense_cost = terms * n * (nnz + n)
     series_cost = steps * 2 ** plan.splits * terms * (nnz + _MATVEC_COST)
@@ -441,7 +426,7 @@ def _step_operator(qm, t, tol, transpose, steps):
                plan.splits, terms, steps, dense_cost, series_cost,
                "dense" if dense else "series")
     if dense:
-        (M, _), = _kernels(qm, [t], tol, [])
+        (M, _), = _kernels(qm, [t], tol)
         return (lambda v: M.T @ v) if transpose else (lambda v: M @ v)
     P = _stochastic(qm.Q.T if transpose else qm.Q, plan.lam)
 
@@ -548,15 +533,14 @@ def evolve_series(Q, nu0, times, tol=1e-9):
 
 def chapman_kolmogorov_defect(Q, t, s, tol=1e-9):
     """Sup-norm defect between P(t+s) and P(t) P(s), all three kernels built
-    from one series pass and held in three n x n buffers."""
+    from one series pass, in at most three n x n arrays at a time."""
     _check_times(t, s)
     _check_tol(tol)
     qm = _as_qmatrix(Q)
-    pool = []
-    kernels = _kernels(qm, [t, s, t + s], tol, pool)
+    kernels = _kernels(qm, [t, s, t + s], tol)
     (left, _), (right, _) = next(kernels), next(kernels)
-    diff = np.matmul(left, right, out=_buffer(pool, qm.size))
-    pool += [left, right]  # P(t+s) is finished in the two buffers of its factors
+    diff = left @ right
+    del left, right  # freed before P(t+s) is finished
     (whole, _), = kernels
     np.subtract(whole, diff, out=diff)
     return float(np.max(np.abs(diff, out=diff).sum(axis=1)))
@@ -677,7 +661,7 @@ def recover_coefficients(Q, t_small, tol=1e-12):
     x = qm.node_coordinates()
     if x.ndim != 1:
         raise ShapeError("moment recovery supports 1-D grids in v1")
-    (P, _), = _kernels(qm, [t_small], tol, [])
+    (P, _), = _kernels(qm, [t_small], tol)
     rs = P.sum(axis=1)
     px = P @ x
     px2 = P @ (x * x)
@@ -710,8 +694,10 @@ class ContinuityDefect:
 def stochastic_continuity_defect(Q, node, radius, times, tol=1e-12):
     """Kernel mass escaping a ball around each node, as t decreases to 0."""
     qm = _as_qmatrix(Q)
-    if not 0 <= node < qm.size:
-        raise ParameterOutOfRange(f"node {node} outside [0, {qm.size})")
+    if not (isinstance(node, numbers.Integral) and 0 <= node < qm.size):
+        raise ParameterOutOfRange(f"node {node} is not an integer in [0, {qm.size})")
+    if not 0.0 <= radius < math.inf:  # NaN fails both
+        raise ParameterOutOfRange(f"radius must be finite and nonnegative, got {radius:g}")
     _check_tol(tol)
     x = qm.node_coordinates()
     if x.ndim != 1:
@@ -722,7 +708,7 @@ def stochastic_continuity_defect(Q, node, radius, times, tol=1e-12):
     max_interior = np.empty(times.size)
     interior = slice(1, -1) if qm.size > 2 else slice(None)
     for k, t in enumerate(times):
-        (P, _), = _kernels(qm, [t], tol, [])
+        (P, _), = _kernels(qm, [t], tol)
         defect = 1.0 - _row_moments(P, x, lambda d: (np.abs(d) <= radius).astype(float))
         del P  # freed before the next kernel is built
         at_node[k] = defect[node]

@@ -763,6 +763,14 @@ def test_dhdt_gap_ou(ou400):
     assert rep.relative_gap <= 0.02
 
 
+@pytest.mark.parametrize("dt", [0.0, -1e-3, np.nan, np.inf])
+def test_dhdt_step_must_be_finite_and_positive(ou400, dt):
+    h = HFunctional.from_name("square-dev")
+    nu0 = gaussian_measure(ou400.x, 2.0, 0.5)
+    with pytest.raises(ParameterOutOfRange, match="dt = "):
+        dH_dt_consistency(ou400.Q, ou400.spec, None, nu0, h, t=0.5, dt=dt)
+
+
 def test_dhdt_equilibrium_both_vanish(ou400):
     sol = solve_invariant(ou400.Q)
     h = HFunctional.from_name("square-dev")

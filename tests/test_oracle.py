@@ -301,6 +301,9 @@ def test_step_parallel_draws_are_bitwise_the_serial_loop(monkeypatch, caplog, bc
     _assert_bitwise_serial(spec, uniform_source(-0.5, 0.5), n, dt, 13, snaps)
     [line] = _logged(caplog)
     assert (line["threads"], line["steps_per_task"]) == (threads, per_task)
+    # the caller's idle wait is part of its draw wait, and without a helper it never waits
+    assert 0 <= line["idle_s"] <= line["draw_wait_s"]
+    assert threads or line["idle_s"] == 0
 
 
 def _record_fills(monkeypatch):
@@ -332,6 +335,7 @@ def test_step_parallel_draws_under_thread_contention(monkeypatch, caplog):
         sys.setswitchinterval(interval)
     [line] = _logged(caplog)
     assert (line["threads"], line["steps_per_task"]) == (4, 1)
+    assert 0 <= line["idle_s"] <= line["draw_wait_s"]
     assert sorted(task for _, task in fills) == list(range(200))
     caller = threading.current_thread().name
     assert sum(name == caller for name, _ in fills) == line["caller_tasks"]
@@ -385,11 +389,12 @@ def test_simulate_logs_its_throughput(caplog):
                                                                 (70_000, 1, 1, 1, 1)]):
         assert set(line) == {"n", "steps", "snapshots", "threads", "steps_per_task",
                              "elapsed_s", "particle_steps_per_s", "draw_wait_s",
-                             "caller_tasks"}
+                             "idle_s", "caller_tasks"}
         assert (line["n"], line["steps"], line["snapshots"]) == (n, steps, snaps)
         assert (line["threads"], line["steps_per_task"]) == (0, per_task)
         assert line["caller_tasks"] == tasks
         assert 0 < line["draw_wait_s"] < line["elapsed_s"]
+        assert line["idle_s"] == 0
         assert line["particle_steps_per_s"] == pytest.approx(n * steps / line["elapsed_s"],
                                                              rel=1e-5)
 

@@ -96,6 +96,22 @@ def test_horizon_overflowing_the_poisson_mean_is_a_budget_error():
         transition_kernel(fast, 1e308)
 
 
+@pytest.mark.parametrize("name", ["appendix2a", "ornstein-uhlenbeck"])
+@pytest.mark.parametrize("tol", [1e-9, 1e-15])
+def test_poisson_series_stays_short_up_to_the_split_cap(name, tol):
+    # _split_count keeps each level's mean at or below LEVEL_MEAN, so the
+    # series length is bounded by the worst mean and tail, whatever t is
+    qm = _1d_chain(name, 401, "exponential-fitting")
+    lam = sg._uniformization(qm, 1.0, tol).lam
+    cap = sg.LEVEL_MEAN * 2.0 ** sg.MAX_SPLITS / lam  # t at which the splits run out
+    ts = np.concatenate([np.geomspace(1e-6, cap, 1001)[:-1],
+                         [sg.LEVEL_MEAN / lam, cap * (1 - 1e-12)]])
+    assert sg._uniformization(qm, ts[-1], tol).splits == sg.MAX_SPLITS
+    assert max(sg._uniformization(qm, t, tol).weights.size for t in ts) <= 150
+    with pytest.raises(TruncationBudgetExceeded):
+        sg._uniformization(qm, 2 * cap, tol)
+
+
 def test_tolerance_validated(two_state):
     with pytest.raises(ParameterOutOfRange):
         evolve_observable(two_state, np.array([1.0, 0.0]), 1.0, tol=1e-3)
@@ -153,7 +169,7 @@ def _box_chain(n):
 
 
 def _count_kernel_builds(monkeypatch):
-    """The (qm, ts, tol, pool) arguments of every ``_kernels`` call."""
+    """The (qm, ts, tol) arguments of every ``_kernels`` call."""
     calls = []
     build = sg._kernels
     monkeypatch.setattr(sg, "_kernels", lambda *a: calls.append(a) or build(*a))
@@ -193,7 +209,7 @@ def test_appendix2a_series_builds_one_dense_kernel_per_step_key(a2a201, monkeypa
     calls = _count_kernel_builds(monkeypatch)
     evolve_series(a2a201.Q, nu0, np.linspace(0.0, 10.0, 201), tol=1e-12)
     # the 200 steps round to 0.05 and 0.05 +- 1 ulp of 10; one kernel, at 0.05
-    assert [ts for _, ts, _, _ in calls] == [[0.05]]
+    assert [ts for _, ts, _ in calls] == [[0.05]]
 
 
 def test_one_shot_density_agrees_across_routes(a2a201, monkeypatch):
@@ -315,18 +331,18 @@ def _bits(x):
 
 def test_kernels_of_one_call_are_bitwise_separate_builds(a2a201):
     ts = [1.0, 0.3, 0.0, 0.7, 0.3]
-    together = list(sg._kernels(a2a201.Q, ts, 1e-12, []))
+    together = list(sg._kernels(a2a201.Q, ts, 1e-12))
     assert len(together) == len(ts)
     for t, (M, defect) in zip(ts, together):
-        (ref, ref_defect), = sg._kernels(a2a201.Q, [t], 1e-12, [])
+        (ref, ref_defect), = sg._kernels(a2a201.Q, [t], 1e-12)
         assert np.array_equal(_bits(M), _bits(ref))
         assert _bits(defect) == _bits(ref_defect)
 
 
 def _ck_from_separate_builds(qm, t, s, tol):
-    (whole, _), = sg._kernels(qm, [t + s], tol, [])
-    (left, _), = sg._kernels(qm, [t], tol, [])
-    (right, _), = sg._kernels(qm, [s], tol, [])
+    (whole, _), = sg._kernels(qm, [t + s], tol)
+    (left, _), = sg._kernels(qm, [t], tol)
+    (right, _), = sg._kernels(qm, [s], tol)
     return float(np.max(np.abs(whole - left @ right).sum(axis=1)))
 
 
@@ -419,7 +435,7 @@ def test_block_squarings_match_full_products(name, monkeypatch):
     for n in [5, 63, 64, 65, 129, 401]:
         before = len(works)
         qm = _1d_chain(name, n, "exponential-fitting")
-        list(sg._kernels(qm, [3.0, 0.3], 1e-9, []))
+        list(sg._kernels(qm, [3.0, 0.3], 1e-9))
         splits = sum(sg._uniformization(qm, t, 1e-9).splits for t in [3.0, 0.3])
         assert len(works) - before == splits
     assert len(works) > 0
@@ -431,7 +447,7 @@ def test_block_squarings_match_full_products_off_1d_catalog(monkeypatch):
     for qm, t in [(_absorbing_chain(301), 1.0), (box, 2.0)]:
         assert sg._uniformization(qm, t, 1e-9).splits > 0
         before = len(works)
-        list(sg._kernels(qm, [t], 1e-9, []))
+        list(sg._kernels(qm, [t], 1e-9))
         assert len(works) - before == sg._uniformization(qm, t, 1e-9).splits
     assert works[0] < 301 ** 3  # the absorbing chain's band skipped blocks
 
@@ -472,7 +488,7 @@ def _assert_identity_series_is_dense_series(qm, ts, bandwidth):
     for band, weights in zip(bands, weight_sets):
         half = min((weights.size - 1) * b, qm.size)
         assert band.shape == (qm.size, min(2 * half + 1, qm.size))
-        M = sg._expand(band, [])
+        M = sg._expand(band)
         ref = sg._series_matvec(_csr_stochastic(qm, plan.lam), np.eye(qm.size), weights)
         assert np.array_equal(M.view(np.int64), ref.view(np.int64))
 
@@ -531,7 +547,7 @@ def _unflushed_kernel(qm, t, tol):
 def test_flushed_squarings_match_unflushed_kernel(t):
     Q = _box_50x(401)
     assert sg._uniformization(Q, t, 1e-9).splits > 0
-    (M, defect), = sg._kernels(Q, [t], 1e-9, [])
+    (M, defect), = sg._kernels(Q, [t], 1e-9)
     ref, _ = _unflushed_kernel(Q, t, 1e-9)
     assert np.max(np.abs(M - ref).sum(axis=1)) <= defect
     for size, rtol in [(1e-10, 1e-13), (1e-20, 1e-12)]:
@@ -560,7 +576,7 @@ def _widest_band_bytes(qm, ts, tol):
 
 
 def test_chapman_kolmogorov_holds_no_more_than_three_kernels():
-    # P(t), P(s) and their product, then P(t+s) in its factors' buffers: one
+    # P(t), P(s) and their product, then P(t+s) once its factors are dropped: one
     # more n x n array alive at any point exceeds this
     qm = _1d_chain("appendix2a", 401, "exponential-fitting")
     n = qm.size
@@ -619,11 +635,11 @@ def test_kernel_diagnostics_are_bitwise_their_full_row_sums():
     x = qm.node_coordinates()
     moments, continuity = _moments(qm), _continuity(qm)
     gap = x[None, :] - x[:, None]
-    (P, _), = sg._kernels(qm, [1e-3], 1e-12, [])
+    (P, _), = sg._kernels(qm, [1e-3], 1e-12)
     third = np.einsum("ij,ij->i", P, np.abs(gap) ** 3) / 1e-3
     assert np.array_equal(_bits(moments.third_abs_over_t), _bits(third))
     for k, t in enumerate([0.05, 1e-3]):
-        (P, _), = sg._kernels(qm, [t], 1e-12, [])
+        (P, _), = sg._kernels(qm, [t], 1e-12)
         defect = 1.0 - np.einsum("ij,ij->i", P, (np.abs(gap) <= 0.3).astype(float))
         assert _bits(continuity.at_node[k]) == _bits(defect[qm.size // 2])
         assert _bits(continuity.max_interior[k]) == _bits(defect[1:-1].max())
@@ -881,15 +897,26 @@ def test_continuity_decreases_to_zero(a2a201):
     (lambda Q: evolve_series(Q, [-1.0, 1.0], [0.0, 1.0]), ParameterOutOfRange),
     (lambda Q: resolvent(Q, 1.0, [np.nan, 1.0]), ParameterOutOfRange),
     (lambda Q: resolvent(Q, 1.0, np.ones((3, 2))), ShapeError),
+    (lambda Q: stochastic_continuity_defect(Q, 0.5, 0.5, [0.1]), ParameterOutOfRange),
+    (lambda Q: stochastic_continuity_defect(Q, 0, -0.5, [0.1]), ParameterOutOfRange),
+    (lambda Q: stochastic_continuity_defect(Q, 0, np.nan, [0.1]), ParameterOutOfRange),
+    (lambda Q: stochastic_continuity_defect(Q, 0, np.inf, [0.1]), ParameterOutOfRange),
+    (lambda Q: evolve_series(Q, [1.0, 0.0], [[0.0, 1.0], [2.0, 3.0]]), ShapeError),
 ], ids=["continuity-node-negative", "continuity-node-past-end", "continuity-tol",
         "recover-tol", "resolvent-length", "generator-at-max-length", "density-nan",
         "density-inf", "density-negative", "series-density-nan", "series-density-negative",
-        "resolvent-nan", "resolvent-block-length"])
+        "resolvent-nan", "resolvent-block-length", "continuity-node-fraction",
+        "continuity-radius-negative", "continuity-radius-nan", "continuity-radius-inf",
+        "series-schedule-2d"])
 def test_bad_arguments_are_named_errors_before_any_kernel(two_state, monkeypatch, call, error):
     calls = _count_kernel_builds(monkeypatch)
     with pytest.raises(error):
         call(two_state)
     assert calls == []
+
+
+def test_continuity_takes_a_numpy_integer_node(two_state):
+    assert stochastic_continuity_defect(two_state, np.int64(1), 0.0, [0.1]).node == 1
 
 
 def test_continuity_on_nd_grid_is_a_named_error(monkeypatch):
