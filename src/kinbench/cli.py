@@ -377,7 +377,7 @@ def cmd_run(args):
     write_evolution_csv(os.path.join(sc.out, "evolution.csv"), result, Q.node_coordinates())
     write_summary_csv(os.path.join(sc.out, "evolution_summary.csv"), result)
     write_qmatrix(os.path.join(sc.out, "qmatrix.txt"),
-                  os.path.join(sc.out, "qmatrix_meta.json"), Q)
+                  os.path.join(sc.out, "qmatrix_meta.json"), Q, sc.spec.domain.boundary_condition)
 
     _write_json(sc.out, "summary.json", {
         "scenario": os.path.abspath(sc.path),
@@ -514,7 +514,7 @@ def cmd_oracle_compare(args):
     dx = float(np.max(np.diff(grid.x)))
     rows = []
     all_ok = True
-    evo = evolve_series(sc.Q, nu0, snap_times, tol=min(sc.tol, 1e-9))
+    evo = evolve_series(sc.Q, nu0, snap_times, tol=sc.tol)
     ensembles = oracle_mod.simulate(spec, sampler, n, dt, snap_times[-1], seed,
                                     snapshots=snap_times)
     for t, fld, ens in zip(snap_times, evo.fields, ensembles):

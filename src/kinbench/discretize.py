@@ -52,10 +52,9 @@ def bernoulli_ratio(z):
 
 @dataclass(frozen=True)
 class Grid:
-    """Tensor-product grid with strictly increasing nodes per axis."""
+    """Tensor-product node positions, strictly increasing per axis; the domain owns the walls."""
 
     axes: tuple
-    boundary_condition: str = "no-flux"
 
     def __post_init__(self):
         axes = tuple(np.asarray(ax, dtype=float) for ax in self.axes)
@@ -65,8 +64,6 @@ class Grid:
                 raise DomainError("each axis needs at least 3 nodes")
             if np.any(np.diff(ax) <= 0):
                 raise DomainError("axis nodes must be strictly increasing")
-        if self.boundary_condition not in ("no-flux", "absorbing"):
-            raise DomainError(f"unknown boundary condition {self.boundary_condition!r}")
 
     @classmethod
     def from_domain(cls, domain, n):
@@ -74,7 +71,7 @@ class Grid:
         if np.isscalar(n):
             n = (int(n),) * len(domain.bounds)
         axes = tuple(np.linspace(lo, hi, k) for (lo, hi), k in zip(domain.bounds, n))
-        return cls(axes, domain.boundary_condition)
+        return cls(axes)
 
     @property
     def ndim(self):
@@ -257,15 +254,17 @@ def build_qmatrix(spec, grid, scheme="exponential-fitting"):
     """Assemble the discrete generator on a grid of any dimension.
 
     Each axis adds exponential-fitting (default) or upwind neighbor rates
-    (``_axis_rates``) at its node stride; no-flux walls couple inward
-    only, absorbing walls get zero rows.  Diffusion tensors must be
-    diagonal (dimension-by-dimension splitting), else UnsupportedTensor.
-    One step depends on the dimension: the diagonal, which is
-    ``_exact_row_pair`` in 1-D and minus the summed rates otherwise.
+    (``_axis_rates``) at its node stride.  ``spec.domain`` owns the walls:
+    axes must end on its bounds exactly (else DomainError, before sampling),
+    and by its rule no-flux walls couple inward only, absorbing walls get
+    zero rows.  Diffusion tensors must be diagonal, else UnsupportedTensor.
+    The diagonal is ``_exact_row_pair`` in 1-D, minus the summed rates otherwise.
     """
     check_scheme(scheme)
     if grid.ndim != spec.dimension:
         raise ShapeError("grid dimension does not match spec dimension")
+    if tuple((ax[0], ax[-1]) for ax in grid.axes) != spec.domain.bounds:
+        raise DomainError(f"grid axes must end on the domain's walls {spec.domain.bounds}")
     a, b = _sample_coefficients(spec, grid)
     shape = grid.shape
     n = grid.size
@@ -280,7 +279,7 @@ def build_qmatrix(spec, grid, scheme="exponential-fitting"):
         hm = np.where(k > 0, dxs[np.maximum(k - 1, 0)], np.nan)
         hp = np.where(k < shape[ax] - 1, dxs[np.minimum(k, dxs.size - 1)], np.nan)
         q_m, q_p = _axis_rates(a[:, ax], b[:, ax], hm, hp, scheme)
-        if grid.boundary_condition == "absorbing":
+        if spec.domain.boundary_condition == "absorbing":
             q_m[on_wall] = 0.0
             q_p[on_wall] = 0.0
         if grid.ndim == 1:

@@ -174,7 +174,6 @@ class ParticleEnsemble:
     time: float
     dt: float
     seed: int
-    boundary: str
 
     @property
     def live(self):
@@ -240,7 +239,7 @@ def simulate(spec, sampler, n, dt, T, seed, snapshots=None):
     if times[-1] > T:
         raise TimeError(f"snapshot times must lie in [0, T = {T:g}]")
     lo, hi = spec.domain.bounds[0]
-    boundary = "reflect" if spec.domain.boundary_condition == "no-flux" else "absorb"
+    reflect = spec.domain.boundary_condition == "no-flux"
     step_counts = [int(round(t / dt)) for t in times]
 
     start = time.perf_counter()
@@ -260,7 +259,7 @@ def simulate(spec, sampler, n, dt, T, seed, snapshots=None):
             while k < steps and not frozen:
                 xi = next(xis)
                 k += 1
-                if boundary == "reflect":
+                if reflect:
                     _em_step(spec, x, xi, work, dt, sqrt_dt)
                     out = np.flatnonzero((x < lo) | (x > hi))
                     x[out] = _reflect(x[out], lo, hi)
@@ -274,7 +273,7 @@ def simulate(spec, sampler, n, dt, T, seed, snapshots=None):
                     absorbed[np.flatnonzero(active)[out_lo | out_hi]] = True
                     frozen = absorbed.all()
             ensembles.append(ParticleEnsemble(x.copy(), absorbed.copy(), steps * dt, dt,
-                                              int(seed), boundary))
+                                              int(seed)))
     elapsed = time.perf_counter() - start
     _log.debug("simulate: n=%d steps=%d snapshots=%d threads=%d steps_per_task=%d "
                "elapsed_s=%.6g particle_steps_per_s=%.6g draw_wait_s=%.6g idle_s=%.6g "

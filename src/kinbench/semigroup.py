@@ -647,9 +647,8 @@ def recover_coefficients(Q, t_small, tol=1e-12):
     t -> 0 for a true diffusion.  Emits MomentBiasWarning when
     lambda_max * t exceeds 0.1 (the O(t) bias scale).
     """
-    _check_times(t_small)
-    if t_small == 0:
-        raise TimeError("t_small must be positive")
+    if not 0.0 < t_small < math.inf:  # NaN fails both
+        raise TimeError(f"t_small = {t_small:g} must be finite and positive")
     qm = _as_qmatrix(Q)
     _check_tol(tol)
     if qm.lambda_max * t_small > 0.1:
@@ -662,11 +661,8 @@ def recover_coefficients(Q, t_small, tol=1e-12):
     if x.ndim != 1:
         raise ShapeError("moment recovery supports 1-D grids in v1")
     (P, _), = _kernels(qm, [t_small], tol)
-    rs = P.sum(axis=1)
-    px = P @ x
-    px2 = P @ (x * x)
-    drift = (px - x * rs) / t_small
-    diffusion = (px2 - 2 * x * px + x * x * rs) / (2 * t_small)
+    drift = _row_moments(P, x, lambda d: d) / t_small
+    diffusion = _row_moments(P, x, lambda d: d * d) / (2 * t_small)
     third_abs = _row_moments(P, x, lambda d: np.abs(d) ** 3) / t_small
     return MomentRecovery(x, drift, diffusion, third_abs)
 
@@ -703,7 +699,7 @@ def stochastic_continuity_defect(Q, node, radius, times, tol=1e-12):
     if x.ndim != 1:
         raise ShapeError("stochastic continuity supports 1-D grids in v1")
     times = np.asarray(list(times), dtype=float)
-    _check_times(*times)
+    time_schedule(np.sort(times))  # the schedule rule in any order, as t may decrease
     at_node = np.empty(times.size)
     max_interior = np.empty(times.size)
     interior = slice(1, -1) if qm.size > 2 else slice(None)

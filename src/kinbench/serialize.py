@@ -188,8 +188,9 @@ def write_ensemble_csv(path, ensemble):
             fh.write(f"{i},{fmt(xv)},{int(flag)}\n")
 
 
-def write_qmatrix(path_matrix, path_meta, qgen):
-    """Coordinate-triplet export (row col value, row-major) with metadata."""
+def write_qmatrix(path_matrix, path_meta, qgen, boundary_condition):
+    """Coordinate-triplet export (row col value, row-major) with metadata,
+    which records the domain's ``boundary_condition`` (a grid carries none)."""
     with open(path_matrix, "w") as fh:
         for r, c, v in zip(*qgen.Q.entries()):
             fh.write(f"{r} {c} {fmt(v)}\n")
@@ -197,7 +198,7 @@ def write_qmatrix(path_matrix, path_meta, qgen):
         "size": qgen.size,
         "scheme": qgen.scheme,
         "lambda_max": qgen.lambda_max,
-        "boundary_condition": qgen.grid.boundary_condition if qgen.grid else None,
+        "boundary_condition": boundary_condition,
         "grid_shape": list(qgen.grid.shape) if qgen.grid else None,
         "grid_bounds": [[float(ax[0]), float(ax[-1])] for ax in qgen.grid.axes]
         if qgen.grid else None,

@@ -9,6 +9,7 @@ absorbing.json`` and a dense chain, the bands give those CSR arrays (as
 sums and P = I + Q/lambda bit for bit.
 """
 
+import dataclasses
 import importlib.util
 import json
 import pathlib
@@ -50,7 +51,7 @@ def _coo_assembly(spec, grid, scheme):
         hm = np.where(k > 0, dxs[np.maximum(k - 1, 0)], np.nan)
         hp = np.where(k < shape[ax] - 1, dxs[np.minimum(k, dxs.size - 1)], np.nan)
         q_m, q_p = _axis_rates(a[:, ax], b[:, ax], hm, hp, scheme)
-        if grid.boundary_condition == "absorbing":
+        if spec.domain.boundary_condition == "absorbing":
             q_m[on_wall] = 0.0
             q_p[on_wall] = 0.0
         if grid.ndim == 1:
@@ -72,7 +73,9 @@ def _coo_assembly(spec, grid, scheme):
 
 def _catalog(name, scheme, wall):
     spec, _ = catalog_example(name)
-    return spec, Grid(Grid.from_domain(spec.domain, 101).axes, wall), scheme
+    spec = dataclasses.replace(spec, domain=dataclasses.replace(spec.domain,
+                                                                boundary_condition=wall))
+    return spec, Grid.from_domain(spec.domain, 101), scheme
 
 
 def _chain2d():

@@ -44,6 +44,7 @@ def run_artifacts(tmp_path_factory):
     code = main(["run", str(SCENARIOS / "appendix2a.json"),
                  "--out", str(out), "--grid-n", "201"])
     assert code == 0
+    assert json.loads((out / "qmatrix_meta.json").read_text())["boundary_condition"] == "no-flux"
     return out
 
 
@@ -222,6 +223,18 @@ def test_absorbing_with_invariant_request_fails_named(command, tmp_path, capsys)
     summary = json.loads((tmp_path / "out" / "summary.json").read_text())
     assert summary["error"].startswith("NoInvariantDensity")
     assert not summary["checks"]["invariant_measure"]["pass"]
+
+
+def test_absorbing_run_exports_the_domains_wall_rule(tmp_path):
+    doc = json.loads((SCENARIOS / "absorbing.json").read_text())
+    doc["checks"]["invariant_measure"] = False
+    out = tmp_path / "out"
+    assert main(["run", write_json(tmp_path / "absorbing.json", doc), "--out", str(out)]) == 0
+    meta = json.loads((out / "qmatrix_meta.json").read_text())
+    assert meta["boundary_condition"] == "absorbing"
+    walls = (0, meta["size"] - 1)
+    entries = [line.split()[:2] for line in (out / "qmatrix.txt").read_text().splitlines()]
+    assert not [(r, c) for r, c in entries if int(r) in walls and r != c]
 
 
 def test_malformed_json_is_input_error(tmp_path):

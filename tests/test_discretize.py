@@ -246,9 +246,44 @@ def test_underflowing_exponential_fitting_rates_keep_the_chain_irreducible():
 
 def test_absorbing_boundary_rows_are_zero():
     spec = uniform_spec("1", "0", 0.0, 1.0, bc="absorbing")
-    Q = toarray(build_qmatrix(spec, Grid((np.linspace(0, 1, 9),), "absorbing")).Q)
+    Q = toarray(build_qmatrix(spec, Grid((np.linspace(0, 1, 9),))).Q)
     assert np.all(Q[0] == 0.0)
     assert np.all(Q[-1] == 0.0)
+
+
+@pytest.mark.parametrize("bc", ["no-flux", "absorbing"])
+def test_grid_from_axes_takes_the_domains_wall_rule(bc):
+    # the rule is the domain's alone: a grid built from bare axes assembles
+    # the same chain, bit for bit, as one built from the domain
+    spec = uniform_spec("1 + x^2", "-x", -2.0, 3.0, bc=bc)
+    x = np.linspace(-2.0, 3.0, 21)
+    Q = toarray(build_qmatrix(spec, Grid((x,))).Q)
+    assert np.array_equal(Q, toarray(build_qmatrix(spec, Grid.from_domain(spec.domain, 21)).Q))
+    walls_empty = not Q[0].any() and not Q[-1].any()
+    assert walls_empty == (bc == "absorbing")
+
+
+@pytest.mark.parametrize("axes", [
+    (np.linspace(0.0, 0.9, 10), np.linspace(-1.0, 1.0, 5)),           # ends inside
+    (np.linspace(0.1, 1.0, 10), np.linspace(-1.0, 1.0, 5)),           # starts inside
+    (np.linspace(0.0, 1.0, 10), np.linspace(-1.0, 1.5, 5)),           # passes a wall
+    (np.linspace(0.0, np.nextafter(1.0, 0.0), 10), np.linspace(-1.0, 1.0, 5)),  # one ulp short
+])
+def test_grid_off_the_domains_walls_is_rejected_before_sampling(axes):
+    calls = []
+
+    def a(p):
+        calls.append("a")
+        return np.eye(2)
+
+    def b(p):
+        calls.append("b")
+        return np.zeros(2)
+
+    spec = GeneratorSpec(2, a, b, DomainSpec("box", ((0.0, 1.0), (-1.0, 1.0))))
+    with pytest.raises(DomainError, match="walls"):
+        build_qmatrix(spec, Grid(axes))
+    assert calls == []
 
 
 def test_grid_validation():

@@ -902,12 +902,14 @@ def test_continuity_decreases_to_zero(a2a201):
     (lambda Q: stochastic_continuity_defect(Q, 0, np.nan, [0.1]), ParameterOutOfRange),
     (lambda Q: stochastic_continuity_defect(Q, 0, np.inf, [0.1]), ParameterOutOfRange),
     (lambda Q: evolve_series(Q, [1.0, 0.0], [[0.0, 1.0], [2.0, 3.0]]), ShapeError),
+    (lambda Q: stochastic_continuity_defect(Q, 0, 0.5, [[0.1, 0.2]]), ShapeError),
+    (lambda Q: stochastic_continuity_defect(Q, 0, 0.5, []), ParameterOutOfRange),
 ], ids=["continuity-node-negative", "continuity-node-past-end", "continuity-tol",
         "recover-tol", "resolvent-length", "generator-at-max-length", "density-nan",
         "density-inf", "density-negative", "series-density-nan", "series-density-negative",
         "resolvent-nan", "resolvent-block-length", "continuity-node-fraction",
         "continuity-radius-negative", "continuity-radius-nan", "continuity-radius-inf",
-        "series-schedule-2d"])
+        "series-schedule-2d", "continuity-times-2d", "continuity-times-empty"])
 def test_bad_arguments_are_named_errors_before_any_kernel(two_state, monkeypatch, call, error):
     calls = _count_kernel_builds(monkeypatch)
     with pytest.raises(error):
