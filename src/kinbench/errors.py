@@ -58,7 +58,10 @@ class TimeError(InputError):
 
 
 class TruncationBudgetExceeded(KinbenchError):
-    """Horizon split cap or dense kernel size cap exceeded; shorten the horizon or coarsen the grid."""
+    """A uniformization budget is exceeded before any work: the horizon's split
+    cap, the dense kernel's 2048 states, or the vector series' work limit
+    (``semigroup._SERIES_MAX_COST`` units of the cost rule, about 20 s).
+    Shorten the horizon or coarsen the grid."""
 
 
 class SpectrumError(InputError):

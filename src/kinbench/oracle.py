@@ -10,15 +10,19 @@ same seed, dt and T; other partitions of the particles do not reproduce
 the same draws.  Because step k always draws from stream k, the snapshots
 of one pass are bitwise equal to separate runs of length t: ``simulate``
 takes every snapshot time and runs one time loop.  Under reflecting walls
-only the particles that left the window go through the reflection.
+only the particles that left the window go through the reflection.  Under
+absorbing walls a particle is absorbed exactly when it sits on a wall,
+from t = 0 on: the initial cloud is clipped into [lo, hi], a step that
+reaches a wall clamps the particle there, and only the particles strictly
+inside move, as an absorbing wall row of the chain is zero.
 
 The draws are step-parallel: stream k depends on (seed, k) alone, so any
 thread may fill any step, whereas splitting the *particles* across workers
 would break reproducibility.  ``_StepDraws`` shares the steps between the
 calling thread and ``_DRAW_THREADS`` helper; the caller alone runs the
 update (so ``spec.a`` and ``spec.b`` are never called from a helper), the
-walls, the all-absorbed early exit and the snapshots.  Draws, positions,
-``absorbed`` and times are therefore bitwise those of a serial loop,
+walls, the all-absorbed early exit and the snapshots.  Draws, positions
+and times are therefore bitwise those of a serial loop,
 whatever the thread schedule.  numpy releases the GIL while it draws, and
 the draw is most of a step (1.9 of 2.3 ms at 100k particles on a 2-vCPU
 Xeon), so both threads draw while the update overlaps the helper's draw.
@@ -167,7 +171,9 @@ class _StepDraws:
 
 @dataclass
 class ParticleEnsemble:
-    """Particle positions after a run, with absorption bookkeeping."""
+    """Particle positions after a run.  ``absorbed`` marks the particles on
+    an absorbing wall, which never move again (all False under no-flux
+    walls), and ``live`` holds the others' positions."""
 
     positions: np.ndarray
     absorbed: np.ndarray
@@ -223,8 +229,11 @@ def simulate(spec, sampler, n, dt, T, seed, snapshots=None):
     """Run Euler-Maruyama particles under a 1-D generator spec.
 
     Walls follow the domain's boundary condition: 'no-flux' reflects,
-    'absorbing' freezes particles at the wall they crossed.  Identical
-    (seed, n, dt) runs are bitwise reproducible.
+    'absorbing' freezes particles at the wall they reached.  The initial
+    cloud is clipped into the domain, so under absorbing walls a particle
+    sampled on or past a wall is absorbed at t = 0: a particle is absorbed
+    exactly when it sits on a wall.  Identical (seed, n, dt) runs are
+    bitwise reproducible.
 
     Without ``snapshots`` the run lasts round(T/dt) steps and one ensemble
     is returned.  With a nondecreasing sequence of ``snapshots`` in
@@ -246,17 +255,17 @@ def simulate(spec, sampler, n, dt, T, seed, snapshots=None):
     rng0 = _stream(seed, _INIT_STREAM)
     x = np.asarray(sampler(rng0, int(n)), dtype=float)
     x = np.clip(x, lo, hi)
-    absorbed = np.zeros(x.size, dtype=bool)
+    # the particles that move: all of them, or those on no absorbing wall
+    live = range(x.size) if reflect else np.flatnonzero((x != lo) & (x != hi))
 
     sqrt_dt = np.sqrt(dt)
     work = np.empty(x.size)
     ensembles = []
     k = 0
-    frozen = x.size == 0
     with _StepDraws(seed, x.size, step_counts[-1]) as draws:
         xis = iter(draws)
         for steps in step_counts:
-            while k < steps and not frozen:
+            while k < steps and len(live):
                 xi = next(xis)
                 k += 1
                 if reflect:
@@ -264,16 +273,14 @@ def simulate(spec, sampler, n, dt, T, seed, snapshots=None):
                     out = np.flatnonzero((x < lo) | (x > hi))
                     x[out] = _reflect(x[out], lo, hi)
                 else:
-                    active = ~absorbed
-                    prop = x[active]
-                    _em_step(spec, prop, xi[active], work[:prop.size], dt, sqrt_dt)
+                    prop = x[live]
+                    _em_step(spec, prop, xi[live], work[:live.size], dt, sqrt_dt)
                     out_lo = prop <= lo
                     out_hi = prop >= hi
-                    x[active] = np.where(out_lo, lo, np.where(out_hi, hi, prop))
-                    absorbed[np.flatnonzero(active)[out_lo | out_hi]] = True
-                    frozen = absorbed.all()
-            ensembles.append(ParticleEnsemble(x.copy(), absorbed.copy(), steps * dt, dt,
-                                              int(seed)))
+                    x[live] = np.where(out_lo, lo, np.where(out_hi, hi, prop))
+                    live = live[~(out_lo | out_hi)]
+            absorbed = np.zeros(x.size, dtype=bool) if reflect else (x == lo) | (x == hi)
+            ensembles.append(ParticleEnsemble(x.copy(), absorbed, steps * dt, dt, int(seed)))
     elapsed = time.perf_counter() - start
     _log.debug("simulate: n=%d steps=%d snapshots=%d threads=%d steps_per_task=%d "
                "elapsed_s=%.6g particle_steps_per_s=%.6g draw_wait_s=%.6g idle_s=%.6g "

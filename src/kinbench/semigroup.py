@@ -16,10 +16,12 @@ last-axis stride in n-D), term k of a block of columns touches only the
 rows within k*b of the block.  Until those rows span the chain, the term
 is computed from P's diagonals, added in the order its rows store their
 columns, so each kernel is bitwise the full n x n series.  Before each
-squaring, entries below the flush floor max(sqrt(tiny), eps*tail/n) in
-magnitude are set to zero, tail being the plan's per-level Poisson tail:
-about 2e-36 for the Chapman-Kolmogorov kernels of appendix2a at n = 1001.
-So the squarings never multiply subnormals, and each drops at most
+squaring, entries below the flush floor eps*tail/n in magnitude are set
+to zero, tail being the plan's per-level Poisson tail: about 2e-36 for the
+Chapman-Kolmogorov kernels of appendix2a at n = 1001.  The plan keeps
+tail >= 1e-17 and no dense kernel has more than 2048 states, so the floor
+is at least 1.1e-36 and a product of two kept entries at least 1.1e-72:
+the squarings never multiply subnormals, and each drops at most
 eps*tail of mass per row, at most 2^(k+1)*eps*tail through k squarings:
 under 2 eps relative to the a-priori bound tail*2^k.  The reported defect,
 that bound or the row-sum defect taken before renormalization if larger,
@@ -51,6 +53,9 @@ of the shipped workloads, and so their artifact bytes, depend on it.  The
 vector series costs steps*2^splits*(nnz + C), where C (``_MATVEC_COST``)
 is the fixed cost of one sparse matvec plus two vector updates.  A step
 length goes dense iff n <= 2048 and n*(nnz + n) <= steps*2^splits*(nnz + C).
+A series route that would cost more than ``_SERIES_MAX_COST`` units raises
+TruncationBudgetExceeded before it starts, as a chain too large for a
+dense kernel does.
 
 Q is a ``BandMatrix``, and so is P = I + Q/lambda (``_stochastic``): the
 vector series and the identity series both multiply by P's diagonals.
@@ -94,7 +99,11 @@ _MATVEC_COST = 4096
 # plus 2*k*b rows, so narrow blocks waste less of the band, while each term
 # costs a few numpy calls per diagonal and per kernel whatever the width.
 _BLOCK = 64
-_FLUSH = math.sqrt(np.finfo(float).tiny)  # lowest flush floor, ~1.5e-154: products stay normal
+# Most units of the cost rule one series route may take.  A unit took 1.7-2.4
+# ns in the vector series on a 2-vCPU Xeon (n = 2049-4001), so this is about
+# 20 s of work.  The costliest series route of the shipped scenarios takes
+# 3.9e7 units, and of the tests 2.5e8.
+_SERIES_MAX_COST = 10**10
 
 _log = logging.getLogger("kinbench.semigroup")
 
@@ -345,15 +354,15 @@ def _kernels(qm, ts, tol):
     the caller keeps, the call holds at most two n x n arrays: two for a
     single kernel, three for ``chapman_kolmogorov_defect``, which drops P(t)
     and P(s) once it has their product.
-    Before each squaring, entries below the flush floor
-    max(_FLUSH, eps*tail/n) in magnitude are set to zero, with tail the
-    plan's per-level Poisson tail.  That drops at most eps*tail of mass per
-    row per squaring, so at most 2^(k+1)*eps*tail through k squarings: under
-    2 eps relative to the a-priori bound tail*2^k.  Since the floor is at
-    least sqrt(tiny), no product of two kept entries is subnormal (OpenBLAS
-    runs several times slower on those).  Each squaring (``_square``) skips
-    the blocks of the kernel that are exactly zero, for the first squarings
-    most of a banded one.
+    Before each squaring, entries below the flush floor eps*tail/n in
+    magnitude are set to zero, with tail the plan's per-level Poisson tail.
+    That drops at most eps*tail of mass per row per squaring, so at most
+    2^(k+1)*eps*tail through k squarings: under 2 eps relative to the
+    a-priori bound tail*2^k.  Since tail >= 1e-17 and n <= 2048, the floor
+    is at least 1.1e-36, so no product of two kept entries is subnormal
+    (OpenBLAS runs several times slower on those).  Each squaring
+    (``_square``) skips the blocks of the kernel that are exactly zero, for
+    the first squarings most of a banded one.
 
     Rows are renormalized to sum to one, as rows of e^{Qt} do (Q has zero
     row sums).  The returned defect is the larger of the Poisson tail
@@ -382,7 +391,7 @@ def _kernels(qm, ts, tol):
             yield np.eye(n), 0.0
             continue
         M = _expand(bands.pop())
-        floor = max(_FLUSH, np.finfo(float).eps * plan.tail / n)
+        floor = np.finfo(float).eps * plan.tail / n
         flushed = work = 0
         spare = np.empty((n, n)) if plan.splits else None
         for _ in range(plan.splits):
@@ -413,7 +422,8 @@ def transition_kernel(Q, t, tol=1e-9):
 def _step_operator(qm, t, tol, transpose, steps):
     """v -> e^{Qt} v (e^{Q^T t} v when transpose) for a step length applied
     ``steps`` times: a copy of v when t = 0 or Q = 0, else a dense kernel or
-    a sparse series, by the module's cost rule."""
+    a sparse series, by the module's cost rule.  A series costing more than
+    ``_SERIES_MAX_COST`` raises TruncationBudgetExceeded before it starts."""
     plan = _uniformization(qm, t, tol)
     if plan is None:
         return np.copy
@@ -425,6 +435,13 @@ def _step_operator(qm, t, tol, transpose, steps):
                "dense_cost=%d series_cost=%d route=%s", t, n, nnz, plan.lam, plan.mu,
                plan.splits, terms, steps, dense_cost, series_cost,
                "dense" if dense else "series")
+    if not dense and series_cost > _SERIES_MAX_COST:
+        raise TruncationBudgetExceeded(
+            f"the vector series on {n} states would take about {series_cost:.3g} element "
+            f"updates ({steps} steps of length {t:g}), over the limit of "
+            f"{_SERIES_MAX_COST:.3g}; use a coarser grid or a shorter horizon (a grid graded "
+            "by the diffusion, or a spectral propagator for reversible chains, would also "
+            "cut the cost; neither exists yet)")
     if dense:
         (M, _), = _kernels(qm, [t], tol)
         return (lambda v: M.T @ v) if transpose else (lambda v: M @ v)
@@ -445,11 +462,20 @@ def _chain_vector(qm, v):
     return v
 
 
+def _require(v, ok, what):
+    """ParameterOutOfRange naming the first entry of v where the mask ``ok``
+    is False, if there is one."""
+    bad = np.flatnonzero(~ok)
+    if bad.size:
+        at = int(bad[0]) if v.ndim == 1 else tuple(map(int, np.unravel_index(bad[0], v.shape)))
+        raise ParameterOutOfRange(f"{what}; entry {at} is {v.flat[bad[0]]:g}")
+
+
 def _density(qm, nu0):
     """nu0 as a chain vector; ParameterOutOfRange unless finite and nonnegative."""
     vals = _chain_vector(qm, nu0)
-    if not np.all((vals >= 0) & (vals < math.inf)):  # NaN fails both
-        raise ParameterOutOfRange("initial density must be finite and nonnegative")
+    _require(vals, (vals >= 0) & (vals < math.inf),  # NaN fails both
+             "initial density must be finite and nonnegative")
     return vals
 
 
@@ -458,12 +484,13 @@ def evolve_observable(Q, f0, t, tol=1e-9):
 
     Guarantees, by construction: nonnegative input stays nonnegative,
     constants stay constant within tol, and the sup norm does not grow
-    beyond tol.
+    beyond tol.  A NaN or infinite f0 raises ParameterOutOfRange.
     """
     _check_times(t)
     _check_tol(tol)
     qm = _as_qmatrix(Q)
     f0 = _chain_vector(qm, f0)
+    _require(f0, np.isfinite(f0), "observable must be finite")
     return _step_operator(qm, t, tol, False, 1)(f0)
 
 
@@ -563,8 +590,7 @@ def resolvent(Q, lam, g):
     g = np.asarray(g, dtype=float)
     if g.ndim not in (1, 2) or g.shape[0] != qm.size:
         raise ShapeError(f"right-hand side of shape {g.shape} does not match chain size {qm.size}")
-    if not np.all(np.isfinite(g)):
-        raise ParameterOutOfRange("resolvent right-hand side must be finite")
+    _require(g, np.isfinite(g), "resolvent right-hand side must be finite")
     band, windows = _eliminate(qm.Q, lam)
     n, b = qm.size, band.shape[1] // 2
     rhs = g.reshape(n, -1)
@@ -624,9 +650,11 @@ def _eliminate(Q, lam):
 
 
 def generator_at_max(Q, f):
-    """Value of Qf at the argmax of f (ties broken to the lowest index)."""
+    """Value of Qf at the argmax of f (ties broken to the lowest index); a
+    NaN or infinite f raises ParameterOutOfRange."""
     qm = _as_qmatrix(Q)
     vals = _chain_vector(qm, f)
+    _require(vals, np.isfinite(vals), "f must be finite")
     return float((qm.Q @ vals)[int(np.argmax(vals))])
 
 

@@ -3,6 +3,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import time
 import warnings
 
 import numpy as np
@@ -535,6 +536,22 @@ FAILURE_TYPES = {"EmptyEnsemble", "InsufficientSmoothness", "MissingGibbsForm",
                  "TruncationBudgetExceeded", "UnsupportedTensor"}
 ERROR_TYPES = [t for t in vars(errors).values()
                if isinstance(t, type) and issubclass(t, errors.KinbenchError)]
+
+
+def test_series_past_its_work_limit_exits_1_before_it_starts(tmp_path):
+    # past 2048 states every step takes the vector series; at n = 2049 the
+    # 200 steps of appendix2a would take about 5.2e11 element updates,
+    # some 17 minutes, so the budget must stop the run before the first
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "kinbench.cli", "hcurve", str(SCENARIOS / "appendix2a.json"),
+         "--grid-n", "2049", "--out", str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert time.perf_counter() - start < 2.0
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("FAIL (TruncationBudgetExceeded): the vector series on "
+                                  "2049 states would take about 5.2e+11 element updates")
 
 
 def test_every_error_type_is_input_or_listed_failure():

@@ -84,6 +84,35 @@ def test_absorbing_walls_freeze_particles():
     assert np.all(np.isin(ens.positions[ens.absorbed], [-1.0, 1.0]))
 
 
+@pytest.mark.parametrize("patch", [{}, {"_POOL_MIN_N": 1, "_TASK_DRAWS": 1}])
+def test_particles_that_start_on_an_absorbing_wall_stay_there(monkeypatch, patch):
+    # uniform on [-1, 0.5] clipped into [0, 1] puts two thirds of the cloud
+    # on the wall at 0; as on the chain, whose wall rows are zero, they are
+    # absorbed from t = 0 and never move
+    for name, value in patch.items():
+        monkeypatch.setattr(oracle, name, value)
+    spec = GeneratorSpec(1, CE("1"), CE("0"), DomainSpec("box", ((0.0, 1.0),), "absorbing"))
+    start, after = simulate(spec, uniform_source(-1.0, 0.5), 2000, 1e-4, 1e-4, seed=7,
+                            snapshots=[0.0, 1e-4])
+    on_wall = start.positions == 0.0
+    assert np.count_nonzero(on_wall) == 1339
+    assert np.array_equal(start.absorbed, on_wall)
+    assert start.live.size == 2000 - 1339
+    assert np.all(after.positions[on_wall] == 0.0) and np.all(after.absorbed[on_wall])
+    assert np.array_equal(after.absorbed, np.isin(after.positions, [0.0, 1.0]))
+    assert not np.array_equal(after.positions[~on_wall], start.positions[~on_wall])
+    _assert_bitwise_serial(spec, uniform_source(-1.0, 0.5), 2000, 1e-4, 7, [0.0, 1e-4, 5e-3])
+
+
+def test_a_cloud_entirely_on_absorbing_walls_never_steps(caplog):
+    caplog.set_level(logging.DEBUG, logger="kinbench.oracle")
+    spec = GeneratorSpec(1, CE("1"), CE("0"), DomainSpec("box", ((0.0, 1.0),), "absorbing"))
+    ens = simulate(spec, point_source(-3.0), 100, 1e-2, 1.0, seed=1)
+    assert np.all(ens.absorbed) and np.all(ens.positions == 0.0)
+    [line] = _logged(caplog)
+    assert line["steps"] == 0
+
+
 @pytest.mark.parametrize("bc, drift", [("no-flux", "0"), ("absorbing", "2")])
 def test_smaller_run_is_a_prefix_of_a_larger_one(bc, drift):
     spec = GeneratorSpec(1, CE("1"), CE(drift), DomainSpec("box", ((-1.0, 1.0),), bc))
@@ -123,7 +152,7 @@ def test_simulate_is_bitwise_the_plain_euler_maruyama_formula(bc):
     ens = simulate(spec, uniform_source(-1.0, 2.0), n, dt, steps * dt, seed)
     x = np.clip(np.random.Generator(np.random.Philox(key=seed, counter=[0, 0, 0, 0]))
                 .uniform(-1.0, 2.0, size=n), -1.0, 2.0)
-    absorbed = np.zeros(n, dtype=bool)
+    absorbed = (bc == "absorbing") & ((x == -1.0) | (x == 2.0))
     for k in range(steps):
         rng = np.random.Generator(np.random.Philox(key=seed, counter=[0, 0, 1 + k, 0]))
         xi = rng.standard_normal(n)
@@ -222,16 +251,19 @@ def _philox(seed, stream):
 def _serial_simulate(spec, sampler, n, dt, seed, snapshots):
     """Reference for the step-parallel draws: the single-pass time loop with
     every draw made serially on the calling thread, step k filling one
-    reused buffer from Philox stream 1 + k.  Returns (positions, absorbed,
-    time) per snapshot."""
+    reused buffer from Philox stream 1 + k.  Under absorbing walls the
+    particles clipped onto a wall are absorbed at t = 0.  Returns
+    (positions, absorbed, time) per snapshot."""
     lo, hi = spec.domain.bounds[0]
     x = np.clip(np.asarray(sampler(_philox(seed, 0), n), dtype=float), lo, hi)
     absorbed = np.zeros(x.size, dtype=bool)
+    if spec.domain.boundary_condition == "absorbing":
+        absorbed = (x == lo) | (x == hi)
     sqrt_dt = np.sqrt(dt)
     xi, work = np.empty(x.size), np.empty(x.size)
     out = []
     k = 0
-    frozen = x.size == 0
+    frozen = absorbed.all()  # also when there are no particles
     for steps in (int(round(t / dt)) for t in snapshots):
         while k < steps and not frozen:
             _philox(seed, 1 + k).standard_normal(out=xi)

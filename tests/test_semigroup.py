@@ -2,6 +2,7 @@ import functools
 import json
 import logging
 import pathlib
+import re
 import tracemalloc
 import warnings
 
@@ -226,6 +227,32 @@ def test_one_shot_density_agrees_across_routes(a2a201, monkeypatch):
     assert np.abs(out["dense"] - out["series"]).sum() <= 1e-12
 
 
+def test_series_over_the_work_limit_fails_before_it_starts(monkeypatch, caplog):
+    caplog.set_level(logging.DEBUG, logger="kinbench.semigroup")
+    monkeypatch.setattr(sg, "_DENSE_MAX_STATES", 0)  # every step takes the series
+    matvecs = []
+    matvec = sg._series_matvec
+    monkeypatch.setattr(sg, "_series_matvec", lambda *a: matvecs.append(1) or matvec(*a))
+    qm = _1d_chain("appendix2a", 51, "exponential-fitting")
+    nu0 = gaussian_measure(qm.node_coordinates(), 2.0, 1.0)
+    times = np.linspace(0.0, 1.0, 21)
+    evolve_series(qm, nu0, times, tol=1e-12)
+    (line,) = _logged_lines(caplog, "step ")
+    cost = int(line["series_cost"])
+    monkeypatch.setattr(sg, "_SERIES_MAX_COST", cost)  # at the limit it runs
+    matvecs.clear()
+    evolve_series(qm, nu0, times, tol=1e-12)
+    assert len(matvecs) == 20 * 2 ** line["splits"]
+    monkeypatch.setattr(sg, "_SERIES_MAX_COST", cost - 1)
+    matvecs.clear()
+    with pytest.raises(TruncationBudgetExceeded,
+                       match=re.escape(f"on 51 states would take about {cost:.3g} element "
+                                       f"updates (20 steps of length 0.05), over the limit "
+                                       f"of {cost - 1:.3g}; use a coarser grid")):
+        evolve_series(qm, nu0, times, tol=1e-12)
+    assert matvecs == []
+
+
 def test_route_is_logged_once_per_step_key(a2a201, caplog):
     caplog.set_level(logging.DEBUG, logger="kinbench.semigroup")
     nu0 = gaussian_measure(a2a201.x, 2.0, 1.0)
@@ -370,8 +397,17 @@ def test_chapman_kolmogorov_runs_one_series_pass(a2a201, monkeypatch, caplog, t,
     assert len(_logged_lines(caplog, "kernel ")) == kernels
 
 
-def test_flush_zeroes_the_entries_below_the_threshold_in_magnitude():
-    f = sg._FLUSH
+def _lowest_floor(two_state):
+    """The lowest flush floor a plan gives: its tail is at least 1e-17, as
+    at a long horizon, and a dense kernel has at most 2048 states."""
+    assert sg._uniformization(two_state, 1e15, 1e-12).tail == 1e-17
+    floor = np.finfo(float).eps * 1e-17 / sg._DENSE_MAX_STATES
+    assert floor * floor > np.finfo(float).tiny  # products of kept entries stay normal
+    return floor
+
+
+def test_flush_zeroes_the_entries_below_the_threshold_in_magnitude(two_state):
+    f = _lowest_floor(two_state)
     vals = [0.0, -0.0, 5e-324, -5e-324, 0.5 * f, -0.5 * f, np.nextafter(f, 0),
             -np.nextafter(f, 0), f, -f, 1.0, -1.0, np.inf, -np.inf, np.nan]
     M = np.array([np.roll(vals, k) for k in range(len(vals))])
@@ -452,13 +488,13 @@ def test_block_squarings_match_full_products_off_1d_catalog(monkeypatch):
     assert works[0] < 301 ** 3  # the absorbing chain's band skipped blocks
 
 
-def test_square_of_a_full_kernel_is_bitwise_the_full_product():
+def test_square_of_a_full_kernel_is_bitwise_the_full_product(two_state):
     n = 300
     M = sg._series_matvec(sp.identity(n, format="csr")
                           + sp.csr_matrix(_random_chain(np.random.default_rng(5), n)) / (2.0 * n),
                           np.eye(n), [0.5, 0.3, 0.2])
     assert np.all(M != 0.0)
-    _, first, last = sg._flush(M, sg._FLUSH)
+    _, first, last = sg._flush(M, _lowest_floor(two_state))
     out = np.full_like(M, np.nan)
     assert sg._square(M, out, first, last) == n ** 3
     assert np.array_equal(_bits(out), _bits(M @ M))
@@ -662,7 +698,7 @@ def test_kernel_build_is_logged_with_its_row_sum_defect(a2a201, caplog):
         plan = sg._uniformization(a2a201.Q, t, 1e-12)
         assert (line["terms"], line["splits"]) == (plan.weights.size, plan.splits)
         assert K.truncation == max(plan.tail * 2 ** plan.splits, line["row_sum_defect"])
-        floor = max(sg._FLUSH, np.finfo(float).eps * plan.tail / 201)
+        floor = np.finfo(float).eps * plan.tail / 201
         assert line["floor"] == float(f"{floor:.3g}")
         caplog.clear()
     # the squarings skip the zero blocks of the banded kernel
@@ -893,6 +929,10 @@ def test_continuity_decreases_to_zero(a2a201):
     (lambda Q: evolve_density(Q, [np.nan, 1.0], 1.0), ParameterOutOfRange),
     (lambda Q: evolve_density(Q, [np.inf, 1.0], 1.0), ParameterOutOfRange),
     (lambda Q: evolve_density(Q, [-1.0, 1.0], 1.0), ParameterOutOfRange),
+    (lambda Q: evolve_observable(Q, [1.0, np.nan], 1.0), ParameterOutOfRange),
+    (lambda Q: evolve_observable(Q, [1.0, -np.inf], 1.0), ParameterOutOfRange),
+    (lambda Q: generator_at_max(Q, [np.nan, 1.0]), ParameterOutOfRange),
+    (lambda Q: generator_at_max(Q, [np.inf, 1.0]), ParameterOutOfRange),
     (lambda Q: evolve_series(Q, [np.nan, 1.0], [0.0, 1.0]), ParameterOutOfRange),
     (lambda Q: evolve_series(Q, [-1.0, 1.0], [0.0, 1.0]), ParameterOutOfRange),
     (lambda Q: resolvent(Q, 1.0, [np.nan, 1.0]), ParameterOutOfRange),
@@ -906,7 +946,9 @@ def test_continuity_decreases_to_zero(a2a201):
     (lambda Q: stochastic_continuity_defect(Q, 0, 0.5, []), ParameterOutOfRange),
 ], ids=["continuity-node-negative", "continuity-node-past-end", "continuity-tol",
         "recover-tol", "resolvent-length", "generator-at-max-length", "density-nan",
-        "density-inf", "density-negative", "series-density-nan", "series-density-negative",
+        "density-inf", "density-negative", "observable-nan", "observable-inf",
+        "generator-at-max-nan", "generator-at-max-inf", "series-density-nan",
+        "series-density-negative",
         "resolvent-nan", "resolvent-block-length", "continuity-node-fraction",
         "continuity-radius-negative", "continuity-radius-nan", "continuity-radius-inf",
         "series-schedule-2d", "continuity-times-2d", "continuity-times-empty"])
@@ -915,6 +957,22 @@ def test_bad_arguments_are_named_errors_before_any_kernel(two_state, monkeypatch
     with pytest.raises(error):
         call(two_state)
     assert calls == []
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda Q, v: evolve_observable(Q, v, 1.0), "observable must be finite; entry 2 is nan"),
+    (lambda Q, v: generator_at_max(Q, v), "f must be finite; entry 2 is nan"),
+    (lambda Q, v: evolve_density(Q, v, 1.0),
+     "initial density must be finite and nonnegative; entry 2 is nan"),
+    (lambda Q, v: resolvent(Q, 1.0, v), "right-hand side must be finite; entry 2 is nan"),
+    (lambda Q, v: resolvent(Q, 1.0, np.stack([np.ones(4), v], axis=1)),
+     r"right-hand side must be finite; entry \(2, 1\) is nan"),
+], ids=["observable", "generator-at-max", "density", "resolvent", "resolvent-block"])
+def test_a_nonfinite_vector_names_its_first_bad_entry(call, message):
+    Q = DiscreteGenerator.from_matrix(np.array([[-1.0, 1.0, 0.0, 0.0], [1.0, -2.0, 1.0, 0.0],
+                                                [0.0, 1.0, -2.0, 1.0], [0.0, 0.0, 1.0, -1.0]]))
+    with pytest.raises(ParameterOutOfRange, match=message):
+        call(Q, np.array([1.0, 1.0, np.nan, np.inf]))
 
 
 def test_continuity_takes_a_numpy_integer_node(two_state):
