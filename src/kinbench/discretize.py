@@ -52,7 +52,8 @@ def bernoulli_ratio(z):
 
 @dataclass(frozen=True)
 class Grid:
-    """Tensor-product node positions, strictly increasing per axis; the domain owns the walls."""
+    """Tensor-product node positions, finite and strictly increasing per axis;
+    the domain owns the walls."""
 
     axes: tuple
 
@@ -62,6 +63,8 @@ class Grid:
         for ax in axes:
             if ax.size < 3:
                 raise DomainError("each axis needs at least 3 nodes")
+            if not np.all(np.isfinite(ax)):
+                raise DomainError("axis nodes must be finite")
             if np.any(np.diff(ax) <= 0):
                 raise DomainError("axis nodes must be strictly increasing")
 

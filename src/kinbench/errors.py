@@ -80,10 +80,6 @@ class NonSmoothH(KinbenchError):
     """Convex functional lacks the second derivative needed here."""
 
 
-class EmptyEnsemble(KinbenchError):
-    """No live particles to histogram."""
-
-
 class ExpressionError(InputError):
     """Coefficient expression failed to parse."""
 

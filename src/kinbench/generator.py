@@ -56,8 +56,8 @@ EIG_FLOOR = -1e-12
 class DomainSpec:
     """Truncated computational domain.
 
-    kind: 'full-line' | 'half-line' | 'box'; bounds per axis as (lo, hi);
-    half-line truncation requires lo > 0.
+    kind: 'full-line' | 'half-line' | 'box'; finite bounds per axis as
+    (lo, hi); half-line truncation requires lo > 0.
     """
 
     kind: str
@@ -72,6 +72,8 @@ class DomainSpec:
         bounds = tuple(tuple(float(v) for v in ax) for ax in self.bounds)
         object.__setattr__(self, "bounds", bounds)
         for lo, hi in bounds:
+            if not (np.isfinite(lo) and np.isfinite(hi)):
+                raise DomainError(f"bounds must be finite, got ({lo}, {hi})")
             if not lo < hi:
                 raise DomainError(f"bounds must satisfy lo < hi, got ({lo}, {hi})")
             if self.kind == "half-line" and lo <= 0:

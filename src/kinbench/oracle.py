@@ -14,7 +14,9 @@ only the particles that left the window go through the reflection.  Under
 absorbing walls a particle is absorbed exactly when it sits on a wall,
 from t = 0 on: the initial cloud is clipped into [lo, hi], a step that
 reaches a wall clamps the particle there, and only the particles strictly
-inside move, as an absorbing wall row of the chain is zero.
+inside move, as an absorbing wall row of the chain is zero.  An ensemble
+keeps its absorbed particles on their walls, so ``empirical_density``
+estimates the chain's whole law, absorbed mass on the wall nodes included.
 
 The draws are step-parallel: stream k depends on (seed, k) alone, so any
 thread may fill any step, whereas splitting the *particles* across workers
@@ -44,6 +46,7 @@ Without one it keeps a single slot.
 from __future__ import annotations
 
 import logging
+import operator
 import threading
 import time
 import warnings
@@ -51,13 +54,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DomainError,
-    EmptyEnsemble,
-    NonEllipticCoefficient,
-    ParameterOutOfRange,
-    TimeError,
-)
+from .errors import DomainError, NonEllipticCoefficient, ParameterOutOfRange, TimeError
 from .generator import EIG_FLOOR
 from .semigroup import time_schedule
 
@@ -93,7 +90,7 @@ class _StepDraws:
     """
 
     def __init__(self, seed, n, steps):
-        self.per_task = max(1, min(steps, -(-_TASK_DRAWS // max(n, 1))))
+        self.per_task = max(1, min(steps, -(-_TASK_DRAWS // n)))
         self._tasks = -(-steps // self.per_task)
         self.threads = _DRAW_THREADS if n >= _POOL_MIN_N and self._tasks > 1 else 0
         depth = max(2, _RING_BYTES // (8 * self.per_task * n)) if self.threads else 1
@@ -171,19 +168,16 @@ class _StepDraws:
 
 @dataclass
 class ParticleEnsemble:
-    """Particle positions after a run.  ``absorbed`` marks the particles on
-    an absorbing wall, which never move again (all False under no-flux
-    walls), and ``live`` holds the others' positions."""
+    """Particle positions after a run, absorbed ones included: their law is
+    the chain's whole law.  ``absorbed`` marks the particles on an absorbing
+    wall, which never move again (all False under no-flux walls); the
+    survivors are ``positions[~absorbed]``."""
 
     positions: np.ndarray
     absorbed: np.ndarray
     time: float
     dt: float
     seed: int
-
-    @property
-    def live(self):
-        return self.positions[~self.absorbed]
 
 
 def point_source(x0):
@@ -225,6 +219,17 @@ def _em_step(spec, x, xi, work, dt, sqrt_dt):
     x += xi
 
 
+def _integer(name, value, least, below=np.inf):
+    """``value`` as an int in [least, below); anything else is ParameterOutOfRange."""
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise ParameterOutOfRange(f"{name} must be an integer, got {value!r}") from None
+    if not least <= value < below:
+        raise ParameterOutOfRange(f"{name} = {value} is outside [{least}, {below})")
+    return value
+
+
 def simulate(spec, sampler, n, dt, T, seed, snapshots=None):
     """Run Euler-Maruyama particles under a 1-D generator spec.
 
@@ -233,7 +238,8 @@ def simulate(spec, sampler, n, dt, T, seed, snapshots=None):
     cloud is clipped into the domain, so under absorbing walls a particle
     sampled on or past a wall is absorbed at t = 0: a particle is absorbed
     exactly when it sits on a wall.  Identical (seed, n, dt) runs are
-    bitwise reproducible.
+    bitwise reproducible.  ``n`` is an integer >= 1, ``seed`` an integer
+    in [0, 2^64), and ``sampler(rng, n)`` must return n finite positions.
 
     Without ``snapshots`` the run lasts round(T/dt) steps and one ensemble
     is returned.  With a nondecreasing sequence of ``snapshots`` in
@@ -244,6 +250,8 @@ def simulate(spec, sampler, n, dt, T, seed, snapshots=None):
         raise ParameterOutOfRange("particle oracle supports dimension 1 in v1")
     if not (0 < dt < np.inf) or T < 0:
         raise ParameterOutOfRange("need a finite dt > 0 and T >= 0")
+    n = _integer("n", n, 1)
+    seed = _integer("seed", seed, 0, 1 << 64)
     times = time_schedule([T] if snapshots is None else snapshots)
     if times[-1] > T:
         raise TimeError(f"snapshot times must lie in [0, T = {T:g}]")
@@ -253,7 +261,9 @@ def simulate(spec, sampler, n, dt, T, seed, snapshots=None):
 
     start = time.perf_counter()
     rng0 = _stream(seed, _INIT_STREAM)
-    x = np.asarray(sampler(rng0, int(n)), dtype=float)
+    x = np.asarray(sampler(rng0, n), dtype=float)
+    if x.shape != (n,) or not np.all(np.isfinite(x)):
+        raise ParameterOutOfRange(f"the sampler must return {n} finite positions")
     x = np.clip(x, lo, hi)
     # the particles that move: all of them, or those on no absorbing wall
     live = range(x.size) if reflect else np.flatnonzero((x != lo) & (x != hi))
@@ -280,7 +290,7 @@ def simulate(spec, sampler, n, dt, T, seed, snapshots=None):
                     x[live] = np.where(out_lo, lo, np.where(out_hi, hi, prop))
                     live = live[~(out_lo | out_hi)]
             absorbed = np.zeros(x.size, dtype=bool) if reflect else (x == lo) | (x == hi)
-            ensembles.append(ParticleEnsemble(x.copy(), absorbed, steps * dt, dt, int(seed)))
+            ensembles.append(ParticleEnsemble(x.copy(), absorbed, steps * dt, dt, seed))
     elapsed = time.perf_counter() - start
     _log.debug("simulate: n=%d steps=%d snapshots=%d threads=%d steps_per_task=%d "
                "elapsed_s=%.6g particle_steps_per_s=%.6g draw_wait_s=%.6g idle_s=%.6g "
@@ -291,20 +301,23 @@ def simulate(spec, sampler, n, dt, T, seed, snapshots=None):
 
 
 def empirical_density(ensemble, grid):
-    """Histogram density on node-centered cells, unit mass in grid weights."""
-    live = ensemble.live
-    if live.size == 0:
-        raise EmptyEnsemble("no live particles to histogram")
+    """Histogram density of every particle on node-centered cells, unit mass
+    in grid weights.  An absorbed particle sits on a wall node and counts in
+    its half cell, as the chain keeps absorbed mass on its wall nodes.  A
+    particle outside every cell (a grid narrower than the domain) is a
+    DomainError."""
+    positions = ensemble.positions
     x = grid.x
     edges = np.concatenate((
         [x[0] - 0.5 * (x[1] - x[0])],
         0.5 * (x[1:] + x[:-1]),
         [x[-1] + 0.5 * (x[-1] - x[-2])],
     ))
-    counts, _ = np.histogram(live, bins=edges)
-    w = grid.weights()
-    density = counts / (live.size * w)
-    return density
+    counts, _ = np.histogram(positions, bins=edges)
+    if counts.sum() < positions.size:
+        raise DomainError(f"{positions.size - counts.sum()} of {positions.size} particles lie "
+                          f"outside the grid's cells [{edges[0]:g}, {edges[-1]:g}]")
+    return counts / (positions.size * grid.weights())
 
 
 @dataclass
@@ -325,9 +338,11 @@ def moment_estimates(spec, x0, t_small, n, seed):
     Returns E[dX]/t and E[dX^2]/(2t) with standard errors, and E[|dX|^3]/t,
     which must shrink with t for a true diffusion.  x0 must lie in the
     domain interior: a start on or past a wall would be clipped to it.
+    n is an integer >= 2, as a standard error needs two draws.
     """
     if not spec.domain.contains(x0, interior=True):
         raise DomainError(f"x0 = {x0:g} is not in the domain interior")
+    n = _integer("n", n, 2)
     ens = simulate(spec, point_source(x0), n, t_small, t_small, seed)
     if np.any(ens.absorbed):
         warnings.warn("some particles were absorbed during the moment window")
@@ -343,5 +358,5 @@ def moment_estimates(spec, x0, t_small, n, seed):
         diffusion=m2 / (2 * t),
         diffusion_se=se(delta**2) / (2 * t),
         third_abs_over_t=m3 / t,
-        n=int(n),
+        n=n,
     )

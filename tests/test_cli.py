@@ -274,6 +274,10 @@ MALFORMED_SCENARIO_FIELDS = {
     "h_functionals.value_at_zero": ("h_functionals", [{"kind": "xlogx", "value_at_zero": "abc"}],
                                     "h_functionals"),
     "generator.dimension": ("generator", INLINE_2D, "generator.dimension"),
+    # an infinite bound is caught by the domain, not by the moment point it would spoil
+    "generator.bounds.inf": ("generator", {"dimension": 1, "a": "1", "b": "-x",
+                                           "domain": {"kind": "box", "bounds": [[-8.0, np.inf]]}},
+                             "generator"),
     "times.decreasing": ("times", [0.0, 1.0, 0.5], "times"),
     "times.nan": ("times", [0.0, float("nan")], "times"),
     "checks.chapman_kolmogorov.negative": ("checks", {"chapman_kolmogorov": [-0.3, 0.7]},
@@ -474,6 +478,21 @@ def test_oracle_compare_samples_a_delta_start(tmp_path):
     assert read_csv_columns(out / "ensemble.csv")["x"].size == 500
 
 
+def test_oracle_compare_counts_absorbed_particles_on_the_walls(tmp_path):
+    # the chain keeps absorbed mass on its wall nodes and the ensemble keeps
+    # absorbed particles there, so the two laws agree
+    out = tmp_path / "out"
+    assert main(["oracle-compare", str(SCENARIOS / "absorbing_oracle.json"),
+                 "--out", str(out)]) == 0
+    report = json.loads((out / "oracle_compare.json").read_text())
+    assert [row["t"] for row in report["snapshots"]] == [0.1, 0.5, 1.0]
+    assert all(row["L1"] < 0.1 for row in report["snapshots"])
+    ensemble = read_csv_columns(out / "ensemble.csv")
+    on_wall = np.abs(ensemble["x"]) == 2.0
+    assert np.any(on_wall)
+    assert np.array_equal(ensemble["absorbed_flag"] == 1, on_wall)
+
+
 def test_oracle_compare_rejects_a_bump_start(tmp_path, capsys):
     doc = {**SMALL_SCENARIO, "initial_density": {"kind": "bump"},
            "oracle": {"particles": 500, "snapshot_times": [0.5]}}
@@ -531,8 +550,8 @@ def test_negative_seed_override_is_usage_error(capsys):
 
 
 # computation failures: the CLI exits 1 on these, and 2 on every InputError
-FAILURE_TYPES = {"EmptyEnsemble", "InsufficientSmoothness", "MissingGibbsForm",
-                 "NoInvariantDensity", "NonSmoothH", "NoViolationAtPoint", "SupportViolation",
+FAILURE_TYPES = {"InsufficientSmoothness", "MissingGibbsForm", "NoInvariantDensity",
+                 "NonSmoothH", "NoViolationAtPoint", "SupportViolation",
                  "TruncationBudgetExceeded", "UnsupportedTensor"}
 ERROR_TYPES = [t for t in vars(errors).values()
                if isinstance(t, type) and issubclass(t, errors.KinbenchError)]

@@ -291,6 +291,12 @@ def test_grid_validation():
         Grid((np.array([0.0, 1.0]),))          # too few nodes
     with pytest.raises(DomainError):
         Grid((np.array([0.0, 0.5, 0.4]),))     # not increasing
+    with pytest.raises(DomainError):
+        Grid((np.array([0.0, 1.0, np.inf]),))  # not finite
+    with pytest.raises(DomainError):
+        Grid((np.array([np.nan, 0.0, 1.0]),))  # NaN compares false to everything
+    with pytest.raises(DomainError):
+        DomainSpec("box", ((0.0, np.inf),))   # Grid.from_domain would give NaN nodes
     with pytest.raises(ShapeError):
         DiscreteGenerator.from_matrix(np.zeros((2, 3)))
 

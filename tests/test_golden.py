@@ -44,6 +44,7 @@ COMMANDS = {
     "pawula_k3": ["pawula", "pawula_k3.json"],
     "pawula_appendix2a": ["pawula", "pawula_appendix2a.json"],
     "oracle_compare_ou": ["oracle-compare", "ou_oracle_small.json", "--grid-n", "200"],
+    "oracle_compare_absorbing": ["oracle-compare", "absorbing_oracle.json"],
 }
 
 # every command in one interpreter; prints {name: exit code}

@@ -10,7 +10,6 @@ from kinbench import oracle
 from kinbench.discretize import Grid
 from kinbench.errors import (
     DomainError,
-    EmptyEnsemble,
     NonEllipticCoefficient,
     ParameterOutOfRange,
     TimeError,
@@ -97,7 +96,7 @@ def test_particles_that_start_on_an_absorbing_wall_stay_there(monkeypatch, patch
     on_wall = start.positions == 0.0
     assert np.count_nonzero(on_wall) == 1339
     assert np.array_equal(start.absorbed, on_wall)
-    assert start.live.size == 2000 - 1339
+    assert np.count_nonzero(~start.absorbed) == 2000 - 1339
     assert np.all(after.positions[on_wall] == 0.0) and np.all(after.absorbed[on_wall])
     assert np.array_equal(after.absorbed, np.isin(after.positions, [0.0, 1.0]))
     assert not np.array_equal(after.positions[~on_wall], start.positions[~on_wall])
@@ -195,14 +194,25 @@ def test_empirical_density_uniform_sampler():
     assert np.max(np.abs(dens[1:-1] - 1.0)) <= 0.12
 
 
-def test_empirical_density_empty():
+def test_empirical_density_of_an_all_absorbed_ensemble_is_on_the_wall():
+    # every particle is absorbed at the right wall: the whole law sits in
+    # that wall node's half cell, as the chain keeps absorbed mass there
     grid = Grid((np.linspace(0.0, 1.0, 11),))
     spec = GeneratorSpec(1, CE("1"), CE("5"),
                          DomainSpec("box", ((0.0, 1.0),), "absorbing"))
     ens = simulate(spec, point_source(0.9), 50, 1e-2, 5.0, seed=9)
-    assert np.all(ens.absorbed)
-    with pytest.raises(EmptyEnsemble):
-        empirical_density(ens, grid)
+    assert np.all(ens.absorbed) and np.all(ens.positions == 1.0)
+    dens = empirical_density(ens, grid)
+    w = grid.weights()
+    assert dens[-1] == 1.0 / w[-1]
+    assert np.all(dens[:-1] == 0.0)
+
+
+def test_empirical_density_on_a_grid_narrower_than_the_cloud_is_a_domain_error():
+    spec, _ = kb.catalog_example("ornstein-uhlenbeck")
+    ens = simulate(spec, gaussian_source(0.0, 1.0), 2000, 1e-2, 0.0, seed=3)
+    with pytest.raises(DomainError, match="outside the grid's cells"):
+        empirical_density(ens, Grid((np.linspace(-1.0, 1.0, 21),)))
 
 
 def test_moment_estimates_ou():
@@ -242,6 +252,24 @@ def test_bad_parameters_rejected():
         simulate(spec, point_source(0.0), 10, -1e-3, 1.0, seed=1)
     with pytest.raises(ParameterOutOfRange):
         simulate(spec, point_source(0.0), 10, 1e-3, 1.0, seed=1, snapshots=[])
+    # a particle count is an integer >= 1, a seed an integer in [0, 2^64)
+    for n in (0, -5, float("nan"), 2.5, 10.0):
+        with pytest.raises(ParameterOutOfRange, match="n "):
+            simulate(spec, point_source(0.0), n, 1e-3, 1.0, seed=1)
+    for seed in (-1, 1 << 64, 1.5, None):
+        with pytest.raises(ParameterOutOfRange, match="seed"):
+            simulate(spec, point_source(0.0), 10, 1e-3, 1.0, seed=seed)
+    # a sampler returns n finite positions
+    for sampler in (point_source(float("nan")), point_source(float("inf")),
+                    lambda rng, n: np.zeros(3)):
+        with pytest.raises(ParameterOutOfRange, match="10 finite positions"):
+            simulate(spec, sampler, 10, 1e-3, 1.0, seed=1)
+    # a standard error needs two draws
+    for n in (0, 1, 2.5):
+        with pytest.raises(ParameterOutOfRange, match="n "):
+            moment_estimates(spec, 0.0, 1e-2, n, seed=1)
+    assert simulate(spec, point_source(0.0), np.int64(3), 1e-3, 0.0,
+                    seed=np.uint64((1 << 64) - 1)).positions.size == 3
 
 
 def _philox(seed, stream):
