@@ -20,7 +20,6 @@ from .generator import (
     apply_generator,
     catalog_example,
     compute_Hi,
-    residual_invariant,
 )
 from .htheorem import (
     HCurve,

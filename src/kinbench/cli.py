@@ -2,7 +2,8 @@
 
 Every command reads its document through ``_document`` and each field
 through ``_field``; ``_scenario`` applies the overrides the command takes
-(``--out``, ``--tol``, ``--seed``, ``--grid-n``) and builds the chain.
+(``--out``, ``--tol``, ``--seed``, ``--grid-n``), builds the chain and
+refuses a declared equilibrium whose field H_i is not zero.
 
 Exit codes: 0 all checks pass, 1 a mathematical invariant failed, 2 an
 ``InputError``: an unreadable document, or a malformed field, which the
@@ -14,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import logging
 import os
 import sys
 import warnings
@@ -29,9 +31,11 @@ from .errors import (
     InputError,
     KinbenchError,
     NoInvariantDensity,
+    NotAnEquilibrium,
     ScenarioError,
     SpectrumError,
 )
+from .generator import _on_nodes, compute_Hi
 from .htheorem import HFunctional, h_curves, solve_invariant
 from .pawula import (
     DEFAULT_EPSILON,
@@ -63,6 +67,12 @@ from .serialize import (
     write_qmatrix,
     write_summary_csv,
 )
+
+_log = logging.getLogger("kinbench.cli")
+
+# A declared equilibrium must have max|H_i| within this fraction of
+# max|2(a' - b)|, the term beta a H' cancels; the catalog reads 3e-16 of it
+EQUILIBRIUM_TOL = 1e-10
 
 # closed-form initial densities: parameter -> default
 DENSITY_PARAMS = {
@@ -191,6 +201,8 @@ def _rates(values):
 
 
 def _h_functionals(entries):
+    if not entries:
+        raise ValueError("at least one H functional is needed")
     return [HFunctional.from_name(e) if isinstance(e, str)
             else HFunctional.from_name(e["kind"], e.get("value_at_zero")) for e in entries]
 
@@ -225,7 +237,8 @@ Scenario = namedtuple("Scenario", "path out tol seed times initial hs checks ora
 
 
 def _scenario(args):
-    """Read a scenario document, apply the command-line overrides, build Q."""
+    """Read a scenario document, apply the command-line overrides, build Q and
+    check the declared equilibrium."""
     doc, out = _document(args)
     spec, rho = _field(doc, "generator", load_generator, None)
     if spec.dimension != 1:  # n-D chains are library-only for now
@@ -256,8 +269,28 @@ def _scenario(args):
     n = args.grid_n if args.grid_n is not None else _field(doc, "grid.n", _natural, 401)
     grid = _named("grid.n", lambda n: Grid.from_domain(spec.domain, n), n)
     Q = _named("generator", lambda spec: build_qmatrix(spec, grid, scheme), spec)
+    if rho is not None:
+        _check_equilibrium(spec, rho, grid)
     return Scenario(args.scenario, out, tol, seed, times, initial, hs, checks, oracle,
                     spec, rho, grid, Q)
+
+
+def _check_equilibrium(spec, rho, grid):
+    """NotAnEquilibrium unless H_i = 2(beta a H' - a' + b), -2 times rho's
+    probability current over rho, is zero on the nodes to EQUILIBRIUM_TOL
+    times max|2(a' - b)|; a NaN fails."""
+    Hi = np.abs(compute_Hi(spec, rho, grid))
+    (_, da), (b,) = _on_nodes(spec.a, grid.x, 1), _on_nodes(spec.b, grid.x)
+    scale = float(np.max(np.abs(2 * (da - b))))
+    worst = int(np.argmax(Hi))  # the first NaN, if any
+    value, threshold = float(Hi[worst]), EQUILIBRIUM_TOL * scale
+    _log.debug("equilibrium: max|H_i| = %.3g, %.3g of max|2(a' - b)| = %.3g",
+               value, value / scale if scale else np.nan, scale)
+    if not value <= threshold:
+        raise NotAnEquilibrium(
+            f"the declared equilibrium has max|H_i| = {value:.3g} at x = {grid.x[worst]:g}, "
+            f"above {threshold:.3g} (EQUILIBRIUM_TOL times max|2(a' - b)| = {scale:.3g}): "
+            f"it carries a probability current")
 
 
 def _initial_measure(sc, pi=None):

@@ -72,6 +72,10 @@ class NoInvariantDensity(KinbenchError):
     """Chain has transient states; no strictly positive invariant density."""
 
 
+class NotAnEquilibrium(KinbenchError):
+    """Declared equilibrium density carries a probability current: H_i is not zero."""
+
+
 class SupportViolation(KinbenchError):
     """State puts mass where the reference density vanishes."""
 

@@ -24,8 +24,10 @@ polynomials), as it always does for ``pawula.apply_operator``:
   ``np.gradient(..., edge_order=2)`` (second order at the walls).
 
 A reference density is analytic (``EquilibriumDensity``) or it is samples
-on the grid nodes (an array, read by ``_samples``); ``residual_invariant``,
-``compute_Hi`` and ``htheorem.boundary_term`` take either, and the grid.
+on the grid nodes (an array, read by ``_samples``); ``compute_Hi`` and
+``htheorem.boundary_term`` take either, and the grid.  In 1-D the formal
+adjoint is (a rho)'' - (b rho)' = -(rho H_i)'/2, so a density is the
+no-flux equilibrium exactly when its field H_i from ``compute_Hi`` is zero.
 """
 
 from __future__ import annotations
@@ -217,7 +219,8 @@ class EquilibriumDensity:
         return math.isfinite(self.total_mass)
 
     def on_grid(self, grid, normalize=False):
-        """Samples on the grid nodes, an array (optionally quadrature-normalized)."""
+        """Samples on the grid nodes, an array (optionally quadrature-normalized:
+        ParameterOutOfRange unless their total is positive and finite)."""
         if self.rho_fn is None:
             raise MissingGibbsForm("no analytic density to sample")
         vals = np.asarray(self.rho_fn(grid.nodes_for_eval()), dtype=float)
@@ -225,7 +228,11 @@ class EquilibriumDensity:
         if np.any(vals < 0):
             raise ParameterOutOfRange("equilibrium density has negative samples")
         if normalize:
-            vals /= float(np.dot(vals, grid.weights()))
+            total = float(np.dot(vals, grid.weights()))
+            if not 0 < total < math.inf:
+                raise ParameterOutOfRange(f"equilibrium density has total {total:g} on the "
+                                          f"grid; normalizing needs a positive, finite one")
+            vals /= total
         return vals
 
 
@@ -324,54 +331,6 @@ def apply_formal_adjoint(spec, rho, x):
     da, d2a, db = np.reshape(da, (d,) * 3), np.reshape(d2a, (d,) * 4), np.reshape(db, (d, d))
     return float(np.einsum("ijij->", d2a) * r + 2 * np.einsum("iij,j->", da, dr)
                  + np.sum(a * d2r) - np.trace(db) * r - np.dot(b, dr))
-
-
-def residual_invariant(spec, rho0, grid):
-    """Max |(a rho0)'' - (b rho0)'| over the interior nodes of the 1-D ``grid``.
-
-    ``rho0`` is an EquilibriumDensity or its samples on the nodes.  When
-    a, b and an analytic rho0 all have exact derivatives (see
-    ``_rho_exact``), the product rule is applied on the nodes; otherwise
-    three-point formulas act on the sampled products a*rho0 and b*rho0.
-    """
-    x = grid.x
-    analytic = isinstance(rho0, EquilibriumDensity)
-    exact = _derivative_of(spec.a) is not None and _derivative_of(spec.b) is not None
-    rho = _rho_exact(rho0, x) if exact and analytic else None
-    if rho is not None:
-        r, dr, d2r = rho
-        a, a1, a2 = _on_nodes(spec.a, x, 2)
-        b, b1 = _on_nodes(spec.b, x, 1)
-        res = a * d2r + (2 * a1 - b) * dr + (a2 - b1) * r
-        return float(np.max(np.abs(res[1:-1])))
-
-    if analytic and rho0.rho_fn is None:
-        raise InsufficientSmoothness("rho0 has neither samples nor analytic form")
-    vals = _on_nodes(rho0.rho_fn, x)[0] if analytic else _samples(rho0, grid)
-    a, = _on_nodes(spec.a, x)
-    b, = _on_nodes(spec.b, x)
-    ar, hm, hp = a * vals, x[1:-1] - x[:-2], x[2:] - x[1:-1]
-    d2 = 2 * (hm * ar[2:] - (hm + hp) * ar[1:-1] + hp * ar[:-2]) / (hm * hp * (hm + hp))
-    d1 = np.gradient(b * vals, x, edge_order=2)[1:-1]
-    return float(np.max(np.abs(d2 - d1)))
-
-
-def _rho_exact(rho0, x):
-    """(rho, rho', rho'') on the nodes x from exact derivative data, else None.
-
-    Gibbs data with a differentiable H gives rho' = -beta H' rho and
-    rho'' = (beta^2 H'^2 - beta H'') rho, where rho is the analytic
-    density, else exp(-beta H); failing that, an analytic density with
-    exact derivatives is differentiated itself.
-    """
-    if rho0.gibbs is not None and _derivative_of(rho0.gibbs[1]) is not None:
-        beta, H = float(rho0.gibbs[0]), rho0.gibbs[1]
-        hv, dhv, d2hv = _on_nodes(H, x, 2)
-        r = _on_nodes(rho0.rho_fn, x)[0] if rho0.rho_fn is not None else np.exp(-beta * hv)
-        return r, -beta * dhv * r, (beta**2 * dhv**2 - beta * d2hv) * r
-    if rho0.rho_fn is not None and _derivative_of(rho0.rho_fn) is not None:
-        return tuple(_on_nodes(rho0.rho_fn, x, 2))
-    return None
 
 
 def compute_Hi(spec, rho0, grid):

@@ -240,6 +240,8 @@ def simulate(spec, sampler, n, dt, T, seed, snapshots=None):
     exactly when it sits on a wall.  Identical (seed, n, dt) runs are
     bitwise reproducible.  ``n`` is an integer >= 1, ``seed`` an integer
     in [0, 2^64), and ``sampler(rng, n)`` must return n finite positions.
+    A position that is not finite at a snapshot raises ParameterOutOfRange,
+    naming b.
 
     Without ``snapshots`` the run lasts round(T/dt) steps and one ensemble
     is returned.  With a nondecreasing sequence of ``snapshots`` in
@@ -289,6 +291,10 @@ def simulate(spec, sampler, n, dt, T, seed, snapshots=None):
                     out_hi = prop >= hi
                     x[live] = np.where(out_lo, lo, np.where(out_hi, hi, prop))
                     live = live[~(out_lo | out_hi)]
+            lost = np.count_nonzero(~np.isfinite(x))  # once a snapshot: NaN stays NaN
+            if lost:
+                raise ParameterOutOfRange(f"b is not finite along the paths: {lost} of {x.size} "
+                                          f"positions are not finite at t = {steps * dt:g}")
             absorbed = np.zeros(x.size, dtype=bool) if reflect else (x == lo) | (x == hi)
             ensembles.append(ParticleEnsemble(x.copy(), absorbed, steps * dt, dt, seed))
     elapsed = time.perf_counter() - start

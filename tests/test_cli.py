@@ -12,6 +12,7 @@ import pytest
 import kinbench as kb
 from kinbench import cli, errors, htheorem, oracle
 from kinbench.cli import _mass_outside, _natural, build_parser, main
+from kinbench.expressions import CompiledExpression as CE
 from kinbench.generator import CATALOG_NAMES
 from kinbench.serialize import (
     certificate_to_dict,
@@ -145,6 +146,73 @@ def test_inline_gibbs_truncated_mass_is_null(tmp_path):
     assert summary["truncated_mass_outside"] is None
 
 
+# declared equilibria that carry a probability current: OU with twice its H
+# (H_i = 2x, as large as the drift), and a linear density under pure
+# diffusion, whose constant current the residual (a rho)'' - (b rho)' misses
+NOT_EQUILIBRIA = {
+    "ou-wrong-H": {"dimension": 1, "a": "1", "b": "-x",
+                   "domain": {"kind": "full-line", "bounds": [[-8.0, 8.0]]},
+                   "gibbs": {"H": "x^2", "beta": 1}},
+    "constant-flux": {"dimension": 1, "a": "1", "b": "0",
+                      "domain": {"kind": "box", "bounds": [[-1.0, 1.0]]},
+                      "gibbs": {"H": "-ln(x + 2)", "beta": 1}},
+}
+
+
+@pytest.mark.parametrize("command", ["run", "invariant", "hcurve", "oracle-compare"])
+@pytest.mark.parametrize("generator", NOT_EQUILIBRIA.values(), ids=NOT_EQUILIBRIA.keys())
+def test_a_declared_rho_with_a_current_exits_1_before_any_evolution(tmp_path, capsys,
+                                                                   command, generator):
+    doc = {"generator": generator, "grid": {"n": 51},
+           "times": {"start": 0.0, "stop": 1.0, "num": 3},
+           "oracle": {"particles": 100, "snapshot_times": [0.5]}}
+    out = tmp_path / "out"
+    assert main([command, write_json(tmp_path / "bad.json", doc), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("FAIL (NotAnEquilibrium): the declared equilibrium has max|H_i| = ")
+    assert list(out.iterdir()) == []
+
+
+def test_wrong_H_is_named_at_its_worst_node_as_large_as_the_drift(tmp_path, capsys, caplog):
+    doc = {"generator": NOT_EQUILIBRIA["ou-wrong-H"], "grid": {"n": 201}}
+    with caplog.at_level("DEBUG", logger="kinbench.cli"):
+        assert main(["invariant", write_json(tmp_path / "bad.json", doc),
+                     "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == (
+        "FAIL (NotAnEquilibrium): the declared equilibrium has max|H_i| = 16 at x = -8, "
+        "above 1.6e-09 (EQUILIBRIUM_TOL times max|2(a' - b)| = 16): it carries a "
+        "probability current\n")
+    assert caplog.messages == ["equilibrium: max|H_i| = 16, 1 of max|2(a' - b)| = 16"]
+
+
+@pytest.mark.parametrize("n", [21, 51, 101, 201, 400, 401, 1001, 2001])
+def test_every_catalog_equilibrium_passes_the_check(n):
+    for name in CATALOG_NAMES:
+        for alpha in (0.0, 0.5, 1.0, 2.5, 7.0):
+            spec, rho = kb.catalog_example(name, alpha)
+            cli._check_equilibrium(spec, rho, kb.Grid.from_domain(spec.domain, n))
+
+
+def test_a_check_that_reads_nan_fails():
+    # H = x^0.5 has no derivative left of 0: NaN there must not pass the check
+    spec, _ = kb.catalog_example("pure-diffusion")
+    rho = kb.EquilibriumDensity(gibbs=(1.0, CE("x^0.5")))
+    with np.errstate(invalid="ignore", divide="ignore"), pytest.raises(
+            errors.NotAnEquilibrium, match=r"max\|H_i\| = nan at x = -1, above 0 "):
+        cli._check_equilibrium(spec, rho, kb.Grid.from_domain(spec.domain, 21))
+
+
+def test_an_equilibrium_with_no_mass_on_the_grid_is_named(tmp_path, capsys):
+    # exp(-x^2/2 - 1000) is OU's equilibrium, but it underflows on every node
+    doc = {"generator": {**NOT_EQUILIBRIA["ou-wrong-H"],
+                         "gibbs": {"H": "x^2/2 + 1000", "beta": 1}}, "grid": {"n": 51}}
+    assert main(["invariant", write_json(tmp_path / "nomass.json", doc),
+                 "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == (
+        "input error (ParameterOutOfRange): equilibrium density has total 0 on the grid; "
+        "normalizing needs a positive, finite one\n")
+
+
 @pytest.mark.parametrize("alpha", [0.1, 0.3, 1.0, 2.5, 5.0, 10.0])
 def test_truncated_mass_matches_adaptive_quadrature(alpha):
     from scipy.integrate import quad
@@ -267,6 +335,8 @@ MALFORMED_SCENARIO_FIELDS = {
                                "initial_density"),
     "h_functionals.kind": ("h_functionals", ["square", {"value_at_zero": 0.0}],
                            "h_functionals"),
+    # no functional would leave hcurve with nothing to write and run with no H check
+    "h_functionals.empty": ("h_functionals", [], "h_functionals"),
     "generator": ("generator", "appendix2a", "generator"),
     "list": (None, "top-level list", "JSON object"),
     "directory": (None, "directory", "cannot read"),
@@ -551,7 +621,7 @@ def test_negative_seed_override_is_usage_error(capsys):
 
 # computation failures: the CLI exits 1 on these, and 2 on every InputError
 FAILURE_TYPES = {"InsufficientSmoothness", "MissingGibbsForm", "NoInvariantDensity",
-                 "NonSmoothH", "NoViolationAtPoint", "SupportViolation",
+                 "NonSmoothH", "NotAnEquilibrium", "NoViolationAtPoint", "SupportViolation",
                  "TruncationBudgetExceeded", "UnsupportedTensor"}
 ERROR_TYPES = [t for t in vars(errors).values()
                if isinstance(t, type) and issubclass(t, errors.KinbenchError)]

@@ -27,7 +27,6 @@ from kinbench.generator import (
     apply_generator,
     catalog_example,
     compute_Hi,
-    residual_invariant,
 )
 from kinbench.pawula import cube_test
 
@@ -252,24 +251,26 @@ def test_nd_adjoint_of_an_expression_is_exact():
     assert apply_formal_adjoint(spec, CE("x1^3 + x2^3", 2), (1.0, 1.0)) == 12.0
 
 
+# H_i is the equilibrium's residual: (a rho)'' - (b rho)' = -(rho H_i)'/2, so
+# with no current through the walls rho is the equilibrium exactly when H_i = 0
+
 def test_residual_invariant_appendix2b():
     spec, rho = catalog_example("appendix2b", 1.0)
     grid = kb.Grid.from_domain(spec.domain, 400)
-    assert residual_invariant(spec, rho, grid) <= 1e-6
+    assert np.max(np.abs(compute_Hi(spec, rho, grid))) <= 1e-12
 
 
 def test_residual_invariant_ou():
     spec, rho = catalog_example("ornstein-uhlenbeck")
     grid = kb.Grid.from_domain(spec.domain, 401)
-    assert residual_invariant(spec, rho, grid) <= 1e-8
+    assert np.max(np.abs(compute_Hi(spec, rho, grid))) == 0.0
 
 
 def test_residual_invariant_wrong_density():
-    # samples alone carry no derivatives: the three-point form is taken
+    # flat samples recover H' = 0, so H_i is the whole drift's 2b
     spec, _ = catalog_example("ornstein-uhlenbeck")
     grid = kb.Grid.from_domain(spec.domain, 401)
-    res = residual_invariant(spec, np.ones(grid.size), grid)
-    assert res == pytest.approx(1.0, rel=1e-6)
+    assert np.array_equal(compute_Hi(spec, np.ones(grid.size), grid), -2 * grid.x)
 
 
 @pytest.mark.parametrize("name, alpha", [
@@ -277,13 +278,18 @@ def test_residual_invariant_wrong_density():
     ("appendix2a", 1.0),
 ])
 def test_residual_fd_second_order(name, alpha):
+    # samples are differentiated by np.gradient, which is second order and
+    # exact on OU's quadratic -ln rho = x^2/2
     spec, rho = catalog_example(name, alpha)
     errs = []
-    for n in [101, 201, 401]:
+    for n in [101, 201, 401, 801]:
         grid = kb.Grid.from_domain(spec.domain, n)
-        errs.append(residual_invariant(spec, rho.on_grid(grid), grid))
-    orders = [np.log2(errs[i] / errs[i + 1]) for i in range(2)]
-    assert all(1.6 <= o <= 2.4 for o in orders), orders
+        errs.append(np.max(np.abs(compute_Hi(spec, rho.on_grid(grid), grid))))
+    if name == "ornstein-uhlenbeck":
+        assert max(errs) <= 1e-12, errs
+        return
+    orders = [np.log2(errs[i] / errs[i + 1]) for i in range(3)]
+    assert all(1.9 <= o <= 2.1 for o in orders), orders
 
 
 # ---------------------------------------------------------------------------
@@ -291,35 +297,6 @@ def test_residual_fd_second_order(name, alpha):
 
 def on_x(values, x):
     return np.broadcast_to(np.asarray(values, dtype=float), x.shape)
-
-
-def residual_by_hand(spec, rho, x):
-    """Product rule from exact derivatives of a, b and an analytic rho
-    (Gibbs data first), else three-point formulas on a*rho and b*rho."""
-    d = _derivative_of
-    da, db = d(spec.a), d(spec.b)
-    analytic = isinstance(rho, EquilibriumDensity)
-    gibbs = analytic and rho.gibbs is not None and d(rho.gibbs[1]) is not None
-    exact_rho = gibbs or analytic and d(rho.rho_fn) is not None
-    if da is not None and db is not None and exact_rho:
-        if gibbs:
-            beta, H = float(rho.gibbs[0]), rho.gibbs[1]
-            h, dh, d2h = (np.asarray(g(x), dtype=float) for g in (H, d(H), d(d(H))))
-            r = rho.rho_fn(x) if rho.rho_fn is not None else np.exp(-beta * h)
-            dr = -beta * dh * r
-            d2r = (beta**2 * dh**2 - beta * d2h) * r
-        else:
-            f = rho.rho_fn
-            r, dr, d2r = (np.asarray(g(x), dtype=float) for g in (f, d(f), d(d(f))))
-        a, a1, a2 = (np.asarray(g(x), dtype=float) for g in (spec.a, da, d(da)))
-        b, b1 = (np.asarray(g(x), dtype=float) for g in (spec.b, db))
-        res = on_x(a * d2r + (2 * a1 - b) * dr + (a2 - b1) * r, x)
-        return float(np.max(np.abs(res[1:-1])))
-    vals = rho.rho_fn(x) if analytic else rho
-    ar, br = on_x(spec.a(x), x) * vals, on_x(spec.b(x), x) * vals
-    hm, hp = x[1:-1] - x[:-2], x[2:] - x[1:-1]
-    d2 = 2 * (hm * ar[2:] - (hm + hp) * ar[1:-1] + hp * ar[:-2]) / (hm * hp * (hm + hp))
-    return float(np.max(np.abs(d2 - np.gradient(br, x, edge_order=2)[1:-1])))
 
 
 def Hi_by_hand(spec, rho, x):
@@ -372,16 +349,12 @@ def field_cases():
 def test_residual_and_Hi_are_bitwise_the_formulas_by_hand(spec, rho, n):
     grid = kb.Grid.from_domain(spec.domain, n)
     for kind, dens in densities(rho, grid).items():
-        analytic = isinstance(dens, EquilibriumDensity)
-        if analytic and dens.rho_fn is None and _derivative_of(spec.a) is None:
-            with pytest.raises(InsufficientSmoothness):  # nothing to difference
-                residual_invariant(spec, dens, grid)
+        if isinstance(dens, EquilibriumDensity) and dens.gibbs is None:
+            with pytest.raises(MissingGibbsForm):  # neither H nor samples
+                compute_Hi(spec, dens, grid)
             continue
-        got = residual_invariant(spec, dens, grid)
-        assert got == residual_by_hand(spec, dens, grid.x), kind
-        if not analytic or dens.gibbs is not None:
-            Hi = compute_Hi(spec, dens, grid)
-            assert Hi.tobytes() == Hi_by_hand(spec, dens, grid.x).tobytes(), kind
+        Hi = compute_Hi(spec, dens, grid)
+        assert Hi.tobytes() == Hi_by_hand(spec, dens, grid.x).tobytes(), kind
 
 
 @pytest.mark.parametrize("kind", ["analytic", "gibbs"])
@@ -390,7 +363,7 @@ def test_residual_of_pure_diffusion_is_zero(kind):
     spec, rho = catalog_example("pure-diffusion")
     grid = kb.Grid.from_domain(spec.domain, 21)
     dens = rho if kind == "analytic" else EquilibriumDensity(gibbs=rho.gibbs)
-    assert residual_invariant(spec, dens, grid=grid) == 0.0
+    assert np.array_equal(compute_Hi(spec, dens, grid), np.zeros(grid.size))
 
 
 def test_sympy_oracle_confirms_stationarity():

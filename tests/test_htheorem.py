@@ -25,7 +25,6 @@ from kinbench.generator import (
     DomainSpec,
     GeneratorSpec,
     compute_Hi,
-    residual_invariant,
 )
 from kinbench.htheorem import (
     HFunctional,
@@ -650,8 +649,7 @@ def test_density_samples_are_one_finite_number_per_node():
     spec, _ = kb.catalog_example("ornstein-uhlenbeck")
     grid = Grid.from_domain(spec.domain, 21)
     phi, h = np.ones(21), HFunctional.from_name("square")
-    calls = [lambda rho: residual_invariant(spec, rho, grid),
-             lambda rho: compute_Hi(spec, rho, grid),
+    calls = [lambda rho: compute_Hi(spec, rho, grid),
              lambda rho: boundary_term(spec, rho, phi, h, grid=grid),
              lambda rho: dissipation_rate(spec, rho, phi, h, grid=grid)]
     nonfinite = np.ones(21)

@@ -57,6 +57,16 @@ def test_nan_diffusion_stops_the_simulation():
         simulate(spec, point_source(-0.5), 100, 1e-2, 0.1, seed=1)
 
 
+@pytest.mark.parametrize("bc", ["no-flux", "absorbing"])
+def test_nonfinite_drift_is_named_at_the_snapshot(bc):
+    # ln(x) sends the particles that cross 0 to NaN; neither wall rule moves them back
+    spec = GeneratorSpec(1, CE("1"), np.log, DomainSpec("box", ((-1.0, 1.0),), bc))
+    with np.errstate(invalid="ignore"), pytest.raises(
+            ParameterOutOfRange, match=r"^b is not finite along the paths: \d+ of 100 "
+                                       r"positions are not finite at t = 0\.5$"):
+        simulate(spec, point_source(0.5), 100, 1e-2, 0.5, seed=0)
+
+
 def test_ou_stationary_moments():
     spec, _ = kb.catalog_example("ornstein-uhlenbeck")
     n = 20_000
