@@ -47,14 +47,12 @@ from .pawula import (
     cube_test,
     maximum_principle_check,
     pawula_counterexample,
-    scan_certificate,
     second_order_sign_check,
 )
 from .semigroup import (
     EvolutionResult,
     TransitionKernel,
     chapman_kolmogorov_defect,
-    evolve_density,
     evolve_observable,
     evolve_series,
     generator_at_max,

@@ -201,10 +201,16 @@ def _rates(values):
 
 
 def _h_functionals(entries):
+    """One HFunctional per entry, each of its own kind: a curve and its CSV are
+    named by the kind, so a repeated kind would hide all but its last entry."""
     if not entries:
         raise ValueError("at least one H functional is needed")
-    return [HFunctional.from_name(e) if isinstance(e, str)
-            else HFunctional.from_name(e["kind"], e.get("value_at_zero")) for e in entries]
+    hs = [HFunctional.from_name(e) if isinstance(e, str)
+          else HFunctional.from_name(e["kind"], e.get("value_at_zero")) for e in entries]
+    kinds = [h.kind for h in hs]
+    if len(set(kinds)) < len(kinds):
+        raise ValueError(f"each kind may appear once, got {', '.join(kinds)}")
+    return hs
 
 
 def _operator(terms):
@@ -278,7 +284,8 @@ def _scenario(args):
 def _check_equilibrium(spec, rho, grid):
     """NotAnEquilibrium unless H_i = 2(beta a H' - a' + b), -2 times rho's
     probability current over rho, is zero on the nodes to EQUILIBRIUM_TOL
-    times max|2(a' - b)|; a NaN fails."""
+    times max|2(a' - b)|; a NaN fails, and so does an infinite H_i or scale,
+    whose threshold would be infinite too."""
     Hi = np.abs(compute_Hi(spec, rho, grid))
     (_, da), (b,) = _on_nodes(spec.a, grid.x, 1), _on_nodes(spec.b, grid.x)
     scale = float(np.max(np.abs(2 * (da - b))))
@@ -286,11 +293,13 @@ def _check_equilibrium(spec, rho, grid):
     value, threshold = float(Hi[worst]), EQUILIBRIUM_TOL * scale
     _log.debug("equilibrium: max|H_i| = %.3g, %.3g of max|2(a' - b)| = %.3g",
                value, value / scale if scale else np.nan, scale)
-    if not value <= threshold:
-        raise NotAnEquilibrium(
-            f"the declared equilibrium has max|H_i| = {value:.3g} at x = {grid.x[worst]:g}, "
-            f"above {threshold:.3g} (EQUILIBRIUM_TOL times max|2(a' - b)| = {scale:.3g}): "
-            f"it carries a probability current")
+    if not value <= threshold < np.inf:
+        # a' or b not finite at a node leaves H_i not finite there too
+        why = (f"above {threshold:.3g} (EQUILIBRIUM_TOL times max|2(a' - b)| = {scale:.3g}): "
+               "it carries a probability current" if threshold < np.inf else
+               f"and max|2(a' - b)| = {scale:.3g}: the check needs both finite")
+        raise NotAnEquilibrium(f"the declared equilibrium has max|H_i| = {value:.3g} "
+                               f"at x = {grid.x[worst]:g}, {why}")
 
 
 def _initial_measure(sc, pi=None):

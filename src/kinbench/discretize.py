@@ -158,10 +158,6 @@ class DiscreteGenerator:
         if not rep.max_abs_rowsum <= ROWSUM_TOL:
             raise ShapeError(f"row sums deviate from zero by {rep.max_abs_rowsum:g}")
 
-    @classmethod
-    def from_matrix(cls, Q, grid=None, scheme="raw"):
-        return cls(Q, grid, scheme)
-
     @property
     def size(self):
         return self.Q.shape[0]

@@ -13,12 +13,11 @@ where ``_derivative_of`` finds a partial (compiled expressions, 1-D
 polynomials), as it always does for ``pawula.apply_operator``:
 
 - at a point, in every dimension, ``_grad_hess`` (the gradient and Hessian
-  of ``apply_generator``, ``apply_formal_adjoint`` and ``pawula.cube_test``
-  on a generator): any other callable, a and b read through the sampler,
-  gets 4th-order central differences at h = 1e-3 max(1, max|x_i|) along
-  each axis and each sum of two axes, both derivatives of a line from one
-  set of five reads, and InsufficientSmoothness when the stencil leaves
-  the domain;
+  of ``apply_generator`` and ``apply_formal_adjoint``): any other
+  callable, a and b read through the sampler, gets 4th-order central
+  differences at h = 1e-3 max(1, max|x_i|) along each axis and each sum
+  of two axes, both derivatives of a line from one set of five reads, and
+  InsufficientSmoothness when the stencil leaves the domain;
 - on the 1-D grid nodes, every first derivative of a node field, any other
   callable's in ``_on_nodes(f, x, m)`` and the wall flux's included, is
   ``np.gradient(..., edge_order=2)`` (second order at the walls).

@@ -14,9 +14,9 @@ A truncated operator differentiates its test function exactly, one
 partial per unit of each multi-index through ``generator._derivative_of``,
 in every dimension: every witness is a polynomial, so a test function
 without exact partials (neither a 1-D numpy polynomial nor a compiled
-expression) raises InsufficientSmoothness.  A generator takes the point
-rule of :mod:`kinbench.generator` (``_grad_hess``): exact for polynomials
-and compiled expressions, finite differences for other callables.
+expression) raises InsufficientSmoothness.  The checks judge truncated
+operators only: a ``GeneratorSpec`` is second order by construction, and
+``GeneratorSpec.check_admissible`` judges its diffusion.
 """
 
 from __future__ import annotations
@@ -36,8 +36,7 @@ from .errors import (
     ShapeError,
 )
 from .expressions import CompiledExpression
-from .generator import (EIG_FLOOR, _as_point, _derivative_of, _grad_hess, _interior_point,
-                        _require_finite, _scalar)
+from .generator import EIG_FLOOR, _as_point, _derivative_of, _require_finite, _scalar
 
 DEFAULT_EPSILON = 0.1
 OFFDIAG_TOL = 1e-12
@@ -257,63 +256,45 @@ def _validity_radius(epsilon, amplitude, multi):
     return (epsilon / (abs(amplitude) * peak)) ** (1.0 / (k - 2))
 
 
-def scan_certificate(op, points, epsilon=DEFAULT_EPSILON):
-    """First certificate over a point scan, or None when every point refuses.
-
-    Deterministic merge: the lowest-index witness wins.
-    """
-    if op.order <= 2:
-        raise OrderTooLow(f"order {op.order} operator; nothing to violate")
-    for x0 in np.reshape(points, (-1, op.dimension)):
-        try:
-            return pawula_counterexample(op, x0, epsilon)
-        except NoViolationAtPoint:
-            continue
-    return None
+def _truncated(op):
+    """PreconditionViolated unless op is a TruncatedOperator."""
+    if not isinstance(op, TruncatedOperator):
+        raise PreconditionViolated(
+            f"{type(op).__name__} is not a TruncatedOperator (a GeneratorSpec's "
+            "diffusion is judged by its check_admissible)")
 
 
 def second_order_sign_check(op, points):
-    """Nonnegativity of the second-order coefficient over sample points.
+    """Nonnegativity of the pure second-order coefficients over sample points.
 
-    A TruncatedOperator is judged by its pure second-order coefficients,
-    a GeneratorSpec by the eigenvalues of its diffusion matrices, taken in
-    one batch.  A non-finite coefficient raises ParameterOutOfRange naming
-    the first point that has it.  Returns (passed, worst_value); no points
-    give (True, inf).
+    A non-finite coefficient raises ParameterOutOfRange naming the first
+    point that has it.  Returns (passed, worst_value); no points give
+    (True, inf).
     """
-    if not isinstance(op, TruncatedOperator):
-        values = np.linalg.eigvalsh(op.diffusion(points))
-    elif op.order > 2:
+    _truncated(op)
+    if op.order > 2:
         raise PreconditionViolated("sign check applies to operators of order <= 2")
-    else:
-        pts = np.reshape(np.asarray(points, dtype=float), (-1, op.dimension))
-        values = np.array([_pure_second_order(op, _as_point(p, op.dimension)) for p in pts],
-                          dtype=float).reshape(pts.shape)
-        _require_finite("second-order coefficient", values, pts)
+    pts = np.reshape(np.asarray(points, dtype=float), (-1, op.dimension))
+    values = np.array([_pure_second_order(op, _as_point(p, op.dimension)) for p in pts],
+                      dtype=float).reshape(pts.shape)
+    _require_finite("second-order coefficient", values, pts)
     worst = float(values.min(initial=np.inf))
     return worst >= EIG_FLOOR, worst
 
 
 def cube_test(op, A, x0):
-    """Value of the operator on A^3 at a zero of A.
+    """Value of the truncated operator on A^3 at a zero x0 of A.
 
-    Pure second-order generators return 0 (within rounding) for every
-    admissible A; a nonzero value flags higher-order structure.  On a
-    generator of any dimension, A's partials come from ``generator._grad_hess``;
-    a truncated operator takes A^3 exactly, as a polynomial or an expression.
+    A^3 is taken exactly, as a polynomial or an expression, and the operator
+    applied to it: a second-order operator gives 0 (within rounding) for
+    every A, and a nonzero value flags higher-order structure.
     """
-    generator = not isinstance(op, TruncatedOperator)
-    x0 = _interior_point(op, x0) if generator else _as_point(x0, op.dimension)
-    if not generator:
-        _exact_partial(A, 0, op.dimension)  # refuse A before calling it
+    _truncated(op)
+    x0 = _as_point(x0, op.dimension)
+    _exact_partial(A, 0, op.dimension)  # refuse A before calling it
     A0 = float(_scalar(A, x0))
     if abs(A0) > 1e-12:
         raise PreconditionViolated(f"A(x0) = {A0:g} is not zero")
-    if generator:
-        grad, hess = _grad_hess(A, x0, op.domain)
-        d1_cube = 3 * A0**2 * grad
-        d2_cube = 6 * A0 * np.outer(grad, grad) + 3 * A0**2 * hess
-        return float(np.sum(op.diffusion(x0)[0] * d2_cube) + np.dot(op.drift(x0)[0], d1_cube))
     # _exact_partial let only an expression or a 1-D polynomial through
     if isinstance(A, CompiledExpression):
         return apply_operator(op, CompiledExpression(("^", A.node, ("num", 3.0)), A.dimension), x0)

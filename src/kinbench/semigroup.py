@@ -44,12 +44,12 @@ One cost rule picks between the two for vector evolution, once per step
 length.  ``evolve_series`` groups the steps of its schedule up front,
 merging steps that differ only by the schedule's rounding (within 4 ulps
 of its last time), and counts the steps of each group; a one-shot
-``evolve_observable`` / ``evolve_density`` call is one
-step.  Per series term, the dense kernel is charged n*(nnz + n) element
-updates: its series on the identity, with the squarings left out so that
-the rule leans toward dense.  Since the identity series is band-limited,
-that estimate overstates it; the rule is kept as it is because the routes
-of the shipped workloads, and so their artifact bytes, depend on it.  The
+``evolve_observable`` call is one step.  Per series term, the dense
+kernel is charged n*(nnz + n) element updates: its series on the
+identity, with the squarings left out so that the rule leans toward
+dense.  Since the identity series is band-limited, that estimate
+overstates it; the rule is kept as it is because the routes of the
+shipped workloads, and so their artifact bytes, depend on it.  The
 vector series costs steps*2^splits*(nnz + C), where C (``_MATVEC_COST``)
 is the fixed cost of one sparse matvec plus two vector updates.  A step
 length goes dense iff n <= 2048 and n*(nnz + n) <= steps*2^splits*(nnz + C).
@@ -492,15 +492,6 @@ def evolve_observable(Q, f0, t, tol=1e-9):
     f0 = _chain_vector(qm, f0)
     _require(f0, np.isfinite(f0), "observable must be finite")
     return _step_operator(qm, t, tol, False, 1)(f0)
-
-
-def evolve_density(Q, nu0, t, tol=1e-9):
-    """Density-side evolution e^{Q^T t} nu0; conserves the total mass sum(nu)."""
-    _check_times(t)
-    _check_tol(tol)
-    qm = _as_qmatrix(Q)
-    nu0 = _density(qm, nu0)
-    return _step_operator(qm, t, tol, True, 1)(nu0)
 
 
 @dataclass

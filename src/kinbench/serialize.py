@@ -100,10 +100,11 @@ def spec_from_dict(d):
         g = d["gibbs"]
         beta = float(g["beta"])
         H = coefficient_from_json(g["H"], dim)
-        if isinstance(H, CompiledExpression):
-            rho_fn = CompiledExpression(f"exp(-({beta!r})*({H.text}))", dim)
-        else:
-            rho_fn = lambda x: np.exp(-beta * H(x))  # noqa: E731
+        if not isinstance(H, CompiledExpression):
+            # a table's H' is np.gradient on the nodes, whose error alone
+            # fails the equilibrium check unless the table is quadratic there
+            raise ScenarioError("gibbs.H must be an expression or a number, not a table")
+        rho_fn = CompiledExpression(f"exp(-({beta!r})*({H.text}))", dim)
         rho = EquilibriumDensity(rho_fn=rho_fn, gibbs=(beta, H))
     return spec, rho
 

@@ -21,7 +21,7 @@ settings.load_profile("kinbench")
 
 @pytest.fixture
 def two_state():
-    return kb.DiscreteGenerator.from_matrix([[-1.0, 1.0], [1.0, -1.0]])
+    return kb.DiscreteGenerator([[-1.0, 1.0], [1.0, -1.0]])
 
 
 class Setup:

@@ -90,7 +90,7 @@ def test_criterion_2_h_theorem(a2a):
 
 
 def test_criterion_3_two_state_closed_form():
-    Q = DiscreteGenerator.from_matrix([[-1.0, 1.0], [1.0, -1.0]])
+    Q = DiscreteGenerator([[-1.0, 1.0], [1.0, -1.0]])
     h = HFunctional.from_name("square")
     times = [0.0, 0.5, 1.0]
     curve = h_curve(Q, np.array([1.0, 0.0]), h, times, tol=1e-12)

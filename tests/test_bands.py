@@ -1,8 +1,8 @@
 """``BandMatrix`` against the scipy objects a Q-matrix used to be.
 
 ``build_qmatrix`` used to assemble COO triplets of the positive neighbour
-rates and the whole diagonal and convert them to CSR; ``from_matrix`` used
-``csr_matrix`` of the dense input.  On every 1-D catalog chain (both
+rates and the whole diagonal and convert them to CSR; ``DiscreteGenerator``
+used ``csr_matrix`` of the dense input.  On every 1-D catalog chain (both
 schemes, both walls), the chain-2d benchmark chain, ``scenarios/
 absorbing.json`` and a dense chain, the bands give those CSR arrays (as
 ``conftest.band_csr`` builds them from ``entries()``), nnz, products, row
@@ -168,7 +168,7 @@ def test_absorbing_scenario_stores_its_zero_diagonal():
 
 def test_dense_chain_bands_are_bitwise_the_csr():
     dense = _dense_chain()
-    qm = DiscreteGenerator.from_matrix(dense)
+    qm = DiscreteGenerator(dense)
     assert qm.Q.offsets.size <= 2 * qm.size - 1
     assert qm.Q.diagonal()[3] == 0.0
     _assert_bitwise(qm, sp.csr_matrix(dense))

@@ -147,8 +147,10 @@ def test_inline_gibbs_truncated_mass_is_null(tmp_path):
 
 
 # declared equilibria that carry a probability current: OU with twice its H
-# (H_i = 2x, as large as the drift), and a linear density under pure
-# diffusion, whose constant current the residual (a rho)'' - (b rho)' misses
+# (H_i = 2x, as large as the drift), a linear density under pure
+# diffusion, whose constant current the residual (a rho)'' - (b rho)' misses,
+# and a = x^0.5, whose a'(0) = inf makes H_i, its scale and so the threshold
+# all inf at x = 0
 NOT_EQUILIBRIA = {
     "ou-wrong-H": {"dimension": 1, "a": "1", "b": "-x",
                    "domain": {"kind": "full-line", "bounds": [[-8.0, 8.0]]},
@@ -156,6 +158,9 @@ NOT_EQUILIBRIA = {
     "constant-flux": {"dimension": 1, "a": "1", "b": "0",
                       "domain": {"kind": "box", "bounds": [[-1.0, 1.0]]},
                       "gibbs": {"H": "-ln(x + 2)", "beta": 1}},
+    "infinite-scale": {"dimension": 1, "a": "x^0.5", "b": "-x",
+                       "domain": {"kind": "box", "bounds": [[0.0, 1.0]]},
+                       "gibbs": {"H": "x^3", "beta": 1}},
 }
 
 
@@ -337,6 +342,9 @@ MALFORMED_SCENARIO_FIELDS = {
                            "h_functionals"),
     # no functional would leave hcurve with nothing to write and run with no H check
     "h_functionals.empty": ("h_functionals", [], "h_functionals"),
+    # a curve is named by its kind, so the second entry would hide the first's
+    "h_functionals.repeated": ("h_functionals", [{"kind": "square-dev", "value_at_zero": 0},
+                                                 "square-dev"], "h_functionals"),
     "generator": ("generator", "appendix2a", "generator"),
     "list": (None, "top-level list", "JSON object"),
     "directory": (None, "directory", "cannot read"),
@@ -408,6 +416,11 @@ MALFORMED_SCENARIO_FIELDS = {
     "generator.table": ("generator", {"dimension": 1, "a": {"points": [1, 0], "values": [1, 1]},
                                       "b": "0", "domain": {"kind": "box", "bounds": [[-1, 1]]}},
                         "generator"),
+    # np.gradient of a table H fails the equilibrium check by its error alone
+    "generator.gibbs.table": ("generator", {**NOT_EQUILIBRIA["ou-wrong-H"], "gibbs": {
+        "beta": 1, "H": {"points": np.linspace(-8.0, 8.0, 161).tolist(),
+                         "values": (np.linspace(-8.0, 8.0, 161) ** 2 / 2).tolist()}}},
+                              "generator"),
     "tol.range": ("tol", 1e-3, "tol"),
     # a step and a window are positive; moment particles start inside the domain
     "oracle.dt.zero": ("oracle", {"dt": 0}, "oracle.dt"),
@@ -829,10 +842,9 @@ def test_table_coefficient_run_writes_its_document(tmp_path):
 
 
 def test_table_coefficient_document_roundtrip():
-    doc = {**TABLE_GENERATOR, "gibbs": {"beta": 2.0, "H": {"points": [-1, 1], "values": [0, 3]}}}
+    doc = {**TABLE_GENERATOR, "gibbs": {"beta": 2.0, "H": "1.5*x^2"}}
     spec, rho = spec_from_dict(doc)
-    assert spec_to_dict(spec, rho) == {**doc, "gibbs": {"beta": 2.0, "H": {
-        "points": [-1.0, 1.0], "values": [0.0, 3.0]}}}
+    assert spec_to_dict(spec, rho) == doc
     spec2, rho2 = spec_from_dict(spec_to_dict(spec, rho))
     xs = np.linspace(-1.0, 1.0, 37)
     assert np.array_equal(spec2.a(xs), spec.a(xs))

@@ -298,7 +298,7 @@ def test_grid_validation():
     with pytest.raises(DomainError):
         DomainSpec("box", ((0.0, np.inf),))   # Grid.from_domain would give NaN nodes
     with pytest.raises(ShapeError):
-        DiscreteGenerator.from_matrix(np.zeros((2, 3)))
+        DiscreteGenerator(np.zeros((2, 3)))
 
 
 def _csr_with_duplicates(dense):
@@ -357,7 +357,7 @@ def test_non_finite_entries_are_named_before_the_report(dense, named, monkeypatc
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ParameterOutOfRange, match=f"^{re.escape(named)} is not finite$"):
-            DiscreteGenerator.from_matrix(dense)
+            DiscreteGenerator(dense)
     assert reports == []
 
 
@@ -365,7 +365,7 @@ def test_non_finite_entries_are_named_before_the_report(dense, named, monkeypatc
 def test_non_2d_input_reports_its_own_shape(Q):
     shape = np.shape(Q)
     with pytest.raises(ShapeError, match=f"^expected a square matrix, got shape {re.escape(str(shape))}$"):
-        DiscreteGenerator.from_matrix(Q)
+        DiscreteGenerator(Q)
 
 
 @pytest.mark.parametrize("empty", [np.zeros((0, 0)), sp.csr_matrix((0, 0))], ids=["dense", "csr"])
@@ -385,7 +385,7 @@ def test_trapezoid_weights_sum_to_length():
 
 
 def test_adjoint_is_transpose():
-    Q = DiscreteGenerator.from_matrix([[-1.0, 1.0], [0.0, 0.0]])
+    Q = DiscreteGenerator([[-1.0, 1.0], [0.0, 0.0]])
     Qt = toarray(Q.Q.T)
     assert np.array_equal(Qt, [[-1.0, 0.0], [1.0, 0.0]])
 

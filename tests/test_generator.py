@@ -13,6 +13,7 @@ from kinbench.errors import (
     MissingGibbsForm,
     NonEllipticCoefficient,
     ParameterOutOfRange,
+    PreconditionViolated,
     ShapeError,
     UnknownExample,
 )
@@ -28,7 +29,7 @@ from kinbench.generator import (
     catalog_example,
     compute_Hi,
 )
-from kinbench.pawula import cube_test
+from kinbench.pawula import cube_test, second_order_sign_check
 
 
 def line_spec(a_text, b_text, lo=-10.0, hi=10.0, kind="full-line"):
@@ -174,14 +175,27 @@ def test_point_rule_reads_each_stencil_line_once():
 
 @pytest.mark.parametrize("call", [
     lambda spec: apply_generator(spec, Polynomial([0.0, 0.0, 1.0]), (0.3, 0.4)),
-    lambda spec: cube_test(spec, Polynomial([0.0, 1.0]), (0.0, 0.4)),
     lambda spec: apply_generator(spec, lambda p: np.array([p[0], p[1]]), (0.3, 0.4)),
-], ids=["polynomial", "cube-test-polynomial", "vector-callable"])
+], ids=["polynomial", "vector-callable"])
 def test_a_test_function_must_map_a_point_to_one_number(call):
     # a numpy polynomial maps the point vector to one value per coordinate
     spec = GeneratorSpec(2, lambda p: np.eye(2), lambda p: np.array([1.0, 2.0]),
                          DomainSpec("box", ((-1.0, 1.0), (-1.0, 1.0))))
     with pytest.raises(ShapeError, match="test function must map a point to one number"):
+        call(spec)
+
+
+@pytest.mark.parametrize("call", [
+    lambda spec: cube_test(spec, Polynomial([0.0, 1.0]), (0.0, 0.4)),
+    lambda spec: second_order_sign_check(spec, [(0.0, 0.4)]),
+], ids=["cube-test", "sign-check"])
+def test_the_pawula_checks_refuse_a_generator(call):
+    # they judge truncated operators; check_admissible judges a generator's a
+    spec = GeneratorSpec(2, lambda p: np.eye(2), lambda p: np.array([1.0, 2.0]),
+                         DomainSpec("box", ((-1.0, 1.0), (-1.0, 1.0))))
+    with pytest.raises(PreconditionViolated,
+                       match=r"^GeneratorSpec is not a TruncatedOperator \(a GeneratorSpec's "
+                             r"diffusion is judged by its check_admissible\)$"):
         call(spec)
 
 
@@ -567,15 +581,12 @@ def test_nan_1d_diffusion_fails_the_admissibility_check():
         spec.check_admissible(np.linspace(-1, 1, 11))
 
 
-def test_nan_2d_diffusion_fails_the_admissibility_and_sign_checks():
+def test_nan_2d_diffusion_fails_the_admissibility_check():
     # eigvalsh gives [0, -0] for diag(nan, 1), which would pass the floor
     spec = box_spec(lambda p: np.diag([np.nan, 1.0]))
-    pts = np.array([[0.0, 0.5]])
-    match = r"^a = nan at point 0 \(x = \[0.0, 0.5\]\) is not finite$"
-    with pytest.raises(ParameterOutOfRange, match=match):
-        spec.check_admissible(pts)
-    with pytest.raises(ParameterOutOfRange, match=match):
-        kb.second_order_sign_check(spec, pts)
+    with pytest.raises(ParameterOutOfRange,
+                       match=r"^a = nan at point 0 \(x = \[0.0, 0.5\]\) is not finite$"):
+        spec.check_admissible(np.array([[0.0, 0.5]]))
 
 
 def test_admissibility_names_the_first_point_below_the_floor():

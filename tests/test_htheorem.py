@@ -37,7 +37,7 @@ from kinbench.htheorem import (
     solve_invariant,
 )
 from kinbench.pawula import maximum_principle_check
-from kinbench.semigroup import evolve_density
+from kinbench.semigroup import evolve_series
 
 from conftest import assert_matches_dense_gth, gaussian_measure, toarray
 
@@ -119,7 +119,7 @@ def test_appendix2a_invariant_close_to_analytic(a2a401):
 
 
 def test_block_diagonal_chain_not_unique():
-    Q = DiscreteGenerator.from_matrix([
+    Q = DiscreteGenerator([
         [-1.0, 1.0, 0.0, 0.0],
         [1.0, -1.0, 0.0, 0.0],
         [0.0, 0.0, -2.0, 2.0],
@@ -151,7 +151,7 @@ def _dense_chain(rng, m):
 
 def test_gth_matches_nullspace_on_random_chain():
     Q = _dense_chain(np.random.default_rng(11), 9)
-    sol = solve_invariant(DiscreteGenerator.from_matrix(Q))
+    sol = solve_invariant(DiscreteGenerator(Q))
     w, v = np.linalg.eig(Q.T)
     k = np.argmin(np.abs(w))
     ref = np.real(v[:, k])
@@ -282,7 +282,7 @@ def _gth_log(caplog):
 
 @pytest.mark.parametrize("chain", ["dense-9", "steep-rotational-25"])
 def test_banded_elimination_matches_dense_gth(chain, caplog):
-    Q = (DiscreteGenerator.from_matrix(_dense_chain(np.random.default_rng(11), 9))
+    Q = (DiscreteGenerator(_dense_chain(np.random.default_rng(11), 9))
          if chain == "dense-9" else _steep_rotational_chain())
     caplog.set_level(logging.DEBUG, logger="kinbench.htheorem")
     sol = solve_invariant(Q)
@@ -304,7 +304,7 @@ def test_reducible_chain_solves_each_closed_class_alone(caplog):
         Q[np.ix_(nodes, nodes)] = _dense_chain(rng, size)
         classes.append(nodes)
     caplog.set_level(logging.DEBUG, logger="kinbench.htheorem")
-    sol = solve_invariant(DiscreteGenerator.from_matrix(Q))
+    sol = solve_invariant(DiscreteGenerator(Q))
     assert not sol.unique and len(sol.basis) == 5
     assert sorted(n for n, *_ in _gth_log(caplog)) == [1, 2, 3, 4, 5]
     found = {int(np.flatnonzero(v)[0]): v for v in sol.basis}
@@ -570,9 +570,7 @@ def test_dissipation_sign_and_converse(ou400):
 def test_boundary_term_suppressed_by_decaying_density(a2a401):
     sol = solve_invariant(a2a401.Q)
     nu0 = gaussian_measure(a2a401.x, 2.0, 1.0)
-    nut = evolve_density(a2a401.Q, nu0, 1.0, tol=1e-12)
-    vals = nut.values if hasattr(nut, "values") else nut
-    phi = vals / sol.pi
+    phi = evolve_series(a2a401.Q, nu0, [1.0], tol=1e-12).fields[0] / sol.pi
     h = HFunctional.from_name("square")
     assert boundary_term(a2a401.spec, a2a401.rho, phi, h, grid=a2a401.grid) <= 1e-4
 

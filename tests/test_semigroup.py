@@ -27,7 +27,6 @@ from kinbench.generator import CATALOG_NAMES, DomainSpec, GeneratorSpec, catalog
 import kinbench.semigroup as sg
 from kinbench.semigroup import (
     chapman_kolmogorov_defect,
-    evolve_density,
     evolve_observable,
     evolve_series,
     generator_at_max,
@@ -79,7 +78,6 @@ def test_negative_nan_and_infinite_times_rejected(two_state, monkeypatch, t):
     v = np.array([1.0, 0.0])
     for call in (lambda: transition_kernel(two_state, t),
                  lambda: evolve_observable(two_state, v, t),
-                 lambda: evolve_density(two_state, v, t),
                  lambda: evolve_series(two_state, v, [0.0, t]),
                  lambda: chapman_kolmogorov_defect(two_state, 0.3, t),
                  lambda: chapman_kolmogorov_defect(two_state, t, 0.3),
@@ -92,7 +90,7 @@ def test_negative_nan_and_infinite_times_rejected(two_state, monkeypatch, t):
 
 def test_horizon_overflowing_the_poisson_mean_is_a_budget_error():
     # lambda*t overflows to inf although t is finite
-    fast = DiscreteGenerator.from_matrix([[-10.0, 10.0], [10.0, -10.0]])
+    fast = DiscreteGenerator([[-10.0, 10.0], [10.0, -10.0]])
     with pytest.raises(TruncationBudgetExceeded):
         transition_kernel(fast, 1e308)
 
@@ -122,14 +120,13 @@ def test_density_mass_conservation_from_delta(a2a201):
     nu0 = np.zeros(a2a201.grid.size)
     nu0[np.argmin(np.abs(a2a201.x))] = 1.0
     for t in [0.01, 0.5, 5.0]:
-        nut = evolve_density(a2a201.Q, nu0, t, tol=1e-9)
-        vals = nut.values if hasattr(nut, "values") else nut
+        vals = evolve_series(a2a201.Q, nu0, [t], tol=1e-9).fields[0]
         assert vals.sum() == pytest.approx(1.0, abs=1e-9)
         assert vals.min() >= 0.0
 
 
 def test_two_state_density_limit(two_state):
-    nu = evolve_density(two_state, np.array([1.0, 0.0]), 50.0, tol=1e-10)
+    nu = evolve_series(two_state, np.array([1.0, 0.0]), [50.0], tol=1e-10).fields[0]
     assert np.allclose(nu, [0.5, 0.5], atol=1e-10)
 
 
@@ -222,7 +219,7 @@ def test_one_shot_density_agrees_across_routes(a2a201, monkeypatch):
         with monkeypatch.context() as m:
             m.setattr(sg, *patch)
             before = len(calls)
-            out[route] = evolve_density(a2a201.Q, nu0, 1.0, tol=1e-12)
+            out[route] = evolve_series(a2a201.Q, nu0, [1.0], tol=1e-12).fields[0]
             assert len(calls) - before == (route == "dense")
     assert np.abs(out["dense"] - out["series"]).sum() <= 1e-12
 
@@ -290,20 +287,20 @@ def test_steps_equal_up_to_rounding_share_one_operator(caplog):
 
 def test_tiny_steps_of_different_length_are_not_merged():
     rate = 1e14
-    Q = DiscreteGenerator.from_matrix([[-rate, rate], [rate, -rate]])
+    Q = DiscreteGenerator([[-rate, rate], [rate, -rate]])
     times = [0.0, 1e-16, 3e-16]
     res = evolve_series(Q, np.array([1.0, 0.0]), times, tol=1e-12)
     for t, field in zip(times, res.fields):
         assert field[0] == pytest.approx(0.5 * (1 + np.exp(-2 * rate * t)), abs=1e-12)
-    assert res.fields[2][0] == pytest.approx(evolve_density(Q, [1.0, 0.0], 3e-16)[0], abs=1e-12)
+    one_shot = evolve_series(Q, [1.0, 0.0], [3e-16]).fields[0]
+    assert res.fields[2][0] == pytest.approx(one_shot[0], abs=1e-12)
 
 
 def test_wrong_length_vector_is_rejected_before_any_step(two_state):
     with pytest.raises(ShapeError):
         evolve_series(two_state, [1.0, 0.0, 0.0], [0.0])
-    for evolve in [evolve_observable, evolve_density]:
-        with pytest.raises(ShapeError):
-            evolve(two_state, [1.0, 0.0, 0.0], 0.0)
+    with pytest.raises(ShapeError):
+        evolve_observable(two_state, [1.0, 0.0, 0.0], 0.0)
 
 
 def test_evolve_series_fields_is_one_array(a2a201):
@@ -319,7 +316,7 @@ def test_evolve_series_fields_is_one_array(a2a201):
 # ---------------------------------------------------------------------------
 
 def test_zero_generator_kernel_is_identity():
-    Q = DiscreteGenerator.from_matrix(np.zeros((4, 4)))
+    Q = DiscreteGenerator(np.zeros((4, 4)))
     for t in [0.0, 1.0, 7.0]:
         K = transition_kernel(Q, t, tol=1e-10)
         assert np.array_equal(K.P, np.eye(4))
@@ -548,7 +545,7 @@ def test_identity_series_is_bitwise_the_dense_series_off_1d_catalog():
     _assert_identity_series_is_dense_series(_absorbing_chain(301), [0.3], 1)
     _assert_identity_series_is_dense_series(_absorbing_chain(301), [0.7, 0.3, 0.01], 1)
     # an unstructured chain: b = n - 1, so every power spans all 2n - 1 diagonals
-    dense = DiscreteGenerator.from_matrix(_random_chain(np.random.default_rng(0), 150))
+    dense = DiscreteGenerator(_random_chain(np.random.default_rng(0), 150))
     _assert_identity_series_is_dense_series(dense, [0.3], 149)
 
 
@@ -710,7 +707,7 @@ def test_kernel_build_is_logged_with_its_row_sum_defect(a2a201, caplog):
 # ---------------------------------------------------------------------------
 
 def test_resolvent_zero_generator_equality_case():
-    Q = DiscreteGenerator.from_matrix(np.zeros((3, 3)))
+    Q = DiscreteGenerator(np.zeros((3, 3)))
     g = np.array([1.0, -2.0, 0.5])
     f = resolvent(Q, 2.0, g)
     assert np.allclose(f, g / 2.0, rtol=1e-14)
@@ -741,7 +738,7 @@ def test_resolvent_rejects_a_nonfinite_parameter(two_state, lam):
 @given(st.integers(0, 2 ** 31 - 1), st.sampled_from([0.1, 1.0, 10.0]))
 def test_resolvent_contraction_bound(seed, lam):
     rng = np.random.default_rng(seed)
-    Q = DiscreteGenerator.from_matrix(_random_chain(rng, 12))
+    Q = DiscreteGenerator(_random_chain(rng, 12))
     g = rng.standard_normal(12)
     f = resolvent(Q, lam, g)
     assert lam * np.abs(f).max() <= np.abs(g).max() * (1 + 1e-12)
@@ -767,8 +764,7 @@ def _resolvent_chains():
     chains.append(("absorbing", build_qmatrix(spec, Grid.from_domain(spec.domain,
                                                                      doc["grid"]["n"]))))
     chains.append(("box9", _box_chain(9)[0]))
-    chains.append(("dense", DiscreteGenerator.from_matrix(
-        _random_chain(np.random.default_rng(5), 30))))
+    chains.append(("dense", DiscreteGenerator(_random_chain(np.random.default_rng(5), 30))))
     return chains
 
 
@@ -827,9 +823,9 @@ def test_resolvent_logs_one_line_per_call(caplog):
 @given(st.integers(0, 2 ** 31 - 1), st.floats(0.0, 3.0))
 def test_positivity_and_contraction(seed, t):
     rng = np.random.default_rng(seed)
-    Q = DiscreteGenerator.from_matrix(_random_chain(rng, 10))
+    Q = DiscreteGenerator(_random_chain(rng, 10))
     nu0 = rng.uniform(0.0, 1.0, size=10)
-    nut = evolve_density(Q, nu0, t, tol=1e-10)
+    nut = evolve_series(Q, nu0, [t], tol=1e-10).fields[0]
     assert nut.min() >= -1e-10 * nu0.max()
     assert nut.sum() == pytest.approx(nu0.sum(), abs=1e-9)
     f0 = rng.standard_normal(10)
@@ -840,15 +836,15 @@ def test_positivity_and_contraction(seed, t):
 @given(st.integers(0, 2 ** 31 - 1))
 def test_dissipativity_at_argmax(seed):
     rng = np.random.default_rng(seed)
-    Q = DiscreteGenerator.from_matrix(_random_chain(rng, 15))
+    Q = DiscreteGenerator(_random_chain(rng, 15))
     f = rng.standard_normal(15)
     assert generator_at_max(Q, f) <= 1e-12
 
 
 def test_argmax_tie_breaks_to_lowest_index():
-    Q = DiscreteGenerator.from_matrix([[-1.0, 1.0, 0.0],
-                                       [1.0, -2.0, 1.0],
-                                       [0.0, 1.0, -1.0]])
+    Q = DiscreteGenerator([[-1.0, 1.0, 0.0],
+                           [1.0, -2.0, 1.0],
+                           [0.0, 1.0, -1.0]])
     f = np.array([1.0, 0.0, 1.0])  # ties at indices 0 and 2
     assert generator_at_max(Q, f) == pytest.approx((Q.Q @ f)[0])
 
@@ -926,9 +922,9 @@ def test_continuity_decreases_to_zero(a2a201):
     (lambda Q: recover_coefficients(Q, 1e-3, tol=0.5), ParameterOutOfRange),
     (lambda Q: resolvent(Q, 1.0, [1.0, 0.0, 0.0]), ShapeError),
     (lambda Q: generator_at_max(Q, [1.0, 0.0, 0.0]), ShapeError),
-    (lambda Q: evolve_density(Q, [np.nan, 1.0], 1.0), ParameterOutOfRange),
-    (lambda Q: evolve_density(Q, [np.inf, 1.0], 1.0), ParameterOutOfRange),
-    (lambda Q: evolve_density(Q, [-1.0, 1.0], 1.0), ParameterOutOfRange),
+    (lambda Q: evolve_series(Q, [np.nan, 1.0], [1.0]), ParameterOutOfRange),
+    (lambda Q: evolve_series(Q, [np.inf, 1.0], [1.0]), ParameterOutOfRange),
+    (lambda Q: evolve_series(Q, [-1.0, 1.0], [1.0]), ParameterOutOfRange),
     (lambda Q: evolve_observable(Q, [1.0, np.nan], 1.0), ParameterOutOfRange),
     (lambda Q: evolve_observable(Q, [1.0, -np.inf], 1.0), ParameterOutOfRange),
     (lambda Q: generator_at_max(Q, [np.nan, 1.0]), ParameterOutOfRange),
@@ -962,15 +958,15 @@ def test_bad_arguments_are_named_errors_before_any_kernel(two_state, monkeypatch
 @pytest.mark.parametrize("call, message", [
     (lambda Q, v: evolve_observable(Q, v, 1.0), "observable must be finite; entry 2 is nan"),
     (lambda Q, v: generator_at_max(Q, v), "f must be finite; entry 2 is nan"),
-    (lambda Q, v: evolve_density(Q, v, 1.0),
+    (lambda Q, v: evolve_series(Q, v, [1.0]),
      "initial density must be finite and nonnegative; entry 2 is nan"),
     (lambda Q, v: resolvent(Q, 1.0, v), "right-hand side must be finite; entry 2 is nan"),
     (lambda Q, v: resolvent(Q, 1.0, np.stack([np.ones(4), v], axis=1)),
      r"right-hand side must be finite; entry \(2, 1\) is nan"),
 ], ids=["observable", "generator-at-max", "density", "resolvent", "resolvent-block"])
 def test_a_nonfinite_vector_names_its_first_bad_entry(call, message):
-    Q = DiscreteGenerator.from_matrix(np.array([[-1.0, 1.0, 0.0, 0.0], [1.0, -2.0, 1.0, 0.0],
-                                                [0.0, 1.0, -2.0, 1.0], [0.0, 0.0, 1.0, -1.0]]))
+    Q = DiscreteGenerator(np.array([[-1.0, 1.0, 0.0, 0.0], [1.0, -2.0, 1.0, 0.0],
+                                    [0.0, 1.0, -2.0, 1.0], [0.0, 0.0, 1.0, -1.0]]))
     with pytest.raises(ParameterOutOfRange, match=message):
         call(Q, np.array([1.0, 1.0, np.nan, np.inf]))
 
