@@ -50,15 +50,15 @@ from .pawula import (
     second_order_sign_check,
 )
 from .semigroup import (
+    ChainMoments,
     EvolutionResult,
     TransitionKernel,
+    chain_moments,
     chapman_kolmogorov_defect,
     evolve_observable,
     evolve_series,
     generator_at_max,
-    recover_coefficients,
     resolvent,
-    stochastic_continuity_defect,
     transition_kernel,
 )
 

@@ -132,7 +132,8 @@ class DiscreteGenerator:
     ParameterOutOfRange, naming the first one.  Construction then runs
     ``maximum_principle_check`` once and keeps its report in
     ``maximum_principle``; a failing report raises NonEllipticCoefficient
-    (an off-diagonal) or ShapeError (row sums).
+    (an off-diagonal) or ShapeError (row sums).  A grid has one node per
+    state, else ShapeError.
     """
 
     Q: BandMatrix
@@ -144,6 +145,9 @@ class DiscreteGenerator:
     def __post_init__(self):
         if not isinstance(self.Q, BandMatrix):
             self.Q = BandMatrix.from_matrix(self.Q)
+        if self.grid is not None and self.grid.size != self.size:
+            raise ShapeError(f"a grid of {self.grid.size} nodes does not match "
+                             f"a chain of {self.size} states")
         m, i = np.nonzero(~np.isfinite(self.Q.bands))
         if i.size:
             j = i + self.Q.offsets[m]
@@ -163,7 +167,8 @@ class DiscreteGenerator:
         return self.Q.shape[0]
 
     def node_coordinates(self):
-        """Grid x-coordinates, or node indices for grid-free chains."""
+        """Grid x-coordinates (n,) in 1-D and nodes (n, d) in n-D, or node
+        indices (n,) for grid-free chains."""
         if self.grid is None:
             return np.arange(self.size, dtype=float)
         return self.grid.x if self.grid.ndim == 1 else self.grid.nodes()

@@ -91,6 +91,3 @@ class ExpressionError(InputError):
 class ScenarioError(InputError):
     """Scenario or operator document is malformed; a bad field is named by its dotted path."""
 
-
-class MomentBiasWarning(UserWarning):
-    """Moment-recovery window too long; O(t) bias may be visible."""

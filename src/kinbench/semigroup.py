@@ -1,4 +1,4 @@
-"""Semigroup evolution by uniformization, resolvents, and kernel diagnostics.
+"""Semigroup evolution by uniformization, resolvents, and the chain's moments.
 
 Uniformization writes e^{Qt} as a Poisson mixture of powers of the
 stochastic matrix P = I + Q/lambda, so nonnegativity and row sums survive
@@ -37,8 +37,12 @@ are then finished one at a time, each band expanded into a new array and
 squared against one spare, which is dropped before the kernel is yielded.
 One kernel takes two n x n arrays; the Chapman-Kolmogorov check takes
 three: P(t) and P(s), their product, then P(t+s) once its factors are
-dropped.  The kernel diagnostics (moment recovery, stochastic continuity)
-sum their rows ``_BLOCK`` at a time, beside the kernel only.
+dropped.
+
+(P(t) - I)/t -> Q as t -> 0, so the short-time moments of the kernel over
+t tend to Q's own Kramers-Moyal moments, and the rate of jumps longer than
+r to the rates of Q that reach past r.  ``chain_moments`` reads these
+limits from Q's diagonals, with no kernel and in any dimension.
 
 One cost rule picks between the two for vector evolution, once per step
 length.  ``evolve_series`` groups the steps of its schedule up front,
@@ -67,8 +71,6 @@ from __future__ import annotations
 
 import logging
 import math
-import numbers
-import warnings
 from collections import Counter, namedtuple
 from dataclasses import dataclass
 
@@ -77,7 +79,6 @@ import numpy as np
 from .bands import BandMatrix
 from .discretize import DiscreteGenerator
 from .errors import (
-    MomentBiasWarning,
     NoInvariantDensity,
     ParameterOutOfRange,
     ShapeError,
@@ -156,7 +157,7 @@ def _check_tol(tol):
 def time_schedule(times):
     """``times`` as a float array; raises unless one-dimensional, nonempty,
     finite, nonnegative and nondecreasing."""
-    times = np.asarray(list(times), dtype=float)
+    times = np.asarray(list(times) if np.iterable(times) else times, dtype=float)
     if times.ndim != 1:
         raise ShapeError(f"a time schedule is one-dimensional, got shape {times.shape}")
     if times.size == 0:
@@ -650,82 +651,48 @@ def generator_at_max(Q, f):
 
 
 @dataclass
-class MomentRecovery:
-    """Drift/diffusion fields recovered from short-time kernel moments."""
+class ChainMoments:
+    """The chain's Kramers-Moyal moments at each node, with the jump length.
 
-    x: np.ndarray
+    ``drift`` (n, d) and ``diffusion`` (n, d, d) have the shapes of
+    ``GeneratorSpec.drift`` and ``GeneratorSpec.diffusion``.
+    """
+
     drift: np.ndarray
     diffusion: np.ndarray
-    third_abs_over_t: np.ndarray
+    third_abs: np.ndarray
+    reach: np.ndarray
 
 
-def recover_coefficients(Q, t_small, tol=1e-12):
-    """First two kernel moments over t: drift and diffusion estimates.
+def chain_moments(Q):
+    """Sum_j Q_ij g(x_j - x_i) for the moments of ``ChainMoments``: the drift
+    g = dx, the diffusion g = dx dx^T / 2, the third absolute moment
+    g = |dx|^3, and the reach, the longest jump with Q_ij > 0 (0 on a zero row).
 
-    Also returns the third absolute moment over t, which must vanish as
-    t -> 0 for a true diffusion.  Emits MomentBiasWarning when
-    lambda_max * t exceeds 0.1 (the O(t) bias scale).
+    These are the limits as t -> 0 of the moments of P(t) over t, and the
+    rate of jumps longer than r is zero exactly where r >= reach (Pawula 1967;
+    Dynkin 1965).  Each diagonal of Q is read once, with x from
+    ``node_coordinates()`` as (n, d), so no n x n array is built in any
+    dimension.  Only positive rates set the reach: an n-D band stores zero
+    rates where it wraps from one row of the grid to the next.  A zero row
+    has zero moments and reach.
     """
-    if not 0.0 < t_small < math.inf:  # NaN fails both
-        raise TimeError(f"t_small = {t_small:g} must be finite and positive")
     qm = _as_qmatrix(Q)
-    _check_tol(tol)
-    if qm.lambda_max * t_small > 0.1:
-        warnings.warn(
-            f"lambda_max*t = {qm.lambda_max * t_small:.3g} > 0.1; "
-            f"O(t) moment bias of order {0.5 * t_small:.2g} relative may be visible",
-            MomentBiasWarning,
-        )
-    x = qm.node_coordinates()
-    if x.ndim != 1:
-        raise ShapeError("moment recovery supports 1-D grids in v1")
-    (P, _), = _kernels(qm, [t_small], tol)
-    drift = _row_moments(P, x, lambda d: d) / t_small
-    diffusion = _row_moments(P, x, lambda d: d * d) / (2 * t_small)
-    third_abs = _row_moments(P, x, lambda d: np.abs(d) ** 3) / t_small
-    return MomentRecovery(x, drift, diffusion, third_abs)
-
-
-def _row_moments(P, x, g):
-    """sum_j P[i, j] g(x[j] - x[i]) for each row i, as one einsum over
-    ``_BLOCK`` rows at a time, so with no n x n temporary."""
-    out = np.empty(P.shape[0])
-    for r0 in range(0, P.shape[0], _BLOCK):
-        rows = slice(r0, r0 + _BLOCK)
-        out[rows] = np.einsum("ij,ij->i", P[rows], g(x[None, :] - x[rows, None]))
-    return out
-
-
-@dataclass
-class ContinuityDefect:
-    """1 - p(t, x_i, ball(x_i, r)) series, plus the interior-max series."""
-
-    times: np.ndarray
-    at_node: np.ndarray
-    max_interior: np.ndarray
-    node: int
-
-
-def stochastic_continuity_defect(Q, node, radius, times, tol=1e-12):
-    """Kernel mass escaping a ball around each node, as t decreases to 0."""
-    qm = _as_qmatrix(Q)
-    if not (isinstance(node, numbers.Integral) and 0 <= node < qm.size):
-        raise ParameterOutOfRange(f"node {node} is not an integer in [0, {qm.size})")
-    if not 0.0 <= radius < math.inf:  # NaN fails both
-        raise ParameterOutOfRange(f"radius must be finite and nonnegative, got {radius:g}")
-    _check_tol(tol)
-    x = qm.node_coordinates()
-    if x.ndim != 1:
-        raise ShapeError("stochastic continuity supports 1-D grids in v1")
-    times = np.asarray(list(times), dtype=float)
-    time_schedule(np.sort(times))  # the schedule rule in any order, as t may decrease
-    at_node = np.empty(times.size)
-    max_interior = np.empty(times.size)
-    interior = slice(1, -1) if qm.size > 2 else slice(None)
-    for k, t in enumerate(times):
-        (P, _), = _kernels(qm, [t], tol)
-        defect = 1.0 - _row_moments(P, x, lambda d: (np.abs(d) <= radius).astype(float))
-        del P  # freed before the next kernel is built
-        at_node[k] = defect[node]
-        max_interior[k] = float(defect[interior].max())
-    return ContinuityDefect(times, at_node, max_interior, int(node))
+    n, x = qm.size, qm.node_coordinates()
+    x = x[:, None] if x.ndim == 1 else x
+    drift = np.zeros(x.shape)
+    diffusion = np.zeros(x.shape + x.shape[1:])
+    third_abs = np.zeros(n)
+    reach = np.zeros(n)
+    for d, band in zip(qm.Q.offsets.tolist(), qm.Q.bands):
+        if d == 0:
+            continue
+        rows = slice(max(0, -d), min(n, n - d))
+        rate = band[rows]
+        dx = x[rows.start + d:rows.stop + d] - x[rows]
+        drift[rows] += rate[:, None] * dx
+        diffusion[rows] += (0.5 * rate)[:, None, None] * dx[:, :, None] * dx[:, None, :]
+        jump = np.sqrt(np.einsum("ij,ij->i", dx, dx))
+        third_abs[rows] += rate * jump ** 3
+        reach[rows] = np.maximum(reach[rows], np.where(rate > 0, jump, 0.0))
+    return ChainMoments(drift, diffusion, third_abs, reach)

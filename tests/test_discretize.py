@@ -299,6 +299,8 @@ def test_grid_validation():
         DomainSpec("box", ((0.0, np.inf),))   # Grid.from_domain would give NaN nodes
     with pytest.raises(ShapeError):
         DiscreteGenerator(np.zeros((2, 3)))
+    with pytest.raises(ShapeError, match="^a grid of 3 nodes does not match a chain of 2 states$"):
+        DiscreteGenerator([[-1.0, 1.0], [1.0, -1.0]], grid=Grid((np.linspace(-1.0, 1.0, 3),)))
 
 
 def _csr_with_duplicates(dense):

@@ -12,6 +12,7 @@ from kinbench.errors import (
     DomainError,
     NonEllipticCoefficient,
     ParameterOutOfRange,
+    ShapeError,
     TimeError,
 )
 from kinbench.expressions import CompiledExpression as CE
@@ -262,6 +263,8 @@ def test_bad_parameters_rejected():
         simulate(spec, point_source(0.0), 10, -1e-3, 1.0, seed=1)
     with pytest.raises(ParameterOutOfRange):
         simulate(spec, point_source(0.0), 10, 1e-3, 1.0, seed=1, snapshots=[])
+    with pytest.raises(ShapeError, match=r"one-dimensional, got shape \(\)$"):
+        simulate(spec, point_source(0.0), 10, 1e-3, 1.0, seed=1, snapshots=0.5)
     # a particle count is an integer >= 1, a seed an integer in [0, 2^64)
     for n in (0, -5, float("nan"), 2.5, 10.0):
         with pytest.raises(ParameterOutOfRange, match="n "):

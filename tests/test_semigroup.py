@@ -4,7 +4,6 @@ import logging
 import pathlib
 import re
 import tracemalloc
-import warnings
 
 import numpy as np
 import pytest
@@ -13,9 +12,8 @@ import scipy.sparse as sp
 from hypothesis import given
 from hypothesis import strategies as st
 
-from kinbench.discretize import DiscreteGenerator, Grid, build_qmatrix
+from kinbench.discretize import DiscreteGenerator, Grid, bernoulli_ratio, build_qmatrix
 from kinbench.errors import (
-    MomentBiasWarning,
     ParameterOutOfRange,
     ShapeError,
     SpectrumError,
@@ -26,13 +24,12 @@ from kinbench.expressions import CompiledExpression as CE
 from kinbench.generator import CATALOG_NAMES, DomainSpec, GeneratorSpec, catalog_example
 import kinbench.semigroup as sg
 from kinbench.semigroup import (
+    chain_moments,
     chapman_kolmogorov_defect,
     evolve_observable,
     evolve_series,
     generator_at_max,
-    recover_coefficients,
     resolvent,
-    stochastic_continuity_defect,
     transition_kernel,
 )
 from kinbench.serialize import load_generator
@@ -80,9 +77,7 @@ def test_negative_nan_and_infinite_times_rejected(two_state, monkeypatch, t):
                  lambda: evolve_observable(two_state, v, t),
                  lambda: evolve_series(two_state, v, [0.0, t]),
                  lambda: chapman_kolmogorov_defect(two_state, 0.3, t),
-                 lambda: chapman_kolmogorov_defect(two_state, t, 0.3),
-                 lambda: recover_coefficients(two_state, t),
-                 lambda: stochastic_continuity_defect(two_state, 0, 0.5, [0.1, t])):
+                 lambda: chapman_kolmogorov_defect(two_state, t, 0.3)):
         with pytest.raises(TimeError):
             call()
     assert plans == []
@@ -156,12 +151,17 @@ def test_evolution_budget_cap(two_state):
 # dense kernel vs. vector series: the cost rule
 # ---------------------------------------------------------------------------
 
+def _box_spec():
+    """chain-2d's generator on [-4, 4]^2: a = diag(1 + x^2/4, 1), b = (-x, -2y)."""
+    return GeneratorSpec(2, lambda p: np.diag([1.0 + p[0] ** 2 / 4.0, 1.0]),
+                         lambda p: np.array([-p[0], -2.0 * p[1]]),
+                         DomainSpec("box", ((-4.0, 4.0), (-4.0, 4.0))))
+
+
 def _box_chain(n):
-    """chain-2d's generator on an n x n box: a = diag(1 + x^2/4, 1), b = (-x, -2y)."""
-    domain = DomainSpec("box", ((-4.0, 4.0), (-4.0, 4.0)))
-    spec = GeneratorSpec(2, lambda p: np.diag([1.0 + p[0] ** 2 / 4.0, 1.0]),
-                         lambda p: np.array([-p[0], -2.0 * p[1]]), domain)
-    grid = Grid.from_domain(domain, n)
+    """``_box_spec``'s chain on an n x n grid, with a Gaussian start."""
+    spec = _box_spec()
+    grid = Grid.from_domain(spec.domain, n)
     nu0 = np.exp(-np.sum((grid.nodes() - [1.0, -0.5]) ** 2, axis=1) / (2 * 0.7**2))
     return build_qmatrix(spec, grid), nu0 / nu0.sum()
 
@@ -626,25 +626,18 @@ def test_transition_kernel_holds_the_kernel_and_one_spare():
     assert _traced_peak(lambda: transition_kernel(qm, 0.3, tol=1e-12)) < 2 * n * n * 8 + band
 
 
-def _moments(qm):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", MomentBiasWarning)
-        return recover_coefficients(qm, 1e-3)
-
-
-def _continuity(qm):
-    return stochastic_continuity_defect(qm, qm.size // 2, 0.3, [0.05, 1e-3])
-
-
 @pytest.mark.parametrize("which", [0, 1])
 def test_kernel_diagnostics_hold_the_kernel_and_one_spare(which):
-    # each diagnostic traced alone: [0] moment recovery, [1] stochastic continuity
-    qm = _1d_chain("appendix2a", 401, "exponential-fitting")
+    # the moment and continuity diagnostics are chain_moments, which reads Q's
+    # diagonals once and so holds far less than one kernel: [0] a 1-D chain of
+    # 20001 states, [1] a 2-D box of 141^2, whose bands hold row wraps
+    qm = _1d_chain("appendix2a", 20001, "exponential-fitting") if which == 0 \
+        else _box_chain(141)[0]
     n = qm.size
     qm.node_coordinates()
-    diagnostic = (_moments, _continuity)[which]
-    peak = _traced_peak(lambda: diagnostic(qm))
+    peak = _traced_peak(lambda: chain_moments(qm))
     assert peak < 2 * n * n * 8 + 2 * n * sg._BLOCK * 8
+    assert peak < n * n * 8 / 100  # one n x n array would be 3.2 GB
 
 
 def test_kernels_past_the_dense_limit_fail_before_any_n_by_n_buffer():
@@ -657,25 +650,21 @@ def test_kernels_past_the_dense_limit_fail_before_any_n_by_n_buffer():
             chapman_kolmogorov_defect(qm, 0.3, 0.7, tol=1e-12)
 
     assert _traced_peak(check) < n * n * 8 / 100
-    for call in (lambda: transition_kernel(qm, 0.3), lambda: _moments(qm),
-                 lambda: _continuity(qm)):
-        with pytest.raises(TruncationBudgetExceeded, match=limit):
-            call()
+    with pytest.raises(TruncationBudgetExceeded, match=limit):
+        transition_kernel(qm, 0.3)
 
 
-def test_kernel_diagnostics_are_bitwise_their_full_row_sums():
-    qm = _1d_chain("appendix2a", 401, "exponential-fitting")
+def test_chain_moments_are_the_dense_row_sums():
+    qm = _1d_chain("appendix2b", 101, "exponential-fitting")
     x = qm.node_coordinates()
-    moments, continuity = _moments(qm), _continuity(qm)
     gap = x[None, :] - x[:, None]
-    (P, _), = sg._kernels(qm, [1e-3], 1e-12)
-    third = np.einsum("ij,ij->i", P, np.abs(gap) ** 3) / 1e-3
-    assert np.array_equal(_bits(moments.third_abs_over_t), _bits(third))
-    for k, t in enumerate([0.05, 1e-3]):
-        (P, _), = sg._kernels(qm, [t], 1e-12)
-        defect = 1.0 - np.einsum("ij,ij->i", P, (np.abs(gap) <= 0.3).astype(float))
-        assert _bits(continuity.at_node[k]) == _bits(defect[qm.size // 2])
-        assert _bits(continuity.max_interior[k]) == _bits(defect[1:-1].max())
+    Q = toarray(qm.Q)
+    mom = chain_moments(qm)
+    for got, g in [(mom.drift[:, 0], gap), (mom.diffusion[:, 0, 0], gap ** 2 / 2),
+                   (mom.third_abs, np.abs(gap) ** 3)]:
+        ref = np.einsum("ij,ij->i", Q, g)
+        assert np.all(np.abs(got - ref) <= 1e-12 * np.abs(Q * g).sum(axis=1))
+    assert np.array_equal(mom.reach, np.where(Q > 0, np.abs(gap), 0.0).max(axis=1))
 
 
 def test_kernel_build_is_logged_with_its_row_sum_defect(a2a201, caplog):
@@ -850,47 +839,92 @@ def test_argmax_tie_breaks_to_lowest_index():
 
 
 # ---------------------------------------------------------------------------
-# kernel-moment recovery
+# the chain's Kramers-Moyal moments
 # ---------------------------------------------------------------------------
 
-def test_recover_coefficients_ou(ou400):
-    with pytest.warns(MomentBiasWarning):
-        rec = recover_coefficients(ou400.Q, 1e-3)
-    x = rec.x
-    win = np.abs(x) <= 4.0
-    assert np.max(np.abs(rec.drift[win] + x[win])) / 4.0 <= 0.02
-    assert np.max(np.abs(rec.diffusion[win] - 1.0)) <= 0.02
-    dx = x[1] - x[0]
-    assert np.max(rec.third_abs_over_t[win]) <= 10 * dx * 1.02
+def _off_the_walls(qm):
+    """Mask of the nodes of a chain's grid that lie on no wall."""
+    k = np.unravel_index(np.arange(qm.size), qm.grid.shape)
+    return np.all([(i > 0) & (i < m - 1) for i, m in zip(k, qm.grid.shape)], axis=0)
 
 
-def test_recover_coefficients_pure_diffusion():
-    spec = GeneratorSpec(1, CE("1"), CE("0"),
-                         DomainSpec("box", ((-4.0, 4.0),)))
-    grid = Grid.from_domain(spec.domain, 201)
-    Q = build_qmatrix(spec, grid)
-    import warnings
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        rec = recover_coefficients(Q, 1e-3)
-    win = np.abs(rec.x) <= 2.0
-    dx = rec.x[1] - rec.x[0]
-    assert np.max(np.abs(rec.drift[win])) <= 2 * dx
-    assert np.max(np.abs(rec.diffusion[win] - 1.0)) <= 0.02
+def test_chain_moments_ou(ou400):
+    # exponential fitting on a uniform grid: a node's rates are (a/h^2) B(-+z)
+    # with z = bh/a, so M1 = b and M2/2 = a (B(z) + B(-z))/2 = a (z/2) coth(z/2)
+    x, h = ou400.x, ou400.x[1] - ou400.x[0]
+    inner = _off_the_walls(ou400.Q)
+    mom = chain_moments(ou400.Q)
+    b = ou400.spec.drift(x)
+    assert mom.drift.shape == b.shape and mom.diffusion.shape == ou400.spec.diffusion(x).shape
+    assert np.abs(mom.drift - b)[inner].max() <= 1e-12
+    z = b[inner, 0] * h
+    fitted = (bernoulli_ratio(z) + bernoulli_ratio(-z)) / 2
+    assert np.allclose(mom.diffusion[inner, 0, 0], fitted, rtol=1e-12, atol=0)
 
 
-def test_third_moment_shrinks_with_window(ou400):
-    import warnings
+def test_chain_moments_pure_diffusion():
+    # equal rates 1/h^2 to each side: M1 = 0, M2/2 = 1, M3abs = 2h, reach h
+    spec = GeneratorSpec(1, CE("1"), CE("0"), DomainSpec("box", ((-4.0, 4.0),)))
+    qm = build_qmatrix(spec, Grid.from_domain(spec.domain, 201))
+    h = 8.0 / 200
+    inner = _off_the_walls(qm)
+    mom = chain_moments(qm)
+    assert np.abs(mom.drift[inner]).max() <= 1e-12
+    assert np.allclose(mom.diffusion[inner], 1.0, rtol=1e-12, atol=0)
+    assert np.allclose(mom.third_abs[inner], 2 * h, rtol=1e-12, atol=0)
+    assert np.allclose(mom.reach, h, rtol=1e-12, atol=0)
 
+
+def test_chain_moments_upwind():
+    # upwind adds |b|/h to the downstream rate: M1 = b, and M2/2 = a + |b|h/2,
+    # the scheme's first-order numerical diffusion
+    qm = _1d_chain("ornstein-uhlenbeck", 401, "upwind")
+    spec, _ = catalog_example("ornstein-uhlenbeck")
+    x = qm.grid.x
+    h = x[1] - x[0]
+    inner = _off_the_walls(qm)
+    mom = chain_moments(qm)
+    b = spec.drift(x)
+    assert np.abs(mom.drift - b)[inner].max() <= 1e-12
+    smeared = spec.diffusion(x) + (np.abs(b) * h / 2)[:, :, None]
+    assert np.abs(mom.diffusion - smeared)[inner].max() <= 1e-12
+
+
+def test_chain_moments_of_absorbing_walls_are_zero():
+    qm = _absorbing_chain(81)
+    mom = chain_moments(qm)
+    wall = ~_off_the_walls(qm)
+    for field in (mom.drift, mom.diffusion, mom.third_abs, mom.reach):
+        assert np.all(field[wall] == 0.0)
+    assert np.all(mom.reach[~wall] > 0)
+
+
+def test_third_moment_shrinks_with_the_cell():
+    # M3abs = 2ah on OU to first order: it vanishes only as h -> 0, at order 1
     peaks = []
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        for t in [1e-2, 5e-3, 2.5e-3]:
-            rec = recover_coefficients(ou400.Q, t)
-            win = np.abs(rec.x) <= 4.0
-            peaks.append(np.max(rec.third_abs_over_t[win]))
+    for n in [100, 200, 400]:
+        qm = _1d_chain("ornstein-uhlenbeck", n, "exponential-fitting")
+        peaks.append(chain_moments(qm).third_abs[np.abs(qm.grid.x) <= 4.0].max())
+    orders = np.log2(np.array(peaks[:-1]) / peaks[1:])
     assert peaks[0] > peaks[1] > peaks[2]
+    assert np.all((0.9 <= orders) & (orders <= 1.1))
+
+
+def test_chain_moments_on_a_2d_box():
+    # interior nodes of chain-2d's generator: M1 = b to rounding, M2/2 -> a at
+    # order 2 with an off-diagonal that is exactly zero, all read from the bands
+    errors = []
+    for n in [21, 41, 81, 161]:
+        qm, spec = _box_chain(n)[0], _box_spec()
+        inner = _off_the_walls(qm)
+        nodes = qm.grid.nodes()
+        mom = chain_moments(qm)
+        assert mom.drift.shape == (qm.size, 2) and mom.diffusion.shape == (qm.size, 2, 2)
+        assert np.abs(mom.drift - spec.drift(nodes))[inner].max() <= 1e-13
+        assert np.all(mom.diffusion[:, 0, 1] == 0.0) and np.all(mom.diffusion[:, 1, 0] == 0.0)
+        errors.append(np.abs(mom.diffusion - spec.diffusion(nodes))[inner].max())
+    orders = np.log2(np.array(errors[1:-1]) / errors[2:])
+    assert np.all((1.7 <= orders) & (orders <= 2.3)), errors
 
 
 # ---------------------------------------------------------------------------
@@ -898,28 +932,39 @@ def test_third_moment_shrinks_with_window(ou400):
 # ---------------------------------------------------------------------------
 
 def test_continuity_two_state_closed_form(two_state):
-    ts = np.array([0.2, 0.1, 0.05, 0.0])
-    out = stochastic_continuity_defect(two_state, 0, 0.5, ts)
-    exact = (1 - np.exp(-2 * ts)) / 2
-    assert np.allclose(out.at_node, exact, atol=1e-12)
-    assert out.at_node[-1] == 0.0
+    # a grid-free chain sits on its indices: one jump of length 1, rate 1 each way
+    mom = chain_moments(two_state)
+    assert np.array_equal(mom.drift, [[1.0], [-1.0]])
+    assert np.array_equal(mom.diffusion, [[[0.5]], [[0.5]]])
+    assert np.array_equal(mom.third_abs, [1.0, 1.0])
+    assert np.array_equal(mom.reach, [1.0, 1.0])
+    # below the reach the kernel's escape mass is (1 - e^{-2t})/2, of rate Q_01 = 1
+    ts = np.array([0.2, 0.1, 0.05])
+    escape = [1.0 - transition_kernel(two_state, t, tol=1e-12).P[0, 0] for t in ts]
+    assert np.allclose(escape, (1 - np.exp(-2 * ts)) / 2, atol=1e-12)
 
 
 def test_continuity_decreases_to_zero(a2a201):
-    ts = [1e-4, 1e-5, 1e-6]
-    dx = a2a201.x[1] - a2a201.x[0]
-    out = stochastic_continuity_defect(a2a201.Q, a2a201.grid.size // 2,
-                                       5 * dx, ts)
-    assert np.all(np.diff(out.max_interior) < 0)
-    lam = a2a201.Q.lambda_max
-    assert np.all(out.max_interior <= 1.1 * lam * np.asarray(ts) + 1e-15)
+    # the reach is one cell, so the rate of jumps longer than r is 0 for r past
+    # it: the kernel's escape mass over t tends to 0 there, and to the node's
+    # whole jump rate -Q_ii for r below it
+    qm, x = a2a201.Q, a2a201.x
+    cells = np.diff(x)
+    reach = chain_moments(qm).reach
+    assert np.array_equal(reach, np.maximum(np.r_[cells, 0.0], np.r_[0.0, cells]))
+    gap = np.abs(x[None, :] - x[:, None])
+    rates = []
+    for t in [1e-4, 1e-5, 1e-6]:
+        P = transition_kernel(qm, t, tol=1e-12).P
+        rates.append((1.0 - np.einsum("ij,ij->i", P, (gap <= 5 * cells[0]) * 1.0))[1:-1] / t)
+    peaks = [r.max() for r in rates]
+    assert peaks[0] > peaks[1] > peaks[2] and peaks[2] <= 1.1 * qm.lambda_max * 1e-6
+    near = (1.0 - np.einsum("ij,ij->i", P, (gap <= cells[0] / 2) * 1.0)) / 1e-6
+    jump_rate = -qm.Q.diagonal()
+    assert np.abs(near - jump_rate).max() <= qm.lambda_max * 1e-6 * jump_rate.max()
 
 
 @pytest.mark.parametrize("call, error", [
-    (lambda Q: stochastic_continuity_defect(Q, -1, 0.5, [0.1]), ParameterOutOfRange),
-    (lambda Q: stochastic_continuity_defect(Q, 2, 0.5, [0.1]), ParameterOutOfRange),
-    (lambda Q: stochastic_continuity_defect(Q, 0, 0.5, [0.1], tol=0.5), ParameterOutOfRange),
-    (lambda Q: recover_coefficients(Q, 1e-3, tol=0.5), ParameterOutOfRange),
     (lambda Q: resolvent(Q, 1.0, [1.0, 0.0, 0.0]), ShapeError),
     (lambda Q: generator_at_max(Q, [1.0, 0.0, 0.0]), ShapeError),
     (lambda Q: evolve_series(Q, [np.nan, 1.0], [1.0]), ParameterOutOfRange),
@@ -933,21 +978,13 @@ def test_continuity_decreases_to_zero(a2a201):
     (lambda Q: evolve_series(Q, [-1.0, 1.0], [0.0, 1.0]), ParameterOutOfRange),
     (lambda Q: resolvent(Q, 1.0, [np.nan, 1.0]), ParameterOutOfRange),
     (lambda Q: resolvent(Q, 1.0, np.ones((3, 2))), ShapeError),
-    (lambda Q: stochastic_continuity_defect(Q, 0.5, 0.5, [0.1]), ParameterOutOfRange),
-    (lambda Q: stochastic_continuity_defect(Q, 0, -0.5, [0.1]), ParameterOutOfRange),
-    (lambda Q: stochastic_continuity_defect(Q, 0, np.nan, [0.1]), ParameterOutOfRange),
-    (lambda Q: stochastic_continuity_defect(Q, 0, np.inf, [0.1]), ParameterOutOfRange),
     (lambda Q: evolve_series(Q, [1.0, 0.0], [[0.0, 1.0], [2.0, 3.0]]), ShapeError),
-    (lambda Q: stochastic_continuity_defect(Q, 0, 0.5, [[0.1, 0.2]]), ShapeError),
-    (lambda Q: stochastic_continuity_defect(Q, 0, 0.5, []), ParameterOutOfRange),
-], ids=["continuity-node-negative", "continuity-node-past-end", "continuity-tol",
-        "recover-tol", "resolvent-length", "generator-at-max-length", "density-nan",
+    (lambda Q: evolve_series(Q, [1.0, 0.0], 1.0), ShapeError),
+], ids=["resolvent-length", "generator-at-max-length", "density-nan",
         "density-inf", "density-negative", "observable-nan", "observable-inf",
         "generator-at-max-nan", "generator-at-max-inf", "series-density-nan",
-        "series-density-negative",
-        "resolvent-nan", "resolvent-block-length", "continuity-node-fraction",
-        "continuity-radius-negative", "continuity-radius-nan", "continuity-radius-inf",
-        "series-schedule-2d", "continuity-times-2d", "continuity-times-empty"])
+        "series-density-negative", "resolvent-nan", "resolvent-block-length",
+        "series-schedule-2d", "series-schedule-scalar"])
 def test_bad_arguments_are_named_errors_before_any_kernel(two_state, monkeypatch, call, error):
     calls = _count_kernel_builds(monkeypatch)
     with pytest.raises(error):
@@ -969,15 +1006,3 @@ def test_a_nonfinite_vector_names_its_first_bad_entry(call, message):
                                     [0.0, 1.0, -2.0, 1.0], [0.0, 0.0, 1.0, -1.0]]))
     with pytest.raises(ParameterOutOfRange, match=message):
         call(Q, np.array([1.0, 1.0, np.nan, np.inf]))
-
-
-def test_continuity_takes_a_numpy_integer_node(two_state):
-    assert stochastic_continuity_defect(two_state, np.int64(1), 0.0, [0.1]).node == 1
-
-
-def test_continuity_on_nd_grid_is_a_named_error(monkeypatch):
-    Q, _ = _box_chain(7)
-    calls = _count_kernel_builds(monkeypatch)
-    with pytest.raises(ShapeError, match="1-D grids"):
-        stochastic_continuity_defect(Q, 0, 0.5, [0.1, 0.01])
-    assert calls == []
