@@ -16,8 +16,6 @@ from .generator import (
     DomainSpec,
     EquilibriumDensity,
     GeneratorSpec,
-    apply_formal_adjoint,
-    apply_generator,
     catalog_example,
     compute_Hi,
 )

@@ -156,10 +156,18 @@ def _positive(value):
     return value
 
 
+def _array(value):
+    """A list field's value, which must be a JSON array: anything else is
+    refused, a string too, whose characters would read "159" as 1, 5 and 9."""
+    if not isinstance(value, list):
+        raise TypeError(f"{value!r} is not a JSON array")
+    return value
+
+
 def _interior_points(values, domain):
     """Finite points strictly inside a 1-D domain: a particle started on or
     past a wall would be clipped to it."""
-    points = [_finite(v) for v in values]
+    points = [_finite(v) for v in _array(values)]
     for p in points:
         if not domain.contains(p, interior=True):
             raise DomainError(f"{p:g} is not in the interior of {domain.bounds[0]}")
@@ -167,32 +175,29 @@ def _interior_points(values, domain):
 
 
 def _times(times):
+    """A time schedule: a JSON array of times, or {start, stop, num}."""
     if isinstance(times, dict):
-        times = np.linspace(_finite(times["start"]), _finite(times["stop"]),
-                            _natural(times["num"]))
-    return time_schedule(float(t) for t in times)
-
-
-def _floats(values):
-    return [float(v) for v in values]
+        return time_schedule(np.linspace(_finite(times["start"]), _finite(times["stop"]),
+                                         _natural(times["num"])))
+    return time_schedule(_array(times))
 
 
 def _sample_points(values):
     """At least one point, each a finite number: no points would pass any operator."""
-    points = [_finite(v) for v in values]
+    points = [_finite(v) for v in _array(values)]
     if not points:
         raise ValueError("at least one point is needed")
     return points
 
 
 def _lags(values):
-    s, t = (float(v) for v in values)
+    s, t = (float(v) for v in _array(values))
     _check_times(s, t)
     return s, t
 
 
 def _rates(values):
-    rates = _floats(values)
+    rates = [float(v) for v in _array(values)]
     if not rates:
         raise ValueError("at least one resolvent parameter is needed")
     if not all(0 < lam < np.inf for lam in rates):
@@ -203,7 +208,7 @@ def _rates(values):
 def _h_functionals(entries):
     """One HFunctional per entry, each of its own kind: a curve and its CSV are
     named by the kind, so a repeated kind would hide all but its last entry."""
-    if not entries:
+    if not _array(entries):
         raise ValueError("at least one H functional is needed")
     hs = [HFunctional.from_name(e) if isinstance(e, str)
           else HFunctional.from_name(e["kind"], e.get("value_at_zero")) for e in entries]
@@ -224,7 +229,7 @@ def _operator(terms):
 def _initial_density(desc):
     kind = desc["kind"]
     if kind == "table":
-        values = np.asarray(desc.get("values", []), dtype=float)
+        values = np.asarray(_array(desc.get("values", [])), dtype=float)
         if not np.all(np.isfinite(values) & (values >= 0)):
             raise ValueError("initial_density.values must be finite and nonnegative")
         return {"kind": kind, "values": values}
@@ -261,7 +266,7 @@ def _scenario(args):
         "dt": _field(doc, "oracle.dt", _positive, 1e-3),
         "seed": args.seed if args.seed is not None else _field(doc, "oracle.seed", _natural, 1234),
         "snapshot_times": _field(doc, "oracle.snapshot_times",
-                                 lambda v: time_schedule(_floats(v)).tolist(), [0.5, 1.0, 2.0]),
+                                 lambda v: time_schedule(_array(v)).tolist(), [0.5, 1.0, 2.0]),
         "moment_points": _field(doc, "oracle.moment_points",
                                 lambda v: _interior_points(v, spec.domain),
                                 [0.5 * sum(spec.domain.bounds[0])]),
@@ -473,7 +478,7 @@ def cmd_pawula(args):
     x0 = _field(doc, "x0", float, 0.0)
     epsilon = _field(doc, "epsilon", float, DEFAULT_EPSILON)
     amplitude = _field(doc, "amplitude", lambda v: v if v is None else float(v), None)
-    points = _field(doc, "points", _sample_points, np.linspace(-10.0, 10.0, 201))
+    points = _field(doc, "points", _sample_points, np.linspace(-10.0, 10.0, 201).tolist())
     if op.order <= 2:
         passed, worst = second_order_sign_check(op, points)
         _write_json(out, "pawula_verdict.json", {

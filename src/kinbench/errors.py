@@ -14,7 +14,7 @@ class DomainError(InputError):
 
 
 class InsufficientSmoothness(KinbenchError):
-    """Derivative data missing and finite differencing is not possible."""
+    """A test function has no exact partial: it is neither an expression nor a 1-D polynomial."""
 
 
 class MissingGibbsForm(KinbenchError):

@@ -1,26 +1,18 @@
-"""Continuous diffusion generators, their formal adjoints, and the example catalog.
+"""Continuous diffusion generators, their Gibbs-structure field, and the example catalog.
 
 A generator acts on observables as ``a(x) f'' + b(x) f'`` (sums over axes in
-higher dimension); the formal adjoint drives densities.  Coefficients may be
-plain callables, numpy polynomials or compiled expressions (see
-:mod:`kinbench.expressions`).  A 1-D coefficient takes the whole point
-array in one call, as assembly calls it; an n-D one takes one point.  The
-checks, assembly and the pointwise operators read a and b through
+higher dimension).  Coefficients may be plain callables, numpy polynomials
+or compiled expressions (see :mod:`kinbench.expressions`).  A 1-D
+coefficient takes the whole point array in one call, as assembly calls it;
+an n-D one takes one point.  The checks and assembly read a and b through
 ``GeneratorSpec.diffusion`` and ``GeneratorSpec.drift``.
 
-Two rules differentiate a coefficient or a test function, both exact
-where ``_derivative_of`` finds a partial (compiled expressions, 1-D
-polynomials), as it always does for ``pawula.apply_operator``:
-
-- at a point, in every dimension, ``_grad_hess`` (the gradient and Hessian
-  of ``apply_generator`` and ``apply_formal_adjoint``): any other
-  callable, a and b read through the sampler, gets 4th-order central
-  differences at h = 1e-3 max(1, max|x_i|) along each axis and each sum
-  of two axes, both derivatives of a line from one set of five reads, and
-  InsufficientSmoothness when the stencil leaves the domain;
-- on the 1-D grid nodes, every first derivative of a node field, any other
-  callable's in ``_on_nodes(f, x, m)`` and the wall flux's included, is
-  ``np.gradient(..., edge_order=2)`` (second order at the walls).
+One rule differentiates: a derivative is exact where ``_derivative_of``
+finds it (compiled expressions, 1-D polynomials), and
+``pawula.apply_operator`` takes no other; on the 1-D grid nodes any other
+callable's, in ``_on_nodes(f, x, m)``, and every node field's, the wall
+flux's included, is ``np.gradient(..., edge_order=2)`` (second order at the
+walls).
 
 A reference density is analytic (``EquilibriumDensity``) or it is samples
 on the grid nodes (an array, read by ``_samples``); ``compute_Hi`` and
@@ -40,7 +32,6 @@ from numpy.polynomial import Polynomial
 
 from .errors import (
     DomainError,
-    InsufficientSmoothness,
     MissingGibbsForm,
     NonEllipticCoefficient,
     ParameterOutOfRange,
@@ -246,90 +237,12 @@ def _samples(values, grid):
     return vals
 
 
-def _scalar(f, pt, name="the test function"):
+def _scalar(f, pt):
     """f(pt) as a 0-d float array; ShapeError unless f maps the point to one number."""
     value = np.asarray(f(pt), dtype=float)
     if value.ndim:
-        raise ShapeError(f"{name} must map a point to one number, not {value.shape}")
+        raise ShapeError(f"the test function must map a point to one number, not {value.shape}")
     return value
-
-
-def _interior_point(spec, x):
-    """x as a coefficient takes one point; DomainError unless strictly inside."""
-    pt = _as_point(x, spec.dimension)
-    if not spec.domain.contains(pt, interior=True):
-        raise DomainError(f"x = {pt} is not in the domain interior")
-    return pt
-
-
-def apply_generator(spec, f, x):
-    """Evaluate sum a_ij d_ij f + sum b_i d_i f at a point, the partials by
-    ``_grad_hess``."""
-    pt = _interior_point(spec, x)
-    grad, hess = _grad_hess(f, pt, spec.domain)
-    return float(np.sum(spec.diffusion(pt)[0] * hess) + np.dot(spec.drift(pt)[0], grad))
-
-
-def _grad_hess(f, pt, domain, read=None):
-    """Gradient and Hessian of f at an interior point by the module's point rule.
-
-    Exact where ``_derivative_of`` finds the partials; else 5-point central
-    differences at h = 1e-3 max(1, max|x_i|) along each axis and each sum
-    e_i + e_j of two: the centre x, read once, and four reads per line, at
-    x+2hv, x+hv, x-hv and x-2hv, give the 4th-order first and second
-    derivatives along v, the mixed partials by polarization,
-    d_ij = (D^2_{e_i+e_j} - d_ii - d_jj)/2; InsufficientSmoothness when a
-    stencil point leaves the domain.  The stencil reads f's values through
-    ``read``, which may return an array: the point's axes then lead those of
-    the value.  By default it reads f itself, which must map a point to one
-    number (ShapeError else).
-    """
-    d = domain.dimension
-    x = np.reshape(np.asarray(pt, dtype=float), d)
-    at = _as_point(x, d)
-    partials = [_derivative_of(f, i, d) for i in range(d)]
-    if all(g is not None for g in partials):
-        hess = [[_derivative_of(g, j, d)(at) for j in range(d)] for g in partials]
-        return np.array([g(at) for g in partials], dtype=float), np.array(hess, dtype=float)
-    h = 1e-3 * max(1.0, float(np.max(np.abs(x))))
-    axes = np.eye(d)
-    pairs = [(i, j) for i in range(d) for j in range(i + 1, d)]
-    reach = 2 * h * np.array([*axes, *(axes[i] + axes[j] for i, j in pairs)])
-    if not domain.contains(np.concatenate([x - reach, x + reach])):
-        raise InsufficientSmoothness(
-            "no exact derivatives and the difference stencil leaves the domain")
-    read = read or (lambda y: _scalar(f, y))
-    c = np.asarray(read(_as_point(x + 0 * h * axes[0], d)), dtype=float)  # -0.0 reads as +0.0
-
-    def line(v):
-        p2, p1, m1, m2 = (np.asarray(read(_as_point(x + t * h * v, d)), dtype=float)
-                          for t in (2, 1, -1, -2))
-        return ((-p2 + 8 * p1 - 8 * m1 + m2) / (12 * h),
-                (-p2 + 16 * p1 - 30 * c + 16 * m1 - m2) / (12 * h * h))
-
-    grad, diagonal = map(np.array, zip(*(line(e) for e in axes)))
-    hess = np.empty((d,) + grad.shape)
-    hess[range(d), range(d)] = diagonal
-    for i, j in pairs:
-        mixed = line(axes[i] + axes[j])[1]
-        hess[i, j] = hess[j, i] = (mixed - hess[i, i] - hess[j, j]) / 2
-    return grad, hess
-
-
-def apply_formal_adjoint(spec, rho, x):
-    """Evaluate the density-side operator sum d_ij(a_ij rho) - sum d_i(b_i rho)
-    at a point by the product rule, every partial by ``_grad_hess`` (the
-    stencil reading a and b through the sampler)."""
-    pt = _interior_point(spec, x)
-    d = spec.dimension
-    a, b, r = spec.diffusion(pt)[0], spec.drift(pt)[0], _scalar(rho, pt, "the density")
-    da, d2a = _grad_hess(spec.a, pt, spec.domain, lambda y: spec.diffusion(y)[0])
-    db, _ = _grad_hess(spec.b, pt, spec.domain, lambda y: spec.drift(y)[0])
-    dr, d2r = _grad_hess(rho, pt, spec.domain)
-    # exact 1-D partials are scalars; a is symmetric, so both cross terms are equal
-    da, d2a, db = np.reshape(da, (d,) * 3), np.reshape(d2a, (d,) * 4), np.reshape(db, (d, d))
-    return float(np.einsum("ijij->", d2a) * r + 2 * np.einsum("iij,j->", da, dr)
-                 + np.sum(a * d2r) - np.trace(db) * r - np.dot(b, dr))
 
 
 def compute_Hi(spec, rho0, grid):

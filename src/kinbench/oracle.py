@@ -176,8 +176,6 @@ class ParticleEnsemble:
     positions: np.ndarray
     absorbed: np.ndarray
     time: float
-    dt: float
-    seed: int
 
 
 def point_source(x0):
@@ -296,7 +294,7 @@ def simulate(spec, sampler, n, dt, T, seed, snapshots=None):
                 raise ParameterOutOfRange(f"b is not finite along the paths: {lost} of {x.size} "
                                           f"positions are not finite at t = {steps * dt:g}")
             absorbed = np.zeros(x.size, dtype=bool) if reflect else (x == lo) | (x == hi)
-            ensembles.append(ParticleEnsemble(x.copy(), absorbed, steps * dt, dt, seed))
+            ensembles.append(ParticleEnsemble(x.copy(), absorbed, steps * dt))
     elapsed = time.perf_counter() - start
     _log.debug("simulate: n=%d steps=%d snapshots=%d threads=%d steps_per_task=%d "
                "elapsed_s=%.6g particle_steps_per_s=%.6g draw_wait_s=%.6g idle_s=%.6g "

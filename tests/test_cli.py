@@ -431,6 +431,22 @@ MALFORMED_SCENARIO_FIELDS = {
     "oracle.moment_points.wall": ("oracle", {"moment_points": [8.0]}, "oracle.moment_points"),
     "oracle.moment_points.inf": ("oracle", {"moment_points": [float("inf")]},
                                  "oracle.moment_points"),
+    # a list field given as a string would be read as its characters: "159" as 1, 5 and 9
+    "times.string": ("times", "159", "malformed times: '159' is not a JSON array"),
+    "checks.chapman_kolmogorov.string": (
+        "checks", {"chapman_kolmogorov": "15"},
+        "malformed checks.chapman_kolmogorov: '15' is not a JSON array"),
+    "checks.resolvent_lambdas.string": (
+        "checks", {"resolvent_lambdas": "19"},
+        "malformed checks.resolvent_lambdas: '19' is not a JSON array"),
+    "oracle.snapshot_times.string": ("oracle", {"snapshot_times": "15"},
+                                     "malformed oracle.snapshot_times: '15' is not a JSON array"),
+    "oracle.moment_points.string": ("oracle", {"moment_points": "0"},
+                                    "malformed oracle.moment_points: '0' is not a JSON array"),
+    "h_functionals.string": ("h_functionals", "xlogx",
+                             "malformed h_functionals: 'xlogx' is not a JSON array"),
+    "initial_density.values.string": ("initial_density", {"kind": "table", "values": "123"},
+                                      "malformed initial_density: '123' is not a JSON array"),
 }
 
 ORACLE_FIELDS = {k: v for k, v in MALFORMED_SCENARIO_FIELDS.items() if k.startswith("oracle.")}
@@ -471,6 +487,7 @@ MALFORMED_OPERATOR_FIELDS = {
     "points.empty": ("points", [], "points"),
     "points.nan": ("points", [0.0, float("nan")], "points"),
     "points.inf": ("points", [float("inf")], "points"),
+    "points.string": ("points", "15", "malformed points: '15' is not a JSON array"),
 }
 
 
