@@ -37,7 +37,6 @@ from .oracle import (
     moment_estimates,
     point_source,
     simulate,
-    uniform_source,
 )
 from .pawula import (
     PawulaCertificate,

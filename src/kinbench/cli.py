@@ -55,6 +55,8 @@ from .semigroup import (
     time_schedule,
 )
 from .serialize import (
+    _finite,
+    _named,
     canonical_json,
     certificate_to_dict,
     coefficient_from_json,
@@ -112,16 +114,6 @@ def _field(doc, path, convert, default):
     return _named(path, convert, value)
 
 
-def _named(path, convert, value):
-    """``convert(value)``; a malformed value raises ScenarioError naming ``path``."""
-    try:
-        return convert(value)
-    except KeyError as exc:
-        raise ScenarioError(f"{path} needs field {exc}") from None
-    except (TypeError, ValueError, IndexError, OverflowError, AttributeError, InputError) as exc:
-        raise ScenarioError(f"malformed {path}: {exc}") from None
-
-
 def _natural(value):
     """A nonnegative integer: 41 and 1e5 pass, 41.7, -1 and true do not."""
     if isinstance(value, bool) or int(value) != float(value) or int(value) < 0:
@@ -142,18 +134,16 @@ def _boolean(value):
     return value
 
 
-def _finite(value):
-    value = float(value)
-    if not np.isfinite(value):
-        raise ValueError(f"{value!r} is not a finite number")
-    return value
-
-
 def _positive(value):
     value = _finite(value)
     if not value > 0:
         raise ValueError(f"{value!r} is not positive")
     return value
+
+
+def _optional(value):
+    """A finite number, or None for a field left to its default."""
+    return value if value is None else _finite(value)
 
 
 def _array(value):
@@ -179,7 +169,7 @@ def _times(times):
     if isinstance(times, dict):
         return time_schedule(np.linspace(_finite(times["start"]), _finite(times["stop"]),
                                          _natural(times["num"])))
-    return time_schedule(_array(times))
+    return time_schedule([_finite(t) for t in _array(times)])
 
 
 def _sample_points(values):
@@ -191,17 +181,17 @@ def _sample_points(values):
 
 
 def _lags(values):
-    s, t = (float(v) for v in _array(values))
+    s, t = (_finite(v) for v in _array(values))
     _check_times(s, t)
     return s, t
 
 
 def _rates(values):
-    rates = [float(v) for v in _array(values)]
+    rates = [_finite(v) for v in _array(values)]
     if not rates:
         raise ValueError("at least one resolvent parameter is needed")
-    if not all(0 < lam < np.inf for lam in rates):
-        raise SpectrumError("resolvent parameters must be positive and finite")
+    if not all(lam > 0 for lam in rates):
+        raise SpectrumError("resolvent parameters must be positive")
     return rates
 
 
@@ -211,7 +201,9 @@ def _h_functionals(entries):
     if not _array(entries):
         raise ValueError("at least one H functional is needed")
     hs = [HFunctional.from_name(e) if isinstance(e, str)
-          else HFunctional.from_name(e["kind"], e.get("value_at_zero")) for e in entries]
+          else HFunctional.from_name(e["kind"],
+                                     _named("value_at_zero", _optional, e.get("value_at_zero")))
+          for e in entries]
     kinds = [h.kind for h in hs]
     if len(set(kinds)) < len(kinds):
         raise ValueError(f"each kind may appear once, got {', '.join(kinds)}")
@@ -229,16 +221,16 @@ def _operator(terms):
 def _initial_density(desc):
     kind = desc["kind"]
     if kind == "table":
-        values = np.asarray(_array(desc.get("values", [])), dtype=float)
-        if not np.all(np.isfinite(values) & (values >= 0)):
-            raise ValueError("initial_density.values must be finite and nonnegative")
+        values = np.array([_named("initial_density.values", _finite, v)
+                           for v in _array(desc.get("values", []))], dtype=float)
+        if not np.all(values >= 0):
+            raise ValueError("initial_density.values must be nonnegative")
         return {"kind": kind, "values": values}
     if kind not in DENSITY_PARAMS:
         raise ValueError(f"unknown kind {kind!r}")
-    params = {k: float(desc.get(k, v)) for k, v in DENSITY_PARAMS[kind].items()}
-    for k in ("sigma", "width"):  # scales: zero divides by zero
-        if k in params and not params[k] > 0:
-            raise ValueError(f"initial_density.{k} must be positive, got {params[k]:g}")
+    # scales are positive: zero divides by zero
+    params = {k: _named(f"initial_density.{k}", _positive if k in ("sigma", "width") else _finite,
+                       desc.get(k, v)) for k, v in DENSITY_PARAMS[kind].items()}
     return {"kind": kind, **params}
 
 
@@ -255,7 +247,7 @@ def _scenario(args):
     if spec.dimension != 1:  # n-D chains are library-only for now
         raise ScenarioError(f"generator.dimension is {spec.dimension}; the CLI runs 1-D chains")
     tol = _named("tol", _check_tol,
-                 args.tol if args.tol is not None else _field(doc, "tol", float, 1e-10))
+                 args.tol if args.tol is not None else _field(doc, "tol", _finite, 1e-10))
     checks = {
         "invariant_measure": _field(doc, "checks.invariant_measure", _boolean, True),
         "chapman_kolmogorov": _field(doc, "checks.chapman_kolmogorov", _lags, [0.3, 0.7]),
@@ -266,7 +258,7 @@ def _scenario(args):
         "dt": _field(doc, "oracle.dt", _positive, 1e-3),
         "seed": args.seed if args.seed is not None else _field(doc, "oracle.seed", _natural, 1234),
         "snapshot_times": _field(doc, "oracle.snapshot_times",
-                                 lambda v: time_schedule(_array(v)).tolist(), [0.5, 1.0, 2.0]),
+                                 lambda v: _times(_array(v)).tolist(), [0.5, 1.0, 2.0]),
         "moment_points": _field(doc, "oracle.moment_points",
                                 lambda v: _interior_points(v, spec.domain),
                                 [0.5 * sum(spec.domain.bounds[0])]),
@@ -475,9 +467,9 @@ def cmd_pawula(args):
     doc, out = _document(args)
     op = _field(doc, "coefficients", _operator, {})
     op = _field(doc, "order", lambda k: replace(op, order=_natural(k)), op.order)
-    x0 = _field(doc, "x0", float, 0.0)
-    epsilon = _field(doc, "epsilon", float, DEFAULT_EPSILON)
-    amplitude = _field(doc, "amplitude", lambda v: v if v is None else float(v), None)
+    x0 = _field(doc, "x0", _finite, 0.0)
+    epsilon = _field(doc, "epsilon", _positive, DEFAULT_EPSILON)
+    amplitude = _field(doc, "amplitude", _optional, None)
     points = _field(doc, "points", _sample_points, np.linspace(-10.0, 10.0, 201).tolist())
     if op.order <= 2:
         passed, worst = second_order_sign_check(op, points)

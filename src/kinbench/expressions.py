@@ -11,7 +11,9 @@ Grammar (whitespace-insensitive)::
 Functions: ``exp``, ``ln``.  Variables: ``x1`` .. ``xn``; ``x`` is an
 alias for ``x1``.  Exponentiation uses ``^``.  Expressions evaluate
 vectorized over numpy arrays and support symbolic differentiation, which
-is what gives catalog coefficients analytic derivatives.
+is what gives catalog coefficients analytic derivatives.  An expression
+keeps the text it was parsed from, which is what a document writes back;
+one built from a tree, such as a derivative, has no text.
 """
 
 from __future__ import annotations
@@ -279,42 +281,15 @@ def differentiate(node, var=0):
     raise ExpressionError(f"corrupt node {node!r}")
 
 
-_PRECEDENCE = {"+": 1, "-": 1, "*": 2, "/": 2, "neg": 3, "^": 4}
-
-
-def to_text(node, parent_prec=0):
-    """Render back to grammar text (semantics-preserving)."""
-    tag = node[0]
-    if tag == "num":
-        v = node[1]
-        if v < 0:
-            return to_text(("neg", _num(-v)), parent_prec)
-        return f"{v:.17g}"
-    if tag == "var":
-        return f"x{node[1] + 1}" if node[1] > 0 else "x"
-    if tag in ("exp", "ln"):
-        return f"{tag}({to_text(node[1])})"
-    if tag == "neg":
-        body = f"-{to_text(node[1], _PRECEDENCE['neg'])}"
-        return f"({body})" if parent_prec > _PRECEDENCE["neg"] else body
-    prec = _PRECEDENCE[tag]
-    # right operand of - and / needs a bump to keep associativity
-    left = to_text(node[1], prec)
-    right = to_text(node[2], prec + (1 if tag in ("-", "/", "^") else 0))
-    if tag == "^":
-        left = to_text(node[1], prec + 1)
-    body = f"{left} {tag} {right}" if tag in ("+", "-") else f"{left}{tag}{right}"
-    return f"({body})" if prec < parent_prec else body
-
-
 class CompiledExpression:
-    """Callable expression with cached symbolic derivatives."""
+    """Callable expression with cached symbolic derivatives; ``text`` is the
+    string it was parsed from, None for one built from a tree."""
 
     def __init__(self, text_or_node, dimension=1):
         if isinstance(text_or_node, str):
-            self.node = parse(text_or_node, dimension)
+            self.node, self.text = parse(text_or_node, dimension), text_or_node
         else:
-            self.node = text_or_node
+            self.node, self.text = text_or_node, None
         self.dimension = dimension
         self._derivatives = {}
 
@@ -327,9 +302,5 @@ class CompiledExpression:
                 differentiate(self.node, var), self.dimension)
         return self._derivatives[var]
 
-    @property
-    def text(self):
-        return to_text(self.node)
-
     def __repr__(self):
-        return f"CompiledExpression({self.text!r})"
+        return f"CompiledExpression({self.node if self.text is None else self.text!r})"

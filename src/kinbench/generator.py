@@ -237,14 +237,6 @@ def _samples(values, grid):
     return vals
 
 
-def _scalar(f, pt):
-    """f(pt) as a 0-d float array; ShapeError unless f maps the point to one number."""
-    value = np.asarray(f(pt), dtype=float)
-    if value.ndim:
-        raise ShapeError(f"the test function must map a point to one number, not {value.shape}")
-    return value
-
-
 def compute_Hi(spec, rho0, grid):
     """Departure-from-gradient-structure field 2(beta a H' - a' + b) on the 1-D grid.
 
@@ -304,12 +296,12 @@ def catalog_example(name, alpha=1.0):
         p = alpha + 0.5
         mass = math.sqrt(math.pi) * math.gamma(alpha) / math.gamma(alpha + 0.5) \
             if normalizable else math.inf
-        return _example("full-line", (-10.0, 10.0), "1 + x^2", f"-({c!r})*x", label,
-                        f"(1 + x^2)^(-({p!r}))", f"({p!r})*ln(1 + x^2)", mass)
+        return _example("full-line", (-10.0, 10.0), "1 + x^2", f"-{c:.17g}*x", label,
+                        f"(1 + x^2)^(-({p!r}))", f"{p:.17g}*ln(1 + x^2)", mass)
     # appendix2b: degenerate half-line family
     q = 2 * alpha + 1
-    return _example("half-line", (0.05, 20.0), "x^2", f"1 - ({c!r})*x", label,
-                    f"x^(-({q!r}))*exp(-1/x)", f"({q!r})*ln(x) + 1/x",
+    return _example("half-line", (0.05, 20.0), "x^2", f"1 - {c:.17g}*x", label,
+                    f"x^(-({q!r}))*exp(-1/x)", f"{q:.17g}*ln(x) + 1/x",
                     math.gamma(2 * alpha) if normalizable else math.inf)
 
 

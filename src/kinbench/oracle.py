@@ -188,10 +188,6 @@ def gaussian_source(mean, sigma):
     return lambda rng, n: rng.normal(float(mean), float(sigma), size=n)
 
 
-def uniform_source(lo, hi):
-    return lambda rng, n: rng.uniform(float(lo), float(hi), size=n)
-
-
 def _reflect(x, lo, hi):
     """Fold positions into [lo, hi] (exact triangle-wave reflection)."""
     span = hi - lo

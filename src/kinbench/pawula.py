@@ -36,7 +36,7 @@ from .errors import (
     ShapeError,
 )
 from .expressions import CompiledExpression
-from .generator import EIG_FLOOR, _as_point, _derivative_of, _require_finite, _scalar
+from .generator import EIG_FLOOR, _as_point, _derivative_of, _require_finite
 
 DEFAULT_EPSILON = 0.1
 OFFDIAG_TOL = 1e-12
@@ -212,14 +212,18 @@ def pawula_counterexample(op, x0, epsilon=DEFAULT_EPSILON, amplitude=None):
     a! A c_a - 2 eps c2, with a! the product of factorials and c2 the
     summed pure second-order coefficients.  The default amplitude
     sign(c_a) (2 eps |c2| + 1) / (a! |c_a|) makes that value at least 1;
-    any amplitude with the right sign works and may be supplied explicitly.
+    any finite amplitude with the right sign works and may be supplied
+    explicitly.  PreconditionViolated unless x0 is finite and epsilon and
+    the value are positive and finite.
     """
     k = op.order
     if k <= 2:
         raise OrderTooLow(f"order {k} operator satisfies the order bound; nothing to violate")
-    if epsilon <= 0:
-        raise PreconditionViolated("epsilon must be positive")
+    if not 0 < epsilon < math.inf:
+        raise PreconditionViolated(f"epsilon = {epsilon:g} is not positive and finite")
     x0 = _as_point(x0, op.dimension)
+    if not np.all(np.isfinite(x0)):
+        raise PreconditionViolated(f"x0 = {x0} is not finite")
     for multi in (key for key in op.coefficients if sum(key) == k):
         ck = float(op.coefficient(multi)(x0))
         if ck != 0.0:
@@ -232,9 +236,9 @@ def pawula_counterexample(op, x0, epsilon=DEFAULT_EPSILON, amplitude=None):
     if amplitude is None:
         amplitude = math.copysign(1.0, ck) * (2 * epsilon * abs(c2) + 1.0) / (fact * abs(ck))
     value = -2 * epsilon * c2 + fact * amplitude * ck
-    if value <= 0:
+    if not 0 < value < math.inf:  # a non-finite amplitude gives a non-finite value
         raise PreconditionViolated(
-            f"supplied amplitude {amplitude:g} does not produce a positive value")
+            f"amplitude {amplitude:g} gives the value {value:g}, not a positive, finite one")
     radius = _validity_radius(epsilon, amplitude, multi)
     if op.dimension == 1:
         return PawulaCertificate(x0, epsilon, amplitude, k, value, radius)
@@ -292,7 +296,7 @@ def cube_test(op, A, x0):
     _truncated(op)
     x0 = _as_point(x0, op.dimension)
     _exact_partial(A, 0, op.dimension)  # refuse A before calling it
-    A0 = float(_scalar(A, x0))
+    A0 = float(A(x0))
     if abs(A0) > 1e-12:
         raise PreconditionViolated(f"A(x0) = {A0:g} is not zero")
     # _exact_partial let only an expression or a 1-D polynomial through

@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from .errors import ScenarioError
+from .errors import InputError, ScenarioError
 from .expressions import CompiledExpression
 from .generator import DomainSpec, EquilibriumDensity, GeneratorSpec, catalog_example
 
@@ -20,6 +20,24 @@ FLOAT_FMT = "{:.17g}"
 
 def fmt(v):
     return FLOAT_FMT.format(float(v))
+
+
+def _finite(value):
+    """``value`` as a finite float; JSON's true and its NaN and Infinity
+    tokens, which float() would take, are refused."""
+    if isinstance(value, bool) or not math.isfinite(value := float(value)):
+        raise ValueError(f"{value!r} is not a finite number")
+    return value
+
+
+def _named(path, convert, value):
+    """``convert(value)``; a malformed value raises ScenarioError naming ``path``."""
+    try:
+        return convert(value)
+    except KeyError as exc:
+        raise ScenarioError(f"{path} needs field {exc}") from None
+    except (TypeError, ValueError, IndexError, OverflowError, AttributeError, InputError) as exc:
+        raise ScenarioError(f"malformed {path}: {exc}") from None
 
 
 def canonical_json(obj):
@@ -45,13 +63,13 @@ class TableCoefficient:
 
 
 def _coefficient_to_json(coeff):
-    if isinstance(coeff, CompiledExpression):
+    if isinstance(coeff, CompiledExpression) and coeff.text is not None:
         return coeff.text
     if isinstance(coeff, TableCoefficient):
         return {"points": coeff.points.tolist(), "values": coeff.values.tolist()}
     raise ScenarioError(
-        "coefficient is a bare callable; only expression or table "
-        "coefficients are serializable")
+        "coefficient is a bare callable or an expression built from a tree; only "
+        "parsed expression or table coefficients are serializable")
 
 
 def spec_to_dict(spec, equilibrium=None):
@@ -74,13 +92,14 @@ def spec_to_dict(spec, equilibrium=None):
 
 
 def coefficient_from_json(obj, dimension):
-    """A coefficient from its document: an expression, a number or a table."""
+    """A coefficient from its document: an expression, a number (not a
+    boolean) or a table."""
     if isinstance(obj, str):
         return CompiledExpression(obj, dimension)
     if isinstance(obj, dict) and "points" in obj and "values" in obj:
         return TableCoefficient(obj["points"], obj["values"])
-    if isinstance(obj, (int, float)):
-        return CompiledExpression(repr(float(obj)), dimension)
+    if isinstance(obj, (int, float)) and not isinstance(obj, bool):
+        return CompiledExpression(f"{float(obj):.17g}", dimension)
     raise ScenarioError(f"cannot interpret coefficient {obj!r}")
 
 
@@ -98,7 +117,7 @@ def spec_from_dict(d):
     rho = None
     if "gibbs" in d:
         g = d["gibbs"]
-        beta = float(g["beta"])
+        beta = _named("gibbs.beta", _finite, g["beta"])
         H = coefficient_from_json(g["H"], dim)
         if not isinstance(H, CompiledExpression):
             # a table's H' is np.gradient on the nodes, whose error alone
@@ -114,9 +133,7 @@ def load_generator(doc):
     if not isinstance(doc, dict):
         raise ScenarioError("a generator entry is a catalog reference or an inline spec")
     if "catalog" in doc:
-        name = doc["catalog"]
-        alpha = doc.get("alpha", 1.0)
-        return catalog_example(name, alpha)
+        return catalog_example(doc["catalog"], _named("alpha", _finite, doc.get("alpha", 1.0)))
     return spec_from_dict(doc)
 
 

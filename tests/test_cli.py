@@ -447,6 +447,59 @@ MALFORMED_SCENARIO_FIELDS = {
                              "malformed h_functionals: 'xlogx' is not a JSON array"),
     "initial_density.values.string": ("initial_density", {"kind": "table", "values": "123"},
                                       "malformed initial_density: '123' is not a JSON array"),
+    # float() takes JSON's true as 1 and its NaN and Infinity tokens: a float field does not
+    "tol.bool": ("tol", True, "malformed tol: True is not a finite number"),
+    "tol.nonfinite": ("tol", float("nan"), "malformed tol: nan is not a finite number"),
+    "checks.chapman_kolmogorov.bool": ("checks", {"chapman_kolmogorov": [True, 0.5]},
+                                       "checks.chapman_kolmogorov"),
+    "checks.resolvent_lambdas.bool": ("checks", {"resolvent_lambdas": [True]},
+                                      "checks.resolvent_lambdas"),
+    "times.bool": ("times", [0, True, 2], "times"),
+    "times.start.bool": ("times", {"start": True, "stop": 2, "num": 3}, "times"),
+    "initial_density.center.bool": ("initial_density", {"kind": "gaussian", "center": True},
+                                    "initial_density.center"),
+    "initial_density.center.nonfinite": ("initial_density",
+                                         {"kind": "bump", "center": float("nan")},
+                                         "initial_density.center"),
+    "initial_density.sigma.bool": ("initial_density", {"kind": "gaussian", "sigma": True},
+                                   "initial_density.sigma"),
+    # an infinite sigma would start flat: every node at 1/n
+    "initial_density.sigma.nonfinite": ("initial_density",
+                                        {"kind": "gaussian", "center": 1.0, "sigma": float("inf")},
+                                        "initial_density.sigma"),
+    "initial_density.at.bool": ("initial_density", {"kind": "delta", "at": True},
+                                "initial_density.at"),
+    # argmin |x - inf| is node 0: the delta would sit on the left wall
+    "initial_density.at.nonfinite": ("initial_density", {"kind": "delta", "at": float("inf")},
+                                     "initial_density.at"),
+    "initial_density.width.nonfinite": ("initial_density", {"kind": "bump", "width": float("inf")},
+                                        "initial_density.width"),
+    "initial_density.values.bool": ("initial_density", {"kind": "table", "values": [True] * 21},
+                                    "initial_density.values"),
+    "h_functionals.value_at_zero.bool": (
+        "h_functionals", [{"kind": "xlogx", "value_at_zero": True}],
+        "malformed h_functionals: malformed value_at_zero: True is not a finite number"),
+    "h_functionals.value_at_zero.nonfinite": (
+        "h_functionals", [{"kind": "xlogx", "value_at_zero": float("nan")}],
+        "malformed h_functionals: malformed value_at_zero: nan is not a finite number"),
+    "generator.alpha.bool": ("generator", {"catalog": "appendix2a", "alpha": True},
+                             "malformed generator: malformed alpha: True is not a finite number"),
+    "generator.alpha.nonfinite": (
+        "generator", {"catalog": "appendix2a", "alpha": float("nan")},
+        "malformed generator: malformed alpha: nan is not a finite number"),
+    "generator.gibbs.beta.bool": (
+        "generator", {**NOT_EQUILIBRIA["ou-wrong-H"], "gibbs": {"H": "x^2/2", "beta": True}},
+        "malformed generator: malformed gibbs.beta: True is not a finite number"),
+    "generator.gibbs.beta.nonfinite": (
+        "generator", {**NOT_EQUILIBRIA["ou-wrong-H"], "gibbs": {"H": "x^2/2", "beta": np.inf}},
+        "malformed generator: malformed gibbs.beta: inf is not a finite number"),
+    "generator.a.bool": ("generator", {"dimension": 1, "a": True, "b": "-x",
+                                       "domain": {"kind": "full-line", "bounds": [[-8.0, 8.0]]}},
+                         "cannot interpret coefficient True"),
+    "oracle.dt.bool": ("oracle", {"dt": True}, "oracle.dt"),
+    "oracle.snapshot_times.bool": ("oracle", {"snapshot_times": [0.5, True]},
+                                   "oracle.snapshot_times"),
+    "oracle.moment_points.bool": ("oracle", {"moment_points": [True]}, "oracle.moment_points"),
 }
 
 ORACLE_FIELDS = {k: v for k, v in MALFORMED_SCENARIO_FIELDS.items() if k.startswith("oracle.")}
@@ -488,6 +541,10 @@ MALFORMED_OPERATOR_FIELDS = {
     "points.nan": ("points", [0.0, float("nan")], "points"),
     "points.inf": ("points", [float("inf")], "points"),
     "points.string": ("points", "15", "malformed points: '15' is not a JSON array"),
+    # the certificate could not be written: JSON holds no NaN or infinity
+    "x0.nonfinite": ("x0", "nan", "malformed x0: nan is not a finite number"),
+    "epsilon.nonfinite": ("epsilon", "inf", "malformed epsilon: inf is not a finite number"),
+    "amplitude.nonfinite": ("amplitude", "nan", "malformed amplitude: nan is not a finite number"),
 }
 
 
@@ -840,6 +897,45 @@ def test_spec_document_roundtrip():
     assert np.allclose(rho2.rho_fn(xs), rho.rho_fn(xs), rtol=1e-15)
     # an inline Gibbs form carries no total mass, so it is not known to normalize
     assert rho.normalizable and not rho2.normalizable
+
+
+# an inline document with numeric coefficients: OU with a = 0.1 has rho ~ exp(-10 x^2/2)
+NUMERIC_GENERATOR = {
+    "dimension": 1,
+    "a": 0.1,
+    "b": "-(1.0)*x",
+    "domain": {"kind": "full-line", "bounds": [[-8.0, 8.0]], "bc": "no-flux"},
+    "gibbs": {"beta": 10.0, "H": "x^2/2"},
+}
+
+
+def test_a_document_round_trip_keeps_each_expression_text():
+    # summary.json writes each expression as the document gave it, a number
+    # with 17 digits, and reading it back evaluates bitwise equal on the nodes
+    pairs = [kb.catalog_example(name, alpha) for name in CATALOG_NAMES
+             for alpha in (0.0, 0.3, 1.0, 2.5)] + [spec_from_dict(NUMERIC_GENERATOR)]
+    for spec, rho in pairs:
+        doc = spec_to_dict(spec, rho)
+        H = rho.gibbs[1]
+        assert [doc["a"], doc["b"], doc["gibbs"]["H"]] == [spec.a.text, spec.b.text, H.text]
+        spec2, rho2 = spec_from_dict(doc)
+        x = kb.Grid.from_domain(spec.domain, 201).x
+        for f, f2 in [(spec.a, spec2.a), (spec.b, spec2.b), (H, rho2.gibbs[1])]:
+            assert np.array_equal(f(x), f2(x)), (spec.label, f.text)
+        assert spec_to_dict(spec2, rho2) == doc
+    assert spec_to_dict(*spec_from_dict(NUMERIC_GENERATOR)) == \
+        {**NUMERIC_GENERATOR, "a": "0.10000000000000001"}
+    spec, rho = kb.catalog_example("appendix2b", 1.0)
+    assert [spec.b.text, rho.gibbs[1].text] == ["1 - 1*x", "3*ln(x) + 1/x"]
+    spec, rho = kb.catalog_example("appendix2a", 0.0)
+    assert [spec.b.text, rho.gibbs[1].text] == ["--1*x", "0.5*ln(1 + x^2)"]
+
+
+def test_an_expression_built_from_a_tree_is_not_written():
+    domain = kb.catalog_example("ornstein-uhlenbeck")[0].domain
+    tree_built = kb.GeneratorSpec(1, CE("x^2/2").derivative(), CE("-x"), domain)
+    with pytest.raises(errors.ScenarioError, match="built from a tree"):
+        spec_to_dict(tree_built)
 
 
 TABLE_GENERATOR = {

@@ -9,7 +9,6 @@ from kinbench.expressions import (
     differentiate,
     evaluate,
     parse,
-    to_text,
 )
 
 
@@ -82,17 +81,6 @@ def _exprs(max_depth=3):
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-@given(_exprs(), st.floats(min_value=0.2, max_value=2.0))
-def test_roundtrip_preserves_semantics(node, x):
-    text = to_text(node)
-    reparsed = parse(text)
-    v1 = evaluate(node, x)
-    v2 = evaluate(reparsed, x)
-    if np.isfinite(v1):
-        assert v2 == pytest.approx(v1, rel=1e-12, abs=1e-12)
-
-
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @given(_exprs(), st.floats(min_value=0.3, max_value=1.8))
 def test_derivative_matches_finite_difference(node, x):
     d = differentiate(node)
@@ -103,8 +91,11 @@ def test_derivative_matches_finite_difference(node, x):
         assert v == pytest.approx(fd, rel=2e-4, abs=2e-4)
 
 
-def test_rendered_text_is_stable():
+def test_an_expression_keeps_its_source_text():
     e = CompiledExpression("-(1.0)*x + exp(-x^2/2)")
-    again = CompiledExpression(e.text)
-    xs = np.linspace(-2, 2, 11)
-    assert np.allclose(e(xs), again(xs), rtol=0, atol=0)
+    assert e.text == "-(1.0)*x + exp(-x^2/2)"
+    assert repr(e) == "CompiledExpression('-(1.0)*x + exp(-x^2/2)')"
+    # a derivative is built from a tree, so it has no text to write back
+    d = e.derivative()
+    assert d.text is None
+    assert repr(d) == f"CompiledExpression({d.node!r})"

@@ -25,8 +25,12 @@ from kinbench.oracle import (
     moment_estimates,
     point_source,
     simulate,
-    uniform_source,
 )
+
+
+def uniform_source(lo, hi):
+    """Initial sampler: a uniform cloud on [lo, hi]."""
+    return lambda rng, n: rng.uniform(lo, hi, size=n)
 
 
 def test_same_seed_bitwise_identical():

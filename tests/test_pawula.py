@@ -161,6 +161,19 @@ def test_bad_amplitude_rejected():
         pawula_counterexample(op, 0.0, amplitude=-1.0)
 
 
+@pytest.mark.parametrize("x0, epsilon, amplitude", [
+    (math.nan, 0.1, None), (math.inf, 0.1, None), ((0.0, math.nan), 0.1, None),
+    (0.0, math.nan, None), (0.0, math.inf, None), (0.0, 0.1, math.nan), (0.0, 0.1, math.inf),
+], ids=["x0.nan", "x0.inf", "x0.nan-2d", "epsilon.nan", "epsilon.inf", "amplitude.nan",
+        "amplitude.inf"])
+def test_non_finite_inputs_are_refused(x0, epsilon, amplitude):
+    dimension = np.size(x0)
+    key = 3 if dimension == 1 else (3, 0)
+    op = TruncatedOperator(3, {key: 1.0}, dimension=dimension)
+    with pytest.raises(PreconditionViolated):
+        pawula_counterexample(op, x0, epsilon, amplitude)
+
+
 def test_zeroth_order_term_rejected():
     with pytest.raises(PreconditionViolated):
         TruncatedOperator(2, {0: 1.0, 2: 1.0})
